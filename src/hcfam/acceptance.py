@@ -20,10 +20,9 @@ from .scalars import (
     RF_ONE,
     RF_Z,
 )
-from . import liefam, sl2fam, hcmod, classify, grassfam
+from . import liefam, hcmod, classify, grassfam
 from .liefam import (
     FamilyMorphism,
-    Involution,
     base_change,
     check_morphism,
     constant_family,
@@ -42,6 +41,7 @@ from .sl2fam import (
     casimir_acting_function,
     casimir_acting_function_reordered,
     casimir_section,
+    gl2_involution,
     sl2_involution,
 )
 from .hcmod import (
@@ -63,7 +63,6 @@ from .grassfam import (
     GrassmannPencil,
     contraction_comparison,
     fiber_group_closure_check,
-    k_basis,
     limit_subspace,
     p_basis,
     pencil_basis,
@@ -74,23 +73,12 @@ from .grassfam import (
 Result = Tuple[str, bool, str]
 
 
-def _gl2_involution() -> Involution:
-    # Conjugation by diag(1, -1): fixes the diagonal units, negates E12, E21.
-    m = [
-        [1, 0, 0, 0],
-        [0, -1, 0, 0],
-        [0, 0, -1, 0],
-        [0, 0, 0, 1],
-    ]
-    return Involution.from_matrix(gl2_algebra(), m)
-
-
 def criterion_1() -> Result:
     """Jacobi identity for every family constructor, with a failing witness
     for a corrupted table."""
     name = "jacobi suite (constant/scaled/contraction/deformation, sl2 and gl2)"
     cases = []
-    for alg, theta in ((sl2_algebra(), sl2_involution()), (gl2_algebra(), _gl2_involution())):
+    for alg, theta in ((sl2_algebra(), sl2_involution()), (gl2_algebra(), gl2_involution())):
         cases.append(constant_family(alg))
         cases.append(scaled_bracket_family(alg, 1))
         cases.append(contraction_family(alg, theta))

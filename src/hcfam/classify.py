@@ -19,7 +19,7 @@ import random
 from dataclasses import dataclass
 from typing import Optional
 
-from .scalars import GaussianRational, QI_ZERO
+from .scalars import GaussianRational
 from . import hcmod
 from .hcmod import (
     Casimir,
@@ -118,8 +118,8 @@ def _profile_for(cls: ClassSpec, weights: WeightSet) -> DegreeProfile:
     raise IncompatibleClass("equal-degree profiles lie outside classes I-IV")
 
 
-def _transitions_for(cls: ClassSpec, weights: WeightSet, unit=None) -> TransitionData:
-    u = GaussianRational(1) if unit is None else unit
+def _transitions_for(cls: ClassSpec, weights: WeightSet) -> TransitionData:
+    u = GaussianRational(1)
     if cls.kind == "I":
         # Degrees descend away from k: constant A above, constant B below.
         return TransitionData(cls.k, TailRule("A", u), TailRule("B", u))
@@ -169,7 +169,6 @@ def applicable_classes(weights: WeightSet, window: Window = DEFAULT_WINDOW):
     """Class specs that admit a valid family on the weight set (extremal
     weights for I/II are drawn from the window)."""
     out = [ClassSpec("III"), ClassSpec("IV")]
-    lo, hi = window
     for k in weights.weights_in(window):
         out.append(ClassSpec("I", k))
         out.append(ClassSpec("II", k))

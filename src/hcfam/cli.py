@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 from .scalars import (
     INFINITY,
@@ -20,7 +19,7 @@ from .scalars import (
     RationalFunction,
     UnsplitQuadratic,
 )
-from . import liefam, hcmod, classify, grassfam, acceptance
+from . import acceptance
 from .liefam import (
     FamilyMorphism,
     NotALieAlgebra,
@@ -36,7 +35,7 @@ from .liefam import (
     scaled_bracket_family,
     sl2_algebra,
 )
-from .sl2fam import sl2_involution
+from .sl2fam import gl2_involution, sl2_involution
 from .hcmod import (
     HCModuleFamily,
     NotValidated,
@@ -158,9 +157,7 @@ def build_family(algebra: str, kind: str, power: int):
         raise RequestError(f"unknown algebra {algebra!r}")
     if kind == "constant":
         return constant_family(alg)
-    from .acceptance import _gl2_involution
-
-    theta = sl2_involution() if algebra == "sl2" else _gl2_involution()
+    theta = sl2_involution() if algebra == "sl2" else gl2_involution()
     if kind == "scaled":
         return scaled_bracket_family(alg, power)
     if kind == "contraction":
@@ -192,8 +189,10 @@ def cmd_family(args) -> int:
         if witness is None:
             emit({"ok": True})
             return 0
-        (i, j, k), residual = witness
-        emit({"ok": False, "witness": {"i": i, "j": j, "k": k, "residual": [str(x) for x in residual]}})
+        i, j, k, residual = witness
+        if k is not None:
+            residual = [str(x) for x in residual]
+        emit({"ok": False, "witness": {"i": i, "j": j, "k": k, "residual": residual}})
         return 1
     if args.action == "fiber":
         p = parse_point(args.at)

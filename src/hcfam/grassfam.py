@@ -28,7 +28,8 @@ from .scalars import (
     RF_ZERO,
     RF_Z,
 )
-from .linalg import ExactMatrix, in_span, solve, span_rank
+from .linalg import ExactMatrix, in_span, kernel, solve, span_rank, structure_constants
+from .linalg import _is_zero, _mat_add, _mat_mul, _mat_scale, _mat_sub
 from .liefam import (
     FamilyMorphism,
     LieAlgebra,
@@ -79,39 +80,6 @@ def _elementary(n: int, i: int, j: int, one, zero):
     )
 
 
-def _zero_matrix(n: int, zero):
-    return tuple(tuple(zero for _ in range(n)) for _ in range(n))
-
-
-def _mat_add(a, b):
-    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
-def _mat_sub(a, b):
-    return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
-def _mat_scale(a, c):
-    return tuple(tuple(c * x for x in row) for row in a)
-
-
-def _mat_mul(a, b):
-    n = len(a)
-    return tuple(
-        tuple(
-            _sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n)
-        )
-        for i in range(n)
-    )
-
-
-def _sum(terms):
-    acc = None
-    for t in terms:
-        acc = t if acc is None else acc + t
-    return acc
-
-
 def pair_add(x: MatrixPair, y: MatrixPair) -> MatrixPair:
     return (_mat_add(x[0], y[0]), _mat_add(x[1], y[1]))
 
@@ -140,11 +108,7 @@ def flatten_pair(x: MatrixPair) -> list:
 
 
 def _pair_is_zero(x: MatrixPair) -> bool:
-    return all(_entry_is_zero(v) for v in flatten_pair(x))
-
-
-def _entry_is_zero(v) -> bool:
-    return v.is_zero() if hasattr(v, "is_zero") else v == 0
+    return all(_is_zero(v) for v in flatten_pair(x))
 
 
 # ---------------------------------------------------------------------------
@@ -291,18 +255,11 @@ def fiber_group_closure_check(
 
 def family_from_pairs(labels: Sequence[str], basis: Sequence[MatrixPair]) -> LieFamily:
     """Structure constants of a pencil basis over the function field."""
-    flat = [flatten_pair(v) for v in basis]
-    span = ExactMatrix(flat).transpose()
-    d = len(basis)
-    tbl = []
-    for i in range(d):
-        row = []
-        for j in range(d):
-            coords = solve(span, flatten_pair(pair_bracket(basis[i], basis[j])))
-            if coords is None:
-                raise NoIsomorphismFound("pencil basis is not bracket-closed")
-            row.append(coords)
-        tbl.append(row)
+    tbl = structure_constants(
+        [flatten_pair(v) for v in basis],
+        lambda i, j: flatten_pair(pair_bracket(basis[i], basis[j])),
+        lambda i, j: NoIsomorphismFound("pencil basis is not bracket-closed"),
+    )
     return LieFamily(labels=tuple(labels), constants=_freeze(tbl))
 
 
@@ -413,7 +370,7 @@ def real_form_at(pencil: GrassmannPencil, x) -> RealFormReport:
             for i in range(m)
         ]
     )
-    kernel_basis = _fraction_kernel(fixed_system)
+    kernel_basis = kernel(fixed_system, Fraction(1), Fraction(0))
     real_basis = []
     for coeffs in kernel_basis:
         acc = None
@@ -436,26 +393,12 @@ def real_form_at(pencil: GrassmannPencil, x) -> RealFormReport:
     return RealFormReport(real_basis, signature, fiber_invariants(algebra))
 
 
-def _fraction_kernel(m: ExactMatrix) -> List[List[Fraction]]:
-    from .linalg import kernel
-
-    return kernel(m, Fraction(1), Fraction(0))
-
-
 def _structure_constants_real(basis: Sequence[MatrixPair]) -> list:
-    coords = [_real_coords(v) for v in basis]
-    span = ExactMatrix(coords).transpose()
-    d = len(basis)
-    tbl = []
-    for i in range(d):
-        row = []
-        for j in range(d):
-            sol = solve(span, _real_coords(pair_bracket(basis[i], basis[j])))
-            if sol is None:
-                raise ValueError("real form is not bracket-closed")
-            row.append(sol)
-        tbl.append(row)
-    return tbl
+    return structure_constants(
+        [_real_coords(v) for v in basis],
+        lambda i, j: _real_coords(pair_bracket(basis[i], basis[j])),
+        lambda i, j: ValueError("real form is not bracket-closed"),
+    )
 
 
 def _killing_matrix(constants) -> List[List[Fraction]]:

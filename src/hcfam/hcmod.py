@@ -21,9 +21,8 @@ from .scalars import (
     LaurentPoly,
     Point,
     QI_ZERO,
-    RationalFunction,
     UnsplitQuadratic,
-    gaussian_sqrt,
+    _sqrt_fraction,
     poly_roots,
 )
 
@@ -392,21 +391,12 @@ def _integer_weight_solutions(c0: GaussianRational) -> List[int]:
     """Integers n with n(n+2) equal to the given scalar."""
     if not c0.is_real():
         return []
-    s = _sqrt_rational_integerish(Fraction(1) + c0.re)
-    if s is None:
+    s = _sqrt_fraction(Fraction(1) + c0.re)
+    if s is None or s.denominator != 1:
         return []
-    m = -1 + s
+    m = -1 + s.numerator
     out = {m, -m - 2}
     return sorted(out)
-
-
-def _sqrt_rational_integerish(f: Fraction) -> Optional[int]:
-    if f < 0 or f.denominator != 1:
-        return None
-    import math
-
-    r = math.isqrt(f.numerator)
-    return r if r * r == f.numerator else None
 
 
 def validate(module: HCModuleFamily, window: Window = DEFAULT_WINDOW) -> ValidationReport:
@@ -575,6 +565,13 @@ def fiber_module(
     exactly when its degree attains the degree bound.
     """
     _require_valid(module, window)
+    return _fiber_scalars(module, p, window)
+
+
+def _fiber_scalars(
+    module: HCModuleFamily, p: Point, window: Window
+) -> Dict[int, Tuple[GaussianRational, GaussianRational]]:
+    """:func:`fiber_module` for a module already validated on the window."""
     out = {}
     for n in module.weights.transitions_in(window):
         A, B = module.transition_polys(n)
@@ -629,7 +626,8 @@ def fiber_irreducible(module: HCModuleFamily, p: Point, window: Window = DEFAULT
     scalar vanishes; the explicit window is scanned directly and the tails
     through the closed-form rules, so the verdict covers the whole weight set.
     """
-    scalars = fiber_module(module, p, window)
+    _require_valid(module, window)
+    scalars = _fiber_scalars(module, p, window)
     for a, b in scalars.values():
         if a.is_zero() or b.is_zero():
             return False
@@ -666,7 +664,7 @@ def reducible_locus(module: HCModuleFamily, window: Window = DEFAULT_WINDOW) -> 
                 unsplit.append((n, which, poly))
     boundary = set()
     for bp in (GaussianRational(0), INFINITY):
-        scalars = fiber_module(module, bp, window)
+        scalars = _fiber_scalars(module, bp, window)
         if any(a.is_zero() or b.is_zero() for a, b in scalars.values()):
             boundary.add(bp)
         elif _tail_scalar_vanishes(module, bp, window, True) or _tail_scalar_vanishes(

@@ -9,10 +9,11 @@ coordinate w = 1/z, giving the fiber at infinity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from dataclasses import dataclass
+from typing import Optional, Sequence
 
-from .linalg import ExactMatrix, in_span, kernel, rank, solve, span_rank
+from .linalg import ExactMatrix, kernel, solve, span_rank, structure_constants
+from .linalg import _flatten, _mat_add, _mat_mul, _mat_sub, _unit_vectors
 from .scalars import (
     INFINITY,
     GaussianRational,
@@ -68,48 +69,68 @@ class LieAlgebra:
             )
             for i in range(d)
         )
-        alg = LieAlgebra(tuple(labels), tbl)
-        bad = alg.jacobi_counterexample()
+        bad = jacobi_witness(tbl, QI_ONE, QI_ZERO)
         if bad is not None:
-            raise NotALieAlgebra(f"Jacobi fails on basis triple {bad[:3]}")
-        for i in range(d):
-            for j in range(d):
-                for k in range(d):
-                    if tbl[i][j][k] != -tbl[j][i][k]:
-                        raise NotALieAlgebra(
-                            f"structure constants not antisymmetric at ({i},{j},{k})"
-                        )
-        return alg
+            i, j, k, _ = bad
+            if k is None:
+                raise NotALieAlgebra(f"structure constants not antisymmetric at ({i},{j})")
+            raise NotALieAlgebra(f"Jacobi fails on basis triple {(i, j, k)}")
+        return LieAlgebra(tuple(labels), tbl)
 
     def bracket(self, u: Sequence, v: Sequence) -> list:
-        d = self.rank
-        out = [QI_ZERO] * d
-        for i in range(d):
-            if u[i].is_zero():
-                continue
-            for j in range(d):
-                if v[j].is_zero():
-                    continue
-                f = u[i] * v[j]
-                for k in range(d):
-                    c = self.constants[i][j][k]
-                    if not c.is_zero():
-                        out[k] = out[k] + f * c
-        return out
+        return bracket_with(self.constants, u, v, QI_ZERO)
 
     def jacobi_counterexample(self):
-        d = self.rank
-        basis = [[QI_ONE if t == s else QI_ZERO for t in range(d)] for s in range(d)]
-        for i in range(d):
-            for j in range(i + 1, d):
-                for k in range(j + 1, d):
-                    res = self.bracket(basis[i], self.bracket(basis[j], basis[k]))
-                    t2 = self.bracket(basis[j], self.bracket(basis[k], basis[i]))
-                    t3 = self.bracket(basis[k], self.bracket(basis[i], basis[j]))
-                    res = [a + b + c for a, b, c in zip(res, t2, t3)]
-                    if any(not x.is_zero() for x in res):
-                        return (i, j, k, res)
-        return None
+        return jacobi_witness(self.constants, QI_ONE, QI_ZERO)
+
+
+def bracket_with(constants, u: Sequence, v: Sequence, zero) -> list:
+    """[u, v] in coordinates, where ``constants[i][j]`` is the coordinate
+    vector of [e_i, e_j] and ``zero`` is the zero of the coefficient field."""
+    d = len(constants)
+    out = [zero] * d
+    for i in range(d):
+        if u[i].is_zero():
+            continue
+        for j in range(d):
+            if v[j].is_zero():
+                continue
+            f = u[i] * v[j]
+            for k in range(d):
+                c = constants[i][j][k]
+                if not c.is_zero():
+                    out[k] = out[k] + f * c
+    return out
+
+
+def jacobi_witness(constants, one, zero):
+    """None when the structure constants are antisymmetric and satisfy Jacobi.
+
+    Otherwise the first failure: ``(i, j, None, "antisymmetry fails")`` when
+    [e_i, e_j] != -[e_j, e_i], else ``(i, j, k, residual)`` for the first basis
+    triple whose Jacobi sum ``residual`` is nonzero.
+    """
+    d = len(constants)
+    for i in range(d):
+        for j in range(d):
+            for k in range(d):
+                if constants[i][j][k] != -constants[j][i][k]:
+                    return (i, j, None, "antisymmetry fails")
+    basis = _unit_vectors(d, one, zero)
+
+    def br(u, v):
+        return bracket_with(constants, u, v, zero)
+
+    for i in range(d):
+        for j in range(i + 1, d):
+            for k in range(j + 1, d):
+                res = br(basis[i], br(basis[j], basis[k]))
+                t2 = br(basis[j], br(basis[k], basis[i]))
+                t3 = br(basis[k], br(basis[i], basis[j]))
+                res = [a + b + c for a, b, c in zip(res, t2, t3)]
+                if any(not x.is_zero() for x in res):
+                    return (i, j, k, res)
+    return None
 
 
 def sl2_algebra() -> LieAlgebra:
@@ -142,20 +163,16 @@ def matrix_algebra(labels: Sequence[str], mats: Sequence) -> LieAlgebra:
     vecs = [_flatten(m) for m in mats]
     if span_rank(vecs) != len(mats):
         raise ValueError("matrix basis is linearly dependent")
-    d = len(mats)
-    span = ExactMatrix(vecs).transpose()
-    constants = []
-    for i in range(d):
-        row = []
-        for j in range(d):
-            comm = _mat_sub(_mat_mul(mats[i], mats[j]), _mat_mul(mats[j], mats[i]))
-            coords = solve(span, _flatten(comm))
-            if coords is None:
-                raise NotASubalgebra(
-                    f"commutator of basis elements {i},{j} escapes the span"
-                )
-            row.append(coords)
-        constants.append(row)
+
+    def commutator(i, j):
+        a, b = mats[i], mats[j]
+        return _flatten(_mat_sub(_mat_mul(a, b), _mat_mul(b, a)))
+
+    constants = structure_constants(
+        vecs,
+        commutator,
+        lambda i, j: NotASubalgebra(f"commutator of basis elements {i},{j} escapes the span"),
+    )
     return LieAlgebra.from_constants(labels, constants)
 
 
@@ -169,22 +186,6 @@ def gl2_algebra() -> LieAlgebra:
         [[z, z], [z, o]],
     ]
     return matrix_algebra(("E11", "E12", "E21", "E22"), mats)
-
-
-def _flatten(m):
-    return [x for row in m for x in row]
-
-
-def _mat_mul(a, b):
-    n = len(a)
-    return [
-        [sum((a[i][t] * b[t][j] for t in range(n)), QI_ZERO) for j in range(n)]
-        for i in range(n)
-    ]
-
-
-def _mat_sub(a, b):
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
 # ---------------------------------------------------------------------------
@@ -214,35 +215,24 @@ class Involution:
         )
         if m.rows != d or m.cols != d:
             raise InvalidInvolution("matrix size does not match the algebra")
-        sq = m.matmul(m)
+        eye = _unit_vectors(d, QI_ONE, QI_ZERO)
+        if m.matmul(m).entries != eye:
+            raise InvalidInvolution("matrix squared is not the identity")
         for i in range(d):
             for j in range(d):
-                if sq[i, j] != (QI_ONE if i == j else QI_ZERO):
-                    raise InvalidInvolution("matrix squared is not the identity")
-        basis = [[QI_ONE if t == s else QI_ZERO for t in range(d)] for s in range(d)]
-        for i in range(d):
-            for j in range(d):
-                lhs = m.matvec(algebra.bracket(basis[i], basis[j]))
-                rhs = algebra.bracket(m.matvec(basis[i]), m.matvec(basis[j]))
+                lhs = m.matvec(algebra.bracket(eye[i], eye[j]))
+                rhs = algebra.bracket(m.matvec(eye[i]), m.matvec(eye[j]))
                 if lhs != rhs:
                     raise InvalidInvolution("matrix is not a Lie automorphism")
-        plus = ExactMatrix(
-            [[m[i, j] - (QI_ONE if i == j else QI_ZERO) for j in range(d)] for i in range(d)]
-        )
-        minus = ExactMatrix(
-            [[m[i, j] + (QI_ONE if i == j else QI_ZERO) for j in range(d)] for i in range(d)]
-        )
-        k_vecs = kernel(plus, QI_ONE, QI_ZERO)
-        p_vecs = kernel(minus, QI_ONE, QI_ZERO)
+        k_vecs = kernel(ExactMatrix(_mat_sub(m.entries, eye)), QI_ONE, QI_ZERO)
+        p_vecs = kernel(ExactMatrix(_mat_add(m.entries, eye)), QI_ONE, QI_ZERO)
         if len(k_vecs) + len(p_vecs) != d:
             raise InvalidInvolution("eigenspaces do not span")
         return Involution(algebra, m, tuple(map(tuple, k_vecs)), tuple(map(tuple, p_vecs)))
 
     @staticmethod
     def identity(algebra: LieAlgebra) -> "Involution":
-        d = algebra.rank
-        eye = [[QI_ONE if i == j else QI_ZERO for j in range(d)] for i in range(d)]
-        return Involution.from_matrix(algebra, eye)
+        return Involution.from_matrix(algebra, _unit_vectors(algebra.rank, QI_ONE, QI_ZERO))
 
 
 def ad_diag_involution(algebra: LieAlgebra, mats: Sequence, diag: Sequence) -> Involution:
@@ -285,17 +275,13 @@ class LieFamily:
     chart: str = "affine-z"
     w_constants: Optional[tuple] = None
     transition_powers: Optional[tuple] = None  # z^a_i scaling basis vector i
-    p_indices: tuple = ()
 
     @property
     def rank(self) -> int:
         return len(self.labels)
 
     def bracket(self, u: Sequence[RationalFunction], v: Sequence[RationalFunction]) -> list:
-        return _bracket_with(self.constants, u, v)
-
-    def constant_at(self, i: int, j: int, k: int) -> RationalFunction:
-        return self.constants[i][j][k]
+        return bracket_with(self.constants, u, v, RF_ZERO)
 
     # -- serialization ------------------------------------------------------
 
@@ -332,39 +318,15 @@ def _freeze(tbl) -> tuple:
     return tuple(tuple(tuple(row) for row in plane) for plane in tbl)
 
 
-def _bracket_with(constants, u, v) -> list:
-    d = len(constants)
-    out = [RF_ZERO] * d
-    for i in range(d):
-        if u[i].is_zero():
-            continue
-        for j in range(d):
-            if v[j].is_zero():
-                continue
-            f = u[i] * v[j]
-            for k in range(d):
-                c = constants[i][j][k]
-                if not c.is_zero():
-                    out[k] = out[k] + f * c
-    return out
-
-
 def _adapted_constants(theta: Involution):
     """Structure constants in the eigenbasis k then p, over Q(i)."""
     alg = theta.algebra
-    d = alg.rank
     basis = list(theta.k_vectors) + list(theta.p_vectors)
-    span = ExactMatrix(basis).transpose()
-    tbl = []
-    for i in range(d):
-        row = []
-        for j in range(d):
-            br = alg.bracket(basis[i], basis[j])
-            coords = solve(span, br)
-            if coords is None:
-                raise InvalidInvolution("bracket escapes the adapted basis span")
-            row.append(coords)
-        tbl.append(row)
+    tbl = structure_constants(
+        basis,
+        lambda i, j: alg.bracket(basis[i], basis[j]),
+        lambda i, j: InvalidInvolution("bracket escapes the adapted basis span"),
+    )
     labels = tuple(f"k{i}" for i in range(len(theta.k_vectors))) + tuple(
         f"p{i}" for i in range(len(theta.p_vectors))
     )
@@ -393,7 +355,6 @@ def _scaled_family(theta: Involution, power: int) -> LieFamily:
         chart="affine-z",
         w_constants=_freeze(w_tbl),
         transition_powers=powers,
-        p_indices=tuple(range(nk, d)),
     )
 
 
@@ -483,32 +444,13 @@ def base_change(family: LieFamily, psi: LaurentPoly) -> LieFamily:
         labels=family.labels,
         constants=_freeze(tbl),
         chart=family.chart,
-        p_indices=family.p_indices,
     )
 
 
 def jacobi_check(family: LieFamily):
     """None when Jacobi holds as a rational-function identity; otherwise the
-    first failing basis triple with its residual vector."""
-    d = family.rank
-    basis = [
-        [RF_ONE if t == s else RF_ZERO for t in range(d)] for s in range(d)
-    ]
-    for i in range(d):
-        for j in range(d):
-            for k in range(d):
-                if family.constants[i][j][k] != -family.constants[j][i][k]:
-                    return (i, j, None, "antisymmetry fails")
-    for i in range(d):
-        for j in range(i + 1, d):
-            for k in range(j + 1, d):
-                res = family.bracket(basis[i], family.bracket(basis[j], basis[k]))
-                t2 = family.bracket(basis[j], family.bracket(basis[k], basis[i]))
-                t3 = family.bracket(basis[k], family.bracket(basis[i], basis[j]))
-                res = [a + b + c for a, b, c in zip(res, t2, t3)]
-                if any(not x.is_zero() for x in res):
-                    return (i, j, k, res)
-    return None
+    first failure in the form of :func:`jacobi_witness`."""
+    return jacobi_witness(family.constants, RF_ONE, RF_ZERO)
 
 
 def fiber(family: LieFamily, p: Point) -> LieAlgebra:
@@ -535,7 +477,7 @@ def fiber(family: LieFamily, p: Point) -> LieAlgebra:
 def fiber_invariants(algebra: LieAlgebra) -> dict:
     """Dimension of the derived algebra and center, and solvability."""
     d = algebra.rank
-    basis = [[QI_ONE if t == s else QI_ZERO for t in range(d)] for s in range(d)]
+    basis = _unit_vectors(d, QI_ONE, QI_ZERO)
     derived = [
         algebra.bracket(basis[i], basis[j]) for i in range(d) for j in range(i + 1, d)
     ]
@@ -587,9 +529,7 @@ class FamilyMorphism:
 
     @staticmethod
     def identity(d: int) -> "FamilyMorphism":
-        return FamilyMorphism(
-            ExactMatrix([[RF_ONE if i == j else RF_ZERO for j in range(d)] for i in range(d)])
-        )
+        return FamilyMorphism(ExactMatrix(_unit_vectors(d, RF_ONE, RF_ZERO)))
 
     @staticmethod
     def diagonal(entries) -> "FamilyMorphism":
@@ -608,7 +548,7 @@ def check_morphism(phi: FamilyMorphism, source: LieFamily, target: LieFamily):
         raise ValueError("rank mismatch")
     d = source.rank
     m = phi.matrix
-    basis = [[RF_ONE if t == s else RF_ZERO for t in range(d)] for s in range(d)]
+    basis = _unit_vectors(d, RF_ONE, RF_ZERO)
     images = [m.matvec(basis[i]) for i in range(d)]
     for i in range(d):
         for j in range(i + 1, d):

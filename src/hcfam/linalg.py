@@ -4,11 +4,17 @@ Matrices are lists of rows whose entries all live in one field (any type with
 exact ``+ - * /`` and an ``is_zero`` method works).  Elimination is plain
 Gauss-Jordan; with exact arithmetic there are no pivoting concerns beyond
 avoiding zero pivots.
+
+This module also holds the helpers the other modules share: the square-matrix
+helpers on nested sequences (``_sum``, ``_mat_add``, ``_mat_sub``,
+``_mat_scale``, ``_mat_mul``, ``_flatten``, ``_unit_vectors``) and
+``structure_constants``, the one place that expresses every bracket of a basis
+in the coordinates of that basis.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence
 
 
 class ExactMatrix:
@@ -30,9 +36,6 @@ class ExactMatrix:
         i, j = idx
         return self.entries[i][j]
 
-    def row(self, i) -> list:
-        return list(self.entries[i])
-
     def col(self, j) -> list:
         return [self.entries[i][j] for i in range(self.rows)]
 
@@ -42,14 +45,7 @@ class ExactMatrix:
         )
 
     def matvec(self, v: Sequence) -> list:
-        out = []
-        for i in range(self.rows):
-            acc = None
-            for j in range(self.cols):
-                term = self.entries[i][j] * v[j]
-                acc = term if acc is None else acc + term
-            out.append(acc)
-        return out
+        return [_sum(x * y for x, y in zip(row, v)) for row in self.entries]
 
     def matmul(self, other: "ExactMatrix") -> "ExactMatrix":
         if self.cols != other.rows:
@@ -57,7 +53,7 @@ class ExactMatrix:
         return ExactMatrix(
             [
                 [
-                    _dot(self.entries[i], other.col(j))
+                    _sum(x * y for x, y in zip(self.entries[i], other.col(j)))
                     for j in range(other.cols)
                 ]
                 for i in range(self.rows)
@@ -74,12 +70,40 @@ def _is_zero(x) -> bool:
     return x.is_zero() if hasattr(x, "is_zero") else x == 0
 
 
-def _dot(u: Sequence, v: Sequence):
+def _sum(terms):
     acc = None
-    for a, b in zip(u, v):
-        term = a * b
-        acc = term if acc is None else acc + term
+    for t in terms:
+        acc = t if acc is None else acc + t
     return acc
+
+
+def _mat_add(a, b):
+    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
+
+
+def _mat_sub(a, b):
+    return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
+
+
+def _mat_scale(a, c):
+    return tuple(tuple(c * x for x in row) for row in a)
+
+
+def _mat_mul(a, b):
+    n = len(a)
+    return tuple(
+        tuple(_sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n))
+        for i in range(n)
+    )
+
+
+def _flatten(m) -> list:
+    return [x for row in m for x in row]
+
+
+def _unit_vectors(d: int, one, zero) -> List[list]:
+    """The standard basis of the d-dimensional space; also the identity matrix."""
+    return [[one if t == s else zero for t in range(d)] for s in range(d)]
 
 
 def _rref(rows: List[list], ncols: int):
@@ -169,3 +193,29 @@ def in_span(vectors: Sequence[Sequence], v: Sequence) -> bool:
         return False
     m = ExactMatrix(vectors).transpose()
     return solve(m, list(v)) is not None
+
+
+def structure_constants(
+    vectors: Sequence[Sequence],
+    bracket: Callable[[int, int], Sequence],
+    escape: Callable[[int, int], Exception],
+) -> List[List[list]]:
+    """Coordinates of every bracket of a basis in that basis.
+
+    ``vectors`` are the basis elements as flat coordinate vectors and
+    ``bracket(i, j)`` gives [b_i, b_j] in the same flat coordinates.  Entry
+    [i][j] of the result is the coordinate vector of [b_i, b_j]; the first
+    bracket outside the span raises ``escape(i, j)``.
+    """
+    span = ExactMatrix(vectors).transpose()
+    d = len(vectors)
+    table = []
+    for i in range(d):
+        row = []
+        for j in range(d):
+            coords = solve(span, bracket(i, j))
+            if coords is None:
+                raise escape(i, j)
+            row.append(coords)
+        table.append(row)
+    return table

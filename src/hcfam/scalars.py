@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Union
+from typing import Mapping, Optional, Union
 
 
 class PoleAtPoint(Exception):
@@ -257,11 +257,6 @@ class LaurentPoly:
     def z() -> "LaurentPoly":
         return LaurentPoly.monomial(1)
 
-    @staticmethod
-    def from_coefflist(coeffs: Iterable) -> "LaurentPoly":
-        """Ordinary polynomial from the list of coefficients of z^0, z^1, ..."""
-        return LaurentPoly({e: c for e, c in enumerate(coeffs)})
-
     # -- structure ----------------------------------------------------------
 
     def is_zero(self) -> bool:
@@ -407,18 +402,6 @@ class LaurentPoly:
             _, r = a.divmod_ordinary(b)
             a, b = b, r
         return a.monic() if not a.is_zero() else a
-
-    def compose_poly(self, psi: "LaurentPoly") -> "LaurentPoly":
-        """Substitute an ordinary polynomial psi for z; self must be ordinary."""
-        if not self.is_ordinary():
-            raise ValueError("compose_poly requires an ordinary polynomial")
-        out = LaurentPoly()
-        for e, c in sorted(self.coeffs.items()):
-            term = LaurentPoly.constant(c)
-            for _ in range(e):
-                term = term * psi
-            out = out + term
-        return out
 
     def __str__(self):
         if self.is_zero():

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 from .scalars import (
-    INFINITY,
     GaussianRational,
     RationalFunction,
     RF_ONE,
@@ -28,7 +27,9 @@ from .scalars import (
 from .liefam import (
     Involution,
     LieFamily,
+    bracket_with,
     contraction_family,
+    gl2_algebra,
     sl2_algebra,
 )
 from . import hcmod
@@ -72,15 +73,21 @@ class Sl2ContractionPair:
     X: Section
     Y: Section
 
-    def sections(self) -> Tuple[Section, Section, Section]:
-        return (self.H, self.X, self.Y)
-
 
 def sl2_involution() -> Involution:
     """The involution fixing h and negating x, y (adjoint of diag(1, -1))."""
     return Involution.from_matrix(
         sl2_algebra(),
         [[1, 0, 0], [0, -1, 0], [0, 0, -1]],
+    )
+
+
+def gl2_involution() -> Involution:
+    """Conjugation by diag(1, -1) on gl(2): fixes the diagonal units E11, E22
+    and negates E12, E21."""
+    return Involution.from_matrix(
+        gl2_algebra(),
+        [[1, 0, 0, 0], [0, -1, 0, 0], [0, 0, -1, 0], [0, 0, 0, 1]],
     )
 
 
@@ -112,23 +119,6 @@ def weight_of_section(coords: Sequence[RationalFunction]) -> int:
     return weights.pop()
 
 
-def _chart_bracket(constants, u, v):
-    d = len(u)
-    out = [RF_ZERO] * d
-    for i in range(d):
-        if u[i].is_zero():
-            continue
-        for j in range(d):
-            if v[j].is_zero():
-                continue
-            f = u[i] * v[j]
-            for k in range(d):
-                c = constants[i][j][k]
-                if not c.is_zero():
-                    out[k] = out[k] + f * c
-    return out
-
-
 def _relations_counterexample(pair: Sl2ContractionPair) -> Optional[str]:
     """Check [H,X]=2X, [H,Y]=-2Y, [X,Y]=H in both charts."""
     fam = pair.family
@@ -142,7 +132,7 @@ def _relations_counterexample(pair: Sl2ContractionPair) -> Optional[str]:
         for name, a, b, scale in cases:
             u = a.z_coords if chart == "z" else a.w_coords
             v = b.z_coords if chart == "z" else b.w_coords
-            got = _chart_bracket(constants, u, v)
+            got = bracket_with(constants, u, v, RF_ZERO)
             if scale is None:
                 h = pair.H.z_coords if chart == "z" else pair.H.w_coords
                 want = list(h)

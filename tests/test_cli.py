@@ -1,10 +1,15 @@
 """End-to-end tests for the command line interface."""
 
+import dataclasses
 import json
 
 import pytest
 
+from hcfam import cli
 from hcfam.cli import run
+from hcfam.liefam import _freeze, contraction_family, sl2_algebra
+from hcfam.scalars import GaussianRational, RationalFunction
+from hcfam.sl2fam import sl2_involution
 
 
 def invoke(capsys, *argv):
@@ -48,6 +53,28 @@ class TestFamily:
         assert code == 1 and doc["morphism"] is False and "witness" in doc
         code, _ = invoke(capsys, "family", "morphcheck", "--preset", "nonsense")
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "antisymmetric, k, residual",
+        [(False, None, "antisymmetry fails"), (True, 2, ["(-1)*z", "0", "0"])],
+        ids=["antisymmetry-witness", "jacobi-witness"],
+    )
+    def test_jacobi_failure_witness(self, capsys, monkeypatch, antisymmetric, k, residual):
+        good = contraction_family(sl2_algebra(), sl2_involution())
+        tbl = [[list(row) for row in plane] for plane in good.constants]
+        three = RationalFunction.constant(GaussianRational(3))
+        tbl[0][1][1] = three  # [h, x] = 3x
+        if antisymmetric:
+            tbl[1][0][1] = -three
+        bad = dataclasses.replace(good, constants=_freeze(tbl))
+        monkeypatch.setattr(cli, "build_family", lambda *args: bad)
+        code, out = invoke(capsys, "family", "jacobi")
+        assert code == 1
+        lines = out.splitlines()
+        assert len(lines) == 1
+        doc = json.loads(lines[0])
+        assert doc["ok"] is False
+        assert doc["witness"] == {"i": 0, "j": 1, "k": k, "residual": residual}
 
 
 @pytest.fixture()

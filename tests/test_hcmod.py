@@ -209,6 +209,28 @@ class TestFibers:
         with pytest.raises(NotValidated):
             fiber_module(module, QI(1))
 
+    @pytest.mark.parametrize(
+        "query",
+        [
+            reducible_locus,
+            lambda m: fiber_irreducible(m, QI(0)),
+            lambda m: fiber_module(m, QI(0)),
+        ],
+        ids=["reducible_locus", "fiber_irreducible", "fiber_module"],
+    )
+    def test_one_validation_per_query(self, monkeypatch, query):
+        from hcfam import hcmod
+
+        calls = []
+
+        def counting(module, window=DEFAULT_WINDOW):
+            calls.append(window)
+            return validate(module, window)
+
+        monkeypatch.setattr(hcmod, "validate", counting)
+        query(ascending_module())
+        assert calls == [DEFAULT_WINDOW]
+
 
 class TestIsomorphism:
     def test_rescaled_module_isomorphic(self):

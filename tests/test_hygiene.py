@@ -1,0 +1,51 @@
+"""Static checks over the library sources (no linter is a dependency)."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "hcfam"
+
+
+def _annotations(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            args = node.args
+            for arg in args.posonlyargs + args.args + args.kwonlyargs + [args.vararg, args.kwarg]:
+                if arg is not None and arg.annotation is not None:
+                    yield arg.annotation
+            if node.returns is not None:
+                yield node.returns
+        elif isinstance(node, ast.AnnAssign):
+            yield node.annotation
+
+
+def unused_imports(source: str) -> list:
+    """Names bound by an import and never read, counting names inside string
+    annotations such as ``"hcmod.HCModuleFamily"`` as read."""
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    for ann in _annotations(tree):
+        for const in ast.walk(ann):
+            if isinstance(const, ast.Constant) and isinstance(const.value, str):
+                inner = ast.parse(const.value, mode="eval")
+                used.update(n.id for n in ast.walk(inner) if isinstance(n, ast.Name))
+    return sorted((line, name) for name, line in imported.items() if name not in used)
+
+
+def test_detector_sees_string_annotations():
+    src = "import a\nimport b\nimport c\ndef f(x: 'a.T') -> 'b.U': pass\n"
+    assert unused_imports(src) == [(3, "c")]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    assert unused_imports(path.read_text()) == []

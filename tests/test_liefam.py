@@ -64,6 +64,16 @@ class TestLieAlgebra:
         with pytest.raises(NotALieAlgebra):
             LieAlgebra.from_constants(("e",), tbl)
 
+    def test_rejection_names_the_failing_law(self):
+        g = sl2_algebra()
+        tbl = [[list(row) for row in plane] for plane in g.constants]
+        tbl[0][1][1], tbl[1][0][1] = QI(3), QI(-3)  # [H, X] = 3X: antisymmetric, not Lie
+        with pytest.raises(NotALieAlgebra, match="Jacobi"):
+            LieAlgebra.from_constants(g.labels, tbl)
+        tbl[1][0][1] = QI(-2)
+        with pytest.raises(NotALieAlgebra, match="antisymmetric"):
+            LieAlgebra.from_constants(g.labels, tbl)
+
     def test_matrix_algebra_matches_sl2(self):
         h = ((QI(1), QI(0)), (QI(0), QI(-1)))
         x = ((QI(0), QI(1)), (QI(0), QI(0)))
@@ -121,6 +131,17 @@ class TestFamilies:
 
         bad = dataclasses.replace(fam, constants=_freeze(tbl))
         assert jacobi_check(bad) is not None
+
+    def test_antisymmetric_corruption_reaches_jacobi(self):
+        from hcfam.liefam import _freeze
+
+        fam = contraction_family(sl2_algebra(), sl2_involution())
+        tbl = [[list(row) for row in plane] for plane in fam.constants]
+        three = RationalFunction.constant(QI(3))
+        tbl[0][1][1], tbl[1][0][1] = three, -three  # [h, x] = 3x and [x, h] = -3x
+        i, j, k, residual = jacobi_check(dataclasses.replace(fam, constants=_freeze(tbl)))
+        assert (i, j, k) == (0, 1, 2)
+        assert residual == [-RF_Z, RF_ZERO, RF_ZERO]
 
     def test_contraction_fibers(self):
         fam = contraction_family(sl2_algebra(), sl2_involution())
