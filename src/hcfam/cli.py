@@ -110,10 +110,12 @@ def parse_point(text: str):
 
 def parse_window(text: str):
     try:
-        lo, hi = text.split("..")
-        return (int(lo), int(hi))
+        lo, hi = (int(x) for x in text.split(".."))
     except ValueError:
         raise RequestError(f"bad window {text!r}, expected LO..HI")
+    if lo > hi:
+        raise RequestError(f"empty window {text!r}, LO must not exceed HI")
+    return (lo, hi)
 
 
 def parse_weights(text: str) -> WeightSet:
@@ -145,9 +147,20 @@ def parse_casimir(text: str):
 def load_module(path: str) -> HCModuleFamily:
     try:
         text = sys.stdin.read() if path == "-" else open(path).read()
-        return HCModuleFamily.from_json(json.loads(text))
-    except (OSError, ValueError, KeyError) as e:
+        data = json.loads(text)
+        if not isinstance(data, dict):
+            raise ValueError("a module document is a JSON object")
+        module = HCModuleFamily.from_json(data)
+    except (OSError, ValueError, KeyError, TypeError, AttributeError) as e:
         raise RequestError(f"cannot load module from {path!r}: {e}")
+    d, t = module.degrees, module.transitions
+    integers = [module.weights.param, d.anchor, d.anchor_deg, d.slope_up, d.slope_down, t.pivot]
+    integers += [x for pair in d.overrides for x in pair] + [n for n, _, _ in t.overrides]
+    if any(type(x) is not int for x in integers):
+        raise RequestError(f"cannot load module from {path!r}: weights, degrees and indices must be integers")
+    if len(module.casimir) != 3:
+        raise RequestError(f"cannot load module from {path!r}: casimir must hold three scalars")
+    return module
 
 
 def build_family(algebra: str, kind: str, power: int):
@@ -159,6 +172,8 @@ def build_family(algebra: str, kind: str, power: int):
         return constant_family(alg)
     theta = sl2_involution() if algebra == "sl2" else gl2_involution()
     if kind == "scaled":
+        if power < 1:
+            raise RequestError("the scaled family needs --power >= 1")
         return scaled_bracket_family(alg, power)
     if kind == "contraction":
         return contraction_family(alg, theta)
@@ -341,9 +356,11 @@ def cmd_classify(args) -> int:
 def _parse_pq(text: str):
     try:
         p, q = (int(x) for x in text.split(","))
-        return p, q
     except ValueError:
         raise RequestError("--pq expects two comma-separated integers, e.g. 1,1")
+    if p < 1 or q < 1:
+        raise RequestError("--pq block sizes must be at least 1")
+    return p, q
 
 
 def cmd_grassmann(args) -> int:
@@ -381,6 +398,8 @@ def cmd_grassmann(args) -> int:
         return 0
     if args.action == "realform":
         x = parse_point(args.at)
+        if x is not INFINITY and not x.is_real():
+            raise RequestError(f"real forms live over real points, not {args.at!r}")
         report = real_form_at(pencil, x)
         emit(
             {

@@ -28,7 +28,7 @@ from .scalars import (
     RF_ZERO,
     RF_Z,
 )
-from .linalg import ExactMatrix, in_span, kernel, solve, span_rank, structure_constants
+from .linalg import ExactMatrix, Span, kernel, span_rank, structure_constants
 from .linalg import _is_zero, _mat_add, _mat_mul, _mat_scale, _mat_sub
 from .liefam import (
     FamilyMorphism,
@@ -214,11 +214,10 @@ def limit_subspace(pencil: GrassmannPencil, boundary: Point) -> List[MatrixPair]
 
 def verify_subalgebra(basis: Sequence[MatrixPair]):
     """None when every pairwise bracket lies in the span; else (i, j)."""
-    flat = [flatten_pair(v) for v in basis]
+    span = Span([flatten_pair(v) for v in basis])
     for i in range(len(basis)):
         for j in range(i + 1, len(basis)):
-            br = flatten_pair(pair_bracket(basis[i], basis[j]))
-            if not in_span(flat, br):
+            if not span.contains(flatten_pair(pair_bracket(basis[i], basis[j]))):
                 return (i, j)
     return None
 
@@ -234,7 +233,7 @@ def fiber_group_closure_check(
     """
     if p_pairs is None:
         p_pairs = limit_subspace(pencil, boundary)
-    flat_p = [flatten_pair(v) for v in p_pairs]
+    span = Span([flatten_pair(v) for v in p_pairs])
     for i, x in enumerate(p_pairs):
         for j, y in enumerate(p_pairs):
             if not _pair_is_zero(pair_product(x, y)):
@@ -243,7 +242,7 @@ def fiber_group_closure_check(
     for a, d in enumerate(kb):
         for i, x in enumerate(p_pairs):
             for prod, side in ((pair_product(d, x), "left"), (pair_product(x, d), "right")):
-                if not in_span(flat_p, flatten_pair(prod)):
+                if not span.contains(flatten_pair(prod)):
                     return f"{side} action of k vector {a} leaves the limit space at {i}"
     return None
 
@@ -256,7 +255,7 @@ def fiber_group_closure_check(
 def family_from_pairs(labels: Sequence[str], basis: Sequence[MatrixPair]) -> LieFamily:
     """Structure constants of a pencil basis over the function field."""
     tbl = structure_constants(
-        [flatten_pair(v) for v in basis],
+        Span([flatten_pair(v) for v in basis]),
         lambda i, j: flatten_pair(pair_bracket(basis[i], basis[j])),
         lambda i, j: NoIsomorphismFound("pencil basis is not bracket-closed"),
     )
@@ -354,12 +353,11 @@ def real_form_at(pencil: GrassmannPencil, x) -> RealFormReport:
         fiber = k_basis(pencil) + p_basis(pencil, x)
     sigma = RealStructureSpec(pencil.p, pencil.q)
     rb = _real_basis(fiber)
-    coords = [_real_coords(v) for v in rb]
-    span = ExactMatrix(coords).transpose()
+    span = Span([_real_coords(v) for v in rb])
     # Matrix of sigma on the fiber in the rational basis.
     columns = []
     for v in rb:
-        img = solve(span, _real_coords(sigma.apply(v)))
+        img = span.coordinates(_real_coords(sigma.apply(v)))
         if img is None:
             raise ValueError("real structure does not preserve this fiber")
         columns.append(img)
@@ -395,29 +393,23 @@ def real_form_at(pencil: GrassmannPencil, x) -> RealFormReport:
 
 def _structure_constants_real(basis: Sequence[MatrixPair]) -> list:
     return structure_constants(
-        [_real_coords(v) for v in basis],
+        Span([_real_coords(v) for v in basis]),
         lambda i, j: _real_coords(pair_bracket(basis[i], basis[j])),
         lambda i, j: ValueError("real form is not bracket-closed"),
     )
 
 
 def _killing_matrix(constants) -> List[List[Fraction]]:
+    """B(e_a, e_b) = tr(ad e_a ad e_b) = sum over j, k of c_aj^k c_bk^j,
+    summed over the nonzero constants only."""
     d = len(constants)
-
-    def ad(i):
-        return [[constants[i][j][k] for j in range(d)] for k in range(d)]
-
-    ads = [ad(i) for i in range(d)]
     out = []
     for a in range(d):
-        row = []
-        for b in range(d):
-            tr = Fraction(0)
-            for r in range(d):
-                for s in range(d):
-                    tr += ads[a][r][s] * ads[b][s][r]
-            row.append(tr)
-        out.append(row)
+        terms = [(j, k, c) for j in range(d) for k, c in enumerate(constants[a][j]) if c != 0]
+        out.append(
+            [sum((c * constants[b][k][j] for j, k, c in terms if constants[b][k][j] != 0), Fraction(0))
+             for b in range(d)]
+        )
     return out
 
 

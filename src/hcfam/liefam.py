@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .linalg import ExactMatrix, kernel, solve, span_rank, structure_constants
+from .linalg import ExactMatrix, Span, echelon_basis, kernel, structure_constants
 from .linalg import _flatten, _mat_add, _mat_mul, _mat_sub, _unit_vectors
 from .scalars import (
     INFINITY,
@@ -160,8 +160,8 @@ def matrix_algebra(labels: Sequence[str], mats: Sequence) -> LieAlgebra:
     ``mats`` are nested lists of GaussianRational; the commutator of any two
     must lie in their span.
     """
-    vecs = [_flatten(m) for m in mats]
-    if span_rank(vecs) != len(mats):
+    span = Span([_flatten(m) for m in mats])
+    if span.rank != len(mats):
         raise ValueError("matrix basis is linearly dependent")
 
     def commutator(i, j):
@@ -169,7 +169,7 @@ def matrix_algebra(labels: Sequence[str], mats: Sequence) -> LieAlgebra:
         return _flatten(_mat_sub(_mat_mul(a, b), _mat_mul(b, a)))
 
     constants = structure_constants(
-        vecs,
+        span,
         commutator,
         lambda i, j: NotASubalgebra(f"commutator of basis elements {i},{j} escapes the span"),
     )
@@ -244,11 +244,11 @@ def ad_diag_involution(algebra: LieAlgebra, mats: Sequence, diag: Sequence) -> I
         [GaussianRational._coerce(diag[i]).inverse() if i == j else QI_ZERO for j in range(n)]
         for i in range(n)
     ]
-    span = ExactMatrix([_flatten(m) for m in mats]).transpose()
+    span = Span([_flatten(m) for m in mats])
     cols = []
     for m in mats:
         im = _mat_mul(_mat_mul(g, m), ginv)
-        coords = solve(span, _flatten(im))
+        coords = span.coordinates(_flatten(im))
         if coords is None:
             raise InvalidInvolution("Ad(diag) does not preserve the span")
         cols.append(coords)
@@ -323,7 +323,7 @@ def _adapted_constants(theta: Involution):
     alg = theta.algebra
     basis = list(theta.k_vectors) + list(theta.p_vectors)
     tbl = structure_constants(
-        basis,
+        Span(basis),
         lambda i, j: alg.bracket(basis[i], basis[j]),
         lambda i, j: InvalidInvolution("bracket escapes the adapted basis span"),
     )
@@ -477,39 +477,29 @@ def fiber(family: LieFamily, p: Point) -> LieAlgebra:
 def fiber_invariants(algebra: LieAlgebra) -> dict:
     """Dimension of the derived algebra and center, and solvability."""
     d = algebra.rank
-    basis = _unit_vectors(d, QI_ONE, QI_ZERO)
-    derived = [
-        algebra.bracket(basis[i], basis[j]) for i in range(d) for j in range(i + 1, d)
-    ]
-    dim_derived = span_rank([v for v in derived if any(x for x in v)])
     # center: v with [v, e_j] = 0 for all j
     ad_rows = []
     for j in range(d):
         for k in range(d):
             ad_rows.append([algebra.constants[i][j][k] for i in range(d)])
     center = kernel(ExactMatrix(ad_rows), QI_ONE, QI_ZERO)
-    # derived series
-    current = [v for v in derived if any(x for x in v)]
-    solvable = True
-    while True:
-        r = span_rank(current) if current else 0
-        if r == 0:
-            break
-        nxt = []
-        for a in range(len(current)):
-            for b in range(a + 1, len(current)):
-                w = algebra.bracket(current[a], current[b])
-                if any(x for x in w):
-                    nxt.append(w)
-        r2 = span_rank(nxt) if nxt else 0
-        if r2 == r:
-            solvable = False
+    # Derived series: by bilinearity the brackets of any basis of a term span
+    # the next term, so only an echelon basis of each term is bracketed.  The
+    # series either reaches 0 (solvable) or stops shrinking (not solvable).
+    current = _unit_vectors(d, QI_ONE, QI_ZERO)
+    dims = []
+    while current:
+        nxt = echelon_basis(
+            [algebra.bracket(u, v) for a, u in enumerate(current) for v in current[a + 1 :]]
+        )
+        dims.append(len(nxt))
+        if len(nxt) == len(current):
             break
         current = nxt
     return {
-        "dim_derived": dim_derived,
+        "dim_derived": dims[0] if dims else 0,
         "dim_center": len(center),
-        "solvable": solvable,
+        "solvable": not current,
     }
 
 

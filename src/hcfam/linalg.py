@@ -2,14 +2,19 @@
 
 Matrices are lists of rows whose entries all live in one field (any type with
 exact ``+ - * /`` and an ``is_zero`` method works).  Elimination is plain
-Gauss-Jordan; with exact arithmetic there are no pivoting concerns beyond
-avoiding zero pivots.
+Gauss-Jordan in ``_rref``, the only elimination loop; with exact arithmetic
+there are no pivoting concerns beyond avoiding zero pivots.
 
-This module also holds the helpers the other modules share: the square-matrix
-helpers on nested sequences (``_sum``, ``_mat_add``, ``_mat_sub``,
-``_mat_scale``, ``_mat_mul``, ``_flatten``, ``_unit_vectors``) and
-``structure_constants``, the one place that expresses every bracket of a basis
-in the coordinates of that basis.
+``Span`` is the one path to coordinates and membership: it puts a list of
+vectors in echelon form once and then reduces any number of vectors against
+it.  ``solve`` and ``in_span`` are one-line wrappers over it, and
+``structure_constants`` uses it to express every bracket of a basis in the
+coordinates of that basis.
+
+This module also holds the square-matrix helpers the other modules share, on
+nested sequences: ``_sum``, ``_mat_add``, ``_mat_sub``, ``_mat_scale``,
+``_mat_mul`` (which forms only products of two nonzero entries),
+``_flatten`` and ``_unit_vectors``.
 """
 
 from __future__ import annotations
@@ -70,6 +75,11 @@ def _is_zero(x) -> bool:
     return x.is_zero() if hasattr(x, "is_zero") else x == 0
 
 
+def _nonzero(seq) -> list:
+    """(index, entry) for the nonzero entries of seq."""
+    return [(j, x) for j, x in enumerate(seq) if not _is_zero(x)]
+
+
 def _sum(terms):
     acc = None
     for t in terms:
@@ -78,11 +88,11 @@ def _sum(terms):
 
 
 def _mat_add(a, b):
-    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
+    return tuple(tuple(x if _is_zero(y) else x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
 
 
 def _mat_sub(a, b):
-    return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
+    return tuple(tuple(x if _is_zero(y) else x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
 
 
 def _mat_scale(a, c):
@@ -90,11 +100,23 @@ def _mat_scale(a, c):
 
 
 def _mat_mul(a, b):
+    """Product of square matrices, forming only products of nonzero entries."""
     n = len(a)
-    return tuple(
-        tuple(_sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n))
-        for i in range(n)
-    )
+    if n == 0:
+        return ()
+    b_nonzero = [_nonzero(row) for row in b]
+    zero = a[0][0] * b[0][0]
+    if not _is_zero(zero):
+        zero = zero - zero
+    out = []
+    for row in a:
+        acc = [zero] * n
+        for k, x in _nonzero(row):
+            for j, y in b_nonzero[k]:
+                t = x * y
+                acc[j] = t if acc[j] is zero else acc[j] + t
+        out.append(tuple(acc))
+    return tuple(out)
 
 
 def _flatten(m) -> list:
@@ -132,9 +154,74 @@ def _rref(rows: List[list], ncols: int):
     return pivots
 
 
+class Span:
+    """The span of a list of vectors v_0 .. v_{m-1}, in echelon form once.
+
+    ``_rref`` runs once on the rows [v_k | e_k].  Pivot row r then reads
+    row_r = sum_k T[r][k] v_k, with a one in its pivot column p_r and zeros in
+    the other pivot columns.  Reducing a vector w subtracts w[p_r] * row_r for
+    every pivot where w[p_r] is nonzero: w is in the span iff the residual is
+    zero, and then its coordinates are sum_r w[p_r] * T[r].
+    """
+
+    __slots__ = ("count", "zero", "pivots", "rows", "transforms")
+
+    def __init__(self, vectors: Sequence[Sequence]):
+        vectors = [list(v) for v in vectors]
+        entries = [x for v in vectors for x in v]
+        nonzero = next((x for x in entries if not _is_zero(x)), None)
+        self.count = len(vectors)
+        self.zero = entries[0] - entries[0] if entries else None
+        self.pivots, self.rows, self.transforms = [], [], []
+        if nonzero is None:
+            return
+        ncols = len(vectors[0])
+        eye = _unit_vectors(self.count, nonzero / nonzero, self.zero)
+        rows = [v + e for v, e in zip(vectors, eye)]
+        self.pivots = _rref(rows, ncols)
+        for row in rows[: len(self.pivots)]:
+            self.rows.append(_nonzero(row[:ncols]))
+            self.transforms.append(_nonzero(row[ncols:]))
+
+    @property
+    def rank(self) -> int:
+        return len(self.pivots)
+
+    def _weights(self, w: Sequence) -> Optional[list]:
+        """(r, w[p_r]) for the pivots where w is nonzero, or None when the
+        residual of w is nonzero, that is when w is outside the span."""
+        weights = [(r, w[p]) for r, p in enumerate(self.pivots) if not _is_zero(w[p])]
+        residual = list(w)
+        for r, c in weights:
+            for j, x in self.rows[r]:
+                residual[j] = residual[j] - c * x
+        return weights if all(_is_zero(x) for x in residual) else None
+
+    def contains(self, w: Sequence) -> bool:
+        """Whether w lies in the span."""
+        return self._weights(w) is not None
+
+    def coordinates(self, w: Sequence) -> Optional[list]:
+        """Coefficients c with sum_k c_k v_k == w, or None when w is outside
+        the span.  When the vectors are dependent this is one such c."""
+        weights = self._weights(w)
+        if weights is None:
+            return None
+        coords = [self.zero] * self.count
+        for r, c in weights:
+            for k, t in self.transforms[r]:
+                coords[k] = coords[k] + c * t
+        return coords
+
+
+def echelon_basis(vectors: Sequence[Sequence]) -> List[list]:
+    """A basis of the span: the nonzero rows of the reduced row echelon form."""
+    rows = [list(v) for v in vectors]
+    return rows[: len(_rref(rows, len(rows[0])))] if rows else []
+
+
 def rank(m: ExactMatrix) -> int:
-    rows = [list(r) for r in m.entries]
-    return len(_rref(rows, m.cols))
+    return span_rank(m.entries)
 
 
 def kernel(m: ExactMatrix, one, zero) -> List[list]:
@@ -158,62 +245,36 @@ def kernel(m: ExactMatrix, one, zero) -> List[list]:
 
 def solve(m: ExactMatrix, b: Sequence) -> Optional[list]:
     """One solution x of m x = b, or None when the system is inconsistent."""
-    rows = [list(r) + [b[i]] for i, r in enumerate(m.entries)]
-    pivots = _rref(rows, m.cols)
-    for i in range(len(rows)):
-        if all(_is_zero(x) for x in rows[i][: m.cols]) and not _is_zero(rows[i][m.cols]):
-            return None
-    # Pick the solution with free variables set to zero.
-    zero = None
-    for row in m.entries:
-        for x in row:
-            zero = x - x
-            break
-        if zero is not None:
-            break
-    if zero is None:
-        return None if any(not _is_zero(x) for x in b) else []
-    x = [zero] * m.cols
-    for r_idx, pc in enumerate(pivots):
-        x[pc] = rows[r_idx][m.cols]
-    return x
+    return Span(m.transpose().entries).coordinates(b)
 
 
 def span_rank(vectors: Sequence[Sequence]) -> int:
-    if not vectors:
-        return 0
-    return rank(ExactMatrix(vectors))
+    return len(echelon_basis(vectors))
 
 
 def in_span(vectors: Sequence[Sequence], v: Sequence) -> bool:
     """Whether v lies in the linear span of the given vectors."""
-    if all(_is_zero(x) for x in v):
-        return True
-    if not vectors:
-        return False
-    m = ExactMatrix(vectors).transpose()
-    return solve(m, list(v)) is not None
+    return Span(vectors).contains(v)
 
 
 def structure_constants(
-    vectors: Sequence[Sequence],
+    span: Span,
     bracket: Callable[[int, int], Sequence],
     escape: Callable[[int, int], Exception],
 ) -> List[List[list]]:
     """Coordinates of every bracket of a basis in that basis.
 
-    ``vectors`` are the basis elements as flat coordinate vectors and
+    ``span`` is the Span of the basis elements as flat coordinate vectors and
     ``bracket(i, j)`` gives [b_i, b_j] in the same flat coordinates.  Entry
     [i][j] of the result is the coordinate vector of [b_i, b_j]; the first
     bracket outside the span raises ``escape(i, j)``.
     """
-    span = ExactMatrix(vectors).transpose()
-    d = len(vectors)
+    d = span.count
     table = []
     for i in range(d):
         row = []
         for j in range(d):
-            coords = solve(span, bracket(i, j))
+            coords = span.coordinates(bracket(i, j))
             if coords is None:
                 raise escape(i, j)
             row.append(coords)

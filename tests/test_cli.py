@@ -240,3 +240,60 @@ class TestDeterminism:
         _, a = invoke(capsys, *argv)
         _, b = invoke(capsys, *argv)
         assert a == b
+
+
+def _request_error(capsys, *argv):
+    """The request exits 2 with exactly one JSON line naming a request error."""
+    code, out = invoke(capsys, *argv)
+    lines = out.splitlines()
+    assert code == 2 and len(lines) == 1
+    assert json.loads(lines[0])["error"] == "request"
+
+
+class TestRequestContract:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["grassmann", "limit", "--pq", "0,1"],
+            ["grassmann", "subalg", "--pq", "2,0", "--det-one"],
+            ["grassmann", "pencil", "--pq", "-1,2"],
+            ["grassmann", "realform", "--pq", "1,1", "--det-one", "--at", "1/2*i"],
+            ["grassmann", "realform", "--pq", "1,1", "--at", "1+i"],
+            ["family", "fiber", "--kind", "scaled", "--power", "0"],
+            ["family", "build", "--kind", "scaled", "--power", "-2"],
+        ],
+        ids=["limit-p0", "subalg-q0", "pencil-negative", "realform-imaginary",
+             "realform-complex", "fiber-power0", "build-negative-power"],
+    )
+    def test_bad_arguments(self, capsys, argv):
+        _request_error(capsys, *argv)
+
+    @pytest.mark.parametrize(
+        "mutate",
+        [
+            lambda doc: [],
+            lambda doc: "module",
+            lambda doc: {**doc, "casimir": doc["casimir"][:2]},
+            lambda doc: {**doc, "degree_rule": {**doc["degree_rule"], "anchor": "0"}},
+            lambda doc: {**doc, "transitions": {**doc["transitions"], "pivot": 0.5}},
+            lambda doc: {**doc, "degree_rule": []},
+            lambda doc: {**doc, "casimir": 7},
+        ],
+        ids=["list", "string", "two-casimir", "string-anchor", "float-pivot",
+             "list-degree-rule", "scalar-casimir"],
+    )
+    @pytest.mark.parametrize("action", ["validate", "locus", "twist"])
+    def test_malformed_module_document(self, capsys, module_file, tmp_path, mutate, action):
+        with open(module_file) as fh:
+            doc = json.load(fh)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(mutate(doc)))
+        _request_error(capsys, "module", action, "--module", str(bad))
+
+    def test_empty_window(self, capsys, module_file):
+        _request_error(capsys, "module", "validate", "--module", module_file, "--window", "5..-5")
+        _request_error(capsys, "classify", "construct", "--weights", "even", "--window", "3..1")
+
+    def test_single_weight_window_is_accepted(self, capsys, module_file):
+        code, out = invoke(capsys, "module", "validate", "--module", module_file, "--window", "0..0")
+        assert code in (0, 1) and "error" not in json.loads(out)

@@ -174,6 +174,21 @@ class TestRealForms:
         assert real_form_at(pen, 1).signature == (4, 0, 4)
         assert real_form_at(pen, -1).signature == (0, 0, 8)
 
+    @pytest.mark.parametrize("x", [Fraction(3, 2), Fraction(-2)], ids=["x>0", "x<0"])
+    @pytest.mark.parametrize(
+        "p, q", [(p, q) for p in range(1, 4) for q in range(1, 4) if p + q <= 4]
+    )
+    def test_signature_sweep(self, p, q, x):
+        """su(p,q) over x > 0 and the compact su(p+q) over x < 0, from the
+        closed-form Killing signatures."""
+        n = p + q
+        report = real_form_at(GrassmannPencil(p, q, det_one=True), x)
+        assert report.dimension == n * n - 1
+        if x > 0:
+            assert report.signature == (2 * p * q, 0, p * p + q * q - 1)
+        else:
+            assert report.signature == (0, 0, n * n - 1)
+
     def test_complex_point_rejected(self):
         with pytest.raises(ValueError):
             real_form_at(GrassmannPencil(1, 1, det_one=True), QI_I)

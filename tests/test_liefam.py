@@ -40,6 +40,7 @@ from hcfam.liefam import (
     sl2_algebra,
 )
 from hcfam.sl2fam import sl2_involution
+from hcfam.linalg import span_rank
 
 QI = GaussianRational
 
@@ -220,3 +221,44 @@ class TestAdDiagInvolution:
         fam = contraction_family(gl2_algebra(), theta)
         assert jacobi_check(fam) is None
         assert glue_consistent(fam)
+
+
+def brute_force_derived_series(algebra):
+    """(dim of [g, g], solvable) from the literal definition: each term is
+    spanned by all pairwise brackets of the previous term's spanning list."""
+    d = algebra.rank
+    current = [[GaussianRational(int(i == j)) for j in range(d)] for i in range(d)]
+    dims = [span_rank(current) if current else 0]
+    while dims[-1]:
+        current = [algebra.bracket(u, v) for u in current for v in current]
+        dims.append(span_rank(current))
+        if dims[-1] == dims[-2]:
+            return dims[1], False
+    return (dims[1] if len(dims) > 1 else 0), True
+
+
+def solvable_2d():
+    """[x, y] = y."""
+    z, o = GaussianRational(0), GaussianRational(1)
+    return LieAlgebra.from_constants(("x", "y"), [[[z, z], [z, o]], [[z, -o], [z, z]]])
+
+
+class TestFiberInvariants:
+    @pytest.mark.parametrize(
+        "build, expected",
+        [
+            (sl2_algebra, (3, 0, False)),
+            (gl2_algebra, (3, 1, False)),
+            (lambda: abelian_algebra(3), (0, 3, True)),
+            (solvable_2d, (1, 0, True)),
+            (lambda: fiber(contraction_family(sl2_algebra(), sl2_involution()), GaussianRational(0)),
+             (2, 0, True)),
+        ],
+        ids=["sl2", "gl2", "abelian3", "solvable2", "contraction-fiber-0"],
+    )
+    def test_matches_brute_force(self, build, expected):
+        algebra = build()
+        dim_derived, solvable = brute_force_derived_series(algebra)
+        inv = fiber_invariants(algebra)
+        assert (inv["dim_derived"], inv["solvable"]) == (dim_derived, solvable)
+        assert (inv["dim_derived"], inv["dim_center"], inv["solvable"]) == expected

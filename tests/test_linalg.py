@@ -5,7 +5,8 @@ from fractions import Fraction
 from hypothesis import given
 from hypothesis import strategies as st
 
-from hcfam.linalg import ExactMatrix, in_span, kernel, rank, solve, span_rank
+from hcfam.linalg import ExactMatrix, Span, _mat_mul, in_span, kernel, rank, solve, span_rank
+from hcfam.scalars import GaussianRational, LaurentPoly, RationalFunction, RF_ONE, RF_Z, RF_ZERO
 
 fr = st.fractions(min_value=-9, max_value=9, max_denominator=5)
 
@@ -65,3 +66,130 @@ class TestMatrixOps:
         b = ExactMatrix([[Fraction(0), Fraction(1)], [Fraction(1), Fraction(0)]])
         assert a.matmul(b).entries == [[2, 1], [4, 3]]
         assert a.transpose().transpose() == a
+
+
+def combination(coeffs, vectors, zero):
+    """sum_k coeffs[k] * vectors[k], starting from the zero vector."""
+    out = [zero] * len(vectors[0])
+    for c, v in zip(coeffs, vectors):
+        out = [a + c * b for a, b in zip(out, v)]
+    return out
+
+
+@st.composite
+def spans_with_target(draw, scalar, zero, dim=4):
+    """A list of vectors with repeated combinations and zero vectors mixed in,
+    and a target that is either a combination of them or arbitrary."""
+    base = draw(st.lists(st.lists(scalar, min_size=dim, max_size=dim), max_size=3))
+    vectors = list(base)
+    for _ in range(draw(st.integers(0, 3))):
+        if base and draw(st.booleans()):
+            coeffs = draw(st.lists(scalar, min_size=len(base), max_size=len(base)))
+            vectors.append(combination(coeffs, base, zero))
+        else:
+            vectors.append([zero] * dim)
+    vectors = draw(st.permutations(vectors))
+    if vectors and draw(st.booleans()):
+        coeffs = draw(st.lists(scalar, min_size=len(vectors), max_size=len(vectors)))
+        target = combination(coeffs, vectors, zero)
+    else:
+        target = draw(st.lists(scalar, min_size=dim, max_size=dim))
+    return vectors, target
+
+
+def check_span(vectors, target, zero):
+    span = Span(vectors)
+    coords = span.coordinates(target)
+    inside = span_rank(vectors + [target]) == span_rank(vectors)
+    assert span.rank == span_rank(vectors)
+    assert span.contains(target) == inside == (coords is not None)
+    if coords is not None:
+        assert len(coords) == len(vectors)
+        got = combination(coords, vectors, zero) if vectors else [zero] * len(target)
+        assert got == list(target)
+
+
+qi = st.builds(GaussianRational, st.integers(-3, 3), st.integers(-2, 2))
+
+
+class TestSpanPrimitive:
+    @given(spans_with_target(fr, Fraction(0)))
+    def test_rationals(self, case):
+        check_span(*case, Fraction(0))
+
+    @given(spans_with_target(qi, GaussianRational(0)))
+    def test_gaussian_rationals(self, case):
+        check_span(*case, GaussianRational(0))
+
+    def test_rational_functions(self):
+        z, one, zero = RF_Z, RF_ONE, RF_ZERO
+        inv = RationalFunction(LaurentPoly.constant(1), LaurentPoly({1: 1, 0: -1}))  # 1/(z-1)
+        i = RationalFunction.constant(GaussianRational(0, 1))
+        v1 = [z, one, zero]
+        v2 = [one, inv, z + one]
+        v3 = combination([z * z, i], [v1, v2], zero)
+        vectors = [v1, v2, v3, [zero] * 3]
+        for coeffs in ([inv, z, zero, one], [one, zero, i, zero], [zero] * 4):
+            check_span(vectors, combination(coeffs, vectors, zero), zero)
+        check_span(vectors, [zero, zero, one], zero)
+        assert not Span(vectors).contains([zero, zero, one])
+
+    def test_independent_coordinates_are_unique(self):
+        vs = [[Fraction(1), Fraction(2), Fraction(0)], [Fraction(0), Fraction(1), Fraction(1)]]
+        assert Span(vs).coordinates([Fraction(2), Fraction(1), Fraction(-3)]) == [2, -3]
+        assert Span(vs).coordinates([Fraction(0), Fraction(0), Fraction(1)]) is None
+
+    def test_no_vectors(self):
+        span = Span([])
+        assert span.rank == 0
+        assert span.coordinates([Fraction(0), Fraction(0)]) == []
+        assert span.coordinates([Fraction(0), Fraction(1)]) is None
+
+
+def dense_mat_mul(a, b):
+    """Reference product: all n**3 terms, zeros included."""
+    n = len(a)
+    out = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            acc = a[i][0] * b[0][j]
+            for k in range(1, n):
+                acc = acc + a[i][k] * b[k][j]
+            row.append(acc)
+        out.append(tuple(row))
+    return tuple(out)
+
+
+sparse_fr = st.sampled_from([Fraction(0)] * 4 + [Fraction(1), Fraction(-2), Fraction(1, 3)])
+sparse_qi = st.sampled_from([GaussianRational(0)] * 4 + [GaussianRational(1), GaussianRational(2, -1)])
+
+
+@st.composite
+def square_pairs(draw, scalar):
+    n = draw(st.integers(1, 4))
+    square = st.lists(st.lists(scalar, min_size=n, max_size=n).map(tuple), min_size=n, max_size=n).map(tuple)
+    return draw(square), draw(square)
+
+
+class TestSparseMatMul:
+    @given(square_pairs(sparse_fr))
+    def test_rationals_match_dense(self, pair):
+        assert _mat_mul(*pair) == dense_mat_mul(*pair)
+
+    @given(square_pairs(sparse_qi))
+    def test_gaussian_rationals_match_dense(self, pair):
+        a, b = pair
+        got = _mat_mul(a, b)
+        assert got == dense_mat_mul(a, b)
+        assert all(type(x) is GaussianRational for row in got for x in row)
+
+    def test_rational_function_elementary_products(self):
+        z, one, zero = RF_Z, RF_ONE, RF_ZERO
+
+        def unit(i, j, c):
+            return tuple(tuple(c if (r, s) == (i, j) else zero for s in range(3)) for r in range(3))
+
+        for a, b in [(unit(0, 1, z), unit(1, 2, one)), (unit(0, 1, z), unit(0, 1, one)),
+                     (unit(2, 0, one), unit(0, 2, z + one))]:
+            assert _mat_mul(a, b) == dense_mat_mul(a, b)
