@@ -52,7 +52,6 @@ from .hcmod import (
     WeightSet,
     casimir_triple,
     fiber_irreducible,
-    fiber_module,
     iso_check,
     reducible_locus,
     swap_transitions,
@@ -362,11 +361,11 @@ def criterion_9() -> Result:
         GaussianRational(-2),
     ]
     for p in samples:
-        scalars = fiber_module(module, p)
         verdict = fiber_irreducible(module, p)
-        oracle = not _oracle_invariant_subspace_exists(scalars, [-2, 0, 2])
-        if verdict != oracle:
-            return (name, False, f"fiber verdict at {p}: library {verdict}, oracle {oracle}")
+        oracle = not _oracle_invariant_subspace_exists(verdict.scalars, [-2, 0, 2])
+        if verdict.irreducible != oracle:
+            detail = f"fiber verdict at {p}: library {verdict.irreducible}, oracle {oracle}"
+            return (name, False, detail)
     ascending = construct(WeightSet("even"), ClassSpec("III"), casimir_triple(0, 0, 1))
     locus = reducible_locus(ascending, (-10, 10))
     expected = {

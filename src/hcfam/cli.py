@@ -42,7 +42,6 @@ from .hcmod import (
     DegreeBoundViolated,
     WeightNotPresent,
     WeightSet,
-    fiber_module,
     fiber_irreducible,
     iso_check,
     picard_twist,
@@ -270,16 +269,15 @@ def cmd_module(args) -> int:
         return 0 if report.ok else 1
     if args.action == "fiber":
         p = parse_point(args.at)
-        scalars = fiber_module(module, p, window)
+        verdict = fiber_irreducible(module, p, window)
         vanishing = []
-        for n in sorted(scalars):
-            a, b = scalars[n]
+        for n in sorted(verdict.scalars):
+            a, b = verdict.scalars[n]
             if a.is_zero():
                 vanishing.append({"n": n, "poly": "A"})
             if b.is_zero():
                 vanishing.append({"n": n, "poly": "B"})
-        verdict = fiber_irreducible(module, p, window)
-        emit({"at": str(p), "irreducible": verdict, "vanishing": vanishing})
+        emit({"at": str(p), "irreducible": verdict.irreducible, "vanishing": vanishing})
         return 0 if verdict else 1
     if args.action == "locus":
         locus = reducible_locus(module, window)
@@ -333,6 +331,8 @@ def cmd_classify(args) -> int:
         emit(classification_report(weights, cls))
         return 0
     if args.action == "probe":
+        if args.trials < 1:
+            raise RequestError("the probe needs --trials >= 1")
         probe = uniqueness_probe(
             weights,
             cls,

@@ -133,14 +133,6 @@ class WeightSet:
             return self.param if self.param % 2 else 0
         return self.param
 
-    def extreme_weight(self) -> Optional[int]:
-        """The lowest/highest weight for the non-principal types."""
-        if self.kind in ("lowest", "highest"):
-            return self.param
-        if self.kind == "finite":
-            return self.param
-        return None
-
     def to_json(self) -> dict:
         return {"kind": self.kind, "param": self.param}
 
@@ -459,43 +451,54 @@ def validate(module: HCModuleFamily, window: Window = DEFAULT_WINDOW) -> Validat
     return ValidationReport(v)
 
 
-def _tail_violations(module: HCModuleFamily, window: Window, up: bool) -> List[Violation]:
-    out: List[Violation] = []
-    where = "tail-up" if up else "tail-down"
+def _tail_bounds(module: HCModuleFamily, up: bool) -> Tuple[str, int, int, int]:
+    """(unit side, slope, unit bound, partner bound) of the upper or lower tail.
+
+    The slope is deg F_{n+2} - deg F_n for transitions n deep in the tail; the
+    bounds are :meth:`HCModuleFamily.degree_bounds` of the constant unit and
+    of its partner q_n / (4 * unit) there.
+    """
     rule = module.transitions.rule_up if up else module.transitions.rule_down
     slope = module.degrees.slope_up if up else -module.degrees.slope_down
-    # slope here is deg F_{n+2} - deg F_n for transitions n deep in the tail.
+    if rule.unit_on == "A":
+        return rule.unit_on, slope, 1 + slope, 1 - slope
+    return rule.unit_on, slope, 1 - slope, 1 + slope
+
+
+def _tail_transitions(module: HCModuleFamily, window: Window, up: bool, value) -> List[int]:
+    """Transitions n beyond the window on one side with n(n+2) equal to value."""
+    lo, hi = window
+    return [
+        m
+        for m in _integer_weight_solutions(value)
+        if (m > hi if up else m < lo) and module.weights.has_transition(m)
+    ]
+
+
+def _tail_violations(module: HCModuleFamily, window: Window, up: bool) -> List[Violation]:
+    where = "tail-up" if up else "tail-down"
+    unit_on, slope, _, partner_bound = _tail_bounds(module, up)
     if abs(slope) > 1:
-        out.append(Violation(where, "tail degree slope exceeds one per step"))
-        return out
+        return [Violation(where, "tail degree slope exceeds one per step")]
     c1, c0, cm1 = module.casimir
+    out: List[Violation] = []
     # q_n identically zero somewhere in the tail?
     if c1.is_zero() and cm1.is_zero():
-        for m in _integer_weight_solutions(c0):
-            if _in_tail(module, m, window, up) and module.weights.has_transition(m):
-                out.append(
-                    Violation(where, f"q_n vanishes identically at tail transition n={m}")
-                )
-    # Degree bound for the non-unit polynomial q_n / (4 * unit).
-    bound = (1 - slope) if rule.unit_on == "A" else (1 + slope)
-    if bound <= 0:
+        for m in _tail_transitions(module, window, up, c0):
+            out.append(Violation(where, f"q_n vanishes identically at tail transition n={m}"))
+    if partner_bound <= 0:
         out.append(
             Violation(
                 where,
-                f"tail rule puts the unit on {rule.unit_on} but its partner needs "
-                f"degree <= {bound}, impossible for a whole tail",
+                f"tail rule puts the unit on {unit_on} but its partner needs "
+                f"degree <= {partner_bound}, impossible for a whole tail",
             )
         )
-    elif bound == 1 and not c1.is_zero():
+    elif partner_bound == 1 and not c1.is_zero():
         out.append(
             Violation(where, "tail degree bound 1 requires the z-coefficient c1 = 0")
         )
     return out
-
-
-def _in_tail(module: HCModuleFamily, n: int, window: Window, up: bool) -> bool:
-    lo, hi = window
-    return n > hi if up else n < lo
 
 
 def generically_irreducible(module: HCModuleFamily, window: Window = DEFAULT_WINDOW) -> bool:
@@ -518,17 +521,12 @@ def degrees_lemma_check(module: HCModuleFamily, window: Window = DEFAULT_WINDOW)
             return False
         if step == 1 and not (B.degree() == 0 and not B.is_zero()):
             return False
-    # Tail rules: the unit side must sit where the lemma forces a constant.
+    # Tail rules: where the degrees move, the unit must sit on the side
+    # whose degree bound is zero.
     w = module.weights
-    if w.unbounded_above:
-        if module.degrees.slope_up == -1 and module.transitions.rule_up.unit_on != "A":
-            return False
-        if module.degrees.slope_up == 1 and module.transitions.rule_up.unit_on != "B":
-            return False
-    if w.unbounded_below:
-        if -module.degrees.slope_down == -1 and module.transitions.rule_down.unit_on != "A":
-            return False
-        if -module.degrees.slope_down == 1 and module.transitions.rule_down.unit_on != "B":
+    for up, present in ((True, w.unbounded_above), (False, w.unbounded_below)):
+        _, slope, unit_bound, _ = _tail_bounds(module, up)
+        if present and slope != 0 and unit_bound != 0:
             return False
     return True
 
@@ -583,59 +581,58 @@ def _fiber_scalars(
 def _tail_scalar_vanishes(module: HCModuleFamily, p: Point, window: Window, up: bool) -> bool:
     """Whether some tail transition scalar vanishes at p (closed form in n)."""
     w = module.weights
-    if up and not w.unbounded_above:
+    if not (w.unbounded_above if up else w.unbounded_below):
         return False
-    if not up and not w.unbounded_below:
-        return False
-    rule = module.transitions.rule_up if up else module.transitions.rule_down
-    slope = module.degrees.slope_up if up else -module.degrees.slope_down
     c1, c0, cm1 = module.casimir
     if p is INFINITY:
-        # Unit side: constant attains its bound iff the bound is zero.
-        unit_bound = (1 + slope) if rule.unit_on == "A" else (1 - slope)
-        if unit_bound != 0:
-            return True
-        # Partner side: deg q_n against its bound.
-        partner_bound = (1 - slope) if rule.unit_on == "A" else (1 + slope)
-        if partner_bound == 2:
-            if c1.is_zero():
-                return True
-            return False
-        # partner_bound == 1 (validation forces c1 = 0 here): the degree of
-        # q_n drops below 1 exactly at integer solutions of c0 = n(n+2).
-        for m in _integer_weight_solutions(c0):
-            if _in_tail(module, m, window, up) and w.has_transition(m):
-                return True
-        return False
+        # The constant unit attains its bound iff that bound is zero; the
+        # partner bound is then two, attained by deg q_n = 2 iff c1 != 0.
+        _, _, unit_bound, _ = _tail_bounds(module, up)
+        return unit_bound != 0 or c1.is_zero()
     p = GaussianRational._coerce(p)
     if p.is_zero():
         # q_n(0) = c_{-1} for every n.
         return cm1.is_zero()
     # q_n(p) = 0  <=>  n(n+2) = (c1 p^2 + c0 p + cm1) / p.
-    target = (c1 * p * p + c0 * p + cm1) / p
-    for m in _integer_weight_solutions(target):
-        if _in_tail(module, m, window, up) and w.has_transition(m):
-            return True
-    return False
+    return bool(_tail_transitions(module, window, up, (c1 * p * p + c0 * p + cm1) / p))
 
 
-def fiber_irreducible(module: HCModuleFamily, p: Point, window: Window = DEFAULT_WINDOW) -> bool:
+@dataclass
+class FiberVerdict:
+    """Irreducibility of the fiber at a point, with the window's transition
+    scalars {n: (a_n, b_n)} as :func:`fiber_module` gives them."""
+
+    irreducible: bool
+    scalars: Dict[int, Tuple[GaussianRational, GaussianRational]]
+
+    def __bool__(self):
+        return self.irreducible
+
+
+def _fiber_verdict(module: HCModuleFamily, p: Point, window: Window) -> FiberVerdict:
+    """:func:`fiber_irreducible` for a module already validated on the window."""
+    scalars = _fiber_scalars(module, p, window)
+    reducible = (
+        any(a.is_zero() or b.is_zero() for a, b in scalars.values())
+        or _tail_scalar_vanishes(module, p, window, up=True)
+        or _tail_scalar_vanishes(module, p, window, up=False)
+    )
+    return FiberVerdict(not reducible, scalars)
+
+
+def fiber_irreducible(
+    module: HCModuleFamily, p: Point, window: Window = DEFAULT_WINDOW
+) -> FiberVerdict:
     """Transition-scalar irreducibility criterion for the fiber at p.
 
     A weight-supported proper invariant subspace exists iff some transition
     scalar vanishes; the explicit window is scanned directly and the tails
     through the closed-form rules, so the verdict covers the whole weight set.
+    The result is truthy iff the fiber is irreducible and carries the
+    window's scalars.
     """
     _require_valid(module, window)
-    scalars = _fiber_scalars(module, p, window)
-    for a, b in scalars.values():
-        if a.is_zero() or b.is_zero():
-            return False
-    if _tail_scalar_vanishes(module, p, window, up=True):
-        return False
-    if _tail_scalar_vanishes(module, p, window, up=False):
-        return False
-    return True
+    return _fiber_verdict(module, p, window)
 
 
 @dataclass
@@ -662,15 +659,9 @@ def reducible_locus(module: HCModuleFamily, window: Window = DEFAULT_WINDOW) -> 
                 points.update(poly_roots(poly))
             except UnsplitQuadratic:
                 unsplit.append((n, which, poly))
-    boundary = set()
-    for bp in (GaussianRational(0), INFINITY):
-        scalars = _fiber_scalars(module, bp, window)
-        if any(a.is_zero() or b.is_zero() for a, b in scalars.values()):
-            boundary.add(bp)
-        elif _tail_scalar_vanishes(module, bp, window, True) or _tail_scalar_vanishes(
-            module, bp, window, False
-        ):
-            boundary.add(bp)
+    boundary = {
+        bp for bp in (GaussianRational(0), INFINITY) if not _fiber_verdict(module, bp, window)
+    }
     return ReducibleLocus(frozenset(points), frozenset(boundary), tuple(unsplit))
 
 

@@ -510,14 +510,6 @@ class FamilyMorphism:
     matrix: ExactMatrix
 
     @staticmethod
-    def from_entries(entries) -> "FamilyMorphism":
-        return FamilyMorphism(
-            ExactMatrix(
-                [[RationalFunction._coerce(x) for x in row] for row in entries]
-            )
-        )
-
-    @staticmethod
     def identity(d: int) -> "FamilyMorphism":
         return FamilyMorphism(ExactMatrix(_unit_vectors(d, RF_ONE, RF_ZERO)))
 

@@ -37,10 +37,6 @@ class ExactMatrix:
         self.cols = ncols
         self.entries = entries
 
-    def __getitem__(self, idx):
-        i, j = idx
-        return self.entries[i][j]
-
     def col(self, j) -> list:
         return [self.entries[i][j] for i in range(self.rows)]
 

@@ -514,18 +514,8 @@ class RationalFunction:
     def is_constant(self) -> bool:
         return self.den.degree() == 0 and self.num.degree() <= 0
 
-    def constant_value(self) -> GaussianRational:
-        if not self.is_constant():
-            raise ValueError(f"{self} is not constant")
-        return self.num.coeff(0)
-
     def is_polynomial(self) -> bool:
         return self.den.degree() == 0
-
-    def as_polynomial(self) -> LaurentPoly:
-        if not self.is_polynomial():
-            raise ValueError(f"{self} is not a polynomial")
-        return self.num
 
     # -- arithmetic ---------------------------------------------------------
 

@@ -193,17 +193,16 @@ def _acting_function(module, n, prefer_up):
     w = module.weights
     if not w.contains(n):
         raise WeightMissing(f"weight {n} is not in the module")
-    zinv = RF_ONE / RF_Z
-    four = RationalFunction.constant(GaussianRational(4))
     has_up = w.has_transition(n)
     has_down = w.has_transition(n - 2)
     if has_up and (prefer_up or not has_down):
-        A, B = module.transition_polys(n)
-        prod = RationalFunction(A) * RationalFunction(B)
-        return RationalFunction.constant(GaussianRational(n * n + 2 * n)) + four * prod * zinv
-    if has_down:
-        A, B = module.transition_polys(n - 2)
-        prod = RationalFunction(A) * RationalFunction(B)
-        return RationalFunction.constant(GaussianRational(n * n - 2 * n)) + four * prod * zinv
-    # Isolated weight: both X and Y act by zero.
-    return RationalFunction.constant(GaussianRational(n * n + 2 * n))
+        m, c = n, n * n + 2 * n
+    elif has_down:
+        m, c = n - 2, n * n - 2 * n
+    else:
+        # Isolated weight: both X and Y act by zero.
+        return RationalFunction.constant(GaussianRational(n * n + 2 * n))
+    # n(n +- 2) + 4 A B z^{-1} as one Laurent polynomial; the constructor
+    # clears the negative exponent.
+    A, B = module.transition_polys(m)
+    return RationalFunction((A * B).scale(4).shift(-1) + c)

@@ -129,6 +129,36 @@ class TestModule:
         code, doc = invoke_json(capsys, "module", "validate", "--module", "/no/such/file.json")
         assert code == 2 and doc["error"] == "request"
 
+    @pytest.mark.parametrize(
+        "action, extra, documents",
+        [
+            ("validate", [], 1),
+            ("fiber", ["--at", "1/8"], 1),
+            ("fiber", ["--at", "inf"], 1),
+            ("locus", [], 1),
+            ("twist", [], 1),
+            ("iso", ["--other", "@module"], 2),
+        ],
+        ids=["validate", "fiber", "fiber-inf", "locus", "twist", "iso"],
+    )
+    def test_one_validation_per_document(
+        self, capsys, monkeypatch, module_file, action, extra, documents
+    ):
+        from hcfam import hcmod
+
+        calls = []
+        real = hcmod.validate
+
+        def counting(module, window=hcmod.DEFAULT_WINDOW):
+            calls.append(window)
+            return real(module, window)
+
+        monkeypatch.setattr(hcmod, "validate", counting)
+        monkeypatch.setattr(cli, "validate", counting)
+        extra = [module_file if a == "@module" else a for a in extra]
+        invoke(capsys, "module", action, "--module", module_file, "--window", "-6..6", *extra)
+        assert calls == [(-6, 6)] * documents
+
     def test_swap_unequal_degrees_is_domain_error(self, capsys, module_file):
         code, doc = invoke_json(
             capsys, "module", "swap", "--module", module_file, "--indices", "2"
@@ -261,9 +291,12 @@ class TestRequestContract:
             ["grassmann", "realform", "--pq", "1,1", "--at", "1+i"],
             ["family", "fiber", "--kind", "scaled", "--power", "0"],
             ["family", "build", "--kind", "scaled", "--power", "-2"],
+            ["classify", "probe", "--weights", "even", "--trials", "-1"],
+            ["classify", "probe", "--weights", "even", "--trials", "0"],
         ],
         ids=["limit-p0", "subalg-q0", "pencil-negative", "realform-imaginary",
-             "realform-complex", "fiber-power0", "build-negative-power"],
+             "realform-complex", "fiber-power0", "build-negative-power",
+             "probe-negative-trials", "probe-zero-trials"],
     )
     def test_bad_arguments(self, capsys, argv):
         _request_error(capsys, *argv)

@@ -1,5 +1,6 @@
 """Tests for Harish-Chandra module families: validation, fibers, isomorphism."""
 
+import dataclasses
 import json
 from fractions import Fraction
 
@@ -230,6 +231,39 @@ class TestFibers:
         monkeypatch.setattr(hcmod, "validate", counting)
         query(ascending_module())
         assert calls == [DEFAULT_WINDOW]
+
+    def test_verdict_carries_fiber_scalars(self):
+        module = ascending_module()
+        for p in (QI(0), INFINITY, QI(Fraction(1, 8)), QI_I):
+            verdict = fiber_irreducible(module, p, (-6, 6))
+            assert verdict.scalars == fiber_module(module, p, (-6, 6))
+            assert bool(verdict) is verdict.irreducible
+
+    @pytest.mark.parametrize(
+        "cls", [ClassSpec("I", 2), ClassSpec("II", 0), ClassSpec("III"), ClassSpec("IV")], ids=str
+    )
+    def test_verdicts_unchanged_as_window_grows(self, cls):
+        # Rescaled overrides at 0 and 2 and the pivot (0 or 2) all lie in the
+        # smallest window; the larger ones scan explicitly what it leaves to
+        # the tail rules.
+        module = construct(WeightSet("even"), cls, casimir_triple(0, Fraction(1, 3), 1))
+        t = module.transitions
+        for n, mu in ((0, QI(2)), (2, QI(0, 1))):
+            A, B = module.transition_polys(n)
+            t = t.with_override(n, A.scale(mu), B.scale(mu.inverse()))
+        module = dataclasses.replace(module, transitions=t)
+        # q_n = (1/3 - n(n+2)) z + 1 vanishes at 3/23 for n = 2 (inside every
+        # window) and at 3/1319 for n = 20 (beyond the smallest one).
+        inner, tail = QI(Fraction(3, 23)), QI(Fraction(3, 1319))
+        windows = [(-6, 6), (-8, 8), (-30, 30)]
+        assert inner in reducible_locus(module, windows[0]).points
+        for p in (QI(0), INFINITY, inner, tail):
+            verdicts = [fiber_irreducible(module, p, w).irreducible for w in windows]
+            assert verdicts == [verdicts[0]] * len(windows), p
+        for p in (inner, tail):
+            assert not fiber_irreducible(module, p, windows[0])
+        boundaries = [reducible_locus(module, w).boundary for w in windows]
+        assert boundaries == [boundaries[0]] * len(windows)
 
 
 class TestIsomorphism:

@@ -49,3 +49,36 @@ def test_detector_sees_string_annotations():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def private_hcfam_names(source: str) -> list:
+    """Underscore-prefixed names taken from hcfam: imported by name, or read
+    as an attribute of a module or name imported from hcfam."""
+    tree = ast.parse(source)
+    found, imported = [], set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("hcfam")):
+            for alias in node.names:
+                if alias.name.startswith("_"):
+                    found.append(alias.name)
+                imported.add(alias.asname or alias.name)
+        elif isinstance(node, ast.Import):
+            imported.update(a.asname or a.name for a in node.names if a.name.startswith("hcfam"))
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id in imported
+            and node.attr.startswith("_")
+        ):
+            found.append(f"{node.value.id}.{node.attr}")
+    return found
+
+
+def test_private_name_detector():
+    src = "from .hcmod import _a, b\nfrom . import hcmod\nimport os\nhcmod._c\nos._exit\n"
+    assert private_hcfam_names(src) == ["_a", "hcmod._c"]
+
+
+def test_cli_uses_only_public_library_names():
+    assert private_hcfam_names((SRC / "cli.py").read_text()) == []
