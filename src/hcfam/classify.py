@@ -224,7 +224,10 @@ def uniqueness_probe(
 ) -> ProbeResult:
     """Randomized check that the class determines the family up to
     isomorphism: rescaling each canonical section by a random nonzero scalar
-    must land back in the same isomorphism class."""
+    must land back in the same isomorphism class.  ``trials`` must be at
+    least 1: zero trials would be a pass that checked nothing."""
+    if trials < 1:
+        raise ValueError(f"uniqueness_probe needs trials >= 1, got {trials}")
     if cls.kind == "EQUAL":
         return ProbeResult(
             "inapplicable",

@@ -4,6 +4,15 @@ rational functions on the projective line.
 Everything here is immutable and all arithmetic is exact.  A "point" of the
 projective line is either a :class:`GaussianRational` or the :data:`INFINITY`
 sentinel.
+
+A Gaussian rational is held as an integer triple, so its arithmetic is plain
+int arithmetic; ``Fraction`` appears only at the edges (the ``re``/``im``
+properties, parsing and hashing).  Results of arithmetic inside this module
+are built by trusted constructors that skip the coercion and cleaning of the
+public ones: :func:`_qi` (which still reduces by one gcd), :func:`_lp`, and
+:func:`_rf` for pairs already in canonical form.  A rational function that
+needs reducing goes through its constructor, which skips the Euclidean gcd
+when the denominator is a monomial.
 """
 
 from __future__ import annotations
@@ -17,6 +26,10 @@ class PoleAtPoint(Exception):
     """Raised when a rational function is evaluated at one of its poles."""
 
 
+_new = object.__new__
+_gcd = math.gcd
+
+
 # ---------------------------------------------------------------------------
 # Gaussian rationals
 # ---------------------------------------------------------------------------
@@ -24,17 +37,55 @@ class PoleAtPoint(Exception):
 RatLike = Union[int, Fraction]
 
 
-class GaussianRational:
-    """An element a + b*i of Q(i), with a, b kept in lowest terms."""
+def _ratio_str(n: int, d: int) -> str:
+    """``str(Fraction(n, d))`` for d > 0, without building the Fraction."""
+    g = _gcd(n, d)
+    if g != 1:
+        n //= g
+        d //= g
+    return str(n) if d == 1 else f"{n}/{d}"
 
-    __slots__ = ("re", "im")
+
+def _ratio_hash(n: int, d: int) -> int:
+    """``hash(Fraction(n, d))`` for d > 0; equal to ``hash(n)`` when d == 1."""
+    return hash(n) if d == 1 else hash(Fraction(n, d))
+
+
+class GaussianRational:
+    """An element (a + b*i)/d of Q(i), held as the integer triple (a, b, d).
+
+    The triple is in normal form: d > 0 and gcd(a, b, d) = 1, so equal values
+    have equal triples.  The public constructor takes the real and imaginary
+    parts (ints or Fractions); ``re`` and ``im`` return them as Fractions.
+    The slots are private and never reassigned after construction.
+    """
+
+    __slots__ = ("_a", "_b", "_d")
 
     def __init__(self, re: RatLike = 0, im: RatLike = 0):
-        object.__setattr__(self, "re", Fraction(re))
-        object.__setattr__(self, "im", Fraction(im))
+        if re.__class__ is int and im.__class__ is int:
+            self._a, self._b, self._d = re, im, 1
+            return
+        if not isinstance(re, (int, Fraction)):
+            re = Fraction(re)
+        if not isinstance(im, (int, Fraction)):
+            im = Fraction(im)
+        # Over d = lcm of the two lowest-terms denominators the triple is
+        # already normal: a prime dividing d divides one denominator to full
+        # power, and then not the matching numerator.
+        rd, id_ = re.denominator, im.denominator
+        d = rd * id_ // _gcd(rd, id_)
+        self._a = re.numerator * (d // rd)
+        self._b = im.numerator * (d // id_)
+        self._d = d
 
-    def __setattr__(self, name, value):
-        raise AttributeError("GaussianRational is immutable")
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self._a, self._d)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self._b, self._d)
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -42,50 +93,68 @@ class GaussianRational:
     def _coerce(x) -> "GaussianRational":
         if isinstance(x, GaussianRational):
             return x
-        if isinstance(x, (int, Fraction)):
-            return GaussianRational(x)
+        if isinstance(x, int):
+            return _qi(x, 0, 1)
+        if isinstance(x, Fraction):
+            return _qi(x.numerator, 0, x.denominator)
         raise TypeError(f"cannot coerce {x!r} to GaussianRational")
 
     def __add__(self, other):
-        o = self._coerce(other)
-        return GaussianRational(self.re + o.re, self.im + o.im)
+        if other.__class__ is not GaussianRational:
+            other = GaussianRational._coerce(other)
+        d, od = self._d, other._d
+        if d == od:
+            return _qi(self._a + other._a, self._b + other._b, d)
+        return _qi(self._a * od + other._a * d, self._b * od + other._b * d, d * od)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        return GaussianRational(self.re - o.re, self.im - o.im)
+        if other.__class__ is not GaussianRational:
+            other = GaussianRational._coerce(other)
+        d, od = self._d, other._d
+        if d == od:
+            return _qi(self._a - other._a, self._b - other._b, d)
+        return _qi(self._a * od - other._a * d, self._b * od - other._b * d, d * od)
 
     def __rsub__(self, other):
-        return self._coerce(other) - self
+        return GaussianRational._coerce(other) - self
 
     def __neg__(self):
-        return GaussianRational(-self.re, -self.im)
+        return _qi(-self._a, -self._b, self._d)
 
     def __mul__(self, other):
-        o = self._coerce(other)
-        return GaussianRational(
-            self.re * o.re - self.im * o.im, self.re * o.im + self.im * o.re
-        )
+        if other.__class__ is not GaussianRational:
+            other = GaussianRational._coerce(other)
+        a, b, c, e = self._a, self._b, other._a, other._b
+        return _qi(a * c - b * e, a * e + b * c, self._d * other._d)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "GaussianRational":
-        n = self.re * self.re + self.im * self.im
+        a, b, d = self._a, self._b, self._d
+        n = a * a + b * b
         if n == 0:
             raise ZeroDivisionError("inverse of zero Gaussian rational")
-        return GaussianRational(self.re / n, -self.im / n)
+        return _qi(a * d, -b * d, n)
 
     def __truediv__(self, other):
-        return self * self._coerce(other).inverse()
+        if other.__class__ is not GaussianRational:
+            other = GaussianRational._coerce(other)
+        # (a + b i)/d / ((c + e i)/f) = f (a + b i)(c - e i) / (d (c^2 + e^2))
+        a, b, c, e, f = self._a, self._b, other._a, other._b, other._d
+        n = c * c + e * e
+        if n == 0:
+            raise ZeroDivisionError("division by zero Gaussian rational")
+        return _qi((a * c + b * e) * f, (b * c - a * e) * f, self._d * n)
 
     def __rtruediv__(self, other):
-        return self._coerce(other) * self.inverse()
+        return GaussianRational._coerce(other) / self
 
     def __pow__(self, k: int):
         if k < 0:
             return self.inverse() ** (-k)
-        out = GaussianRational(1)
+        out = QI_ONE
         base = self
         while k:
             if k & 1:
@@ -95,40 +164,51 @@ class GaussianRational:
         return out
 
     def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
+        return _qi(self._a, -self._b, self._d)
 
     # -- predicates and hashing --------------------------------------------
 
     def is_zero(self) -> bool:
-        return self.re == 0 and self.im == 0
+        return self._a == 0 and self._b == 0
 
     def is_real(self) -> bool:
-        return self.im == 0
+        return self._b == 0
 
     def __bool__(self):
-        return not self.is_zero()
+        return self._a != 0 or self._b != 0
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = GaussianRational(other)
-        if not isinstance(other, GaussianRational):
-            return NotImplemented
-        return self.re == other.re and self.im == other.im
+        if other.__class__ is GaussianRational:
+            return self._a == other._a and self._b == other._b and self._d == other._d
+        if isinstance(other, int):
+            return self._b == 0 and self._d == 1 and self._a == other
+        if isinstance(other, Fraction):
+            # With b = 0 the normal form makes a/d a fraction in lowest terms.
+            return (
+                self._b == 0
+                and self._a == other.numerator
+                and self._d == other.denominator
+            )
+        return NotImplemented
 
     def __hash__(self):
-        if self.im == 0:
-            return hash(self.re)
-        return hash((self.re, self.im))
+        # A real value hashes like the equal int or Fraction; any other value
+        # like the pair (re, im) of Fractions.
+        h = _ratio_hash(self._a, self._d)
+        if self._b == 0:
+            return h
+        return hash((h, _ratio_hash(self._b, self._d)))
 
     # -- text form ----------------------------------------------------------
 
     def __str__(self):
-        if self.im == 0:
-            return str(self.re)
-        if self.re == 0:
-            return f"{self.im}*i"
-        sign = "+" if self.im > 0 else "-"
-        return f"{self.re}{sign}{abs(self.im)}*i"
+        a, b, d = self._a, self._b, self._d
+        if b == 0:
+            return _ratio_str(a, d)
+        im = _ratio_str(abs(b), d)
+        if a == 0:
+            return f"-{im}*i" if b < 0 else f"{im}*i"
+        return f"{_ratio_str(a, d)}{'+' if b > 0 else '-'}{im}*i"
 
     __repr__ = __str__
 
@@ -158,6 +238,21 @@ class GaussianRational:
             return GaussianRational(re_part, im_part)
         except ValueError:
             raise ValueError(f"cannot parse Gaussian rational {text!r}")
+
+
+def _qi(a: int, b: int, d: int) -> GaussianRational:
+    """Trusted constructor: the normal form of (a + b*i)/d, for ints, d > 0."""
+    if d != 1:
+        g = _gcd(a, b, d)
+        if g != 1:
+            a //= g
+            b //= g
+            d //= g
+    q = _new(GaussianRational)
+    q._a = a
+    q._b = b
+    q._d = d
+    return q
 
 
 QI_ZERO = GaussianRational(0)
@@ -235,8 +330,9 @@ class LaurentPoly:
         clean = {}
         if coeffs:
             for e, c in coeffs.items():
-                c = GaussianRational._coerce(c)
-                if not c.is_zero():
+                if c.__class__ is not GaussianRational:
+                    c = GaussianRational._coerce(c)
+                if c:
                     clean[int(e)] = c
         object.__setattr__(self, "coeffs", clean)
 
@@ -310,16 +406,16 @@ class LaurentPoly:
         raise TypeError(f"cannot coerce {x!r} to LaurentPoly")
 
     def __add__(self, other):
-        o = self._coerce(other)
+        o = other if other.__class__ is LaurentPoly else self._coerce(other)
         out = dict(self.coeffs)
         for e, c in o.coeffs.items():
-            out[e] = out.get(e, QI_ZERO) + c
-        return LaurentPoly(out)
+            out[e] = out[e] + c if e in out else c
+        return _lp({e: c for e, c in out.items() if c})
 
     __radd__ = __add__
 
     def __neg__(self):
-        return LaurentPoly({e: -c for e, c in self.coeffs.items()})
+        return _lp({e: -c for e, c in self.coeffs.items()})
 
     def __sub__(self, other):
         return self + (-self._coerce(other))
@@ -328,23 +424,26 @@ class LaurentPoly:
         return self._coerce(other) - self
 
     def __mul__(self, other):
-        o = self._coerce(other)
+        o = other if other.__class__ is LaurentPoly else self._coerce(other)
         out: dict = {}
         for e1, c1 in self.coeffs.items():
             for e2, c2 in o.coeffs.items():
                 e = e1 + e2
-                out[e] = out.get(e, QI_ZERO) + c1 * c2
-        return LaurentPoly(out)
+                out[e] = out[e] + c1 * c2 if e in out else c1 * c2
+        return _lp({e: c for e, c in out.items() if c})
 
     __rmul__ = __mul__
 
     def shift(self, k: int) -> "LaurentPoly":
         """Multiply by z^k."""
-        return LaurentPoly({e + k: c for e, c in self.coeffs.items()})
+        return _lp({e + k: c for e, c in self.coeffs.items()})
 
     def scale(self, c) -> "LaurentPoly":
-        c = GaussianRational._coerce(c)
-        return LaurentPoly({e: c * v for e, v in self.coeffs.items()})
+        if c.__class__ is not GaussianRational:
+            c = GaussianRational._coerce(c)
+        if not c:
+            return LP_ZERO
+        return _lp({e: c * v for e, v in self.coeffs.items()})
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction, GaussianRational)):
@@ -376,10 +475,10 @@ class LaurentPoly:
         rem = dict(self.coeffs)
         quot: dict = {}
         dlead = other.max_exp()
-        dcoeff = other.leading_coeff()
+        inv = other.coeffs[dlead].inverse()
         while rem and max(rem) >= dlead:
             e = max(rem)
-            q = rem[e] / dcoeff
+            q = rem[e] * inv
             quot[e - dlead] = q
             for oe, oc in other.coeffs.items():
                 k = oe + e - dlead
@@ -388,7 +487,7 @@ class LaurentPoly:
                     rem.pop(k, None)
                 else:
                     rem[k] = v
-        return LaurentPoly(quot), LaurentPoly(rem)
+        return _lp(quot), _lp(rem)
 
     def monic(self) -> "LaurentPoly":
         if self.is_zero():
@@ -431,6 +530,14 @@ class LaurentPoly:
         )
 
 
+def _lp(coeffs: dict) -> LaurentPoly:
+    """Trusted constructor: ``coeffs`` maps ints to nonzero GaussianRationals
+    and is owned by the result."""
+    p = _new(LaurentPoly)
+    object.__setattr__(p, "coeffs", coeffs)
+    return p
+
+
 LP_ZERO = LaurentPoly()
 LP_ONE = LaurentPoly.constant(1)
 
@@ -450,31 +557,40 @@ class RationalFunction:
     __slots__ = ("num", "den")
 
     def __init__(self, num, den=LP_ONE):
-        num = LaurentPoly._coerce(num)
-        den = LaurentPoly._coerce(den)
-        if den.is_zero():
+        if num.__class__ is not LaurentPoly:
+            num = LaurentPoly._coerce(num)
+        if den.__class__ is not LaurentPoly:
+            den = LaurentPoly._coerce(den)
+        nc, dc = num.coeffs, den.coeffs
+        if not dc:
             raise ZeroDivisionError("rational function with zero denominator")
-        # Clear negative exponents so both parts become ordinary polynomials.
-        shift = 0
-        if not num.is_zero():
-            shift = min(shift, num.min_exp())
-        shift = min(shift, den.min_exp())
-        if shift < 0:
-            num = num.shift(-shift)
-            den = den.shift(-shift)
-        if num.is_zero():
-            object.__setattr__(self, "num", LP_ZERO)
-            object.__setattr__(self, "den", LP_ONE)
-            return
-        g = LaurentPoly.gcd_ordinary(num, den)
-        if g.degree() > 0 or g.coeff(0) != QI_ONE:
-            num, _ = num.divmod_ordinary(g)
-            den, _ = den.divmod_ordinary(g)
-        lead = den.leading_coeff()
-        if lead != QI_ONE:
-            inv = lead.inverse()
-            num = num.scale(inv)
-            den = den.scale(inv)
+        if not nc:
+            num, den = LP_ZERO, LP_ONE
+        elif len(dc) == 1:
+            # Monomial denominator c*z^k: its gcd with the numerator is
+            # z^min(k, ord_0 num), so no Euclidean gcd is needed.
+            ((k, c),) = dc.items()
+            s = min(k, min(nc))
+            if s:
+                num = num.shift(-s)
+            if c != QI_ONE:
+                num = num.scale(c.inverse())
+            den = LP_ONE if k == s else _lp({k - s: QI_ONE})
+        else:
+            # Clear negative exponents so both parts become ordinary polynomials.
+            shift = min(0, min(nc), min(dc))
+            if shift < 0:
+                num = num.shift(-shift)
+                den = den.shift(-shift)
+            g = LaurentPoly.gcd_ordinary(num, den)
+            if g.degree() > 0 or g.coeff(0) != QI_ONE:
+                num, _ = num.divmod_ordinary(g)
+                den, _ = den.divmod_ordinary(g)
+            lead = den.leading_coeff()
+            if lead != QI_ONE:
+                inv = lead.inverse()
+                num = num.scale(inv)
+                den = den.scale(inv)
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
 
@@ -528,7 +644,7 @@ class RationalFunction:
     __radd__ = __add__
 
     def __neg__(self):
-        return RationalFunction(-self.num, self.den)
+        return _rf(-self.num, self.den)
 
     def __sub__(self, other):
         return self + (-self._coerce(other))
@@ -667,6 +783,14 @@ class RationalFunction:
         return RationalFunction(
             LaurentPoly.from_json(data["num"]), LaurentPoly.from_json(data["den"])
         )
+
+
+def _rf(num: LaurentPoly, den: LaurentPoly) -> RationalFunction:
+    """Trusted constructor for a pair already in canonical form."""
+    f = _new(RationalFunction)
+    object.__setattr__(f, "num", num)
+    object.__setattr__(f, "den", den)
+    return f
 
 
 RF_ZERO = RationalFunction(LP_ZERO)

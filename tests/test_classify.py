@@ -110,6 +110,12 @@ class TestProbes:
         b = uniqueness_probe(*args, trials=3, seed=5, window=(-7, 7))
         assert (a.status, a.trials, a.detail) == (b.status, b.trials, b.detail)
 
+    @pytest.mark.parametrize("trials", [0, -1, -25])
+    @pytest.mark.parametrize("kind", ["III", "EQUAL"])
+    def test_probe_rejects_trial_counts_below_one(self, trials, kind):
+        with pytest.raises(ValueError, match="trials >= 1"):
+            uniqueness_probe(WeightSet("even"), ClassSpec(kind), casimir_triple(0, 0, 1), trials=trials)
+
     def test_probe_inapplicable_for_equal_degrees(self):
         probe = uniqueness_probe(WeightSet("even"), ClassSpec("EQUAL"), casimir_triple(0, 0, 1))
         assert probe.status == "inapplicable"

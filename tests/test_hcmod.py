@@ -266,6 +266,74 @@ class TestFibers:
         assert boundaries == [boundaries[0]] * len(windows)
 
 
+GROWING_WINDOWS = [(-6, 6), (-8, 8), (-30, 30)]
+CLASSES_I_TO_IV = [ClassSpec("I", 2), ClassSpec("II", 0), ClassSpec("III"), ClassSpec("IV")]
+
+
+def class_module_with_overrides(cls):
+    """A class I-IV module with rescaled overrides at 0 and 2; the overrides and
+    the pivot (0 or 2) lie in the smallest of GROWING_WINDOWS."""
+    module = construct(WeightSet("even"), cls, casimir_triple(0, Fraction(1, 3), 1))
+    t = module.transitions
+    for n, mu in ((0, QI(2)), (2, QI(0, 1))):
+        A, B = module.transition_polys(n)
+        t = t.with_override(n, A.scale(mu), B.scale(mu.inverse()))
+    return dataclasses.replace(module, transitions=t)
+
+
+class TestWindowGrowth:
+    """Once the window holds every override and the pivot, growing it must not
+    change the verdicts of ``validate`` and ``iso_check``."""
+
+    @pytest.mark.parametrize("cls", CLASSES_I_TO_IV, ids=str)
+    def test_validate_verdicts_unchanged(self, cls):
+        module = class_module_with_overrides(cls)
+        t = module.transitions
+        A, B = module.transition_polys(2)
+        corrupted = dataclasses.replace(module, transitions=t.with_override(2, A.scale(2), B))
+
+        def flipped(side):
+            rule = getattr(t, side)
+            other = TailRule("B" if rule.unit_on == "A" else "A", rule.value)
+            return dataclasses.replace(module, transitions=dataclasses.replace(t, **{side: other}))
+
+        assert all(validate(module, w).ok for w in GROWING_WINDOWS)
+        reports = [validate(corrupted, w).to_json() for w in GROWING_WINDOWS]
+        assert reports == [reports[0]] * len(reports)
+        assert [v["where"] for v in reports[0]["violations"]] == ["2"]
+        for side, where in (("rule_up", "tail-up"), ("rule_down", "tail-down")):
+            bad = flipped(side)
+            # The in-window violations grow with the window; the tail verdict
+            # is decided symbolically and must not.
+            tails = []
+            for w in GROWING_WINDOWS:
+                report = validate(bad, w)
+                assert not report.ok
+                tails.append([v.to_json() for v in report.violations if str(v.where).startswith("tail")])
+            assert [[v["where"] for v in tv] for tv in tails] == [[where]] * len(tails)
+            assert tails == [tails[0]] * len(tails)
+
+    @pytest.mark.parametrize("cls", CLASSES_I_TO_IV, ids=str)
+    def test_iso_check_verdicts_unchanged(self, cls):
+        module = class_module_with_overrides(cls)
+        canonical = construct(WeightSet("even"), cls, casimir_triple(0, Fraction(1, 3), 1))
+        other_casimir = construct(WeightSet("even"), cls, casimir_triple(0, Fraction(1, 5), 1))
+        pairs = {
+            "rescaled": (canonical, module),
+            "twisted": (module, picard_twist(module, 1)),
+            "casimir": (module, other_casimir),
+        }
+        for name, (m1, m2) in pairs.items():
+            results = [iso_check(m1, m2, w) for w in GROWING_WINDOWS]
+            verdicts = [(r.isomorphic, r.obstruction) for r in results]
+            assert verdicts == [verdicts[0]] * len(verdicts), name
+            assert verdicts[0][0] is (name == "rescaled"), name
+        small, *larger = [iso_check(canonical, module, w).scalars for w in GROWING_WINDOWS]
+        assert small[0] == QI(2) and small[2] == QI(0, 1)
+        for scalars in larger:
+            assert {n: scalars[n] for n in small} == small
+
+
 class TestIsomorphism:
     def test_rescaled_module_isomorphic(self):
         module = ascending_module()

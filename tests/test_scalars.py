@@ -1,6 +1,7 @@
 """Unit and property tests for the exact scalar tower."""
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -223,3 +224,131 @@ class TestRoots:
     def test_cubic_rejected(self):
         with pytest.raises(ValueError):
             poly_roots(lp({3: 1, 0: 1}))
+
+
+# ---------------------------------------------------------------------------
+# The integer-triple representation of Q(i)
+# ---------------------------------------------------------------------------
+
+
+def assert_normal(g):
+    a, b, d = g._a, g._b, g._d
+    assert type(a) is int and type(b) is int and type(d) is int
+    assert d > 0 and math.gcd(a, b, d) == 1
+
+
+def old_str(g):
+    """The text form of the former (Fraction, Fraction) representation."""
+    re, im = g.re, g.im
+    if im == 0:
+        return str(re)
+    if re == 0:
+        return f"{im}*i"
+    return f"{re}{'+' if im > 0 else '-'}{abs(im)}*i"
+
+
+class TestTripleRepresentation:
+    @given(gaussians, nonzero_gaussians)
+    def test_normal_form_after_every_operation(self, a, b):
+        results = [a, b, a + b, a - b, a * b, a / b, -a, a.conjugate(), b.inverse(), b**3, b**-2]
+        results += [a + 1, 2 - a, a * Fraction(3, 4), Fraction(1, 6) / b, a + a, a - a]
+        for g in results:
+            assert_normal(g)
+
+    def test_normal_form_of_public_constructor(self):
+        assert_normal(GaussianRational(Fraction(2, 4), Fraction(-3, 6)))
+        assert_normal(GaussianRational(Fraction(1, 6), Fraction(1, 10)))
+        assert (GaussianRational(0)._a, GaussianRational(0)._d) == (0, 1)
+        assert (QI_ZERO * GaussianRational(Fraction(1, 3)))._d == 1
+
+    @given(fractions_)
+    def test_real_values_equal_and_hash_like_fractions(self, f):
+        g = GaussianRational(f)
+        assert g == f and f == g and hash(g) == hash(f)
+        assert (g + QI_I - QI_I) == f and hash(g + QI_I - QI_I) == hash(f)
+        if f.denominator == 1:
+            n = int(f)
+            assert g == n and n == g and hash(g) == hash(n)
+        assert {f: "x"}[g] == "x"
+
+    def test_hash_of_half(self):
+        assert hash(GaussianRational(Fraction(1, 2))) == hash(Fraction(1, 2))
+        assert GaussianRational(Fraction(1, 2)) != 1 and GaussianRational(1, 1) != 1
+
+    @given(gaussians, gaussians)
+    def test_equal_values_equal_hashes(self, a, b):
+        s = a + b
+        assert s - b == a and hash(s - b) == hash(a)
+        assert hash(a) == hash(GaussianRational(a.re, a.im))
+
+    @given(gaussians)
+    def test_re_and_im_are_fractions(self, g):
+        assert type(g.re) is Fraction and type(g.im) is Fraction
+        assert GaussianRational(g.re, g.im) == g
+        assert g.re == Fraction(g._a, g._d) and g.im == Fraction(g._b, g._d)
+
+    @given(gaussians, nonzero_gaussians)
+    def test_str_parse_round_trip_of_results(self, a, b):
+        for g in (a * b, a / b, a - b, -a):
+            assert str(g) == old_str(g)
+            assert GaussianRational.parse(str(g)) == g
+
+    def test_no_fraction_is_built_by_arithmetic(self, monkeypatch):
+        rng = random.Random(5)
+        values = [
+            GaussianRational(Fraction(rng.randint(-30, 30), rng.randint(1, 12)),
+                             Fraction(rng.randint(-30, 30), rng.randint(1, 12)))
+            for _ in range(300)
+        ]
+        values = [v for v in values if v]
+        third = Fraction(1, 3)
+        built = []
+        original = Fraction.__new__
+
+        def counting_new(cls, *args, **kwargs):
+            built.append(args)
+            return original(cls, *args, **kwargs)
+
+        monkeypatch.setattr(Fraction, "__new__", counting_new)
+        Fraction(1, 2)
+        assert len(built) == 1, "the counter does not see Fraction construction"
+        built.clear()
+        results = []
+        for x, y in zip(values, values[1:]):
+            results += [x * y, x + y, x - y, x.inverse(), x / y, -x, x.conjugate()]
+            results += [x * 2, 1 - x, x + third, x**3, x == y, x == third, bool(x)]
+        assert built == []
+        assert len(results) == 14 * (len(values) - 1)
+
+
+class TestMonomialDenominator:
+    @given(nonzero_laurents, nonzero_gaussians, st.integers(-4, 4))
+    @settings(max_examples=60)
+    def test_matches_general_gcd_path(self, num, c, k):
+        den = LaurentPoly.monomial(k, c)
+        f = RationalFunction(num, den)
+        # A common factor z + 1 makes the denominator no monomial, so the
+        # Euclidean gcd path normalises the same quotient.
+        factor = lp({1: 1, 0: 1})
+        general = RationalFunction(num * factor, den * factor)
+        assert (f.num, f.den) == (general.num, general.den)
+        assert f.den.coeffs == {f.den.degree(): QI_ONE}
+        s = min(k, num.min_exp())
+        assert f.num == num.shift(-s).scale(c.inverse())
+        assert f.den == LaurentPoly.monomial(k - s)
+        assert f.num.is_ordinary() and (f.den.degree() == 0 or f.num.coeff(0))
+
+    def test_monomial_denominator_skips_the_euclidean_gcd(self, monkeypatch):
+        calls = []
+        gcd = LaurentPoly.gcd_ordinary
+
+        def counting(a, b):
+            calls.append((a, b))
+            return gcd(a, b)
+
+        monkeypatch.setattr(LaurentPoly, "gcd_ordinary", staticmethod(counting))
+        f = RationalFunction(lp({3: 2, 1: 4}), lp({2: 6}))
+        assert (f.num, f.den) == (lp({2: Fraction(1, 3), 0: Fraction(2, 3)}), lp({1: 1}))
+        assert calls == []
+        RationalFunction(lp({1: 1}), lp({1: 1, 0: 1}))
+        assert len(calls) == 1
