@@ -19,6 +19,7 @@ from .scalars import (
     RationalFunction,
     RF_ONE,
     RF_Z,
+    RF_ZERO,
 )
 from . import liefam, hcmod, classify, grassfam
 from .liefam import (
@@ -87,11 +88,11 @@ def criterion_1() -> Result:
         if witness is not None:
             return (name, False, f"jacobi fails on {fam.labels}: {witness}")
     good = contraction_family(sl2_algebra(), sl2_involution())
-    tbl = [[[c for c in row] for row in plane] for plane in good.constants]
-    tbl[0][1][1] = tbl[0][1][1] + RF_Z  # corrupt [k0, p0]
+    cells = [[dict(cell) for cell in row] for row in good.constants]
+    cells[0][1][1] = cells[0][1].get(1, RF_ZERO) + RF_Z  # corrupt [k0, p0]
     import dataclasses
 
-    bad = dataclasses.replace(good, constants=liefam._freeze(tbl))
+    bad = dataclasses.replace(good, constants=liefam._sparse_table(cells))
     if jacobi_check(bad) is None:
         return (name, False, "corrupted family passed the Jacobi check")
     return (name, True, "8 families pass; corrupted family yields a witness")
@@ -400,7 +401,7 @@ def criterion_10() -> Result:
         if verify_subalgebra(pencil_basis(pen)) is not None:
             return (name, False, f"symbolic pencil not a subalgebra, p={pen.p} q={pen.q}")
         for boundary in (GaussianRational(0), INFINITY):
-            limited = limit_subspace(pen, boundary)
+            limited = [grassfam.sparse_pair(v) for v in limit_subspace(pen, boundary)]
             for i, x in enumerate(limited):
                 for j, y in enumerate(limited):
                     if not grassfam._pair_is_zero(grassfam.pair_bracket(x, y)):

@@ -8,6 +8,7 @@ Exit codes: 0 success / verdict pass, 1 verdict fail, 2 malformed request,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -363,21 +364,26 @@ def _parse_pq(text: str):
     return p, q
 
 
+def _pencil_parameter(text: str):
+    """The finite parameter --at, or None (symbolic) when it is empty."""
+    t = parse_point(text) if text else None
+    if t is INFINITY:
+        raise RequestError("use the limit action for boundary parameters")
+    return t
+
+
 def cmd_grassmann(args) -> int:
     p, q = _parse_pq(args.pq)
     pencil = GrassmannPencil(p, q, det_one=args.det_one)
     if args.action == "pencil":
-        t = parse_point(args.at) if args.at else None
-        if t is INFINITY:
-            raise RequestError("use the limit action for boundary parameters")
-        emit({"basis": [pair_json(v) for v in pencil_basis(pencil, t)]})
+        emit({"basis": [pair_json(v) for v in pencil_basis(pencil, _pencil_parameter(args.at))]})
         return 0
     if args.action == "limit":
         boundary = parse_point(args.boundary)
         emit({"basis": [pair_json(v) for v in limit_subspace(pencil, boundary)]})
         return 0
     if args.action == "subalg":
-        witness = verify_subalgebra(pencil_basis(pencil))
+        witness = verify_subalgebra(pencil_basis(pencil, _pencil_parameter(args.at)))
         if witness is None:
             emit({"subalgebra": True})
             return 0
@@ -428,8 +434,16 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """Turns a usage error into a malformed request (usage text on stderr)."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise RequestError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="hcfam",
         description="Exact computations with algebraic families of Lie algebras "
         "and Harish-Chandra modules over the projective line.",
@@ -499,12 +513,16 @@ def _merge_dash_values(argv):
     return out
 
 
+@functools.lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:  # built on the first request, then reused
+    return build_parser()
+
+
 def run(argv=None) -> int:
-    parser = build_parser()
     if argv is None:
         argv = sys.argv[1:]
-    args = parser.parse_args(_merge_dash_values(list(argv)))
     try:
+        args = _parser().parse_args(_merge_dash_values(list(argv)))
         return args.handler(args)
     except RequestError as e:
         emit({"error": "request", "message": str(e)})

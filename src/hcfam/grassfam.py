@@ -9,6 +9,10 @@ off-diagonal pairs
 B of shape q x p and C of shape p x q.  Limits at t -> 0 and t -> infinity
 are taken vector by vector in the Grassmannian; real forms are cut out by
 the antiholomorphic involution built from J = diag(I_q, -I_p).
+
+Bases are returned as dense pairs.  Brackets and products are formed on
+sparse pairs, the dicts {(s, r, c): entry} of the nonzero entries of the two
+matrices, and reach ``Span`` as their nonzero flat coordinates.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ from .scalars import (
     INFINITY,
     GaussianRational,
     Point,
+    QI_I,
     QI_ZERO,
     QI_ONE,
     RationalFunction,
@@ -29,12 +34,11 @@ from .scalars import (
     RF_Z,
 )
 from .linalg import ExactMatrix, Span, kernel, span_rank, structure_constants
-from .linalg import _is_zero, _mat_add, _mat_mul, _mat_scale, _mat_sub
+from .linalg import _mat_scale, _mat_sub
 from .liefam import (
     FamilyMorphism,
     LieAlgebra,
     LieFamily,
-    _freeze,
     check_morphism,
     contraction_family,
     fiber_invariants,
@@ -52,6 +56,7 @@ class NoIsomorphismFound(Exception):
 
 
 MatrixPair = Tuple[tuple, tuple]  # two n x n matrices as tuples of row tuples
+SparsePair = dict  # the nonzero entries {(s, r, c): x}, s = 0, 1 for the two matrices
 
 
 @dataclass(frozen=True)
@@ -80,35 +85,57 @@ def _elementary(n: int, i: int, j: int, one, zero):
     )
 
 
-def pair_add(x: MatrixPair, y: MatrixPair) -> MatrixPair:
-    return (_mat_add(x[0], y[0]), _mat_add(x[1], y[1]))
-
-
 def pair_scale(x: MatrixPair, c) -> MatrixPair:
     return (_mat_scale(x[0], c), _mat_scale(x[1], c))
 
 
-def pair_bracket(x: MatrixPair, y: MatrixPair) -> MatrixPair:
-    return (
-        _mat_sub(_mat_mul(x[0], y[0]), _mat_mul(y[0], x[0])),
-        _mat_sub(_mat_mul(x[1], y[1]), _mat_mul(y[1], x[1])),
-    )
+def sparse_pair(x: MatrixPair) -> SparsePair:
+    return {(s, r, c): v for s, m in enumerate(x) for r, row in enumerate(m) for c, v in enumerate(row) if v}
 
 
-def pair_product(x: MatrixPair, y: MatrixPair) -> MatrixPair:
-    return (_mat_mul(x[0], y[0]), _mat_mul(x[1], y[1]))
+def _dense_pair(x: SparsePair, n: int, zero) -> MatrixPair:
+    return tuple(tuple(tuple(x.get((s, r, c), zero) for c in range(n)) for r in range(n)) for s in (0, 1))
 
 
-def flatten_pair(x: MatrixPair) -> list:
-    out = []
-    for m in x:
-        for row in m:
-            out.extend(row)
+def _product(x: SparsePair, y: SparsePair) -> dict:
+    """x y in each component, from the products of nonzero entries only."""
+    rows = {}
+    for (s, k, c), b in y.items():
+        rows.setdefault((s, k), []).append((c, b))
+    out = {}
+    for (s, r, k), a in x.items():
+        for c, b in rows.get((s, k), ()):
+            key = (s, r, c)
+            out[key] = out[key] + a * b if key in out else a * b
     return out
 
 
-def _pair_is_zero(x: MatrixPair) -> bool:
-    return all(_is_zero(v) for v in flatten_pair(x))
+def _cleaned(x: dict) -> SparsePair:
+    return {key: v for key, v in x.items() if v}
+
+
+def pair_bracket(x: SparsePair, y: SparsePair) -> SparsePair:
+    out = _product(x, y)
+    for key, v in _product(y, x).items():
+        out[key] = out[key] - v if key in out else -v
+    return _cleaned(out)
+
+
+def pair_product(x: SparsePair, y: SparsePair) -> SparsePair:
+    return _cleaned(_product(x, y))
+
+
+def flatten_pair(x: MatrixPair) -> list:
+    return [v for m in x for row in m for v in row]
+
+
+def _flat(x: SparsePair, n: int) -> list:
+    """The nonzero entries of ``flatten_pair`` of x, as (index, entry) pairs."""
+    return [(s * n * n + r * n + c, v) for (s, r, c), v in x.items()]
+
+
+def _pair_is_zero(x: SparsePair) -> bool:
+    return not x
 
 
 # ---------------------------------------------------------------------------
@@ -119,17 +146,14 @@ def _pair_is_zero(x: MatrixPair) -> bool:
 def k_basis(pencil: GrassmannPencil, one=QI_ONE, zero=QI_ZERO) -> List[MatrixPair]:
     """Diagonally embedded basis of gl(q) x gl(p), trace part removed when
     det_one: diagonal units are replaced by consecutive differences."""
-    n = pencil.n
-    q = pencil.q
+    n, q = pencil.n, pencil.q
     out = []
-    blocks = [range(q), range(q, n)]
-    for block in blocks:
+    for block in (range(q), range(q, n)):
         for i in block:
             for j in block:
-                if i == j:
-                    continue
-                e = _elementary(n, i, j, one, zero)
-                out.append((e, e))
+                if i != j:
+                    e = _elementary(n, i, j, one, zero)
+                    out.append((e, e))
     if pencil.det_one:
         for i in range(n - 1):
             e = _mat_sub(
@@ -163,10 +187,7 @@ def p_basis(pencil: GrassmannPencil, t=None) -> List[MatrixPair]:
 
 
 def pencil_basis(pencil: GrassmannPencil, t=None) -> List[MatrixPair]:
-    if t is None:
-        kb = k_basis(pencil, RF_ONE, RF_ZERO)
-    else:
-        kb = k_basis(pencil)
+    kb = k_basis(pencil, RF_ONE, RF_ZERO) if t is None else k_basis(pencil)
     return kb + p_basis(pencil, t)
 
 
@@ -186,11 +207,9 @@ def _limit_vector(pair: MatrixPair, boundary: Point) -> MatrixPair:
         norm = RationalFunction.monomial(m)
     else:
         norm = (RF_Z - RationalFunction.constant(boundary)) ** (-m)
-    normalized = pair_scale(pair, norm)
-    def ev(f: RationalFunction) -> GaussianRational:
-        return f.evaluate_point(boundary)
     return tuple(
-        tuple(tuple(ev(v) for v in row) for row in mat) for mat in normalized
+        tuple(tuple(v.evaluate_point(boundary) for v in row) for row in mat)
+        for mat in pair_scale(pair, norm)
     )
 
 
@@ -201,9 +220,7 @@ def limit_subspace(pencil: GrassmannPencil, boundary: Point) -> List[MatrixPair]
     limited = [_limit_vector(v, boundary) for v in p_basis(pencil)]
     expected = 2 * pencil.p * pencil.q
     if span_rank([flatten_pair(v) for v in limited]) != expected:
-        raise RankDropAtLimit(
-            f"limit at {boundary} spans less than dimension {expected}"
-        )
+        raise RankDropAtLimit(f"limit at {boundary} spans less than dimension {expected}")
     return limited
 
 
@@ -212,12 +229,18 @@ def limit_subspace(pencil: GrassmannPencil, boundary: Point) -> List[MatrixPair]
 # ---------------------------------------------------------------------------
 
 
+def _span_of(basis: Sequence[MatrixPair]):
+    """The Span of the flattened pairs, the pairs as sparse pairs, and n."""
+    n = len(basis[0][0]) if basis else 0
+    return Span([flatten_pair(v) for v in basis]), [sparse_pair(v) for v in basis], n
+
+
 def verify_subalgebra(basis: Sequence[MatrixPair]):
     """None when every pairwise bracket lies in the span; else (i, j)."""
-    span = Span([flatten_pair(v) for v in basis])
+    span, sparse, n = _span_of(basis)
     for i in range(len(basis)):
         for j in range(i + 1, len(basis)):
-            if not span.contains(flatten_pair(pair_bracket(basis[i], basis[j]))):
+            if not span.sparse_contains(_flat(pair_bracket(sparse[i], sparse[j]), n)):
                 return (i, j)
     return None
 
@@ -233,16 +256,15 @@ def fiber_group_closure_check(
     """
     if p_pairs is None:
         p_pairs = limit_subspace(pencil, boundary)
-    span = Span([flatten_pair(v) for v in p_pairs])
-    for i, x in enumerate(p_pairs):
-        for j, y in enumerate(p_pairs):
+    span, sparse, n = _span_of(p_pairs)
+    for i, x in enumerate(sparse):
+        for j, y in enumerate(sparse):
             if not _pair_is_zero(pair_product(x, y)):
                 return f"product of limit vectors {i} and {j} is nonzero"
-    kb = k_basis(pencil)
-    for a, d in enumerate(kb):
-        for i, x in enumerate(p_pairs):
+    for a, d in enumerate(map(sparse_pair, k_basis(pencil))):
+        for i, x in enumerate(sparse):
             for prod, side in ((pair_product(d, x), "left"), (pair_product(x, d), "right")):
-                if not span.contains(flatten_pair(prod)):
+                if not span.sparse_contains(_flat(prod, n)):
                     return f"{side} action of k vector {a} leaves the limit space at {i}"
     return None
 
@@ -254,12 +276,13 @@ def fiber_group_closure_check(
 
 def family_from_pairs(labels: Sequence[str], basis: Sequence[MatrixPair]) -> LieFamily:
     """Structure constants of a pencil basis over the function field."""
+    span, sparse, n = _span_of(basis)
     tbl = structure_constants(
-        Span([flatten_pair(v) for v in basis]),
-        lambda i, j: flatten_pair(pair_bracket(basis[i], basis[j])),
+        span,
+        lambda i, j: _flat(pair_bracket(sparse[i], sparse[j]), n),
         lambda i, j: NoIsomorphismFound("pencil basis is not bracket-closed"),
     )
-    return LieFamily(labels=tuple(labels), constants=_freeze(tbl))
+    return LieFamily(labels=tuple(labels), constants=tbl)
 
 
 def contraction_comparison(pencil: GrassmannPencil) -> FamilyMorphism:
@@ -292,40 +315,31 @@ class RealStructureSpec:
 
     def j_matrix(self, one=QI_ONE, zero=QI_ZERO):
         n = self.p + self.q
-        return tuple(
-            tuple(
-                (one if i < self.q else zero - one) if i == j else zero
-                for j in range(n)
-            )
-            for i in range(n)
-        )
+        return tuple(tuple((one if i < self.q else -one) if i == j else zero for j in range(n)) for i in range(n))
 
     def apply(self, pair: MatrixPair) -> MatrixPair:
-        J = self.j_matrix()
-        def star(m):
-            n = len(m)
-            return tuple(
-                tuple(m[j][i].conjugate() for j in range(n)) for i in range(n)
-            )
-        def half(m):
-            return _mat_scale(_mat_mul(_mat_mul(J, star(m)), J), -QI_ONE)
-        return (half(pair[1]), half(pair[0]))
+        return _dense_pair(self.sparse_apply(sparse_pair(pair)), self.p + self.q, QI_ZERO)
+
+    def sparse_apply(self, x: SparsePair) -> SparsePair:
+        """J is diagonal, so (-J M* J)_rc = -J_r J_c conj(M_cr): the conjugate
+        of M_cr, negated inside the diagonal blocks."""
+        q = self.q
+        return {
+            (1 - s, c, r): v.conjugate() if (r < q) != (c < q) else -v.conjugate()
+            for (s, r, c), v in x.items()
+        }
 
 
-def _real_coords(pair: MatrixPair) -> List[Fraction]:
-    out = []
-    for v in flatten_pair(pair):
-        out.append(v.re)
-        out.append(v.im)
-    return out
+def _real_flat(x: SparsePair, n: int) -> list:
+    """The nonzero rational coordinates (index, entry) of x: index 2j holds
+    the real part and 2j + 1 the imaginary part of flat entry j."""
+    return [(2 * j + part, v) for j, e in _flat(x, n) for part, v in enumerate((e.re, e.im)) if v]
 
 
-def _real_basis(basis: Sequence[MatrixPair]) -> List[MatrixPair]:
-    """Q-basis {b, i*b} of the fibers viewed as rational vector spaces."""
-    out = []
-    for b in basis:
-        out.append(b)
-        out.append(pair_scale(b, GaussianRational(0, 1)))
+def _real_coords(x: SparsePair, n: int) -> List[Fraction]:
+    out = [Fraction(0)] * (4 * n * n)
+    for j, v in _real_flat(x, n):
+        out[j] = v
     return out
 
 
@@ -351,66 +365,59 @@ def real_form_at(pencil: GrassmannPencil, x) -> RealFormReport:
         if not x.is_real():
             raise ValueError("real forms live over real points")
         fiber = k_basis(pencil) + p_basis(pencil, x)
-    sigma = RealStructureSpec(pencil.p, pencil.q)
-    rb = _real_basis(fiber)
-    span = Span([_real_coords(v) for v in rb])
+    n, sigma = pencil.n, RealStructureSpec(pencil.p, pencil.q)
+    # The Q-basis {b, i*b} of the fiber viewed as a rational vector space.
+    rb = [v for b in map(sparse_pair, fiber) for v in (b, {key: QI_I * e for key, e in b.items()})]
+    span = Span([_real_coords(v, n) for v in rb])
     # Matrix of sigma on the fiber in the rational basis.
-    columns = []
-    for v in rb:
-        img = span.coordinates(_real_coords(sigma.apply(v)))
-        if img is None:
-            raise ValueError("real structure does not preserve this fiber")
-        columns.append(img)
+    columns = [span.coordinates(_real_coords(sigma.sparse_apply(v), n)) for v in rb]
+    if None in columns:
+        raise ValueError("real structure does not preserve this fiber")
     m = len(rb)
     fixed_system = ExactMatrix(
         [
-            [columns[j][i] - (Fraction(1) if i == j else Fraction(0)) for j in range(m)]
+            [columns[j][i] - 1 if i == j else columns[j][i] for j in range(m)]
             for i in range(m)
         ]
     )
     kernel_basis = kernel(fixed_system, Fraction(1), Fraction(0))
-    real_basis = []
-    for coeffs in kernel_basis:
-        acc = None
-        for c, v in zip(coeffs, rb):
-            if c == 0:
-                continue
-            term = pair_scale(v, GaussianRational(c))
-            acc = term if acc is None else pair_add(acc, term)
-        real_basis.append(acc)
-    constants = _structure_constants_real(real_basis)
-    killing = _killing_matrix(constants)
-    signature = sylvester_signature(killing)
-    algebra = LieAlgebra.from_constants(
-        tuple(f"r{i}" for i in range(len(real_basis))),
-        [
-            [[GaussianRational(c) for c in row] for row in plane]
-            for plane in constants
-        ],
+    real_basis = [_combination(coeffs, rb) for coeffs in kernel_basis]
+    constants = _structure_constants_real(real_basis, n)
+    signature = sylvester_signature(_killing_matrix(constants))
+    algebra = LieAlgebra.from_constants(tuple(f"r{i}" for i in range(len(real_basis))), constants)
+    return RealFormReport(
+        [_dense_pair(v, n, QI_ZERO) for v in real_basis], signature, fiber_invariants(algebra)
     )
-    return RealFormReport(real_basis, signature, fiber_invariants(algebra))
 
 
-def _structure_constants_real(basis: Sequence[MatrixPair]) -> list:
+def _combination(coeffs: Sequence[Fraction], pairs: Sequence[SparsePair]) -> SparsePair:
+    """The sum of c * v over the nonzero rational coefficients c."""
+    acc = {}
+    for c, v in zip(coeffs, pairs):
+        if c:
+            c = GaussianRational(c)
+            for key, e in v.items():
+                acc[key] = acc[key] + c * e if key in acc else c * e
+    return _cleaned(acc)
+
+
+def _structure_constants_real(basis: Sequence[SparsePair], n: int) -> tuple:
+    """The rational structure constants of a real form given by sparse pairs."""
     return structure_constants(
-        Span([_real_coords(v) for v in basis]),
-        lambda i, j: _real_coords(pair_bracket(basis[i], basis[j])),
+        Span([_real_coords(v, n) for v in basis]),
+        lambda i, j: _real_flat(pair_bracket(basis[i], basis[j]), n),
         lambda i, j: ValueError("real form is not bracket-closed"),
     )
 
 
 def _killing_matrix(constants) -> List[List[Fraction]]:
     """B(e_a, e_b) = tr(ad e_a ad e_b) = sum over j, k of c_aj^k c_bk^j,
-    summed over the nonzero constants only."""
-    d = len(constants)
-    out = []
-    for a in range(d):
-        terms = [(j, k, c) for j in range(d) for k, c in enumerate(constants[a][j]) if c != 0]
-        out.append(
-            [sum((c * constants[b][k][j] for j, k, c in terms if constants[b][k][j] != 0), Fraction(0))
-             for b in range(d)]
-        )
-    return out
+    summed over the nonzero constants of the sparse table only."""
+    ad = [{(j, k): c for j, cell in enumerate(row) for k, c in cell} for row in constants]
+    return [
+        [sum((c * ad_b[k, j] for (j, k), c in ad_a.items() if (k, j) in ad_b), Fraction(0)) for ad_b in ad]
+        for ad_a in ad
+    ]
 
 
 def sylvester_signature(sym: Sequence[Sequence[Fraction]]) -> Tuple[int, int, int]:

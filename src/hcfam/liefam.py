@@ -5,6 +5,10 @@ given by structure constants that are rational functions of the chart
 coordinate.  Families are stored chartwise: the main chart is ``affine-z``
 (coordinate z near 0) and a family may carry companion constants in the
 coordinate w = 1/z, giving the fiber at infinity.
+
+Structure constants are stored sparse: ``constants[i][j]`` is a tuple of the
+(k, c) pairs with c the nonzero coordinate of [e_i, e_j] along e_k, in
+increasing k.  Every loop over a table runs over these nonzero entries only.
 """
 
 from __future__ import annotations
@@ -12,8 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .linalg import ExactMatrix, Span, echelon_basis, kernel, structure_constants
-from .linalg import _flatten, _mat_add, _mat_mul, _mat_sub, _unit_vectors
+from .linalg import ExactMatrix, Span, echelon_basis, kernel, span_rank, structure_constants
+from .linalg import _flatten, _mat_add, _mat_mul, _mat_sub, _nonzero, _unit_vectors
 from .scalars import (
     INFINITY,
     GaussianRational,
@@ -49,11 +53,11 @@ class InvalidInvolution(Exception):
 class LieAlgebra:
     """A finite-dimensional Lie algebra over Q(i) given by structure constants.
 
-    ``constants[i][j]`` is the coordinate vector of [e_i, e_j].
+    ``constants[i][j]`` holds the nonzero coordinates (k, c) of [e_i, e_j].
     """
 
     labels: tuple
-    constants: tuple  # d x d x d GaussianRational
+    constants: tuple  # d x d tuples of (k, GaussianRational), k increasing
 
     @property
     def rank(self) -> int:
@@ -61,15 +65,9 @@ class LieAlgebra:
 
     @staticmethod
     def from_constants(labels: Sequence[str], constants) -> "LieAlgebra":
-        d = len(labels)
-        tbl = tuple(
-            tuple(
-                tuple(GaussianRational._coerce(constants[i][j][k]) for k in range(d))
-                for j in range(d)
-            )
-            for i in range(d)
-        )
-        bad = jacobi_witness(tbl, QI_ONE, QI_ZERO)
+        """``constants[i][j]``: (k, c) pairs, or a mapping k -> c, of exact scalars."""
+        tbl = _sparse_table(constants, GaussianRational._coerce)
+        bad = jacobi_witness(tbl, QI_ZERO)
         if bad is not None:
             i, j, k, _ = bad
             if k is None:
@@ -81,67 +79,74 @@ class LieAlgebra:
         return bracket_with(self.constants, u, v, QI_ZERO)
 
     def jacobi_counterexample(self):
-        return jacobi_witness(self.constants, QI_ONE, QI_ZERO)
+        return jacobi_witness(self.constants, QI_ZERO)
+
+
+def _sparse_table(cells, f=lambda c: c) -> tuple:
+    """The sparse table of ``cells`` (each a sequence of (k, c) pairs or a
+    mapping k -> c): the pairs (k, f(c)) with f(c) nonzero, in increasing k."""
+    return tuple(
+        tuple(tuple((k, v) for k, v in ((k, f(c)) for k, c in sorted(dict(cell).items())) if v) for cell in row)
+        for row in cells
+    )
 
 
 def bracket_with(constants, u: Sequence, v: Sequence, zero) -> list:
-    """[u, v] in coordinates, where ``constants[i][j]`` is the coordinate
-    vector of [e_i, e_j] and ``zero`` is the zero of the coefficient field."""
-    d = len(constants)
-    out = [zero] * d
-    for i in range(d):
-        if u[i].is_zero():
-            continue
-        for j in range(d):
-            if v[j].is_zero():
-                continue
-            f = u[i] * v[j]
-            for k in range(d):
-                c = constants[i][j][k]
-                if not c.is_zero():
-                    out[k] = out[k] + f * c
+    """[u, v] in coordinates, where ``constants[i][j]`` holds the nonzero
+    coordinates (k, c) of [e_i, e_j] and ``zero`` is the zero of the
+    coefficient field."""
+    out = [zero] * len(constants)
+    v_nonzero = [(j, y) for j, y in enumerate(v) if y]
+    for i, x in enumerate(u):
+        if x:
+            row = constants[i]
+            for j, y in v_nonzero:
+                if row[j]:
+                    f = x * y
+                    for k, c in row[j]:
+                        out[k] = out[k] + f * c
     return out
 
 
-def jacobi_witness(constants, one, zero):
+def jacobi_witness(constants, zero):
     """None when the structure constants are antisymmetric and satisfy Jacobi.
 
     Otherwise the first failure: ``(i, j, None, "antisymmetry fails")`` when
-    [e_i, e_j] != -[e_j, e_i], else ``(i, j, k, residual)`` for the first basis
-    triple whose Jacobi sum ``residual`` is nonzero.
+    [e_i, e_j] != -[e_j, e_i] (the first such pair has i <= j), else
+    ``(i, j, k, residual)`` for the first basis triple whose Jacobi sum, a
+    coordinate vector, is nonzero.  Each cyclic sum
+    [e_i, [e_j, e_k]] = sum_m c_jk^m [e_i, e_m] runs over nonzero brackets.
     """
     d = len(constants)
     for i in range(d):
-        for j in range(d):
-            for k in range(d):
-                if constants[i][j][k] != -constants[j][i][k]:
-                    return (i, j, None, "antisymmetry fails")
-    basis = _unit_vectors(d, one, zero)
-
-    def br(u, v):
-        return bracket_with(constants, u, v, zero)
-
+        for j in range(i, d):
+            if constants[i][j] != tuple((k, -c) for k, c in constants[j][i]):
+                return (i, j, None, "antisymmetry fails")
     for i in range(d):
+        ci = constants[i]
         for j in range(i + 1, d):
+            cj = constants[j]
             for k in range(j + 1, d):
-                res = br(basis[i], br(basis[j], basis[k]))
-                t2 = br(basis[j], br(basis[k], basis[i]))
-                t3 = br(basis[k], br(basis[i], basis[j]))
-                res = [a + b + c for a, b, c in zip(res, t2, t3)]
-                if any(not x.is_zero() for x in res):
-                    return (i, j, k, res)
+                ck = constants[k]
+                acc = {}
+                for inner, outer in ((cj[k], ci), (ck[i], cj), (ci[j], ck)):
+                    for m, c in inner:
+                        for l, e in outer[m]:
+                            t = c * e
+                            acc[l] = acc[l] + t if l in acc else t
+                if any(acc.values()):
+                    return (i, j, k, [acc.get(l, zero) for l in range(d)])
     return None
 
 
 def sl2_algebra() -> LieAlgebra:
     """sl(2) in the basis (H, X, Y): [H,X]=2X, [H,Y]=-2Y, [X,Y]=H."""
-    d = 3
-    c = [[[QI_ZERO] * d for _ in range(d)] for _ in range(d)]
+    c = [[[] for _ in range(3)] for _ in range(3)]
     H, X, Y = 0, 1, 2
 
     def put(i, j, k, v):
-        c[i][j][k] = GaussianRational(v)
-        c[j][i][k] = GaussianRational(-v)
+        c[i][j].append((k, v))
+        c[j][i].append((k, -v))
 
     put(H, X, X, 2)
     put(H, Y, Y, -2)
@@ -150,8 +155,7 @@ def sl2_algebra() -> LieAlgebra:
 
 
 def abelian_algebra(d: int) -> LieAlgebra:
-    c = [[[QI_ZERO] * d for _ in range(d)] for _ in range(d)]
-    return LieAlgebra.from_constants(tuple(f"e{i}" for i in range(d)), c)
+    return LieAlgebra.from_constants(tuple(f"e{i}" for i in range(d)), [[()] * d] * d)
 
 
 def matrix_algebra(labels: Sequence[str], mats: Sequence) -> LieAlgebra:
@@ -166,7 +170,7 @@ def matrix_algebra(labels: Sequence[str], mats: Sequence) -> LieAlgebra:
 
     def commutator(i, j):
         a, b = mats[i], mats[j]
-        return _flatten(_mat_sub(_mat_mul(a, b), _mat_mul(b, a)))
+        return _nonzero(_flatten(_mat_sub(_mat_mul(a, b), _mat_mul(b, a))))
 
     constants = structure_constants(
         span,
@@ -178,13 +182,8 @@ def matrix_algebra(labels: Sequence[str], mats: Sequence) -> LieAlgebra:
 
 def gl2_algebra() -> LieAlgebra:
     """gl(2) in the elementary-matrix basis (E11, E12, E21, E22)."""
-    z, o = QI_ZERO, QI_ONE
-    mats = [
-        [[o, z], [z, z]],
-        [[z, o], [z, z]],
-        [[z, z], [o, z]],
-        [[z, z], [z, o]],
-    ]
+    units = [(0, 0), (0, 1), (1, 0), (1, 1)]
+    mats = [[[QI_ONE if (r, c) == u else QI_ZERO for c in range(2)] for r in range(2)] for u in units]
     return matrix_algebra(("E11", "E12", "E21", "E22"), mats)
 
 
@@ -236,19 +235,15 @@ class Involution:
 
 
 def ad_diag_involution(algebra: LieAlgebra, mats: Sequence, diag: Sequence) -> Involution:
-    """Involution Ad(diag(...)) of a matrix Lie algebra with basis ``mats``."""
+    """Involution Ad(diag(...)) of a matrix Lie algebra with basis ``mats``;
+    as g is diagonal, (g m g^-1)_rc = g_r m_rc g_c^-1."""
     d = algebra.rank
-    n = len(diag)
-    g = [[GaussianRational._coerce(diag[i]) if i == j else QI_ZERO for j in range(n)] for i in range(n)]
-    ginv = [
-        [GaussianRational._coerce(diag[i]).inverse() if i == j else QI_ZERO for j in range(n)]
-        for i in range(n)
-    ]
+    g = [GaussianRational._coerce(x) for x in diag]
+    ginv = [x.inverse() for x in g]
     span = Span([_flatten(m) for m in mats])
     cols = []
     for m in mats:
-        im = _mat_mul(_mat_mul(g, m), ginv)
-        coords = span.coordinates(_flatten(im))
+        coords = span.coordinates([g[r] * x * ginv[c] if x else x for r, row in enumerate(m) for c, x in enumerate(row)])
         if coords is None:
             raise InvalidInvolution("Ad(diag) does not preserve the span")
         cols.append(coords)
@@ -271,7 +266,7 @@ class LieFamily:
     """
 
     labels: tuple
-    constants: tuple  # d x d x d RationalFunction in the chart coordinate
+    constants: tuple  # d x d tuples of (k, RationalFunction), chart coordinate
     chart: str = "affine-z"
     w_constants: Optional[tuple] = None
     transition_powers: Optional[tuple] = None  # z^a_i scaling basis vector i
@@ -286,16 +281,14 @@ class LieFamily:
     # -- serialization ------------------------------------------------------
 
     def to_json(self) -> dict:
-        triples = []
-        d = self.rank
-        for i in range(d):
-            for j in range(d):
-                for k in range(d):
-                    c = self.constants[i][j][k]
-                    if not c.is_zero():
-                        triples.append({"i": i, "j": j, "k": k, "c": c.to_json()})
+        triples = [
+            {"i": i, "j": j, "k": k, "c": c.to_json()}
+            for i, row in enumerate(self.constants)
+            for j, cell in enumerate(row)
+            for k, c in cell
+        ]
         return {
-            "rank": d,
+            "rank": self.rank,
             "labels": list(self.labels),
             "chart": self.chart,
             "constants": triples,
@@ -304,18 +297,14 @@ class LieFamily:
     @staticmethod
     def from_json(data: dict) -> "LieFamily":
         d = data["rank"]
-        tbl = [[[RF_ZERO] * d for _ in range(d)] for _ in range(d)]
+        cells = [[{} for _ in range(d)] for _ in range(d)]
         for t in data["constants"]:
-            tbl[t["i"]][t["j"]][t["k"]] = RationalFunction.from_json(t["c"])
+            cells[t["i"]][t["j"]][t["k"]] = RationalFunction.from_json(t["c"])
         return LieFamily(
             labels=tuple(data["labels"]),
-            constants=_freeze(tbl),
+            constants=_sparse_table(cells),
             chart=data.get("chart", "affine-z"),
         )
-
-
-def _freeze(tbl) -> tuple:
-    return tuple(tuple(tuple(row) for row in plane) for plane in tbl)
 
 
 def _adapted_constants(theta: Involution):
@@ -324,7 +313,7 @@ def _adapted_constants(theta: Involution):
     basis = list(theta.k_vectors) + list(theta.p_vectors)
     tbl = structure_constants(
         Span(basis),
-        lambda i, j: alg.bracket(basis[i], basis[j]),
+        lambda i, j: _nonzero(alg.bracket(basis[i], basis[j])),
         lambda i, j: InvalidInvolution("bracket escapes the adapted basis span"),
     )
     labels = tuple(f"k{i}" for i in range(len(theta.k_vectors))) + tuple(
@@ -337,37 +326,32 @@ def _scaled_family(theta: Involution, power: int) -> LieFamily:
     """Family with bracket scaled by z^power exactly on the p x p part."""
     labels, tbl, nk = _adapted_constants(theta)
     d = len(labels)
-    z_pow = RationalFunction.monomial(power)
-    w_pow = z_pow  # same monomial in the w coordinate
-    z_tbl = [[[None] * d for _ in range(d)] for _ in range(d)]
-    w_tbl = [[[None] * d for _ in range(d)] for _ in range(d)]
-    for i in range(d):
-        for j in range(d):
-            on_pp = i >= nk and j >= nk
-            for k in range(d):
-                base = RationalFunction.constant(tbl[i][j][k])
-                z_tbl[i][j][k] = base * z_pow if on_pp else base
-                w_tbl[i][j][k] = base * w_pow if on_pp else base
+    z_pow = RationalFunction.monomial(power)  # the same monomial in w
+
+    def entry(on_pp, c):
+        base = RationalFunction.constant(c)
+        return base * z_pow if on_pp else base
+
+    scaled = tuple(
+        tuple(
+            tuple((k, entry(i >= nk and j >= nk, c)) for k, c in cell)
+            for j, cell in enumerate(row)
+        )
+        for i, row in enumerate(tbl)
+    )
     powers = tuple(0 if i < nk else power for i in range(d))
     return LieFamily(
         labels=labels,
-        constants=_freeze(z_tbl),
+        constants=scaled,
         chart="affine-z",
-        w_constants=_freeze(w_tbl),
+        w_constants=scaled,
         transition_powers=powers,
     )
 
 
 def constant_family(algebra: LieAlgebra) -> LieFamily:
     d = algebra.rank
-    tbl = [
-        [
-            [RationalFunction.constant(algebra.constants[i][j][k]) for k in range(d)]
-            for j in range(d)
-        ]
-        for i in range(d)
-    ]
-    frozen = _freeze(tbl)
+    frozen = _sparse_table(algebra.constants, RationalFunction.constant)
     return LieFamily(
         labels=algebra.labels,
         constants=frozen,
@@ -383,14 +367,7 @@ def scaled_bracket_family(algebra: LieAlgebra, m: int = 1) -> LieFamily:
         raise ValueError("exponent must be positive")
     d = algebra.rank
     z_pow = RationalFunction.monomial(m)
-    tbl = [
-        [
-            [RationalFunction.constant(algebra.constants[i][j][k]) * z_pow for k in range(d)]
-            for j in range(d)
-        ]
-        for i in range(d)
-    ]
-    frozen = _freeze(tbl)
+    frozen = _sparse_table(algebra.constants, lambda c: RationalFunction.constant(c) * z_pow)
     # w-chart bracket is w^m[,]; the gluing rescales every basis vector by
     # z^{2m} so that c_w(1/z) = c_z * z^{-2m}.
     return LieFamily(
@@ -432,17 +409,9 @@ def base_change(family: LieFamily, psi: LaurentPoly) -> LieFamily:
     if psi.degree() < 1:
         raise ValueError("base change map must be nonconstant")
     rf_psi = RationalFunction(psi)
-    d = family.rank
-    tbl = [
-        [
-            [family.constants[i][j][k].compose(rf_psi) for k in range(d)]
-            for j in range(d)
-        ]
-        for i in range(d)
-    ]
     return LieFamily(
         labels=family.labels,
-        constants=_freeze(tbl),
+        constants=_sparse_table(family.constants, lambda c: c.compose(rf_psi)),
         chart=family.chart,
     )
 
@@ -450,7 +419,7 @@ def base_change(family: LieFamily, psi: LaurentPoly) -> LieFamily:
 def jacobi_check(family: LieFamily):
     """None when Jacobi holds as a rational-function identity; otherwise the
     first failure in the form of :func:`jacobi_witness`."""
-    return jacobi_witness(family.constants, RF_ONE, RF_ZERO)
+    return jacobi_witness(family.constants, RF_ZERO)
 
 
 def fiber(family: LieFamily, p: Point) -> LieAlgebra:
@@ -466,23 +435,22 @@ def fiber(family: LieFamily, p: Point) -> LieAlgebra:
     else:
         constants = family.constants
         at = GaussianRational._coerce(p)
-    d = family.rank
-    tbl = [
-        [[constants[i][j][k].evaluate(at) for k in range(d)] for j in range(d)]
-        for i in range(d)
-    ]
-    return LieAlgebra.from_constants(family.labels, tbl)
+    return LieAlgebra.from_constants(
+        family.labels, _sparse_table(constants, lambda c: c.evaluate(at))
+    )
 
 
 def fiber_invariants(algebra: LieAlgebra) -> dict:
     """Dimension of the derived algebra and center, and solvability."""
     d = algebra.rank
-    # center: v with [v, e_j] = 0 for all j
-    ad_rows = []
-    for j in range(d):
-        for k in range(d):
-            ad_rows.append([algebra.constants[i][j][k] for i in range(d)])
-    center = kernel(ExactMatrix(ad_rows), QI_ONE, QI_ZERO)
+    # center: the kernel of v -> ([v, e_j])_j, whose matrix has the row
+    # (c_ij^k)_i for each (j, k); only its nonzero rows are formed.
+    ad_rows = {}
+    for i, row in enumerate(algebra.constants):
+        for j, cell in enumerate(row):
+            for k, c in cell:
+                ad_rows.setdefault((j, k), [QI_ZERO] * d)[i] = c
+    dim_center = d - span_rank(list(ad_rows.values()))
     # Derived series: by bilinearity the brackets of any basis of a term span
     # the next term, so only an echelon basis of each term is bracketed.  The
     # series either reaches 0 (solvable) or stops shrinking (not solvable).
@@ -498,7 +466,7 @@ def fiber_invariants(algebra: LieAlgebra) -> dict:
         current = nxt
     return {
         "dim_derived": dims[0] if dims else 0,
-        "dim_center": len(center),
+        "dim_center": dim_center,
         "solvable": not current,
     }
 
@@ -516,12 +484,8 @@ class FamilyMorphism:
     @staticmethod
     def diagonal(entries) -> "FamilyMorphism":
         d = len(entries)
-        coerced = [RationalFunction._coerce(x) for x in entries]
-        return FamilyMorphism(
-            ExactMatrix(
-                [[coerced[i] if i == j else RF_ZERO for j in range(d)] for i in range(d)]
-            )
-        )
+        rows = [[RationalFunction._coerce(x) if i == j else RF_ZERO for j in range(d)] for i, x in enumerate(entries)]
+        return FamilyMorphism(ExactMatrix(rows))
 
 
 def check_morphism(phi: FamilyMorphism, source: LieFamily, target: LieFamily):
@@ -537,7 +501,7 @@ def check_morphism(phi: FamilyMorphism, source: LieFamily, target: LieFamily):
             lhs = m.matvec(source.bracket(basis[i], basis[j]))
             rhs = target.bracket(images[i], images[j])
             diff = [a - b for a, b in zip(lhs, rhs)]
-            if any(not x.is_zero() for x in diff):
+            if any(diff):
                 return (i, j, diff)
     return None
 
@@ -551,15 +515,11 @@ def glue_consistent(family: LieFamily) -> bool:
     """
     if family.w_constants is None or family.transition_powers is None:
         return False
-    d = family.rank
     a = family.transition_powers
-    for i in range(d):
-        for j in range(d):
-            for k in range(d):
-                primed = family.constants[i][j][k] * RationalFunction.monomial(
-                    a[k] - a[i] - a[j]
-                )
-                glued = family.w_constants[i][j][k].substitute_reciprocal()
-                if primed != glued:
-                    return False
+    for i, (z_row, w_row) in enumerate(zip(family.constants, family.w_constants)):
+        for j, (z_cell, w_cell) in enumerate(zip(z_row, w_row)):
+            primed = [(k, c * RationalFunction.monomial(a[k] - a[i] - a[j])) for k, c in z_cell]
+            glued = [(k, c.substitute_reciprocal()) for k, c in w_cell]
+            if primed != glued:
+                return False
     return True

@@ -1,15 +1,15 @@
 """Small exact linear algebra over Q(i) or the field of rational functions.
 
 Matrices are lists of rows whose entries all live in one field (any type with
-exact ``+ - * /`` and an ``is_zero`` method works).  Elimination is plain
+exact ``+ - * /`` that is falsy exactly at zero works).  Elimination is plain
 Gauss-Jordan in ``_rref``, the only elimination loop; with exact arithmetic
 there are no pivoting concerns beyond avoiding zero pivots.
 
 ``Span`` is the one path to coordinates and membership: it puts a list of
-vectors in echelon form once and then reduces any number of vectors against
-it.  ``solve`` and ``in_span`` are one-line wrappers over it, and
-``structure_constants`` uses it to express every bracket of a basis in the
-coordinates of that basis.
+vectors in echelon form once and then reduces any number of vectors, given by
+their nonzero entries, against it.  ``solve`` and ``in_span`` are one-line
+wrappers over it, and ``structure_constants`` uses it to express every
+bracket of a basis in the coordinates of that basis, as a sparse table.
 
 This module also holds the square-matrix helpers the other modules share, on
 nested sequences: ``_sum``, ``_mat_add``, ``_mat_sub``, ``_mat_scale``,
@@ -67,13 +67,9 @@ class ExactMatrix:
         return self.entries == other.entries
 
 
-def _is_zero(x) -> bool:
-    return x.is_zero() if hasattr(x, "is_zero") else x == 0
-
-
 def _nonzero(seq) -> list:
     """(index, entry) for the nonzero entries of seq."""
-    return [(j, x) for j, x in enumerate(seq) if not _is_zero(x)]
+    return [(j, x) for j, x in enumerate(seq) if x]
 
 
 def _sum(terms):
@@ -84,15 +80,15 @@ def _sum(terms):
 
 
 def _mat_add(a, b):
-    return tuple(tuple(x if _is_zero(y) else x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
+    return tuple(tuple(x + y if y else x for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
 
 
 def _mat_sub(a, b):
-    return tuple(tuple(x if _is_zero(y) else x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
+    return tuple(tuple(x - y if y else x for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
 
 
 def _mat_scale(a, c):
-    return tuple(tuple(c * x for x in row) for row in a)
+    return tuple(tuple(c * x if x else x for x in row) for row in a)
 
 
 def _mat_mul(a, b):
@@ -102,7 +98,7 @@ def _mat_mul(a, b):
         return ()
     b_nonzero = [_nonzero(row) for row in b]
     zero = a[0][0] * b[0][0]
-    if not _is_zero(zero):
+    if zero:
         zero = zero - zero
     out = []
     for row in a:
@@ -125,24 +121,25 @@ def _unit_vectors(d: int, one, zero) -> List[list]:
 
 
 def _rref(rows: List[list], ncols: int):
-    """In-place reduced row echelon form; returns list of pivot columns."""
+    """In-place reduced row echelon form; returns list of pivot columns.
+    Row operations touch only the nonzero entries of the pivot row."""
     pivots = []
     r = 0
     for c in range(ncols):
-        pivot = None
-        for i in range(r, len(rows)):
-            if not _is_zero(rows[i][c]):
-                pivot = i
-                break
+        pivot = next((i for i in range(r, len(rows)) if rows[i][c]), None)
         if pivot is None:
             continue
         rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = rows[r][c]
-        rows[r] = [x / inv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and not _is_zero(rows[i][c]):
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        prow = rows[r]
+        inv = prow[c]
+        entries = [(j, x / inv) for j, x in enumerate(prow) if x]
+        for j, x in entries:
+            prow[j] = x
+        for i, row in enumerate(rows):
+            f = row[c]
+            if f and i != r:
+                for j, x in entries:
+                    row[j] = row[j] - f * x
         pivots.append(c)
         r += 1
         if r == len(rows):
@@ -155,9 +152,10 @@ class Span:
 
     ``_rref`` runs once on the rows [v_k | e_k].  Pivot row r then reads
     row_r = sum_k T[r][k] v_k, with a one in its pivot column p_r and zeros in
-    the other pivot columns.  Reducing a vector w subtracts w[p_r] * row_r for
-    every pivot where w[p_r] is nonzero: w is in the span iff the residual is
-    zero, and then its coordinates are sum_r w[p_r] * T[r].
+    the other pivot columns.  A vector w is reduced from its nonzero entries
+    (dense callers pass theirs): subtracting w[p_r] * row_r for every pivot
+    where w is nonzero leaves a residual, w is in the span iff it is zero,
+    and then its coordinates are sum_r w[p_r] * T[r].
     """
 
     __slots__ = ("count", "zero", "pivots", "rows", "transforms")
@@ -165,49 +163,67 @@ class Span:
     def __init__(self, vectors: Sequence[Sequence]):
         vectors = [list(v) for v in vectors]
         entries = [x for v in vectors for x in v]
-        nonzero = next((x for x in entries if not _is_zero(x)), None)
+        nonzero = next((x for x in entries if x), None)
         self.count = len(vectors)
         self.zero = entries[0] - entries[0] if entries else None
-        self.pivots, self.rows, self.transforms = [], [], []
+        self.pivots, self.rows, self.transforms = {}, [], []
         if nonzero is None:
             return
         ncols = len(vectors[0])
         eye = _unit_vectors(self.count, nonzero / nonzero, self.zero)
         rows = [v + e for v, e in zip(vectors, eye)]
-        self.pivots = _rref(rows, ncols)
-        for row in rows[: len(self.pivots)]:
-            self.rows.append(_nonzero(row[:ncols]))
+        pivots = _rref(rows, ncols)
+        self.pivots = {p: r for r, p in enumerate(pivots)}
+        for row in rows[: len(pivots)]:
+            self.rows.append([(j, x) for j, x in _nonzero(row[:ncols]) if j not in self.pivots])
             self.transforms.append(_nonzero(row[ncols:]))
 
     @property
     def rank(self) -> int:
         return len(self.pivots)
 
-    def _weights(self, w: Sequence) -> Optional[list]:
+    def _weights(self, w) -> Optional[list]:
         """(r, w[p_r]) for the pivots where w is nonzero, or None when the
-        residual of w is nonzero, that is when w is outside the span."""
-        weights = [(r, w[p]) for r, p in enumerate(self.pivots) if not _is_zero(w[p])]
-        residual = list(w)
+        residual of w is nonzero, that is when w is outside the span.  ``w``
+        is the list of (index, entry) pairs of the nonzero entries."""
+        pivots = self.pivots
+        weights = [(pivots[j], x) for j, x in w if j in pivots]
+        residual = {j: x for j, x in w if j not in pivots}
         for r, c in weights:
             for j, x in self.rows[r]:
-                residual[j] = residual[j] - c * x
-        return weights if all(_is_zero(x) for x in residual) else None
+                t = c * x
+                residual[j] = residual[j] - t if j in residual else -t
+        return None if any(residual.values()) else weights
+
+    def sparse_contains(self, w) -> bool:
+        """Whether the vector with nonzero entries w lies in the span."""
+        return self._weights(w) is not None
+
+    def sparse_coordinates(self, w) -> Optional[list]:
+        """The nonzero coordinates (k, c_k), in increasing k, of the vector
+        with nonzero entries w, or None when it is outside the span."""
+        weights = self._weights(w)
+        if weights is None:
+            return None
+        acc = {}
+        for r, c in weights:
+            for k, t in self.transforms[r]:
+                x = c * t
+                acc[k] = acc[k] + x if k in acc else x
+        return [(k, acc[k]) for k in sorted(acc) if acc[k]]
 
     def contains(self, w: Sequence) -> bool:
         """Whether w lies in the span."""
-        return self._weights(w) is not None
+        return self.sparse_contains(_nonzero(w))
 
     def coordinates(self, w: Sequence) -> Optional[list]:
         """Coefficients c with sum_k c_k v_k == w, or None when w is outside
         the span.  When the vectors are dependent this is one such c."""
-        weights = self._weights(w)
-        if weights is None:
+        coords = self.sparse_coordinates(_nonzero(w))
+        if coords is None:
             return None
-        coords = [self.zero] * self.count
-        for r, c in weights:
-            for k, t in self.transforms[r]:
-                coords[k] = coords[k] + c * t
-        return coords
+        found = dict(coords)
+        return [found.get(k, self.zero) for k in range(self.count)]
 
 
 def echelon_basis(vectors: Sequence[Sequence]) -> List[list]:
@@ -257,22 +273,22 @@ def structure_constants(
     span: Span,
     bracket: Callable[[int, int], Sequence],
     escape: Callable[[int, int], Exception],
-) -> List[List[list]]:
-    """Coordinates of every bracket of a basis in that basis.
+) -> tuple:
+    """The sparse table of coordinates of every bracket of a basis in that basis.
 
     ``span`` is the Span of the basis elements as flat coordinate vectors and
-    ``bracket(i, j)`` gives [b_i, b_j] in the same flat coordinates.  Entry
-    [i][j] of the result is the coordinate vector of [b_i, b_j]; the first
+    ``bracket(i, j)`` gives the nonzero entries of [b_i, b_j] in the same flat
+    coordinates, as (index, entry) pairs.  Entry [i][j] of the result holds
+    the nonzero coordinates (k, c) of [b_i, b_j] in increasing k; the first
     bracket outside the span raises ``escape(i, j)``.
     """
-    d = span.count
     table = []
-    for i in range(d):
+    for i in range(span.count):
         row = []
-        for j in range(d):
-            coords = span.coordinates(bracket(i, j))
+        for j in range(span.count):
+            coords = span.sparse_coordinates(bracket(i, j))
             if coords is None:
                 raise escape(i, j)
-            row.append(coords)
-        table.append(row)
-    return table
+            row.append(tuple(coords))
+        table.append(tuple(row))
+    return tuple(table)

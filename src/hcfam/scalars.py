@@ -627,9 +627,6 @@ class RationalFunction:
     def __bool__(self):
         return not self.is_zero()
 
-    def is_constant(self) -> bool:
-        return self.den.degree() == 0 and self.num.degree() <= 0
-
     def is_polynomial(self) -> bool:
         return self.den.degree() == 0
 

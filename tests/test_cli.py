@@ -1,13 +1,21 @@
 """End-to-end tests for the command line interface."""
 
+import contextlib
 import dataclasses
+import functools
+import io
 import json
+import os
+import tempfile
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hcfam import cli
 from hcfam.cli import run
-from hcfam.liefam import _freeze, contraction_family, sl2_algebra
+from hcfam.liefam import _sparse_table, contraction_family, sl2_algebra
 from hcfam.scalars import GaussianRational, RationalFunction
 from hcfam.sl2fam import sl2_involution
 
@@ -61,12 +69,12 @@ class TestFamily:
     )
     def test_jacobi_failure_witness(self, capsys, monkeypatch, antisymmetric, k, residual):
         good = contraction_family(sl2_algebra(), sl2_involution())
-        tbl = [[list(row) for row in plane] for plane in good.constants]
+        tbl = [[dict(cell) for cell in row] for row in good.constants]
         three = RationalFunction.constant(GaussianRational(3))
         tbl[0][1][1] = three  # [h, x] = 3x
         if antisymmetric:
             tbl[1][0][1] = -three
-        bad = dataclasses.replace(good, constants=_freeze(tbl))
+        bad = dataclasses.replace(good, constants=_sparse_table(tbl))
         monkeypatch.setattr(cli, "build_family", lambda *args: bad)
         code, out = invoke(capsys, "family", "jacobi")
         assert code == 1
@@ -330,3 +338,214 @@ class TestRequestContract:
     def test_single_weight_window_is_accepted(self, capsys, module_file):
         code, out = invoke(capsys, "module", "validate", "--module", module_file, "--window", "0..0")
         assert code in (0, 1) and "error" not in json.loads(out)
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["module", "bogus", "--module", "doc.json"],
+            ["module", "validate"],
+            ["module", "twist", "--module", "doc.json", "--degree", "1.5"],
+            ["grassmann", "nonsense"],
+            ["nosuchcommand"],
+            [],
+        ],
+        ids=["unknown-action", "missing-module", "non-integer-degree", "unknown-grassmann-action",
+             "unknown-subcommand", "empty"],
+    )
+    def test_usage_error_is_one_request_line(self, capsys, argv):
+        _request_error(capsys, *argv)
+
+    def test_usage_text_stays_on_stderr(self, capsys):
+        assert run(["module", "validate"]) == 2
+        captured = capsys.readouterr()
+        assert "usage:" in captured.err and "usage:" not in captured.out
+
+
+class TestSubalgAt:
+    def test_checks_the_fiber_at_t(self, capsys, monkeypatch):
+        from hcfam.grassfam import GrassmannPencil, pencil_basis
+
+        seen = []
+        real = cli.verify_subalgebra
+        monkeypatch.setattr(cli, "verify_subalgebra", lambda basis: seen.append(basis) or real(basis))
+        code, doc = invoke_json(capsys, "grassmann", "subalg", "--pq", "2,1", "--det-one", "--at", "-3/2")
+        assert code == 0 and doc == {"subalgebra": True}
+        assert seen == [pencil_basis(GrassmannPencil(2, 1, det_one=True), GaussianRational(Fraction(-3, 2)))]
+        code, doc = invoke_json(capsys, "grassmann", "subalg", "--pq", "2,1", "--det-one")
+        assert code == 0 and seen[1] == pencil_basis(GrassmannPencil(2, 1, det_one=True))
+
+    def test_fiber_witness_comes_from_the_fiber(self, capsys, monkeypatch):
+        # A fiber that is not bracket-closed: [(E01, E01), (E10, E10)] = (H, H)
+        # lies outside its span, so the verdict must come from this basis.
+        z, o = GaussianRational(0), GaussianRational(1)
+        e01, e10 = ((z, o), (z, z)), ((z, z), (o, z))
+
+        def broken(pencil, t=None):
+            assert t == GaussianRational(2)
+            return [(e01, e01), (e10, e10)]
+
+        monkeypatch.setattr(cli, "pencil_basis", broken)
+        code, doc = invoke_json(capsys, "grassmann", "subalg", "--pq", "1,1", "--at", "2")
+        assert code == 1 and doc == {"subalgebra": False, "witness": [0, 1]}
+
+    @pytest.mark.parametrize("at", ["inf", "infinity", "1/0", "x", "2+"])
+    def test_infinite_or_malformed_t_is_request_error(self, capsys, at):
+        _request_error(capsys, "grassmann", "subalg", "--pq", "1,1", "--at", at)
+
+
+def _outcome(argv):
+    """(exit code, stdout) of one in-process request, stderr discarded."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(list(argv))
+    return code, out.getvalue()
+
+
+class TestParserReuse:
+    def test_one_parser_answers_like_a_fresh_parser_per_request(self, module_file, tmp_path, monkeypatch):
+        twisted = tmp_path / "twisted.json"
+        twisted.write_text(_outcome(["module", "twist", "--module", module_file, "--degree", "1"])[1])
+        requests = [
+            ["module", "iso", "--module", module_file, "--other", str(twisted)],
+            ["module", "validate", "--module", module_file],
+            ["module", "iso", "--module", module_file],
+            ["module", "validate", "--module", module_file, "--window", "-4..4"],
+            ["module", "twist", "--module", module_file, "--degree", "x"],
+            ["module", "twist", "--module", module_file],
+            ["grassmann", "bogus"],
+            ["grassmann", "subalg", "--pq", "2,1", "--at", "-2"],
+            ["grassmann", "subalg", "--pq", "2,1"],
+            ["family", "fiber", "--kind", "contraction", "--at", "inf"],
+            ["family", "fiber", "--kind", "deformation"],
+            ["classify", "admissible", "--weights", "even", "--casimir", "0,0,1"],
+            ["classify", "admissible", "--weights", "lowest:1"],
+        ]
+        builds = []
+        real_build = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or real_build())
+        fresh = []
+        for argv in requests:
+            cli._parser.cache_clear()
+            fresh.append(_outcome(argv))
+        cli._parser.cache_clear()
+        builds.clear()
+        reused = [_outcome(argv) for argv in requests]
+        assert len(builds) == 1
+        assert reused == fresh
+        assert [code for code, _ in reused] == [1, 0, 2, 0, 2, 0, 2, 0, 0, 0, 0, 0, 1]
+
+
+# -- fuzzing the request contract ----------------------------------------------
+
+# Well-formed values of each flag, then malformed ones (drawn less often).
+_FLAG_VALUES = {
+    "--algebra": (["sl2", "gl2"], ["so3"]),
+    "--kind": (["constant", "scaled", "contraction", "deformation"], ["x"]),
+    "--power": (["1", "2"], ["-1", "0", "x"]),
+    "--at": (["0", "1", "-1", "1/2", "-2/3", "2+i", "i", "inf"], ["1/0", "x", ""]),
+    "--exponent": (["1", "2"], ["0", "z"]),
+    "--preset": (["pullback-deformation", "p-scaling-embedding", "identity-contraction-deformation"], ["x"]),
+    "--module": (["@doc"], ["/no/such/file.json", "@missing"]),
+    "--other": (["@doc", "@other"], ["/no/such/file.json"]),
+    "--window": (["-4..4", "0..0", "-2..3", "-6..6"], ["5..-5", "x", "1..2..3"]),
+    "--degree": (["-1", "0", "2"], ["1.5"]),
+    "--indices": (["0", "0,2", "-2,2"], ["", "a"]),
+    "--weights": (["even", "odd", "lowest:1", "highest:-1", "finite:2"], ["banana", "lowest:x"]),
+    "--class": (["I:1", "II:1", "III", "IV"], ["V", "I:x"]),
+    "--casimir": (["0,0,1", "1,2,3", "0,0,0", "1,-2,1/4"], ["1/0,0,1", "1,2", "a,b,c"]),
+    "--trials": (["1", "2"], ["-1", "0"]),
+    "--seed": (["0", "3"], ["x"]),
+    "--pq": (["1,1", "1,2", "2,1"], ["0,1", "2", "a,b"]),
+    "--boundary": (["0", "inf", "1"], ["x"]),
+    "--det-one": ([None], [None]),
+}
+
+# Actions and flags of each subcommand.  ``verify`` prints one line per
+# criterion before its JSON line, so it is outside the one-line contract and
+# not fuzzed here.
+_REQUIRED = {"module": "--module", "classify": "--weights"}
+_COMMANDS = {
+    "family": (["build", "jacobi", "fiber", "basechange", "morphcheck"],
+               ["--algebra", "--kind", "--power", "--at", "--exponent", "--preset"]),
+    "module": (["validate", "fiber", "locus", "iso", "twist", "swap"],
+               ["--other", "--window", "--at", "--degree", "--indices"]),
+    "classify": (["admissible", "construct", "report", "probe"],
+                 ["--class", "--casimir", "--window", "--trials", "--seed"]),
+    "grassmann": (["pencil", "limit", "subalg", "closure", "compare", "realform"],
+                  ["--pq", "--det-one", "--boundary", "--at"]),
+}
+
+_json_scalars = st.one_of(st.none(), st.booleans(), st.integers(-3, 3), st.sampled_from(["0", "1", "1/0", "x", "B"]))
+_json_values = st.recursive(
+    _json_scalars,
+    lambda inner: st.one_of(st.lists(inner, max_size=3), st.dictionaries(st.sampled_from(["kind", "unit", "n"]), inner, max_size=2)),
+    max_leaves=4,
+)
+
+
+@functools.lru_cache(maxsize=None)
+def _base_document() -> dict:
+    code, out = _outcome(["classify", "construct", "--weights", "odd", "--class", "I:1", "--casimir", "1,2,3",
+                          "--window", "-6..6"])
+    assert code == 0
+    return json.loads(out)
+
+
+@st.composite
+def _documents(draw):
+    """A valid module document, or one with a field replaced or removed."""
+    doc = json.loads(json.dumps(_base_document()))
+    if draw(st.booleans()):
+        return doc
+    section = draw(st.sampled_from(sorted(doc)))
+    target = doc
+    if isinstance(doc[section], dict) and draw(st.booleans()):
+        target, section = doc[section], draw(st.sampled_from(sorted(doc[section])))
+    if draw(st.booleans()):
+        del target[section]
+    else:
+        target[section] = draw(_json_values)
+    return draw(st.sampled_from([doc, doc, doc, [doc], "module"]))
+
+
+@st.composite
+def _requests(draw):
+    """Mostly well-formed argv for one subcommand; now and then a foreign
+    subcommand, action or flag, or a stray token."""
+    command = draw(st.sampled_from(sorted(_COMMANDS)))
+    actions, flags = _COMMANDS[command]
+    if draw(st.integers(0, 7)) == 0:
+        command = draw(st.sampled_from([*_COMMANDS, "bogus"]))
+    if draw(st.integers(0, 7)) == 0:
+        actions, flags = ["x", *(a for acts, _ in _COMMANDS.values() for a in acts)], sorted(_FLAG_VALUES)
+    argv = [command, draw(st.sampled_from(actions))]
+    chosen = draw(st.lists(st.sampled_from(flags), max_size=5, unique=True))
+    if command in _REQUIRED and draw(st.integers(0, 7)):
+        chosen.insert(0, _REQUIRED[command])
+    for flag in chosen:
+        good, bad = _FLAG_VALUES[flag]
+        value = draw(st.sampled_from(bad if draw(st.integers(0, 5)) == 0 else good))
+        argv += [flag] if value is None else [flag, value]
+    if draw(st.integers(0, 7)) == 0:
+        junk = draw(st.text(alphabet="abc0123456789.,:/", min_size=1, max_size=5))
+        argv.insert(draw(st.integers(0, len(argv))), junk)
+    return argv, draw(_documents()), draw(_documents())
+
+
+class TestRequestFuzz:
+    @given(_requests())
+    @settings(max_examples=150, deadline=None)
+    def test_exit_code_and_one_json_line(self, request_case):
+        argv, doc, other = request_case
+        with tempfile.TemporaryDirectory() as tmp:
+            paths = {"@doc": os.path.join(tmp, "doc.json"), "@other": os.path.join(tmp, "other.json")}
+            for name, content in (("@doc", doc), ("@other", other)):
+                with open(paths[name], "w") as fh:
+                    json.dump(content, fh)
+            code, out = _outcome([paths.get(a, a) for a in argv])
+        assert code in (0, 1, 2, 3)
+        lines = out.splitlines()
+        assert len(lines) == 1 and out.endswith("\n")
+        json.loads(lines[0])

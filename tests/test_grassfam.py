@@ -23,6 +23,7 @@ from hcfam.grassfam import (
     pair_scale,
     pencil_basis,
     real_form_at,
+    sparse_pair,
     sylvester_signature,
     verify_subalgebra,
     _pair_is_zero,
@@ -83,7 +84,7 @@ class TestLimits:
                 assert len(limited) == 2 * pq[0] * pq[1]
                 for x in limited:
                     for y in limited:
-                        assert _pair_is_zero(pair_bracket(x, y))
+                        assert _pair_is_zero(pair_bracket(sparse_pair(x), sparse_pair(y)))
 
     def test_limit_independent_of_basis_order(self):
         pen = GrassmannPencil(2, 1, det_one=True)
@@ -146,7 +147,7 @@ class TestRealStructure:
     def test_sigma_commutes_with_block_conjugation(self):
         sigma = RealStructureSpec(1, 1)
         J = sigma.j_matrix()
-        from hcfam.grassfam import _mat_mul
+        from hcfam.linalg import _mat_mul
 
         def theta(pair):
             return (_mat_mul(_mat_mul(J, pair[0]), J), _mat_mul(_mat_mul(J, pair[1]), J))
@@ -229,3 +230,34 @@ class TestSignature:
                 for i in range(3)
             ]
             assert sylvester_signature(conj) == sig
+
+
+def killing_signature(p, q, det_one, x):
+    """Closed-form Killing signature of the real form over x; c counts the
+    center of gl(p+q), which ``det_one`` removes."""
+    c = 0 if det_one else 1
+    if x is INFINITY or x == 0:
+        return (0, 2 * p * q + c, p * p + q * q - 1)  # Cartan motion algebra
+    if x > 0:
+        return (2 * p * q, c, p * p + q * q - 1)  # u(p, q) or su(p, q)
+    return (0, c, (p + q) ** 2 - 1)  # the compact form
+
+
+class TestRealFormTable:
+    @pytest.mark.parametrize("det_one", [False, True], ids=["gl", "sl"])
+    @pytest.mark.parametrize("p, q", [(p, q) for p in range(1, 5) for q in range(1, 5) if p + q <= 5])
+    def test_closed_form_signatures(self, p, q, det_one):
+        """Every p + q <= 5 at x in {1, -1, 0, inf} and at one seeded random
+        rational of each sign; the signature depends only on the sign of x."""
+        rng = random.Random(f"realform:{p},{q},{det_one}")
+        positive = Fraction(rng.randint(1, 40), rng.randint(1, 40))
+        negative = -Fraction(rng.randint(1, 40), rng.randint(1, 40))
+        pencil = GrassmannPencil(p, q, det_one=det_one)
+        n = p + q
+        got = {}
+        for x in (1, -1, 0, INFINITY, positive, negative):
+            report = real_form_at(pencil, x)
+            assert report.dimension == n * n - (1 if det_one else 0)
+            assert report.signature == killing_signature(p, q, det_one, x), x
+            got[x] = report.signature
+        assert got[positive] == got[1] and got[negative] == got[-1] and got[0] == got[INFINITY]

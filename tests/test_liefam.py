@@ -35,6 +35,8 @@ from hcfam.liefam import (
     glue_consistent,
     gl2_algebra,
     jacobi_check,
+    jacobi_witness,
+    _sparse_table,
     matrix_algebra,
     scaled_bracket_family,
     sl2_algebra,
@@ -55,19 +57,19 @@ class TestLieAlgebra:
 
     def test_jacobi_rejects_corruption(self):
         g = sl2_algebra()
-        bad = [[[c for c in row] for row in plane] for plane in g.constants]
+        bad = [[dict(cell) for cell in row] for row in g.constants]
         bad[0][1][2] = QI(1)
         with pytest.raises(NotALieAlgebra):
             LieAlgebra.from_constants(g.labels, bad)
 
     def test_antisymmetry_enforced(self):
-        tbl = [[[QI(1)]]]
+        tbl = [[[(0, QI(1))]]]
         with pytest.raises(NotALieAlgebra):
             LieAlgebra.from_constants(("e",), tbl)
 
     def test_rejection_names_the_failing_law(self):
         g = sl2_algebra()
-        tbl = [[list(row) for row in plane] for plane in g.constants]
+        tbl = [[dict(cell) for cell in row] for row in g.constants]
         tbl[0][1][1], tbl[1][0][1] = QI(3), QI(-3)  # [H, X] = 3X: antisymmetric, not Lie
         with pytest.raises(NotALieAlgebra, match="Jacobi"):
             LieAlgebra.from_constants(g.labels, tbl)
@@ -126,21 +128,21 @@ class TestFamilies:
 
     def test_corrupted_family_witnessed(self):
         fam = contraction_family(sl2_algebra(), sl2_involution())
-        tbl = [[[c for c in row] for row in plane] for plane in fam.constants]
+        tbl = [[dict(cell) for cell in row] for row in fam.constants]
         tbl[1][2][0] = tbl[1][2][0] + RF_ONE
-        from hcfam.liefam import _freeze
+        from hcfam.liefam import _sparse_table
 
-        bad = dataclasses.replace(fam, constants=_freeze(tbl))
+        bad = dataclasses.replace(fam, constants=_sparse_table(tbl))
         assert jacobi_check(bad) is not None
 
     def test_antisymmetric_corruption_reaches_jacobi(self):
-        from hcfam.liefam import _freeze
+        from hcfam.liefam import _sparse_table
 
         fam = contraction_family(sl2_algebra(), sl2_involution())
-        tbl = [[list(row) for row in plane] for plane in fam.constants]
+        tbl = [[dict(cell) for cell in row] for row in fam.constants]
         three = RationalFunction.constant(QI(3))
         tbl[0][1][1], tbl[1][0][1] = three, -three  # [h, x] = 3x and [x, h] = -3x
-        i, j, k, residual = jacobi_check(dataclasses.replace(fam, constants=_freeze(tbl)))
+        i, j, k, residual = jacobi_check(dataclasses.replace(fam, constants=_sparse_table(tbl)))
         assert (i, j, k) == (0, 1, 2)
         assert residual == [-RF_Z, RF_ZERO, RF_ZERO]
 
@@ -168,7 +170,7 @@ class TestFamilies:
         con = contraction_family(sl2_algebra(), sl2_involution())
         pulled = base_change(con, LaurentPoly.monomial(2))
         # The p-p entry z becomes z^2.
-        assert pulled.constants[1][2][0] == RF_Z * RF_Z
+        assert pulled.constants[1][2] == ((0, RF_Z * RF_Z),)
 
     def test_json_round_trip(self):
         fam = contraction_family(sl2_algebra(), sl2_involution())
@@ -240,7 +242,7 @@ def brute_force_derived_series(algebra):
 def solvable_2d():
     """[x, y] = y."""
     z, o = GaussianRational(0), GaussianRational(1)
-    return LieAlgebra.from_constants(("x", "y"), [[[z, z], [z, o]], [[z, -o], [z, z]]])
+    return LieAlgebra.from_constants(("x", "y"), [[(), [(1, o)]], [[(1, -o)], ()]])
 
 
 class TestFiberInvariants:
@@ -262,3 +264,110 @@ class TestFiberInvariants:
         inv = fiber_invariants(algebra)
         assert (inv["dim_derived"], inv["solvable"]) == (dim_derived, solvable)
         assert (inv["dim_derived"], inv["dim_center"], inv["solvable"]) == expected
+
+
+# -- the sparse Jacobi check against the dense triple loop it replaced ---------
+
+
+def dense_jacobi_witness(constants, one, zero):
+    """The dense d^3 check: ``constants[i][j][k]`` is the k-th coordinate of
+    [e_i, e_j]; every bracket of basis vectors is formed in full."""
+    d = len(constants)
+    for i in range(d):
+        for j in range(d):
+            for k in range(d):
+                if constants[i][j][k] != -constants[j][i][k]:
+                    return (i, j, None, "antisymmetry fails")
+    basis = [[one if t == s else zero for t in range(d)] for s in range(d)]
+
+    def br(u, v):
+        out = [zero] * d
+        for i in range(d):
+            for j in range(d):
+                for k in range(d):
+                    if not (u[i].is_zero() or v[j].is_zero() or constants[i][j][k].is_zero()):
+                        out[k] = out[k] + u[i] * v[j] * constants[i][j][k]
+        return out
+
+    for i in range(d):
+        for j in range(i + 1, d):
+            for k in range(j + 1, d):
+                terms = (br(basis[i], br(basis[j], basis[k])), br(basis[j], br(basis[k], basis[i])),
+                         br(basis[k], br(basis[i], basis[j])))
+                res = [a + b + c for a, b, c in zip(*terms)]
+                if any(not x.is_zero() for x in res):
+                    return (i, j, k, res)
+    return None
+
+
+qi_scalars = st.builds(QI, st.integers(-2, 2), st.integers(-1, 1))
+rf_scalars = st.builds(
+    lambda c, e, c2: RationalFunction.constant(c) * RationalFunction.monomial(e) + RationalFunction.constant(c2),
+    qi_scalars, st.integers(-1, 2), qi_scalars,
+)
+
+
+@st.composite
+def antisymmetric_cells(draw, scalars, zero):
+    """(d, cells) with cells[i][j] a dict k -> c: random antisymmetric tables,
+    two-step nilpotent ones (brackets land in the central last vector, so
+    Jacobi holds), and either kind with one entry corrupted."""
+    d = draw(st.integers(2, 4))
+    two_step = draw(st.booleans())
+    cells = [[{} for _ in range(d)] for _ in range(d)]
+    for i in range(d):
+        for j in range(i + 1, d):
+            if two_step and j == d - 1:
+                continue
+            targets = [d - 1] if two_step else range(d)
+            for k in draw(st.lists(st.sampled_from(targets), max_size=2, unique=True)):
+                c = draw(scalars)
+                cells[i][j][k], cells[j][i][k] = c, -c
+    if draw(st.booleans()):
+        i, j, k = (draw(st.integers(0, d - 1)) for _ in range(3))
+        cells[i][j][k] = cells[i][j].get(k, zero) + draw(scalars)
+        if draw(st.booleans()) and i != j:  # keep antisymmetry, break Jacobi
+            cells[j][i][k] = -cells[i][j][k]
+    return d, cells
+
+
+def check_against_dense(d, cells, one, zero):
+    dense = [[[cells[i][j].get(k, zero) for k in range(d)] for j in range(d)] for i in range(d)]
+    want = dense_jacobi_witness(dense, one, zero)
+    assert jacobi_witness(_sparse_table(cells), zero) == want
+    return want
+
+
+class TestSparseJacobi:
+    @given(antisymmetric_cells(qi_scalars, QI(0)))
+    @settings(max_examples=80, deadline=None)
+    def test_gaussian_rationals(self, case):
+        d, cells = case
+        want = check_against_dense(d, cells, QI(1), QI(0))
+        labels = [f"e{i}" for i in range(d)]
+        if want is None:
+            assert LieAlgebra.from_constants(labels, cells).rank == d
+            return
+        i, j, k, _ = want
+        message = (f"structure constants not antisymmetric at ({i},{j})" if k is None
+                   else f"Jacobi fails on basis triple {(i, j, k)}")
+        with pytest.raises(NotALieAlgebra) as err:
+            LieAlgebra.from_constants(labels, cells)
+        assert str(err.value) == message
+
+    @given(antisymmetric_cells(rf_scalars, RF_ZERO))
+    @settings(max_examples=40, deadline=None)
+    def test_rational_functions(self, case):
+        check_against_dense(*case, RF_ONE, RF_ZERO)
+
+    @pytest.mark.parametrize("build", [sl2_algebra, gl2_algebra, lambda: abelian_algebra(3), solvable_2d])
+    def test_lie_algebras_pass_both(self, build):
+        g = build()
+        cells = [[dict(cell) for cell in row] for row in g.constants]
+        assert check_against_dense(g.rank, cells, QI(1), QI(0)) is None
+
+    @pytest.mark.parametrize("build", FAMILY_BUILDERS)
+    def test_families_pass_both(self, build):
+        fam = build()
+        cells = [[dict(cell) for cell in row] for row in fam.constants]
+        assert check_against_dense(fam.rank, cells, RF_ONE, RF_ZERO) is None

@@ -5,7 +5,7 @@ from fractions import Fraction
 from hypothesis import given
 from hypothesis import strategies as st
 
-from hcfam.linalg import ExactMatrix, Span, _mat_mul, in_span, kernel, rank, solve, span_rank
+from hcfam.linalg import ExactMatrix, Span, _mat_mul, _rref, in_span, kernel, rank, solve, span_rank
 from hcfam.scalars import GaussianRational, LaurentPoly, RationalFunction, RF_ONE, RF_Z, RF_ZERO
 
 fr = st.fractions(min_value=-9, max_value=9, max_denominator=5)
@@ -193,3 +193,44 @@ class TestSparseMatMul:
         for a, b in [(unit(0, 1, z), unit(1, 2, one)), (unit(0, 1, z), unit(0, 1, one)),
                      (unit(2, 0, one), unit(0, 2, z + one))]:
             assert _mat_mul(a, b) == dense_mat_mul(a, b)
+
+
+def dense_rref(rows, ncols):
+    """Reference Gauss-Jordan: every row operation runs over the whole row."""
+    pivots, r = [], 0
+    for c in range(ncols):
+        pivot = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        inv = rows[r][c]
+        rows[r] = [x / inv for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(rows):
+            break
+    return pivots
+
+
+class TestSparseReduction:
+    @given(st.lists(st.lists(sparse_fr, min_size=5, max_size=5), max_size=6))
+    def test_rref_matches_dense_rows(self, rows):
+        sparse_rows, dense_rows = [list(r) for r in rows], [list(r) for r in rows]
+        assert _rref(sparse_rows, 5) == dense_rref(dense_rows, 5)
+        assert sparse_rows == dense_rows
+
+    @given(spans_with_target(qi, GaussianRational(0)))
+    def test_coordinates_agree_on_sparse_and_dense_input(self, case):
+        vectors, target = case
+        span = Span(vectors)
+        nonzero = [(j, x) for j, x in enumerate(target) if x != 0]
+        sparse = span.sparse_coordinates(nonzero)
+        dense = span.coordinates(target)
+        assert span.sparse_contains(nonzero) == span.contains(target) == (dense is not None)
+        if dense is not None:
+            assert [k for k, _ in sparse] == sorted(k for k, c in enumerate(dense) if c != 0)
+            assert all(dense[k] == c for k, c in sparse)
