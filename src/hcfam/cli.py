@@ -278,7 +278,8 @@ def cmd_module(args) -> int:
                 vanishing.append({"n": n, "poly": "A"})
             if b.is_zero():
                 vanishing.append({"n": n, "poly": "B"})
-        emit({"at": str(p), "irreducible": verdict.irreducible, "vanishing": vanishing})
+        tail = [{"side": side, "n": n, "poly": poly} for side, n, poly in verdict.tail]
+        emit({"at": str(p), "irreducible": verdict.irreducible, "vanishing": vanishing, "tail_vanishing": tail})
         return 0 if verdict else 1
     if args.action == "locus":
         locus = reducible_locus(module, window)
@@ -434,12 +435,23 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+class HelpShown(Exception):
+    """A -h/--help request, answered on stderr."""
+
+
 class _Parser(argparse.ArgumentParser):
-    """Turns a usage error into a malformed request (usage text on stderr)."""
+    """Turns a usage error into a malformed request and -h/--help into a
+    reply; usage and help text go to stderr."""
 
     def error(self, message):
         self.print_usage(sys.stderr)
         raise RequestError(f"{self.prog}: {message}")
+
+    def print_help(self, file=None):
+        super().print_help(file or sys.stderr)
+
+    def exit(self, status=0, message=None):  # reached only after the help text
+        raise HelpShown(self.prog)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -524,6 +536,9 @@ def run(argv=None) -> int:
     try:
         args = _parser().parse_args(_merge_dash_values(list(argv)))
         return args.handler(args)
+    except HelpShown as e:
+        emit({"help": str(e)})
+        return 0
     except RequestError as e:
         emit({"error": "request", "message": str(e)})
         return 2

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cached_property
 from typing import Dict, List, Optional, Tuple
 
 from .scalars import (
@@ -22,6 +23,8 @@ from .scalars import (
     Point,
     QI_ZERO,
     UnsplitQuadratic,
+    _lp,
+    _qi,
     _sqrt_fraction,
     poly_roots,
 )
@@ -103,15 +106,7 @@ class WeightSet:
         Finite weight sets list all of their transitions; infinite ones are
         clipped to the window (tails are handled symbolically elsewhere).
         """
-        if self.kind == "finite":
-            return list(range(-self.param, self.param - 1, 2))
-        lo, hi = window
-        if self.kind == "lowest":
-            lo = max(lo, self.param)
-        if self.kind == "highest":
-            hi = min(hi, self.param - 2)
-        start = lo if lo % 2 == self.parity else lo + 1
-        return [n for n in range(start, hi + 1, 2) if self.has_transition(n)]
+        return [n for n in self.weights_in(window) if self.has_transition(n)]
 
     def weights_in(self, window: Window) -> List[int]:
         lo, hi = window
@@ -160,10 +155,13 @@ class DegreeProfile:
     slope_down: int  # deg F_{n-2} - deg F_n on the lower tail
     overrides: tuple = ()  # sorted tuple of (n, deg)
 
+    @cached_property
+    def _override_map(self) -> Dict[int, int]:
+        return dict(reversed(self.overrides))  # the first override of an n wins
+
     def deg(self, n: int) -> int:
-        for m, d in self.overrides:
-            if m == n:
-                return d
+        if n in self._override_map:
+            return self._override_map[n]
         if n >= self.anchor:
             return self.anchor_deg + self.slope_up * ((n - self.anchor) // 2)
         return self.anchor_deg + self.slope_down * ((self.anchor - n) // 2)
@@ -230,6 +228,11 @@ class TailRule:
         if self.value.is_zero():
             raise ValueError("tail unit constant must be nonzero")
 
+    @cached_property
+    def partner_scale(self) -> GaussianRational:
+        """(4 * value)^{-1}, the factor taking q_n to the partner polynomial."""
+        return (4 * self.value).inverse()
+
     def to_json(self) -> dict:
         return {"unit": self.unit_on, "value": str(self.value)}
 
@@ -251,18 +254,19 @@ class TransitionData:
     rule_down: TailRule  # transitions with n < pivot
     overrides: tuple = ()  # sorted tuple of (n, A: LaurentPoly, B: LaurentPoly)
 
+    @cached_property
+    def _override_map(self) -> Dict[int, Tuple[LaurentPoly, LaurentPoly]]:
+        return {n: (A, B) for n, A, B in reversed(self.overrides)}  # the first wins
+
     def override_for(self, n: int):
-        for m, A, B in self.overrides:
-            if m == n:
-                return (A, B)
-        return None
+        return self._override_map.get(n)
 
     def rule_for(self, n: int) -> TailRule:
         return self.rule_up if n >= self.pivot else self.rule_down
 
     def with_override(self, n: int, A: LaurentPoly, B: LaurentPoly) -> "TransitionData":
         others = tuple((m, a, b) for m, a, b in self.overrides if m != n)
-        return replace(self, overrides=tuple(sorted(others + ((n, A, B),))))
+        return replace(self, overrides=tuple(sorted(others + ((n, A, B),), key=lambda o: o[0])))
 
     def to_json(self) -> dict:
         return {
@@ -314,21 +318,32 @@ class HCModuleFamily:
     def q_poly(self, n: int) -> LaurentPoly:
         """q_n(z) = c1 z^2 + (c0 - n(n+2)) z + c_{-1}; four times A_n B_n."""
         c1, c0, cm1 = self.casimir
-        return LaurentPoly({2: c1, 1: c0 - GaussianRational(n * (n + 2)), 0: cm1})
+        return _lp({e: c for e, c in ((2, c1), (1, c0 - _qi(n * (n + 2), 0, 1)), (0, cm1)) if c})
 
     def transition_polys(self, n: int) -> Tuple[LaurentPoly, LaurentPoly]:
+        """Derive (A_n, B_n): the override at n, else the tail rule of n's side."""
         if not self.weights.has_transition(n):
             raise WeightNotPresent(f"no transition at weight {n}")
         ov = self.transitions.override_for(n)
         if ov is not None:
             return ov
         rule = self.transitions.rule_for(n)
-        q = self.q_poly(n)
-        unit = LaurentPoly.constant(rule.value)
-        other = q.scale((GaussianRational(4) * rule.value).inverse())
+        unit = _lp({0: rule.value})
+        other = self.q_poly(n).scale(rule.partner_scale)
         if rule.unit_on == "A":
             return unit, other
         return other, unit
+
+    @cached_property
+    def _derived(self) -> Dict[int, Tuple[LaurentPoly, LaurentPoly, LaurentPoly]]:
+        return {}
+
+    def transition(self, n: int) -> Tuple[LaurentPoly, LaurentPoly, LaurentPoly]:
+        """(A_n, B_n, q_n), derived once per module object and then reused."""
+        t = self._derived.get(n)
+        if t is None:
+            t = self._derived[n] = (*self.transition_polys(n), self.q_poly(n))
+        return t
 
     def degree_bounds(self, n: int) -> Tuple[int, int]:
         """(bound for deg A_n, bound for deg B_n)."""
@@ -386,9 +401,7 @@ def _integer_weight_solutions(c0: GaussianRational) -> List[int]:
     s = _sqrt_fraction(Fraction(1) + c0.re)
     if s is None or s.denominator != 1:
         return []
-    m = -1 + s.numerator
-    out = {m, -m - 2}
-    return sorted(out)
+    return sorted({s.numerator - 1, -s.numerator - 1})
 
 
 def validate(module: HCModuleFamily, window: Window = DEFAULT_WINDOW) -> ValidationReport:
@@ -418,11 +431,7 @@ def validate(module: HCModuleFamily, window: Window = DEFAULT_WINDOW) -> Validat
 
     # Per-transition checks.
     for n in w.transitions_in(window):
-        try:
-            A, B = module.transition_polys(n)
-        except WeightNotPresent:
-            continue
-        q = module.q_poly(n)
+        A, B, q = module.transition(n)
         if q.is_zero():
             v.append(Violation(n, "q_n is identically zero (excluded Casimir value)"))
             continue
@@ -437,7 +446,7 @@ def validate(module: HCModuleFamily, window: Window = DEFAULT_WINDOW) -> Validat
         step = module.degrees.step(n)
         if abs(step) > 1:
             v.append(Violation(n, "degree profile jumps by more than one"))
-        ba, bb = module.degree_bounds(n)
+        ba, bb = 1 + step, 1 - step  # degree_bounds(n)
         if A.degree() > ba:
             v.append(Violation(n, f"deg A_n = {A.degree()} exceeds bound {ba}"))
         if B.degree() > bb:
@@ -501,11 +510,6 @@ def _tail_violations(module: HCModuleFamily, window: Window, up: bool) -> List[V
     return out
 
 
-def generically_irreducible(module: HCModuleFamily, window: Window = DEFAULT_WINDOW) -> bool:
-    report = validate(module, window)
-    return report.ok
-
-
 # ---------------------------------------------------------------------------
 # Degrees lemma
 # ---------------------------------------------------------------------------
@@ -515,19 +519,13 @@ def degrees_lemma_check(module: HCModuleFamily, window: Window = DEFAULT_WINDOW)
     """Descending steps force constant nonzero A_n; ascending force B_n."""
     _require_valid(module, window)
     for n in module.weights.transitions_in(window):
-        A, B = module.transition_polys(n)
+        A, B, _ = module.transition(n)
         step = module.degrees.step(n)
         if step == -1 and not (A.degree() == 0 and not A.is_zero()):
             return False
         if step == 1 and not (B.degree() == 0 and not B.is_zero()):
             return False
-    # Tail rules: where the degrees move, the unit must sit on the side
-    # whose degree bound is zero.
-    w = module.weights
-    for up, present in ((True, w.unbounded_above), (False, w.unbounded_below)):
-        _, slope, unit_bound, _ = _tail_bounds(module, up)
-        if present and slope != 0 and unit_bound != 0:
-            return False
+    # No tail check: where degrees move, a unit bound of two leaves the partner zero, which validate rejects.
     return True
 
 
@@ -572,29 +570,35 @@ def _fiber_scalars(
     """:func:`fiber_module` for a module already validated on the window."""
     out = {}
     for n in module.weights.transitions_in(window):
-        A, B = module.transition_polys(n)
+        A, B, _ = module.transition(n)
         ba, bb = module.degree_bounds(n)
         out[n] = (_scalar_at(A, p, ba), _scalar_at(B, p, bb))
     return out
 
 
-def _tail_scalar_vanishes(module: HCModuleFamily, p: Point, window: Window, up: bool) -> bool:
-    """Whether some tail transition scalar vanishes at p (closed form in n)."""
+def _tail_vanishing(module: HCModuleFamily, p: Point, window: Window, up: bool) -> list:
+    """The tail transition scalars beyond the window that vanish at p, as
+    (side, n, 'A' or 'B'), with n None where all of that tail's transitions
+    vanish (closed form in n)."""
     w = module.weights
     if not (w.unbounded_above if up else w.unbounded_below):
-        return False
+        return []
+    side = "up" if up else "down"
     c1, c0, cm1 = module.casimir
+    unit_on, _, unit_bound, _ = _tail_bounds(module, up)
+    partner = "B" if unit_on == "A" else "A"
     if p is INFINITY:
         # The constant unit attains its bound iff that bound is zero; the
         # partner bound is then two, attained by deg q_n = 2 iff c1 != 0.
-        _, _, unit_bound, _ = _tail_bounds(module, up)
-        return unit_bound != 0 or c1.is_zero()
+        zero = unit_on if unit_bound != 0 else partner if c1.is_zero() else None
+        return [(side, None, zero)] if zero else []
     p = GaussianRational._coerce(p)
     if p.is_zero():
         # q_n(0) = c_{-1} for every n.
-        return cm1.is_zero()
+        return [(side, None, partner)] if cm1.is_zero() else []
     # q_n(p) = 0  <=>  n(n+2) = (c1 p^2 + c0 p + cm1) / p.
-    return bool(_tail_transitions(module, window, up, (c1 * p * p + c0 * p + cm1) / p))
+    value = (c1 * p * p + c0 * p + cm1) / p
+    return [(side, m, partner) for m in _tail_transitions(module, window, up, value)]
 
 
 @dataclass
@@ -604,6 +608,7 @@ class FiberVerdict:
 
     irreducible: bool
     scalars: Dict[int, Tuple[GaussianRational, GaussianRational]]
+    tail: list  # the vanishing tail scalars, as _tail_vanishing gives them
 
     def __bool__(self):
         return self.irreducible
@@ -612,12 +617,9 @@ class FiberVerdict:
 def _fiber_verdict(module: HCModuleFamily, p: Point, window: Window) -> FiberVerdict:
     """:func:`fiber_irreducible` for a module already validated on the window."""
     scalars = _fiber_scalars(module, p, window)
-    reducible = (
-        any(a.is_zero() or b.is_zero() for a, b in scalars.values())
-        or _tail_scalar_vanishes(module, p, window, up=True)
-        or _tail_scalar_vanishes(module, p, window, up=False)
-    )
-    return FiberVerdict(not reducible, scalars)
+    tail = _tail_vanishing(module, p, window, up=True) + _tail_vanishing(module, p, window, up=False)
+    reducible = bool(tail) or any(a.is_zero() or b.is_zero() for a, b in scalars.values())
+    return FiberVerdict(not reducible, scalars, tail)
 
 
 def fiber_irreducible(
@@ -653,7 +655,7 @@ def reducible_locus(module: HCModuleFamily, window: Window = DEFAULT_WINDOW) -> 
     points = set()
     unsplit = []
     for n in module.weights.transitions_in(window):
-        A, B = module.transition_polys(n)
+        A, B, _ = module.transition(n)
         for which, poly in (("A", A), ("B", B)):
             try:
                 points.update(poly_roots(poly))
@@ -719,8 +721,8 @@ def iso_check(
         return IsoResult(False, {}, "lower tail rules place units on different sides")
     scalars: Dict[int, GaussianRational] = {}
     for n in sorted(w.transitions_in(window), key=lambda n: (abs(n), n)):
-        A1, B1 = m1.transition_polys(n)
-        A2, B2 = m2.transition_polys(n)
+        A1, B1, _ = m1.transition(n)
+        A2, B2, _ = m2.transition(n)
         mu = _proportionality(A1, A2)
         if mu is None or mu.is_zero():
             return IsoResult(False, scalars, f"A_{n} is not a scalar multiple")
@@ -745,7 +747,7 @@ def swap_transitions(
     for n in indices:
         if module.degrees.step(n) != 0:
             raise DegreeBoundViolated(f"transition {n} does not have equal degrees")
-        A, B = module.transition_polys(n)
+        A, B, _ = module.transition(n)
         if A.degree() > 1 or B.degree() > 1:
             raise DegreeBoundViolated(f"transition {n} polynomials exceed degree one")
         t = t.with_override(n, B, A)

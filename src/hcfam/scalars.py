@@ -17,8 +17,8 @@ when the denominator is a monomial.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
+from math import gcd as _gcd, isqrt
 from typing import Mapping, Optional, Union
 
 
@@ -27,7 +27,6 @@ class PoleAtPoint(Exception):
 
 
 _new = object.__new__
-_gcd = math.gcd
 
 
 # ---------------------------------------------------------------------------
@@ -278,15 +277,24 @@ INFINITY = _Infinity()
 
 Point = Union[GaussianRational, _Infinity]
 
-#: Sentinel order of the zero function at any point.
-ORDER_OF_ZERO = math.inf
+class _OrderOfZero:
+    """The order of the zero function at any point: above every integer."""
+
+    def __lt__(self, other):
+        return False
+
+    def __gt__(self, other):
+        return other is not self
+
+
+ORDER_OF_ZERO = _OrderOfZero()
 
 
 def _sqrt_fraction(f: Fraction) -> Optional[Fraction]:
     if f < 0:
         return None
-    pn = math.isqrt(f.numerator)
-    pd = math.isqrt(f.denominator)
+    pn = isqrt(f.numerator)
+    pd = isqrt(f.denominator)
     if pn * pn == f.numerator and pd * pd == f.denominator:
         return Fraction(pn, pd)
     return None
@@ -458,13 +466,18 @@ class LaurentPoly:
     # -- evaluation and division --------------------------------------------
 
     def evaluate(self, z0: GaussianRational) -> GaussianRational:
+        """Horner's rule down to the lowest exponent, then one power of z0."""
         z0 = GaussianRational._coerce(z0)
-        if z0.is_zero() and not self.is_zero() and self.min_exp() < 0:
+        c = self.coeffs
+        if not c:
+            return QI_ZERO
+        lo, hi = min(c), max(c)
+        if lo < 0 and z0.is_zero():
             raise PoleAtPoint("Laurent polynomial has a pole at 0")
-        out = QI_ZERO
-        for e, c in self.coeffs.items():
-            out = out + c * z0**e
-        return out
+        out = c[hi]
+        for e in range(hi - 1, lo - 1, -1):
+            out = out * z0 + c[e] if e in c else out * z0
+        return out if lo == 0 else out * z0**lo
 
     def divmod_ordinary(self, other: "LaurentPoly"):
         """Polynomial division; both operands must be ordinary polynomials."""

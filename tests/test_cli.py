@@ -291,6 +291,20 @@ def _request_error(capsys, *argv):
 class TestRequestContract:
     @pytest.mark.parametrize(
         "argv",
+        [["-h"], ["module", "-h"], ["module", "fiber", "--help"], ["classify", "--he"]],
+        ids=["top", "module", "module-fiber", "abbreviated"],
+    )
+    def test_help_goes_to_stderr(self, argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = run(argv)
+        assert code == 0
+        lines = out.getvalue().splitlines()
+        assert len(lines) == 1 and json.loads(lines[0])["help"].startswith("hcfam")
+        assert err.getvalue().startswith("usage: hcfam")
+
+    @pytest.mark.parametrize(
+        "argv",
         [
             ["grassmann", "limit", "--pq", "0,1"],
             ["grassmann", "subalg", "--pq", "2,0", "--det-one"],
@@ -531,6 +545,8 @@ def _requests(draw):
     if draw(st.integers(0, 7)) == 0:
         junk = draw(st.text(alphabet="abc0123456789.,:/", min_size=1, max_size=5))
         argv.insert(draw(st.integers(0, len(argv))), junk)
+    if draw(st.integers(0, 7)) == 0:
+        argv.insert(draw(st.integers(0, len(argv))), draw(st.sampled_from(["-h", "--help", "--he"])))
     return argv, draw(_documents()), draw(_documents())
 
 

@@ -1,8 +1,12 @@
 """Tests for Harish-Chandra module families: validation, fibers, isomorphism."""
 
+import contextlib
 import dataclasses
+import io
 import json
+import math
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -12,8 +16,11 @@ from hcfam.scalars import (
     INFINITY,
     GaussianRational,
     LaurentPoly,
+    PoleAtPoint,
     QI_I,
     QI_ZERO,
+    UnsplitQuadratic,
+    poly_roots,
 )
 from hcfam.hcmod import (
     DEFAULT_WINDOW,
@@ -29,7 +36,6 @@ from hcfam.hcmod import (
     degrees_lemma_check,
     fiber_irreducible,
     fiber_module,
-    generically_irreducible,
     iso_check,
     picard_twist,
     profiles_equal,
@@ -37,6 +43,7 @@ from hcfam.hcmod import (
     swap_transitions,
     validate,
 )
+from hcfam import classify
 from hcfam.classify import ClassSpec, construct
 
 QI = GaussianRational
@@ -95,7 +102,7 @@ class TestValidation:
             module = construct(WeightSet("even"), cls, casimir_triple(1, 0, 1))
             report = validate(module)
             assert report.ok, report.to_json()
-            assert generically_irreducible(module)
+            assert validate(module).ok
             assert degrees_lemma_check(module)
 
     def test_zero_transition_polynomial_flagged(self):
@@ -435,3 +442,242 @@ class TestSerialization:
         m2 = dataclasses.replace(module, transitions=swappedless)
         back = HCModuleFamily.from_json(m2.to_json())
         assert back == m2
+
+
+class TestTailWitness:
+    def test_tail_only_reducibility_names_the_tail_weights(self):
+        # q_n(p) = 0 iff n(n+2) = (c1 p^2 + c0 p + c_{-1}) / p; with these
+        # values both roots n lie beyond the window.
+        c1, c0, cm1, p, window = QI(1), QI(957), QI(2), QI(2), (-24, 24)
+        module = construct(WeightSet("even"), ClassSpec("III"), casimir_triple(c1, c0, cm1))
+        value = (c1 * p * p + c0 * p + cm1) / p
+        assert value.is_real() and value.re.denominator == 1
+        s = math.isqrt(1 + value.re.numerator)
+        assert s * s == 1 + value.re.numerator
+        up, down = s - 1, -s - 1
+        assert up > window[1] and down < window[0]
+        t = module.transitions
+        partner = {"A": "B", "B": "A"}
+        verdict = fiber_irreducible(module, p, window)
+        assert not verdict.irreducible
+        assert not any(a.is_zero() or b.is_zero() for a, b in verdict.scalars.values())
+        assert verdict.tail == [("up", up, partner[t.rule_up.unit_on]), ("down", down, partner[t.rule_down.unit_on])]
+        assert fiber_irreducible(module, p, (-40, 40)).tail == []
+
+    def test_every_tail_transition_vanishes_at_the_boundary(self):
+        # c_{-1} = 0: every q_n vanishes at 0; c1 = 0: no partner of degree
+        # two at infinity, where class III needs it.
+        module = construct(WeightSet("even"), ClassSpec("III"), casimir_triple(0, 1, 0))
+        for p in (QI_ZERO, INFINITY):
+            verdict = fiber_irreducible(module, p, (-6, 6))
+            assert not verdict.irreducible
+            assert verdict.tail == [("up", None, "A"), ("down", None, "A")]
+
+    def test_cli_emits_tail_vanishing(self, tmp_path):
+        from hcfam import cli
+
+        module = construct(WeightSet("even"), ClassSpec("III"), casimir_triple(1, 957, 2))
+        path = tmp_path / "module.json"
+        path.write_text(json.dumps(module.to_json()))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.run(["module", "fiber", "--module", str(path), "--at", "2"])
+        assert code == 1
+        assert json.loads(out.getvalue()) == {
+            "at": "2",
+            "irreducible": False,
+            "vanishing": [],
+            "tail_vanishing": [{"side": "up", "n": 30, "poly": "A"}, {"side": "down", "n": -32, "poly": "A"}],
+        }
+
+
+class TestDerivedOnce:
+    def test_replace_starts_fresh(self):
+        module = HCModuleFamily(
+            WeightSet("even"),
+            DegreeProfile(0, 0, 0, 0, overrides=((4, 0),)),
+            TransitionData(0, TailRule("A"), TailRule("A")),
+            casimir_triple(0, 0, 1),
+        )
+        window = (-8, 8)
+        assert validate(module, window).ok and fiber_irreducible(module, QI(1), window)
+        A0, B0, q0 = module.transition(2)
+        swapped = swap_transitions(module, [2], window)
+        assert swapped.transition(2) == (B0, A0, q0)
+        assert swapped.transition_polys(2) == (B0, A0)
+        assert module.transition(2) == (A0, B0, q0)
+        degrees = [module.degrees.deg(n) for n in range(-10, 11, 2)]
+        twisted = picard_twist(module, 3, window)
+        assert [twisted.degrees.deg(n) for n in range(-10, 11, 2)] == [d + 3 for d in degrees]
+        assert [module.degrees.deg(n) for n in range(-10, 11, 2)] == degrees
+
+    def test_first_of_repeated_overrides_wins(self):
+        one, two = LaurentPoly.constant(1), LaurentPoly.constant(2)
+        t = TransitionData(0, TailRule("A"), TailRule("A"), overrides=((2, one, two), (2, two, one)))
+        assert t.override_for(2) == (one, two) and t.override_for(4) is None
+        assert t.with_override(0, two, two).overrides[1:] == t.overrides
+        d = DegreeProfile(0, 0, 0, 0, overrides=((2, 5), (2, 7)))
+        assert d.deg(2) == 5 and d.deg(4) == 0
+
+
+# -- differential check of the derive-once path ----------------------------------
+
+
+def _scan_override(self, n):
+    for m, A, B in self.overrides:
+        if m == n:
+            return (A, B)
+    return None
+
+
+def _scan_deg(self, n):
+    for m, d in self.overrides:
+        if m == n:
+            return d
+    if n >= self.anchor:
+        return self.anchor_deg + self.slope_up * ((n - self.anchor) // 2)
+    return self.anchor_deg + self.slope_down * ((self.anchor - n) // 2)
+
+
+def _fresh_transition(self, n):
+    """(A_n, B_n, q_n) derived afresh on every call, through the public
+    constructors."""
+    if not self.weights.has_transition(n):
+        raise WeightNotPresent(f"no transition at weight {n}")
+    c1, c0, cm1 = self.casimir
+    q = LaurentPoly({2: c1, 1: c0 - QI(n * (n + 2)), 0: cm1})
+    ov = _scan_override(self.transitions, n)
+    if ov is not None:
+        return (*ov, q)
+    rule = self.transitions.rule_for(n)
+    unit = LaurentPoly.constant(rule.value)
+    other = q.scale((QI(4) * rule.value).inverse())
+    return (unit, other, q) if rule.unit_on == "A" else (other, unit, q)
+
+
+def _term_sum(self, z0):
+    z0 = GaussianRational._coerce(z0)
+    if z0.is_zero() and any(e < 0 for e in self.coeffs):
+        raise PoleAtPoint("Laurent polynomial has a pole at 0")
+    out = QI_ZERO
+    for e, c in self.coeffs.items():
+        out = out + c * z0**e
+    return out
+
+
+@contextlib.contextmanager
+def reference_derivation():
+    """Derive every transition the way the library did before it kept them
+    per object: linear override scans, a fresh q_n, term-by-term evaluation."""
+    with contextlib.ExitStack() as stack:
+        for owner, name, fn in (
+            (TransitionData, "override_for", _scan_override),
+            (DegreeProfile, "deg", _scan_deg),
+            (HCModuleFamily, "transition", _fresh_transition),
+            (HCModuleFamily, "transition_polys", lambda self, n: _fresh_transition(self, n)[:2]),
+            (LaurentPoly, "evaluate", _term_sum),
+        ):
+            stack.enter_context(mock.patch.object(owner, name, fn))
+        yield
+
+
+small_qi = st.builds(QI, st.integers(-3, 3), st.integers(-1, 1))
+nonzero_qi = small_qi.filter(lambda g: not g.is_zero())
+small_polys = st.dictionaries(st.integers(-1, 3), nonzero_qi, max_size=3).map(LaurentPoly)
+
+
+@st.composite
+def module_cases(draw):
+    """A module (valid or corrupted), a window, and fiber points."""
+    kind = draw(st.sampled_from(["even", "odd", "lowest", "highest", "finite"]))
+    param = {"lowest": st.integers(1, 7), "highest": st.integers(-7, -1), "finite": st.integers(0, 7)}
+    weights = WeightSet(kind, draw(param[kind]) if kind in param else 0)
+    lo = draw(st.integers(-30, 30))
+    window = (lo, draw(st.integers(lo, min(30, lo + 40))))
+    c1 = draw(st.one_of(st.just(QI_ZERO), small_qi))  # with c1 = 0 every q_n splits
+    casimir = classify._forced_casimir(weights) or casimir_triple(c1, draw(small_qi), draw(small_qi))
+    cls = draw(st.sampled_from(classify.applicable_classes(weights, window)[:6]))
+    try:
+        if draw(st.integers(0, 5)) == 0:
+            raise classify.IncompatibleClass("a module of random data")
+        module = construct(weights, cls, casimir, window)
+    except (classify.IncompatibleClass, classify.InadmissibleCasimir):
+        slopes = st.integers(-1, 1)
+        module = HCModuleFamily(
+            weights,
+            DegreeProfile(draw(st.integers(-4, 4)), draw(st.integers(-2, 2)), draw(slopes), draw(slopes)),
+            TransitionData(draw(st.integers(*window)), TailRule(draw(st.sampled_from("AB")), draw(nonzero_qi)),
+                           TailRule(draw(st.sampled_from("AB")), draw(nonzero_qi))),
+            casimir,
+        )
+    t, d = module.transitions, module.degrees
+    indices = weights.transitions_in(window)
+    for n in draw(st.lists(st.sampled_from(indices), max_size=6)) if indices else []:
+        A, B = module.transition_polys(n)
+        if draw(st.integers(0, 7)):  # a rescaling keeps the module valid
+            mu = draw(nonzero_qi)
+            t = t.with_override(n, A.scale(mu), B.scale(mu.inverse()))
+        else:
+            t = t.with_override(n, draw(small_polys), draw(small_polys))
+    if t.overrides and draw(st.integers(0, 3)) == 0:  # a repeated transition override
+        n = draw(st.sampled_from(t.overrides))[0]
+        t = dataclasses.replace(t, overrides=t.overrides + ((n, draw(small_polys), draw(small_polys)),))
+    overrides = [(n, d.deg(n) + draw(st.sampled_from([0] * 8 + [1, -2])))
+                 for n in draw(st.lists(st.integers(window[0] - 2, window[1] + 2), max_size=3))]
+    d = dataclasses.replace(d, overrides=tuple(overrides))
+    module = dataclasses.replace(module, transitions=t, degrees=d)
+    points = [QI_ZERO, INFINITY, draw(small_qi), QI(Fraction(draw(st.integers(-9, 9)), draw(st.integers(1, 999))))]
+    for m in (window[0] - 1, window[0] - 2, window[1] + 1, window[1] + 2):  # zeros of tail scalars
+        if weights.has_transition(m):
+            try:
+                points += [r for r in poly_roots(module.q_poly(m)) if not r.is_zero()]
+            except UnsplitQuadratic:
+                pass
+    return module, window, points
+
+
+def _outcome_of(fn, *args):
+    try:
+        return fn(*args)
+    except (NotValidated, DegreeBoundViolated, WeightNotPresent) as e:
+        return (type(e).__name__, str(e))
+
+
+def verdicts(module, window, points):
+    """Every verdict the module answers, with a rescaled twin for iso_check."""
+    twin, mu = module, QI(2, 1)
+    for n in module.weights.transitions_in(window):
+        A, B = module.transition_polys(n)
+        rescaled = twin.transitions.with_override(n, A.scale(mu), B.scale(mu.inverse()))
+        twin = dataclasses.replace(twin, transitions=rescaled)
+    out = {"validate": validate(module, window).to_json(), "lemma": _outcome_of(degrees_lemma_check, module, window)}
+    locus = _outcome_of(reducible_locus, module, window)
+    if isinstance(locus, tuple):
+        out["locus"] = locus
+    else:
+        out["locus"] = (locus.points, locus.boundary, [(n, w, str(p)) for n, w, p in locus.unsplit])
+        points = points + sorted(locus.points, key=str)[:3]
+    for p in points:
+        v = _outcome_of(fiber_irreducible, module, p, window)
+        out[f"fiber {p}"] = v if isinstance(v, tuple) else (v.irreducible, v.scalars, v.tail)
+    iso = _outcome_of(iso_check, module, twin, window)
+    out["iso"] = iso if isinstance(iso, tuple) else (iso.isomorphic, iso.scalars, iso.obstruction)
+    for name, fn, arg in (("swap", swap_transitions, module.weights.transitions_in(window)[:2]),
+                          ("twist", picard_twist, 1)):
+        r = _outcome_of(fn, module, arg, window)
+        out[name] = r if isinstance(r, tuple) else r.to_json()
+    return out
+
+
+class TestDifferential:
+    @given(module_cases())
+    @settings(max_examples=60, deadline=None)
+    def test_derive_once_path_matches_fresh_derivation(self, case):
+        module, window, points = case
+        fresh = HCModuleFamily.from_json(module.to_json())
+        expected_json = json.dumps(module.to_json())
+        got = verdicts(module, window, points)
+        with reference_derivation():
+            expected = verdicts(fresh, window, points)
+        assert got == expected
+        assert json.dumps(module.to_json()) == expected_json

@@ -82,3 +82,48 @@ def test_private_name_detector():
 
 def test_cli_uses_only_public_library_names():
     assert private_hcfam_names((SRC / "cli.py").read_text()) == []
+
+
+MATH_ALLOWED = {"gcd", "isqrt"}
+
+
+def float_uses(source: str) -> list:
+    """Floats in exact code: float or complex literals, calls of ``float``,
+    and names from ``math`` other than ``gcd`` and ``isqrt`` (imported by
+    name, or read as an attribute of an imported ``math``)."""
+    tree = ast.parse(source)
+    found, math_names = [], set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            math_names.update(a.asname or a.name for a in node.names if a.name == "math")
+        elif isinstance(node, ast.ImportFrom) and node.module == "math":
+            found += [(node.lineno, f"math.{a.name}") for a in node.names if a.name not in MATH_ALLOWED]
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Constant) and type(node.value) in (float, complex):
+            found.append((node.lineno, repr(node.value)))
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "float":
+            found.append((node.lineno, "float()"))
+        elif (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id in math_names
+            and node.attr not in MATH_ALLOWED
+        ):
+            found.append((node.lineno, f"math.{node.attr}"))
+    return sorted(found)
+
+
+def test_float_detector():
+    src = (
+        "import math\nimport math as m\nfrom math import gcd, inf\n"
+        "a = 0.5\nb = 2j\nc = float('1')\nd = math.inf\ne = m.sqrt(4)\n"
+        "f = math.gcd(4, 6) + m.isqrt(9) + gcd(1, 2) + 1 // 2\n"
+    )
+    assert float_uses(src) == [
+        (3, "math.inf"), (4, "0.5"), (5, "2j"), (6, "float()"), (7, "math.inf"), (8, "math.sqrt"),
+    ]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_floats(path):
+    assert float_uses(path.read_text()) == []

@@ -148,6 +148,18 @@ class TestLaurentPoly:
         with pytest.raises(PoleAtPoint):
             lp({-1: 1}).evaluate(QI_ZERO)
 
+    @given(laurents, st.one_of(st.just(QI_ZERO), gaussians))
+    def test_horner_evaluate_matches_the_term_sum(self, p, z0):
+        """Horner's rule against the plain sum of c * z0^e, poles at 0 included."""
+        if z0.is_zero() and any(e < 0 for e in p.coeffs):
+            with pytest.raises(PoleAtPoint):
+                p.evaluate(z0)
+            return
+        naive = QI_ZERO
+        for e, c in p.coeffs.items():
+            naive = naive + c * z0**e
+        assert p.evaluate(z0) == naive
+
 
 # ---------------------------------------------------------------------------
 # Rational functions
@@ -173,6 +185,12 @@ class TestRationalFunction:
         assert f.ord_at(QI_ONE) == -1
         assert f.ord_at(INFINITY) == -1
         assert RF_ZERO.ord_at(QI_ZERO) == ORDER_OF_ZERO
+
+    def test_order_of_zero_exceeds_every_integer(self):
+        for k in (-10**30, -1, 0, 1, 10**30):
+            assert ORDER_OF_ZERO > k and k < ORDER_OF_ZERO and not ORDER_OF_ZERO < k
+        assert min(0, RF_ZERO.ord_at(INFINITY)) == 0
+        assert RF_ZERO.evaluate_at_infinity() == QI_ZERO
 
     @given(laurents, nonzero_laurents, laurents, nonzero_laurents)
     @settings(max_examples=40)
