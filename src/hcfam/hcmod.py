@@ -21,6 +21,7 @@ from .scalars import (
     GaussianRational,
     LaurentPoly,
     Point,
+    QI_ONE,
     QI_ZERO,
     UnsplitQuadratic,
     _lp,
@@ -106,7 +107,10 @@ class WeightSet:
         Finite weight sets list all of their transitions; infinite ones are
         clipped to the window (tails are handled symbolically elsewhere).
         """
-        return [n for n in self.weights_in(window) if self.has_transition(n)]
+        ns = self.weights_in(window)
+        if ns and not self.unbounded_above and ns[-1] == self.param:
+            ns.pop()  # the top weight of a bounded-above set has no transition
+        return ns
 
     def weights_in(self, window: Window) -> List[int]:
         lo, hi = window
@@ -320,6 +324,15 @@ class HCModuleFamily:
         c1, c0, cm1 = self.casimir
         return _lp({e: c for e, c in ((2, c1), (1, c0 - _qi(n * (n + 2), 0, 1)), (0, cm1)) if c})
 
+    def q_lead(self, n: int) -> Tuple[int, GaussianRational]:
+        """(deg q_n, leading coefficient of q_n) in closed form in n, without
+        building q_n; (-1, 0) where q_n is identically zero."""
+        c1, c0, cm1 = self.casimir
+        for d, c in ((2, c1), (1, c0 - n * (n + 2)), (0, cm1)):
+            if c:
+                return d, c
+        return -1, QI_ZERO
+
     def transition_polys(self, n: int) -> Tuple[LaurentPoly, LaurentPoly]:
         """Derive (A_n, B_n): the override at n, else the tail rule of n's side."""
         if not self.weights.has_transition(n):
@@ -429,28 +442,35 @@ def validate(module: HCModuleFamily, window: Window = DEFAULT_WINDOW) -> Validat
     if w.kind != "finite" and not (lo <= module.transitions.pivot <= hi + 2):
         v.append(Violation("structure", "tail pivot outside the checked window"))
 
-    # Per-transition checks.
-    for n in w.transitions_in(window):
-        A, B, q = module.transition(n)
-        if q.is_zero():
+    # Per-transition checks: overrides directly, the rest in closed form in n (a unit
+    # beside q_n / (4 * unit) is polynomial, nonzero and gives 4 A_n B_n = q_n).
+    t = module.transitions
+    for n in _checked_transitions(module, window):
+        dq = module.q_lead(n)[0]
+        if dq < 0:
             v.append(Violation(n, "q_n is identically zero (excluded Casimir value)"))
             continue
-        if not (A.is_ordinary() and B.is_ordinary()):
-            v.append(Violation(n, "transition data is not polynomial"))
-            continue
-        if A.is_zero() or B.is_zero():
-            v.append(Violation(n, "zero transition polynomial (not generically irreducible)"))
-            continue
-        if (A * B).scale(4) != q:
-            v.append(Violation(n, "Casimir equation 4 A_n B_n = q_n fails"))
+        if t.override_for(n) is None:
+            da, db = (0, dq) if t.rule_for(n).unit_on == "A" else (dq, 0)
+        else:
+            A, B, q = module.transition(n)
+            if not (A.is_ordinary() and B.is_ordinary()):
+                v.append(Violation(n, "transition data is not polynomial"))
+                continue
+            if A.is_zero() or B.is_zero():
+                v.append(Violation(n, "zero transition polynomial (not generically irreducible)"))
+                continue
+            if (A * B).scale(4) != q:
+                v.append(Violation(n, "Casimir equation 4 A_n B_n = q_n fails"))
+            da, db = A.degree(), B.degree()
         step = module.degrees.step(n)
         if abs(step) > 1:
             v.append(Violation(n, "degree profile jumps by more than one"))
         ba, bb = 1 + step, 1 - step  # degree_bounds(n)
-        if A.degree() > ba:
-            v.append(Violation(n, f"deg A_n = {A.degree()} exceeds bound {ba}"))
-        if B.degree() > bb:
-            v.append(Violation(n, f"deg B_n = {B.degree()} exceeds bound {bb}"))
+        if da > ba:
+            v.append(Violation(n, f"deg A_n = {da} exceeds bound {ba}"))
+        if db > bb:
+            v.append(Violation(n, f"deg B_n = {db} exceeds bound {bb}"))
 
     # Symbolic tail checks.
     if w.unbounded_above:
@@ -458,6 +478,19 @@ def validate(module: HCModuleFamily, window: Window = DEFAULT_WINDOW) -> Validat
     if w.unbounded_below:
         v.extend(_tail_violations(module, window, up=False))
     return ValidationReport(v)
+
+
+def _checked_transitions(module: HCModuleFamily, window: Window) -> List[int]:
+    """The window's transitions, plus those just beyond it that the tail checks
+    do not cover: next to a degree override, or following the other tail's rule."""
+    w, (lo, hi) = module.weights, window
+    if w.kind == "finite":
+        return w.transitions_in(window)
+    degs, pivot = module.degrees._override_map, module.transitions.pivot
+    near = [(n, False) for n in range(lo - 4, lo)] + [(hi + 1, True), (hi + 2, True)]
+    extra = [n for n, up in near
+             if w.has_transition(n) and (n in degs or n + 2 in degs or (n >= pivot) != up)]
+    return sorted(extra + w.transitions_in(window))
 
 
 def _tail_bounds(module: HCModuleFamily, up: bool) -> Tuple[str, int, int, int]:
@@ -551,28 +584,37 @@ def _scalar_at(poly: LaurentPoly, p: Point, bound: int) -> GaussianRational:
     return poly.evaluate(GaussianRational._coerce(p))
 
 
-def fiber_module(
-    module: HCModuleFamily, p: Point, window: Window = DEFAULT_WINDOW
-) -> Dict[int, Tuple[GaussianRational, GaussianRational]]:
-    """Transition scalars {n: (a_n, b_n)} of the fiber at p, over the window.
-
-    At interior points these are plain evaluations (the local basis at 0 is
-    f_n, X, zY); at infinity a polynomial contributes its leading coefficient
-    exactly when its degree attains the degree bound.
-    """
-    _require_valid(module, window)
-    return _fiber_scalars(module, p, window)
-
-
 def _fiber_scalars(
     module: HCModuleFamily, p: Point, window: Window
 ) -> Dict[int, Tuple[GaussianRational, GaussianRational]]:
-    """:func:`fiber_module` for a module already validated on the window."""
+    """Transition scalars {n: (a_n, b_n)} of the fiber at p, over the window,
+    for a module already validated on it.
+
+    At interior points these are plain evaluations (the local basis at 0 is
+    f_n, X, zY); at infinity a polynomial contributes its leading coefficient
+    exactly when its degree attains the degree bound.  Transitions without an
+    override are read in closed form in n: the unit u and q_n(p) / (4u).
+    """
+    if p is not INFINITY:
+        p = GaussianRational._coerce(p)
+        base = module.q_poly(0).evaluate(p)  # q_n(p) = base - n(n+2) p
+    t = module.transitions
     out = {}
     for n in module.weights.transitions_in(window):
-        A, B, _ = module.transition(n)
         ba, bb = module.degree_bounds(n)
-        out[n] = (_scalar_at(A, p, ba), _scalar_at(B, p, bb))
+        if t.override_for(n) is not None:
+            A, B, _ = module.transition(n)
+            out[n] = (_scalar_at(A, p, ba), _scalar_at(B, p, bb))
+            continue
+        rule = t.rule_for(n)
+        unit_bound, partner_bound = (ba, bb) if rule.unit_on == "A" else (bb, ba)
+        if p is INFINITY:  # the unit attains a bound of 0; deg q_n the partner's
+            dq, lead = module.q_lead(n)
+            unit = rule.value if unit_bound == 0 else QI_ZERO
+            pair = (unit, lead * rule.partner_scale if dq == partner_bound else QI_ZERO)
+        else:
+            pair = (rule.value, (base - p * (n * (n + 2))) * rule.partner_scale)
+        out[n] = pair if rule.unit_on == "A" else pair[::-1]
     return out
 
 
@@ -604,7 +646,7 @@ def _tail_vanishing(module: HCModuleFamily, p: Point, window: Window, up: bool) 
 @dataclass
 class FiberVerdict:
     """Irreducibility of the fiber at a point, with the window's transition
-    scalars {n: (a_n, b_n)} as :func:`fiber_module` gives them."""
+    scalars {n: (a_n, b_n)} as :func:`_fiber_scalars` gives them."""
 
     irreducible: bool
     scalars: Dict[int, Tuple[GaussianRational, GaussianRational]]
@@ -654,13 +696,18 @@ def reducible_locus(module: HCModuleFamily, window: Window = DEFAULT_WINDOW) -> 
     _require_valid(module, window)
     points = set()
     unsplit = []
+    t = module.transitions
     for n in module.weights.transitions_in(window):
-        A, B, _ = module.transition(n)
-        for which, poly in (("A", A), ("B", B)):
+        if t.override_for(n) is None:  # the unit has no roots, q_n / (4 * unit) those of q_n
+            rule = t.rule_for(n)
+            polys = [("B" if rule.unit_on == "A" else "A", module.q_poly(n), rule.partner_scale)]
+        else:
+            polys = [(which, poly, QI_ONE) for which, poly in zip("AB", module.transition(n))]
+        for which, poly, scale in polys:
             try:
                 points.update(poly_roots(poly))
             except UnsplitQuadratic:
-                unsplit.append((n, which, poly))
+                unsplit.append((n, which, poly.scale(scale)))
     boundary = {
         bp for bp in (GaussianRational(0), INFINITY) if not _fiber_verdict(module, bp, window)
     }
@@ -710,17 +757,19 @@ def iso_check(
         return IsoResult(False, {}, "degree profiles differ")
     if m1.casimir != m2.casimir:
         return IsoResult(False, {}, "Casimir triples differ")
-    w = m1.weights
-    if w.unbounded_above and (
-        m1.transitions.rule_up.unit_on != m2.transitions.rule_up.unit_on
-    ):
+    w, t1, t2 = m1.weights, m1.transitions, m2.transitions
+    if w.unbounded_above and t1.rule_up.unit_on != t2.rule_up.unit_on:
         return IsoResult(False, {}, "upper tail rules place units on different sides")
-    if w.unbounded_below and (
-        m1.transitions.rule_down.unit_on != m2.transitions.rule_down.unit_on
-    ):
+    if w.unbounded_below and t1.rule_down.unit_on != t2.rule_down.unit_on:
         return IsoResult(False, {}, "lower tail rules place units on different sides")
     scalars: Dict[int, GaussianRational] = {}
     for n in sorted(w.transitions_in(window), key=lambda n: (abs(n), n)):
+        r1, r2 = t1.rule_for(n), t2.rule_for(n)
+        if t1.override_for(n) is t2.override_for(n) is None and r1.unit_on == r2.unit_on:
+            # (u, q_n / 4u) against (u', q_n / 4u'): mu_n takes u to u' on A, or
+            # q_n / 4u to q_n / 4u' on A, and B then matches identically.
+            scalars[n] = r2.value / r1.value if r1.unit_on == "A" else r1.value / r2.value
+            continue
         A1, B1, _ = m1.transition(n)
         A2, B2, _ = m2.transition(n)
         mu = _proportionality(A1, A2)

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd as _gcd, isqrt
-from typing import Mapping, Optional, Union
+from typing import Mapping, Optional, Tuple, Union
 
 
 class PoleAtPoint(Exception):
@@ -219,24 +219,34 @@ class GaussianRational:
             raise ValueError(f"cannot parse Gaussian rational {text!r}")
         try:
             if not s.endswith("i"):
-                return GaussianRational(Fraction(s))
+                a, d = _parse_ratio(s)
+                return _qi(a, 0, d)
             body = s[:-1]
             if body.endswith("*"):
                 body = body[:-1]
             # Split off the real part at the last interior sign; fraction
             # notation has no exponents, so any non-leading +/- separates.
             split = max(body.rfind("+"), body.rfind("-"))
-            re_txt, im_txt = (body[:split], body[split:]) if split > 0 else ("", body)
-            re_part = Fraction(re_txt) if re_txt else Fraction(0)
-            if im_txt in ("", "+"):
-                im_part = Fraction(1)
-            elif im_txt == "-":
-                im_part = Fraction(-1)
-            else:
-                im_part = Fraction(im_txt)
-            return GaussianRational(re_part, im_part)
-        except ValueError:
+            re_txt, im_txt = (body[:split], body[split:]) if split > 0 else ("0", body)
+            a, ad = _parse_ratio(re_txt)
+            b, bd = _parse_ratio(im_txt + "1" if im_txt in ("", "+", "-") else im_txt)
+            return _qi(a * bd, b * ad, ad * bd)
+        except (ValueError, ZeroDivisionError):
             raise ValueError(f"cannot parse Gaussian rational {text!r}")
+
+
+def _parse_ratio(text: str) -> Tuple[int, int]:
+    """(n, d) with d > 0 for the value ``Fraction(text)``, reading the "n" and
+    "n/d" forms that ``str`` emits with ``int`` alone."""
+    num, slash, den = text.partition("/")
+    if text.isascii() and num.lstrip("+-").isdigit() and (den.isdigit() or not slash):
+        n, d = int(num), int(den or 1)
+    else:
+        f = Fraction(text)
+        n, d = f.numerator, f.denominator
+    if d == 0:
+        raise ZeroDivisionError(f"zero denominator in {text!r}")
+    return n, d
 
 
 def _qi(a: int, b: int, d: int) -> GaussianRational:

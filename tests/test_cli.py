@@ -289,6 +289,19 @@ def _request_error(capsys, *argv):
 
 
 class TestRequestContract:
+    @pytest.mark.parametrize("action", ["validate", "fiber"])
+    @pytest.mark.parametrize("scalar", ["1/0", "2/0*i"])
+    def test_zero_denominator_in_a_document_is_a_request_error(self, module_file, tmp_path, action, scalar):
+        doc = json.loads(open(module_file).read())
+        doc["casimir"][0] = scalar
+        path = tmp_path / "zero.json"
+        path.write_text(json.dumps(doc))
+        at = ["--at", "1"] if action == "fiber" else []
+        code, out = _outcome(["module", action, "--module", str(path), *at])
+        assert code == 2
+        lines = out.splitlines()
+        assert len(lines) == 1 and json.loads(lines[0])["error"] == "request"
+
     @pytest.mark.parametrize(
         "argv",
         [["-h"], ["module", "-h"], ["module", "fiber", "--help"], ["classify", "--he"]],
@@ -521,6 +534,8 @@ def _documents(draw):
         del target[section]
     else:
         target[section] = draw(_json_values)
+    if draw(st.integers(0, 7)) == 0 and isinstance(doc.get("casimir"), list) and doc["casimir"]:
+        doc["casimir"][draw(st.integers(0, len(doc["casimir"]) - 1))] = draw(st.sampled_from(["1/0", "2/0*i"]))
     return draw(st.sampled_from([doc, doc, doc, [doc], "module"]))
 
 

@@ -9,7 +9,7 @@ from fractions import Fraction
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from hcfam.scalars import (
@@ -35,7 +35,6 @@ from hcfam.hcmod import (
     casimir_triple,
     degrees_lemma_check,
     fiber_irreducible,
-    fiber_module,
     iso_check,
     picard_twist,
     profiles_equal,
@@ -43,7 +42,7 @@ from hcfam.hcmod import (
     swap_transitions,
     validate,
 )
-from hcfam import classify
+from hcfam import classify, hcmod
 from hcfam.classify import ClassSpec, construct
 
 QI = GaussianRational
@@ -165,14 +164,14 @@ class TestValidation:
 class TestFibers:
     def test_interior_scalars_are_evaluations(self):
         module = ascending_module()
-        scalars = fiber_module(module, QI(2), (-4, 4))
+        scalars = fiber_irreducible(module, QI(2), (-4, 4)).scalars
         for n, (a, b) in scalars.items():
             A, B = module.transition_polys(n)
             assert a == A.evaluate(QI(2)) and b == B.evaluate(QI(2))
 
     def test_boundary_scalar_semantics_at_infinity(self):
         module = ascending_module()
-        scalars = fiber_module(module, INFINITY, (-4, 4))
+        scalars = fiber_irreducible(module, INFINITY, (-4, 4)).scalars
         for n, (a, b) in scalars.items():
             # deg A_n = 1 < bound 2, so the raising scalar degenerates; the
             # lowering unit attains its zero bound.
@@ -215,16 +214,16 @@ class TestFibers:
             casimir_triple(0, 0, 1),
         )
         with pytest.raises(NotValidated):
-            fiber_module(module, QI(1))
+            fiber_irreducible(module, QI(1))
 
     @pytest.mark.parametrize(
         "query",
         [
             reducible_locus,
             lambda m: fiber_irreducible(m, QI(0)),
-            lambda m: fiber_module(m, QI(0)),
+            lambda m: fiber_irreducible(m, INFINITY).scalars,
         ],
-        ids=["reducible_locus", "fiber_irreducible", "fiber_module"],
+        ids=["reducible_locus", "fiber_irreducible", "fiber_scalars"],
     )
     def test_one_validation_per_query(self, monkeypatch, query):
         from hcfam import hcmod
@@ -243,7 +242,7 @@ class TestFibers:
         module = ascending_module()
         for p in (QI(0), INFINITY, QI(Fraction(1, 8)), QI_I):
             verdict = fiber_irreducible(module, p, (-6, 6))
-            assert verdict.scalars == fiber_module(module, p, (-6, 6))
+            assert verdict.scalars == hcmod._fiber_scalars(module, p, (-6, 6))
             assert bool(verdict) is verdict.irreducible
 
     @pytest.mark.parametrize(
@@ -681,3 +680,328 @@ class TestDifferential:
             expected = verdicts(fresh, window, points)
         assert got == expected
         assert json.dumps(module.to_json()) == expected_json
+
+
+class TestTransitionRanges:
+    def test_transitions_in_is_the_filtered_weight_range(self):
+        kinds = [("even", 0), ("odd", 0)]
+        kinds += [("lowest", p) for p in range(1, 10)] + [("highest", -p) for p in range(1, 10)]
+        kinds += [("finite", p) for p in range(10)]
+        for kind, param in kinds:
+            w = WeightSet(kind, param)
+            for lo in range(-14, 15):
+                for hi in range(lo, 15):
+                    expected = [n for n in w.weights_in((lo, hi)) if w.has_transition(n)]
+                    assert w.transitions_in((lo, hi)) == expected, (kind, param, lo, hi)
+
+
+def _pivot_beyond_window(window=(-24, 23)):
+    """construct(even, I(0), (0, 1, 1)) with its in-window upper transitions
+    made overrides and the pivot moved to hi + 2."""
+    module = construct(WeightSet("even"), ClassSpec("I", 0), casimir_triple(0, 1, 1))
+    t = module.transitions
+    for n in module.weights.transitions_in(window):
+        if n >= t.pivot:
+            t = t.with_override(n, *module.transition_polys(n))
+    return dataclasses.replace(module, transitions=dataclasses.replace(t, pivot=window[1] + 2))
+
+
+def _with_degree(module, n, deg):
+    d = module.degrees
+    return dataclasses.replace(module, degrees=dataclasses.replace(d, overrides=d.overrides + ((n, deg),)))
+
+
+@st.composite
+def edge_cases(draw):
+    """A case of module_cases; now and then its in-window transitions at and
+    above the pivot become overrides and the pivot moves to hi + 1 or hi + 2,
+    or a degree override lands just beyond the window."""
+    module, window, _ = draw(module_cases())
+    lo, hi = window
+    if draw(st.booleans()):
+        t = module.transitions
+        for n in module.weights.transitions_in(window):
+            if n >= t.pivot and t.override_for(n) is None:
+                t = t.with_override(n, *module.transition_polys(n))
+        t = dataclasses.replace(t, pivot=hi + draw(st.sampled_from([1, 2])))
+        module = dataclasses.replace(module, transitions=t)
+    if draw(st.booleans()):
+        n = draw(st.sampled_from([lo - 2, lo - 1, hi + 1, hi + 2]))
+        module = _with_degree(module, n, module.degrees.deg(n) + draw(st.sampled_from([1, -1])))
+    return module, window
+
+
+class TestBeyondWindow:
+    def test_transition_between_window_and_pivot_is_checked(self):
+        module = _pivot_beyond_window()
+        report = validate(module, (-24, 23))
+        assert not report.ok
+        assert report.violations[0].where == 24
+        assert report.violations[0].message == "deg A_n = 1 exceeds bound 0"
+        assert validate(module, (-24, 25)).violations[0].to_json() == report.violations[0].to_json()
+
+    @pytest.mark.parametrize("side", ["hi", "lo"])
+    @example(case=(_with_degree(ascending_module(), -8, -2), (-7, 6)))  # steps 3 and -1 below lo
+    @example(case=(_with_degree(ascending_module(), 6, 2), (-6, 5)))  # step 2 above hi
+    @given(case=edge_cases())
+    @settings(max_examples=40, deadline=None)
+    def test_ok_unchanged_when_the_window_grows_by_one(self, side, case):
+        module, (lo, hi) = case
+        t, d = module.transitions, module.degrees
+        # Every override and the pivot lie where validation allows them.  The
+        # degree anchor must lie in the window: transitions between the window
+        # and an anchor beyond it follow the other slope, which the tail checks
+        # do not see (a gap of its own).
+        assume(all(lo <= n <= hi for n, _, _ in t.overrides) or module.weights.kind == "finite")
+        assume(all(lo - 2 <= n <= hi + 2 for n, _ in d.overrides) and lo <= t.pivot <= hi + 2)
+        assume(lo <= d.anchor <= hi)
+        grown = (lo, hi + 1) if side == "hi" else (lo - 1, hi)
+        assert validate(module, (lo, hi)).ok == validate(module, grown).ok
+
+
+# -- the closed form in n against the per-transition loops it replaces ---------
+
+
+def _loop_scalar_at(poly, p, bound):
+    if poly.is_zero():
+        return QI_ZERO
+    if p is INFINITY:
+        return poly.leading_coeff() if poly.degree() == bound else QI_ZERO
+    return poly.evaluate(GaussianRational._coerce(p))
+
+
+def _loop_validate(module, window=DEFAULT_WINDOW):
+    """validate as it was written before the closed form: every checked
+    transition through module.transition(n) and 4 A_n B_n = q_n."""
+    v = []
+    w = module.weights
+    lo, hi = window
+    if lo > hi:
+        raise ValueError("empty window")
+    for n, _, _ in module.transitions.overrides:
+        if not w.has_transition(n):
+            v.append(hcmod.Violation(n, "override at an absent transition"))
+        elif w.kind != "finite" and not (lo <= n <= hi):
+            v.append(hcmod.Violation(n, "override outside the checked window"))
+    for n, _ in module.degrees.overrides:
+        if w.kind != "finite" and not (lo - 2 <= n <= hi + 2):
+            v.append(hcmod.Violation(n, "degree override outside the checked window"))
+    if w.kind != "finite" and not (lo <= module.transitions.pivot <= hi + 2):
+        v.append(hcmod.Violation("structure", "tail pivot outside the checked window"))
+    for n in hcmod._checked_transitions(module, window):
+        A, B, q = module.transition(n)
+        if q.is_zero():
+            v.append(hcmod.Violation(n, "q_n is identically zero (excluded Casimir value)"))
+            continue
+        if not (A.is_ordinary() and B.is_ordinary()):
+            v.append(hcmod.Violation(n, "transition data is not polynomial"))
+            continue
+        if A.is_zero() or B.is_zero():
+            v.append(hcmod.Violation(n, "zero transition polynomial (not generically irreducible)"))
+            continue
+        if (A * B).scale(4) != q:
+            v.append(hcmod.Violation(n, "Casimir equation 4 A_n B_n = q_n fails"))
+        step = module.degrees.step(n)
+        if abs(step) > 1:
+            v.append(hcmod.Violation(n, "degree profile jumps by more than one"))
+        ba, bb = 1 + step, 1 - step
+        if A.degree() > ba:
+            v.append(hcmod.Violation(n, f"deg A_n = {A.degree()} exceeds bound {ba}"))
+        if B.degree() > bb:
+            v.append(hcmod.Violation(n, f"deg B_n = {B.degree()} exceeds bound {bb}"))
+    if w.unbounded_above:
+        v.extend(hcmod._tail_violations(module, window, up=True))
+    if w.unbounded_below:
+        v.extend(hcmod._tail_violations(module, window, up=False))
+    return hcmod.ValidationReport(v)
+
+
+def _loop_fiber_scalars(module, p, window):
+    out = {}
+    for n in module.weights.transitions_in(window):
+        A, B, _ = module.transition(n)
+        ba, bb = module.degree_bounds(n)
+        out[n] = (_loop_scalar_at(A, p, ba), _loop_scalar_at(B, p, bb))
+    return out
+
+
+def _loop_reducible_locus(module, window=DEFAULT_WINDOW):
+    hcmod._require_valid(module, window)
+    points, unsplit = set(), []
+    for n in module.weights.transitions_in(window):
+        A, B, _ = module.transition(n)
+        for which, poly in (("A", A), ("B", B)):
+            try:
+                points.update(poly_roots(poly))
+            except UnsplitQuadratic:
+                unsplit.append((n, which, poly))
+    boundary = {bp for bp in (QI_ZERO, INFINITY) if not hcmod._fiber_verdict(module, bp, window)}
+    return hcmod.ReducibleLocus(frozenset(points), frozenset(boundary), tuple(unsplit))
+
+
+def _loop_iso_check(m1, m2, window=DEFAULT_WINDOW):
+    hcmod._require_valid(m1, window)
+    hcmod._require_valid(m2, window)
+    if m1.weights != m2.weights:
+        return hcmod.IsoResult(False, {}, "weight sets differ")
+    if not profiles_equal(m1.degrees, m2.degrees, m1.weights, window):
+        return hcmod.IsoResult(False, {}, "degree profiles differ")
+    if m1.casimir != m2.casimir:
+        return hcmod.IsoResult(False, {}, "Casimir triples differ")
+    w = m1.weights
+    if w.unbounded_above and m1.transitions.rule_up.unit_on != m2.transitions.rule_up.unit_on:
+        return hcmod.IsoResult(False, {}, "upper tail rules place units on different sides")
+    if w.unbounded_below and m1.transitions.rule_down.unit_on != m2.transitions.rule_down.unit_on:
+        return hcmod.IsoResult(False, {}, "lower tail rules place units on different sides")
+    scalars = {}
+    for n in sorted(w.transitions_in(window), key=lambda n: (abs(n), n)):
+        A1, B1, _ = m1.transition(n)
+        A2, B2, _ = m2.transition(n)
+        mu = hcmod._proportionality(A1, A2)
+        if mu is None or mu.is_zero():
+            return hcmod.IsoResult(False, scalars, f"A_{n} is not a scalar multiple")
+        if B1.scale(mu.inverse()) != B2:
+            return hcmod.IsoResult(False, scalars, f"B_{n} does not match the scalar of A_{n}")
+        scalars[n] = mu
+    return hcmod.IsoResult(True, scalars)
+
+
+@contextlib.contextmanager
+def per_transition_loops():
+    """Swap the closed-form readers for the loops above."""
+    with contextlib.ExitStack() as stack:
+        for name, fn in (("validate", _loop_validate), ("_fiber_scalars", _loop_fiber_scalars),
+                         ("reducible_locus", _loop_reducible_locus), ("iso_check", _loop_iso_check)):
+            stack.enter_context(mock.patch.object(hcmod, name, fn))
+        yield
+
+
+def _with_rules(module, up, down):
+    t = dataclasses.replace(module.transitions, rule_up=up(module.transitions.rule_up),
+                            rule_down=down(module.transitions.rule_down))
+    return dataclasses.replace(module, transitions=t)
+
+
+def _iso_twins(module, window, lam, kappa):
+    """Twins of the module: tail units rescaled by lam and kappa, the upper
+    or the lower unit side flipped, and every other window transition
+    overridden by its pair rescaled by lam."""
+    flip = lambda r: TailRule("B" if r.unit_on == "A" else "A", r.value)  # noqa: E731
+    twins = [
+        _with_rules(module, lambda r: TailRule(r.unit_on, r.value * lam), lambda r: TailRule(r.unit_on, r.value * kappa)),
+        _with_rules(module, flip, lambda r: r),
+        _with_rules(module, lambda r: r, flip),
+    ]
+    partial = module.transitions
+    for n in module.weights.transitions_in(window)[::2]:
+        A, B = module.transition_polys(n)
+        partial = partial.with_override(n, A.scale(lam), B.scale(lam.inverse()))
+    return twins + [dataclasses.replace(module, transitions=partial)]
+
+
+def _closed_form_example(module, window=(-6, 6)):
+    return module, window, [QI_ZERO, INFINITY, QI(1), QI(Fraction(1, 3))], _iso_twins(module, window, QI(3), QI(1, 1))
+
+
+@st.composite
+def closed_form_cases(draw):
+    """A module whose transitions mostly follow the tail rules, a window, fiber
+    points, and iso twins: tail units rescaled (the closed-form mu), a unit
+    side flipped, and some transitions overridden by a rescaled pair."""
+    kind = draw(st.sampled_from(["even", "odd", "even", "odd", "lowest", "highest", "finite"]))
+    param = {"lowest": st.integers(1, 5), "highest": st.integers(-5, -1), "finite": st.integers(0, 5)}
+    weights = WeightSet(kind, draw(param[kind]) if kind in param else 0)
+    lo = draw(st.integers(-12, 12))
+    window = (lo, draw(st.integers(lo, lo + 16)))
+    indices = weights.transitions_in(window)
+    # Random tails: slopes in -1..1, units where the slopes allow them, pivot
+    # at the anchor.  A flat tail needs c1 = 0 and makes deg q_n visible at
+    # infinity through the partner's bound of 1.
+    flat_or_not = st.sampled_from([0, 0, 1, -1])
+    slopes = draw(st.tuples(flat_or_not, flat_or_not)) if draw(st.booleans()) else None
+    c1 = draw(st.one_of(st.just(QI_ZERO), small_qi, st.just(QI(1, 2))))
+    if slopes and 0 in slopes:
+        c1 = QI_ZERO
+    if indices and draw(st.booleans()):  # q_m drops to degree <= 0 at an in-window m
+        m = draw(st.sampled_from(indices))
+        c0 = QI(m * (m + 2))
+    else:
+        c0 = draw(small_qi)
+    casimir = classify._forced_casimir(weights) or casimir_triple(c1, c0, draw(st.one_of(st.just(QI_ZERO), small_qi)))
+    try:
+        if slopes:
+            raise classify.IncompatibleClass("a module of random tails")
+        module = construct(weights, draw(st.sampled_from(classify.applicable_classes(weights, window)[:6])),
+                           casimir, window)
+    except (classify.IncompatibleClass, classify.InadmissibleCasimir):
+        su, sd = slopes or (0, 0)
+        up = "A" if su < 0 else "B" if su > 0 else draw(st.sampled_from("AB"))
+        down = "A" if sd > 0 else "B" if sd < 0 else draw(st.sampled_from("AB"))
+        anchor = draw(st.integers(*window))
+        module = HCModuleFamily(
+            weights,
+            DegreeProfile(anchor, 0, su, sd),
+            TransitionData(anchor, TailRule(up, draw(nonzero_qi)), TailRule(down, draw(nonzero_qi))),
+            casimir,
+        )
+    t = module.transitions
+    for n in draw(st.lists(st.sampled_from(indices), max_size=2)) if indices else []:
+        A, B = module.transition_polys(n)
+        mu = draw(nonzero_qi)
+        t = t.with_override(n, A.scale(mu), B.scale(mu.inverse()))
+    degs = [(n, module.degrees.deg(n) + draw(st.sampled_from([0, 0, 1, -1])))
+            for n in draw(st.lists(st.integers(lo - 2, window[1] + 2), max_size=2))]
+    module = dataclasses.replace(module, transitions=t,
+                                 degrees=dataclasses.replace(module.degrees, overrides=tuple(degs)))
+    twins = _iso_twins(module, window, draw(nonzero_qi), draw(nonzero_qi))
+    points = [QI_ZERO, INFINITY, draw(small_qi), QI(Fraction(draw(st.integers(-9, 9)), draw(st.integers(1, 99))))]
+    return module, window, points, twins
+
+
+def closed_form_verdicts(module, window, points, twins):
+    """Every verdict the four readers give, looked up on hcmod at call time."""
+    out = {"validate": [hcmod.validate(m, window).to_json() for m in [module, *twins]]}
+    locus = _outcome_of(hcmod.reducible_locus, module, window)
+    if isinstance(locus, tuple):
+        out["locus"] = locus
+    else:
+        out["locus"] = (locus.points, locus.boundary, [(n, w, str(p)) for n, w, p in locus.unsplit])
+        points = points + sorted(locus.points, key=str)[:3]
+    for p in points:
+        v = _outcome_of(hcmod.fiber_irreducible, module, p, window)
+        out[f"fiber {p}"] = v if isinstance(v, tuple) else (v.irreducible, v.scalars, v.tail)
+    for i, twin in enumerate(twins):
+        for a, b in ((module, twin), (twin, module)):
+            iso = _outcome_of(hcmod.iso_check, a, b, window)
+            out[f"iso {i} {a is module}"] = iso if isinstance(iso, tuple) else (iso.isomorphic, iso.scalars, iso.obstruction)
+    return out
+
+
+class TestClosedForm:
+    # Flat tails with q_2 = 1: the partner's bound of 1 is missed by deg q_2 = 0
+    # and by every unit at infinity.  Then unsplit q_n beside the unit 1.
+    @example(_closed_form_example(HCModuleFamily(
+        WeightSet("even"), DegreeProfile(0, 0, 0, 0), TransitionData(0, TailRule("A", QI(2)), TailRule("B", QI(1, 1))),
+        casimir_triple(0, 8, 1))))
+    @example(_closed_form_example(construct(WeightSet("even"), ClassSpec("III"), casimir_triple(1, 0, -1))))
+    @given(closed_form_cases())
+    @settings(max_examples=60, deadline=None)
+    def test_closed_form_matches_per_transition_loops(self, case):
+        got = closed_form_verdicts(*case)
+        with per_transition_loops():
+            expected = closed_form_verdicts(*case)
+        assert got == expected
+
+    def test_override_free_module_builds_no_transition(self, monkeypatch):
+        window = (-200, 200)
+        module = construct(WeightSet("even"), ClassSpec("III"), casimir_triple(1, 0, -1), window)
+        twin = _with_rules(module, lambda r: TailRule(r.unit_on, r.value * 3), lambda r: TailRule(r.unit_on, r.value * QI_I))
+        calls = []
+        derive = HCModuleFamily.transition_polys
+        monkeypatch.setattr(HCModuleFamily, "transition_polys", lambda self, n: calls.append(n) or derive(self, n))
+        assert validate(module, window).ok
+        for p in (QI_ZERO, INFINITY, QI(Fraction(1, 3))):
+            fiber_irreducible(module, p, window)
+        assert iso_check(module, twin, window)
+        reducible_locus(module, window)
+        assert calls == []

@@ -1,5 +1,6 @@
 """Unit and property tests for the exact scalar tower."""
 
+import json
 import math
 import random
 from fractions import Fraction
@@ -29,6 +30,60 @@ from hcfam.scalars import (
 fractions_ = st.fractions(min_value=-20, max_value=20, max_denominator=9)
 gaussians = st.builds(GaussianRational, fractions_, fractions_)
 nonzero_gaussians = gaussians.filter(lambda g: not g.is_zero())
+
+
+def _fraction_parse(text):
+    """GaussianRational.parse as it was written on top of Fraction."""
+    s = text.replace(" ", "")
+    if not s:
+        raise ValueError(f"cannot parse Gaussian rational {text!r}")
+    try:
+        if not s.endswith("i"):
+            return GaussianRational(Fraction(s))
+        body = s[:-1]
+        if body.endswith("*"):
+            body = body[:-1]
+        split = max(body.rfind("+"), body.rfind("-"))
+        re_txt, im_txt = (body[:split], body[split:]) if split > 0 else ("", body)
+        re_part = Fraction(re_txt) if re_txt else Fraction(0)
+        if im_txt in ("", "+"):
+            im_part = Fraction(1)
+        elif im_txt == "-":
+            im_part = Fraction(-1)
+        else:
+            im_part = Fraction(im_txt)
+        return GaussianRational(re_part, im_part)
+    except ValueError:
+        raise ValueError(f"cannot parse Gaussian rational {text!r}")
+
+
+def _parse_outcome(parse, text):
+    """The parsed value, or "error" for a ValueError (the Fraction-based
+    parse let a zero denominator escape as ZeroDivisionError)."""
+    try:
+        return parse(text)
+    except ValueError:
+        return "error"
+    except ZeroDivisionError:
+        if parse is _fraction_parse:
+            return "error"
+        raise
+
+
+# Exponents stay small: Fraction("1e99999999") would build a huge integer.
+_ratio_texts = st.builds(
+    "{}{}{}".format,
+    st.sampled_from(["", "+", "-", "--", " "]),
+    st.sampled_from(["0", "7", "12", "007", "1_000", "2.5", ".5", "1e3", "3E-2", "", "x", "٣"]),
+    st.sampled_from(["", "/3", "/0", "/-2", "/0004", "/1_0", "/", "/2.0", " / 4"]),
+)
+parse_texts = st.one_of(
+    st.builds(str, st.builds(GaussianRational, fractions_, fractions_)),
+    _ratio_texts,
+    st.builds("{}{}{}*i".format, _ratio_texts, st.sampled_from(["+", "-", ""]), _ratio_texts),
+    st.builds("{}{}i".format, _ratio_texts, st.sampled_from(["+", "-", "+*", "*", ""])),
+    st.text(alphabet="0123456789+-*/i ._", max_size=10),
+)
 
 
 def lp(d):
@@ -72,6 +127,39 @@ class TestGaussianRational:
         assert GaussianRational.parse("3/4") == GaussianRational(Fraction(3, 4))
         assert GaussianRational.parse("-2+1/3*i") == GaussianRational(-2, Fraction(1, 3))
         assert GaussianRational.parse("i") == QI_I
+
+    def test_parse_zero_denominator_is_a_value_error(self):
+        for text in ("1/0", "2/0*i", "1/2+3/0*i", "0/00", "1_0/0", "-1/0-i"):
+            with pytest.raises(ValueError):
+                GaussianRational.parse(text)
+
+    @given(parse_texts)
+    @settings(max_examples=150)
+    def test_parse_matches_fraction_parse(self, text):
+        assert _parse_outcome(GaussianRational.parse, text) == _parse_outcome(_fraction_parse, text)
+
+    @given(st.integers(-(10**30), 10**30), st.integers(-(10**30), 10**30), st.integers(1, 10**30))
+    def test_parse_str_round_trip_wide(self, a, b, d):
+        g = GaussianRational(Fraction(a, d), Fraction(b, d))
+        assert GaussianRational.parse(str(g)) == g
+
+    def test_loading_a_canonical_document_builds_no_fraction(self, tmp_path, monkeypatch):
+        from hcfam import classify, cli, hcmod
+
+        module = classify.construct(
+            hcmod.WeightSet("even"), classify.ClassSpec("III"), hcmod.casimir_triple(Fraction(1, 2), -3, Fraction(-5, 7))
+        )
+        doc = module.to_json()
+        doc["transitions"]["up"]["value"] = "2/3-1/5*i"
+        path = tmp_path / "module.json"
+        path.write_text(json.dumps(doc))
+        calls = []
+        new = Fraction.__new__
+        monkeypatch.setattr(Fraction, "__new__", lambda cls, *a, **k: calls.append(a) or new(cls, *a, **k))
+        loaded = cli.load_module(str(path))
+        monkeypatch.undo()
+        assert calls == []
+        assert loaded.to_json() == doc
 
     @given(gaussians, gaussians, gaussians)
     def test_ring_axioms(self, a, b, c):
