@@ -330,19 +330,6 @@ class RealStructureSpec:
         }
 
 
-def _real_flat(x: SparsePair, n: int) -> list:
-    """The nonzero rational coordinates (index, entry) of x: index 2j holds
-    the real part and 2j + 1 the imaginary part of flat entry j."""
-    return [(2 * j + part, v) for j, e in _flat(x, n) for part, v in enumerate((e.re, e.im)) if v]
-
-
-def _real_coords(x: SparsePair, n: int) -> List[Fraction]:
-    out = [Fraction(0)] * (4 * n * n)
-    for j, v in _real_flat(x, n):
-        out[j] = v
-    return out
-
-
 @dataclass
 class RealFormReport:
     basis: List[MatrixPair]
@@ -365,57 +352,66 @@ def real_form_at(pencil: GrassmannPencil, x) -> RealFormReport:
         if not x.is_real():
             raise ValueError("real forms live over real points")
         fiber = k_basis(pencil) + p_basis(pencil, x)
-    n, sigma = pencil.n, RealStructureSpec(pencil.p, pencil.q)
-    # The Q-basis {b, i*b} of the fiber viewed as a rational vector space.
-    rb = [v for b in map(sparse_pair, fiber) for v in (b, {key: QI_I * e for key, e in b.items()})]
-    span = Span([_real_coords(v, n) for v in rb])
-    # Matrix of sigma on the fiber in the rational basis.
-    columns = [span.coordinates(_real_coords(sigma.sparse_apply(v), n)) for v in rb]
-    if None in columns:
-        raise ValueError("real structure does not preserve this fiber")
-    m = len(rb)
+    sigma = RealStructureSpec(pencil.p, pencil.q)
+    # sigma is antilinear: with sigma(b_j) = sum_k (P_kj + i Q_kj) b_k over
+    # the complex basis b of the fiber, its matrix in the rational basis
+    # (b_0, i*b_0, b_1, ...) has the column (P, Q) at b_j and (Q, -P) at i*b_j.
+    span, basis, n = _span_of(fiber)
+    columns = []
+    for b in basis:
+        coords = span.sparse_coordinates(_flat(sigma.sparse_apply(b), n))
+        if coords is None:
+            raise ValueError("real structure does not preserve this fiber")
+        col = [QI_ZERO] * (2 * len(basis))
+        for k, c in coords:
+            col[2 * k], col[2 * k + 1] = c.parts()
+        columns += [col, [v for k in range(0, len(col), 2) for v in (col[k + 1], -col[k])]]
     fixed_system = ExactMatrix(
-        [
-            [columns[j][i] - 1 if i == j else columns[j][i] for j in range(m)]
-            for i in range(m)
-        ]
+        [[c - QI_ONE if i == j else c for j, c in enumerate(row)] for i, row in enumerate(zip(*columns))]
     )
-    kernel_basis = kernel(fixed_system, Fraction(1), Fraction(0))
-    real_basis = [_combination(coeffs, rb) for coeffs in kernel_basis]
-    constants = _structure_constants_real(real_basis, n)
-    signature = sylvester_signature(_killing_matrix(constants))
+    # A fixed vector with rational coordinates c in that basis is the complex
+    # combination sum_j (c_2j + i c_2j+1) b_j.
+    real_basis = [
+        _dense_pair(_combination([a + QI_I * b for a, b in zip(c[::2], c[1::2])], basis), n, QI_ZERO)
+        for c in kernel(fixed_system, QI_ONE, QI_ZERO)
+    ]
+    constants = _structure_constants_real(real_basis)
+    signature = sylvester_signature([[v.re for v in row] for row in _killing_matrix(constants)])
     algebra = LieAlgebra.from_constants(tuple(f"r{i}" for i in range(len(real_basis))), constants)
-    return RealFormReport(
-        [_dense_pair(v, n, QI_ZERO) for v in real_basis], signature, fiber_invariants(algebra)
-    )
+    return RealFormReport(real_basis, signature, fiber_invariants(algebra))
 
 
-def _combination(coeffs: Sequence[Fraction], pairs: Sequence[SparsePair]) -> SparsePair:
-    """The sum of c * v over the nonzero rational coefficients c."""
+def _combination(coeffs: Sequence[GaussianRational], pairs: Sequence[SparsePair]) -> SparsePair:
+    """The sum of c * v over the nonzero coefficients c."""
     acc = {}
     for c, v in zip(coeffs, pairs):
         if c:
-            c = GaussianRational(c)
             for key, e in v.items():
                 acc[key] = acc[key] + c * e if key in acc else c * e
     return _cleaned(acc)
 
 
-def _structure_constants_real(basis: Sequence[SparsePair], n: int) -> tuple:
-    """The rational structure constants of a real form given by sparse pairs."""
-    return structure_constants(
-        Span([_real_coords(v, n) for v in basis]),
-        lambda i, j: _real_flat(pair_bracket(basis[i], basis[j]), n),
+def _structure_constants_real(basis: Sequence[MatrixPair]) -> tuple:
+    """The structure constants of a real form.  Its basis is also a complex
+    basis of its span, so a bracket lies in the rational span of the basis
+    iff its complex coordinates exist and are all real."""
+    span, sparse, n = _span_of(basis)
+    table = structure_constants(
+        span,
+        lambda i, j: _flat(pair_bracket(sparse[i], sparse[j]), n),
         lambda i, j: ValueError("real form is not bracket-closed"),
     )
+    if not all(c.is_real() for row in table for cell in row for _, c in cell):
+        raise ValueError("real form is not bracket-closed")
+    return table
 
 
-def _killing_matrix(constants) -> List[List[Fraction]]:
+def _killing_matrix(constants) -> List[List[GaussianRational]]:
     """B(e_a, e_b) = tr(ad e_a ad e_b) = sum over j, k of c_aj^k c_bk^j,
     summed over the nonzero constants of the sparse table only."""
     ad = [{(j, k): c for j, cell in enumerate(row) for k, c in cell} for row in constants]
     return [
-        [sum((c * ad_b[k, j] for (j, k), c in ad_a.items() if (k, j) in ad_b), Fraction(0)) for ad_b in ad]
+        [sum((c * ad_b[k, j] for (j, k), c in ad_a.items() if (k, j) in ad_b), QI_ZERO) for ad_b in ad]
         for ad_a in ad
     ]
 

@@ -441,6 +441,8 @@ def validate(module: HCModuleFamily, window: Window = DEFAULT_WINDOW) -> Validat
             v.append(Violation(n, "degree override outside the checked window"))
     if w.kind != "finite" and not (lo <= module.transitions.pivot <= hi + 2):
         v.append(Violation("structure", "tail pivot outside the checked window"))
+    if _anchor_outside(module, window):
+        v.append(Violation("structure", "degree anchor outside the checked window"))
 
     # Per-transition checks: overrides directly, the rest in closed form in n (a unit
     # beside q_n / (4 * unit) is polynomial, nonzero and gives 4 A_n B_n = q_n).
@@ -491,6 +493,21 @@ def _checked_transitions(module: HCModuleFamily, window: Window) -> List[int]:
     extra = [n for n, up in near
              if w.has_transition(n) and (n in degs or n + 2 in degs or (n >= pivot) != up)]
     return sorted(extra + w.transitions_in(window))
+
+
+def _anchor_outside(module: HCModuleFamily, window: Window) -> bool:
+    """Whether a transition beyond the window on an infinite tail lies between
+    the window and the degree anchor, where its degree step is not the tail's
+    slope: above the window every transition must start at or above the
+    anchor, below it every transition must end at or below the anchor."""
+    w, anchor, (lo, hi) = module.weights, module.degrees.anchor, window
+    first_up = hi + 1 + (hi + 1 - w.parity) % 2  # the first weight above the window
+    last_down = lo - 1 - (lo - 1 - w.parity) % 2  # the last weight below it
+    if w.kind == "lowest":
+        first_up = max(first_up, w.param)
+    if w.kind == "highest":
+        last_down = min(last_down, w.param - 2)
+    return (w.unbounded_above and anchor > first_up) or (w.unbounded_below and anchor < last_down + 2)
 
 
 def _tail_bounds(module: HCModuleFamily, up: bool) -> Tuple[str, int, int, int]:

@@ -17,6 +17,7 @@ when the denominator is a monomial.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from math import gcd as _gcd, isqrt
 from typing import Mapping, Optional, Tuple, Union
@@ -165,6 +166,10 @@ class GaussianRational:
     def conjugate(self) -> "GaussianRational":
         return _qi(self._a, -self._b, self._d)
 
+    def parts(self) -> Tuple["GaussianRational", "GaussianRational"]:
+        """The real and the imaginary part, each as a real Gaussian rational."""
+        return _qi(self._a, 0, self._d), _qi(self._b, 0, self._d)
+
     # -- predicates and hashing --------------------------------------------
 
     def is_zero(self) -> bool:
@@ -244,6 +249,11 @@ def _parse_ratio(text: str) -> Tuple[int, int]:
     else:
         f = Fraction(text)
         n, d = f.numerator, f.denominator
+        # The fast path's ``int`` refuses a number ``str`` could not write
+        # back; so must this one (e.g. "1e5000").
+        limit = sys.get_int_max_str_digits()
+        if limit and max(abs(n), d) >= 10**limit:
+            raise ValueError(f"more than {limit} digits in {text!r}")
     if d == 0:
         raise ZeroDivisionError(f"zero denominator in {text!r}")
     return n, d

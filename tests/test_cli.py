@@ -302,6 +302,21 @@ class TestRequestContract:
         lines = out.splitlines()
         assert len(lines) == 1 and json.loads(lines[0])["error"] == "request"
 
+    @pytest.mark.parametrize("action", ["validate", "twist", "locus", "iso"])
+    @pytest.mark.parametrize("scalar", ["1e5000", "1e-5000", "2+1e5000*i"])
+    def test_oversized_scalar_in_a_document_is_a_request_error(self, module_file, tmp_path, action, scalar):
+        """A scalar with more digits than ``str`` writes back would make
+        ``twist`` and ``locus`` fail on output; it is refused on load."""
+        doc = json.loads(open(module_file).read())
+        doc["casimir"][0] = scalar
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(doc))
+        other = ["--other", module_file] if action == "iso" else []
+        code, out = _outcome(["module", action, "--module", str(path), *other])
+        assert code == 2
+        lines = out.splitlines()
+        assert len(lines) == 1 and json.loads(lines[0])["error"] == "request"
+
     @pytest.mark.parametrize(
         "argv",
         [["-h"], ["module", "-h"], ["module", "fiber", "--help"], ["classify", "--he"]],
@@ -535,7 +550,7 @@ def _documents(draw):
     else:
         target[section] = draw(_json_values)
     if draw(st.integers(0, 7)) == 0 and isinstance(doc.get("casimir"), list) and doc["casimir"]:
-        doc["casimir"][draw(st.integers(0, len(doc["casimir"]) - 1))] = draw(st.sampled_from(["1/0", "2/0*i"]))
+        doc["casimir"][draw(st.integers(0, len(doc["casimir"]) - 1))] = draw(st.sampled_from(["1/0", "2/0*i", "1e5000"]))
     return draw(st.sampled_from([doc, doc, doc, [doc], "module"]))
 
 

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from hcfam.scalars import INFINITY, GaussianRational, QI_I, QI_ONE, QI_ZERO
-from hcfam.liefam import fiber, fiber_invariants
+from hcfam.liefam import LieAlgebra, fiber, fiber_invariants
 from hcfam.grassfam import (
     GrassmannPencil,
     NoIsomorphismFound,
@@ -26,9 +26,12 @@ from hcfam.grassfam import (
     sparse_pair,
     sylvester_signature,
     verify_subalgebra,
+    _dense_pair,
+    _flat,
     _pair_is_zero,
+    _structure_constants_real,
 )
-from hcfam.linalg import in_span, span_rank
+from hcfam.linalg import ExactMatrix, Span, in_span, kernel, span_rank, structure_constants
 
 QI = GaussianRational
 
@@ -245,9 +248,9 @@ def killing_signature(p, q, det_one, x):
 
 class TestRealFormTable:
     @pytest.mark.parametrize("det_one", [False, True], ids=["gl", "sl"])
-    @pytest.mark.parametrize("p, q", [(p, q) for p in range(1, 5) for q in range(1, 5) if p + q <= 5])
+    @pytest.mark.parametrize("p, q", [(p, q) for p in range(1, 6) for q in range(1, 6) if p + q <= 6])
     def test_closed_form_signatures(self, p, q, det_one):
-        """Every p + q <= 5 at x in {1, -1, 0, inf} and at one seeded random
+        """Every p + q <= 6 at x in {1, -1, 0, inf} and at one seeded random
         rational of each sign; the signature depends only on the sign of x."""
         rng = random.Random(f"realform:{p},{q},{det_one}")
         positive = Fraction(rng.randint(1, 40), rng.randint(1, 40))
@@ -261,3 +264,83 @@ class TestRealFormTable:
             assert report.signature == killing_signature(p, q, det_one, x), x
             got[x] = report.signature
         assert got[positive] == got[1] and got[negative] == got[-1] and got[0] == got[INFINITY]
+
+
+def rational_real_form(pencil, x):
+    """The real form over x computed as it was before the Q(i) path: the fiber
+    as a rational space with basis (b, i*b), every entry split into two
+    Fractions, and rational eliminations throughout.  Returns the basis, the
+    structure constants, the signature and the invariants."""
+    if x is INFINITY or x == 0:
+        fiber_basis = k_basis(pencil) + limit_subspace(pencil, INFINITY if x is INFINITY else QI_ZERO)
+    else:
+        fiber_basis = k_basis(pencil) + p_basis(pencil, x)
+    n, sigma = pencil.n, RealStructureSpec(pencil.p, pencil.q)
+
+    def real_flat(v):
+        return [(2 * j + part, c) for j, e in _flat(v, n) for part, c in enumerate((e.re, e.im)) if c]
+
+    def real_coords(v):
+        out = [Fraction(0)] * (4 * n * n)
+        for j, c in real_flat(v):
+            out[j] = c
+        return out
+
+    rb = [v for b in map(sparse_pair, fiber_basis) for v in (b, {k: QI_I * e for k, e in b.items()})]
+    span = Span([real_coords(v) for v in rb])
+    columns = [span.coordinates(real_coords(sigma.sparse_apply(v))) for v in rb]
+    m = len(rb)
+    fixed = ExactMatrix([[columns[j][i] - (1 if i == j else 0) for j in range(m)] for i in range(m)])
+    real_basis = []
+    for coeffs in kernel(fixed, Fraction(1), Fraction(0)):
+        acc = {}
+        for c, v in zip(coeffs, rb):
+            for key, e in v.items():
+                acc[key] = acc.get(key, QI_ZERO) + GaussianRational(c) * e
+        real_basis.append({key: e for key, e in acc.items() if e})
+    constants = structure_constants(
+        Span([real_coords(v) for v in real_basis]),
+        lambda i, j: real_flat(pair_bracket(real_basis[i], real_basis[j])),
+        lambda i, j: ValueError("real form is not bracket-closed"),
+    )
+    ad = [{(j, k): c for j, cell in enumerate(row) for k, c in cell} for row in constants]
+    killing = [[sum((c * b[k, j] for (j, k), c in a.items() if (k, j) in b), Fraction(0)) for b in ad] for a in ad]
+    algebra = LieAlgebra.from_constants(tuple(f"r{i}" for i in range(len(real_basis))), constants)
+    return (
+        [_dense_pair(v, n, QI_ZERO) for v in real_basis],
+        constants,
+        sylvester_signature(killing),
+        fiber_invariants(algebra),
+    )
+
+
+class TestRealFormAgainstRationalPath:
+    @pytest.mark.parametrize("det_one", [False, True], ids=["gl", "sl"])
+    @pytest.mark.parametrize("p, q", [(p, q) for p in range(1, 4) for q in range(1, 4) if p + q <= 4])
+    def test_same_real_form(self, p, q, det_one):
+        """The Q(i) path gives the rational path's basis, structure constants,
+        signature and invariants, at 1, -1, 0, inf and a seeded rational of
+        each sign."""
+        rng = random.Random(f"rational-path:{p},{q},{det_one}")
+        positive = Fraction(rng.randint(1, 40), rng.randint(1, 40))
+        negative = -Fraction(rng.randint(1, 40), rng.randint(1, 40))
+        pencil = GrassmannPencil(p, q, det_one=det_one)
+        for x in (1, -1, 0, INFINITY, positive, negative):
+            basis, constants, signature, invariants = rational_real_form(pencil, x)
+            report = real_form_at(pencil, x)
+            assert report.basis == basis, x
+            assert _structure_constants_real(report.basis) == constants, x
+            assert (report.signature, report.invariants) == (signature, invariants), x
+
+    def test_basis_not_closed_under_the_bracket(self):
+        basis = real_form_at(GrassmannPencil(1, 1, det_one=True), 1).basis
+        with pytest.raises(ValueError, match="real form is not bracket-closed"):
+            _structure_constants_real(basis[:2])
+
+    def test_basis_vector_times_i_has_non_real_coordinates(self):
+        # i * r0 with the other real basis vectors is still a complex basis of
+        # the fiber, so every bracket has coordinates, but some are not real.
+        basis = real_form_at(GrassmannPencil(2, 1, det_one=True), -1).basis
+        assert _structure_constants_real(basis)
+        with pytest.raises(ValueError, match="real form is not bracket-closed"):
+            _structure_constants_real([pair_scale(basis[0], QI_I)] + basis[1:])

@@ -715,7 +715,8 @@ def _with_degree(module, n, deg):
 def edge_cases(draw):
     """A case of module_cases; now and then its in-window transitions at and
     above the pivot become overrides and the pivot moves to hi + 1 or hi + 2,
-    or a degree override lands just beyond the window."""
+    or a degree override lands just beyond the window, or the degree anchor
+    moves."""
     module, window, _ = draw(module_cases())
     lo, hi = window
     if draw(st.booleans()):
@@ -728,10 +729,61 @@ def edge_cases(draw):
     if draw(st.booleans()):
         n = draw(st.sampled_from([lo - 2, lo - 1, hi + 1, hi + 2]))
         module = _with_degree(module, n, module.degrees.deg(n) + draw(st.sampled_from([1, -1])))
+    if draw(st.integers(0, 2)) == 0:  # the degree anchor moves, now and then beyond the window
+        edges = st.sampled_from([lo - 2, lo - 1, lo, lo + 1, hi - 1, hi, hi + 1, hi + 2, hi + 3])
+        d, a = module.degrees, draw(st.one_of(edges, st.integers(lo - 6, hi + 6)))
+        module = dataclasses.replace(module, degrees=dataclasses.replace(d, anchor=a, anchor_deg=d.deg(a)))
     return module, window
 
 
+def _anchor_in_reach(module, window):
+    """Whether every transition beyond the window on an infinite tail lies on
+    the tail's side of the degree anchor, found by walking the weights."""
+    w, anchor, (lo, hi) = module.weights, module.degrees.anchor, window
+    above = [n for n in range(hi + 1, max(hi, anchor) + 3) if w.has_transition(n)]
+    below = [n for n in range(min(lo, anchor) - 3, lo) if w.has_transition(n)]
+    return (not w.unbounded_above or not above or above[0] >= anchor) and (
+        not w.unbounded_below or not below or below[-1] + 2 <= anchor
+    )
+
+
 class TestBeyondWindow:
+    def test_anchor_beyond_the_window_is_a_structure_violation(self):
+        # Between the window and the anchor the degree step follows the lower
+        # slope; at n = 39 it breaks the bound the upper tail check assumes.
+        B = TailRule("B", QI(1))
+        module = HCModuleFamily(WeightSet("odd"), DegreeProfile(40, 20, 1, -1), TransitionData(1, B, B),
+                                casimir_triple(1, 0, 1))
+        report = validate(module, (-25, 25))
+        assert [v.to_json() for v in report.violations] == [
+            {"where": "structure", "message": "degree anchor outside the checked window"}
+        ]
+        assert validate(module, (-25, 39)).violations[0].to_json() == {
+            "where": "39", "message": "deg A_n = 2 exceeds bound 1"}
+
+    def test_anchor_at_lo_of_the_other_parity(self):
+        # With odd weights and the anchor at lo = 0, the transition at -1 just
+        # below the window crosses the anchor and has step 0, not the slope 1.
+        B = TailRule("B", QI(1))
+        module = HCModuleFamily(WeightSet("odd"), DegreeProfile(0, 0, 1, -1), TransitionData(1, B, B),
+                                casimir_triple(1, 0, 1))
+        assert not _anchor_in_reach(module, (0, 10)) and _anchor_in_reach(module, (-1, 10))
+        assert [v.where for v in validate(module, (0, 10)).violations] == ["structure"]
+        assert [v.where for v in validate(module, (-1, 10)).violations] == [-1]
+        assert validate(module, (1, 10)).ok is False and validate(module, (-2, 11)).ok is False
+
+    @pytest.mark.parametrize("kind, param", [("lowest", 5), ("highest", -5)])
+    def test_anchor_at_the_end_of_a_half_infinite_set(self, kind, param):
+        # A window on the far side of the set's end leaves no transition
+        # between itself and an anchor at that end.
+        B = TailRule("B", QI(1))
+        module = HCModuleFamily(WeightSet(kind, param), DegreeProfile(param, 0, 0, 0), TransitionData(param, B, B),
+                                casimir_triple(0, QI(1, 1), 1))
+        window = (-12, -8) if kind == "lowest" else (8, 12)
+        assert _anchor_in_reach(module, window)
+        messages = [v.message for v in validate(module, window).violations]
+        assert "degree anchor outside the checked window" not in messages
+
     def test_transition_between_window_and_pivot_is_checked(self):
         module = _pivot_beyond_window()
         report = validate(module, (-24, 23))
@@ -748,15 +800,18 @@ class TestBeyondWindow:
     def test_ok_unchanged_when_the_window_grows_by_one(self, side, case):
         module, (lo, hi) = case
         t, d = module.transitions, module.degrees
-        # Every override and the pivot lie where validation allows them.  The
-        # degree anchor must lie in the window: transitions between the window
-        # and an anchor beyond it follow the other slope, which the tail checks
-        # do not see (a gap of its own).
+        # Every override and the pivot lie where validation allows them.
         assume(all(lo <= n <= hi for n, _, _ in t.overrides) or module.weights.kind == "finite")
         assume(all(lo - 2 <= n <= hi + 2 for n, _ in d.overrides) and lo <= t.pivot <= hi + 2)
-        assume(lo <= d.anchor <= hi)
         grown = (lo, hi + 1) if side == "hi" else (lo - 1, hi)
-        assert validate(module, (lo, hi)).ok == validate(module, grown).ok
+        ok, grown_ok = validate(module, (lo, hi)).ok, validate(module, grown).ok
+        # A module accepted on a window is accepted on every larger one,
+        # wherever its degree anchor lies ...
+        assert grown_ok or not ok
+        # ... and the verdict is the same once no transition beyond the window
+        # lies between it and the anchor.
+        if module.weights.kind == "finite" or _anchor_in_reach(module, (lo, hi)):
+            assert ok == grown_ok
 
 
 # -- the closed form in n against the per-transition loops it replaces ---------
@@ -788,6 +843,8 @@ def _loop_validate(module, window=DEFAULT_WINDOW):
             v.append(hcmod.Violation(n, "degree override outside the checked window"))
     if w.kind != "finite" and not (lo <= module.transitions.pivot <= hi + 2):
         v.append(hcmod.Violation("structure", "tail pivot outside the checked window"))
+    if w.kind != "finite" and not _anchor_in_reach(module, window):
+        v.append(hcmod.Violation("structure", "degree anchor outside the checked window"))
     for n in hcmod._checked_transitions(module, window):
         A, B, q = module.transition(n)
         if q.is_zero():

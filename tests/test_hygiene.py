@@ -127,3 +127,35 @@ def test_float_detector():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_floats(path):
     assert float_uses(path.read_text()) == []
+
+
+def fraction_calls(source: str) -> list:
+    """Lines that call ``Fraction``: by name (also under an ``as`` alias) or as
+    an attribute, such as ``fractions.Fraction(...)``."""
+    tree = ast.parse(source)
+    names = {"Fraction"}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "fractions":
+            names.update(a.asname or a.name for a in node.names if a.name == "Fraction")
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            f = node.func
+            if (isinstance(f, ast.Name) and f.id in names) or (isinstance(f, ast.Attribute) and f.attr == "Fraction"):
+                found.append(node.lineno)
+    return sorted(found)
+
+
+def test_fraction_call_detector():
+    src = (
+        "import fractions\nfrom fractions import Fraction, Fraction as F\n"
+        "a = Fraction(1)\nb = fractions.Fraction(2)\nc = F(3, 4)\n"
+        "def f(x: Fraction) -> 'Fraction': return isinstance(x, Fraction) and x.re\n"
+    )
+    assert fraction_calls(src) == [3, 4, 5]
+
+
+def test_real_forms_stay_on_the_integer_core():
+    """``grassfam`` computes real forms over Q(i); the Killing matrix becomes
+    rational only through the ``re`` of its entries."""
+    assert fraction_calls((SRC / "grassfam.py").read_text()) == []
