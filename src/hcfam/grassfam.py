@@ -13,6 +13,12 @@ the antiholomorphic involution built from J = diag(I_q, -I_p).
 Bases are returned as dense pairs.  Brackets and products are formed on
 sparse pairs, the dicts {(s, r, c): entry} of the nonzero entries of the two
 matrices, and reach ``Span`` as their nonzero flat coordinates.
+
+Real forms are computed in complex coordinates: one Q(i) span of the fiber
+gives the matrix of the involution, and the fixed-point kernel, the real
+basis, its structure constants and its Killing form are all over Q(i).
+Rational numbers appear only for the Sylvester step, which reads the real
+parts of the Killing matrix.
 """
 
 from __future__ import annotations

@@ -250,8 +250,9 @@ def _parse_ratio(text: str) -> Tuple[int, int]:
         f = Fraction(text)
         n, d = f.numerator, f.denominator
         # The fast path's ``int`` refuses a number ``str`` could not write
-        # back; so must this one (e.g. "1e5000").
-        limit = sys.get_int_max_str_digits()
+        # back; so must this one (e.g. "1e5000").  Pythons before 3.10.7
+        # have no such limit.
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
         if limit and max(abs(n), d) >= 10**limit:
             raise ValueError(f"more than {limit} digits in {text!r}")
     if d == 0:
