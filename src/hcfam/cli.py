@@ -1,8 +1,9 @@
 """Command-line driver: construction, validation, classification, fibers,
 and Grassmannian computations with canonical JSON output.
 
-Exit codes: 0 success / verdict pass, 1 verdict fail, 2 malformed request,
-3 domain error (inadmissible input reaching a library precondition).
+Exit codes: 0 success / verdict pass, 1 verdict fail, 2 malformed request
+(also one whose result has more digits than Python writes as text), 3 domain
+error (inadmissible input reaching a library precondition).
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from .scalars import (
     LaurentPoly,
     PoleAtPoint,
     RationalFunction,
+    TooManyDigits,
     UnsplitQuadratic,
 )
 from . import acceptance
@@ -182,10 +184,12 @@ def build_family(algebra: str, kind: str, power: int):
     raise RequestError(f"unknown family kind {kind!r}")
 
 
-def pair_json(pair) -> dict:
+def pair_json(pair, n: int) -> dict:
+    """The two n x n matrices of a sparse pair as rows of strings, "0" for
+    an absent entry; the only place a pair is written out densely."""
     return {
-        "first": [[str(v) for v in row] for row in pair[0]],
-        "second": [[str(v) for v in row] for row in pair[1]],
+        name: [[str(pair[s, r, c]) if (s, r, c) in pair else "0" for c in range(n)] for r in range(n)]
+        for s, name in enumerate(("first", "second"))
     }
 
 
@@ -377,11 +381,11 @@ def cmd_grassmann(args) -> int:
     p, q = _parse_pq(args.pq)
     pencil = GrassmannPencil(p, q, det_one=args.det_one)
     if args.action == "pencil":
-        emit({"basis": [pair_json(v) for v in pencil_basis(pencil, _pencil_parameter(args.at))]})
+        emit({"basis": [pair_json(v, pencil.n) for v in pencil_basis(pencil, _pencil_parameter(args.at))]})
         return 0
     if args.action == "limit":
         boundary = parse_point(args.boundary)
-        emit({"basis": [pair_json(v) for v in limit_subspace(pencil, boundary)]})
+        emit({"basis": [pair_json(v, pencil.n) for v in limit_subspace(pencil, boundary)]})
         return 0
     if args.action == "subalg":
         witness = verify_subalgebra(pencil_basis(pencil, _pencil_parameter(args.at)))
@@ -414,7 +418,7 @@ def cmd_grassmann(args) -> int:
                 "dimension": report.dimension,
                 "signature": list(report.signature),
                 "invariants": report.invariants,
-                "basis": [pair_json(v) for v in report.basis],
+                "basis": [pair_json(v, pencil.n) for v in report.basis],
             }
         )
         return 0
@@ -539,7 +543,7 @@ def run(argv=None) -> int:
     except HelpShown as e:
         emit({"help": str(e)})
         return 0
-    except RequestError as e:
+    except (RequestError, TooManyDigits) as e:
         emit({"error": "request", "message": str(e)})
         return 2
     except DOMAIN_ERRORS as e:

@@ -10,9 +10,10 @@ B of shape q x p and C of shape p x q.  Limits at t -> 0 and t -> infinity
 are taken vector by vector in the Grassmannian; real forms are cut out by
 the antiholomorphic involution built from J = diag(I_q, -I_p).
 
-Bases are returned as dense pairs.  Brackets and products are formed on
-sparse pairs, the dicts {(s, r, c): entry} of the nonzero entries of the two
-matrices, and reach ``Span`` as their nonzero flat coordinates.
+A pair is a two-block sparse matrix of ``linalg``: the dict {(s, r, c): entry}
+of the nonzero entries of its two matrices, s = 0, 1.  Bases, limits and real
+forms are built and returned in this form; brackets and products reach
+``Span`` as their nonzero flat coordinates.
 
 Real forms are computed in complex coordinates: one Q(i) span of the fiber
 gives the matrix of the involution, and the fixed-point kernel, the real
@@ -36,11 +37,10 @@ from .scalars import (
     QI_ONE,
     RationalFunction,
     RF_ONE,
-    RF_ZERO,
     RF_Z,
 )
 from .linalg import ExactMatrix, Span, kernel, span_rank, structure_constants
-from .linalg import _mat_scale, _mat_sub
+from .linalg import _bracket, _cleaned, _flat, _flat_vectors, _product
 from .liefam import (
     FamilyMorphism,
     LieAlgebra,
@@ -61,7 +61,6 @@ class NoIsomorphismFound(Exception):
     pass
 
 
-MatrixPair = Tuple[tuple, tuple]  # two n x n matrices as tuples of row tuples
 SparsePair = dict  # the nonzero entries {(s, r, c): x}, s = 0, 1 for the two matrices
 
 
@@ -81,120 +80,42 @@ class GrassmannPencil:
 
 
 # ---------------------------------------------------------------------------
-# Matrix-pair helpers (entries: anything with exact ring operations)
+# Pair products and pencil bases
 # ---------------------------------------------------------------------------
 
 
-def _elementary(n: int, i: int, j: int, one, zero):
-    return tuple(
-        tuple(one if (r, c) == (i, j) else zero for c in range(n)) for r in range(n)
-    )
-
-
-def pair_scale(x: MatrixPair, c) -> MatrixPair:
-    return (_mat_scale(x[0], c), _mat_scale(x[1], c))
-
-
-def sparse_pair(x: MatrixPair) -> SparsePair:
-    return {(s, r, c): v for s, m in enumerate(x) for r, row in enumerate(m) for c, v in enumerate(row) if v}
-
-
-def _dense_pair(x: SparsePair, n: int, zero) -> MatrixPair:
-    return tuple(tuple(tuple(x.get((s, r, c), zero) for c in range(n)) for r in range(n)) for s in (0, 1))
-
-
-def _product(x: SparsePair, y: SparsePair) -> dict:
-    """x y in each component, from the products of nonzero entries only."""
-    rows = {}
-    for (s, k, c), b in y.items():
-        rows.setdefault((s, k), []).append((c, b))
-    out = {}
-    for (s, r, k), a in x.items():
-        for c, b in rows.get((s, k), ()):
-            key = (s, r, c)
-            out[key] = out[key] + a * b if key in out else a * b
-    return out
-
-
-def _cleaned(x: dict) -> SparsePair:
-    return {key: v for key, v in x.items() if v}
-
-
 def pair_bracket(x: SparsePair, y: SparsePair) -> SparsePair:
-    out = _product(x, y)
-    for key, v in _product(y, x).items():
-        out[key] = out[key] - v if key in out else -v
-    return _cleaned(out)
+    return _bracket(x, y)
 
 
 def pair_product(x: SparsePair, y: SparsePair) -> SparsePair:
     return _cleaned(_product(x, y))
 
 
-def flatten_pair(x: MatrixPair) -> list:
-    return [v for m in x for row in m for v in row]
-
-
-def _flat(x: SparsePair, n: int) -> list:
-    """The nonzero entries of ``flatten_pair`` of x, as (index, entry) pairs."""
-    return [(s * n * n + r * n + c, v) for (s, r, c), v in x.items()]
-
-
-def _pair_is_zero(x: SparsePair) -> bool:
-    return not x
-
-
-# ---------------------------------------------------------------------------
-# Pencil bases
-# ---------------------------------------------------------------------------
-
-
-def k_basis(pencil: GrassmannPencil, one=QI_ONE, zero=QI_ZERO) -> List[MatrixPair]:
+def k_basis(pencil: GrassmannPencil, one=QI_ONE) -> List[SparsePair]:
     """Diagonally embedded basis of gl(q) x gl(p), trace part removed when
     det_one: diagonal units are replaced by consecutive differences."""
     n, q = pencil.n, pencil.q
-    out = []
-    for block in (range(q), range(q, n)):
-        for i in block:
-            for j in block:
-                if i != j:
-                    e = _elementary(n, i, j, one, zero)
-                    out.append((e, e))
+    blocks = (range(q), range(q, n))
+    out = [{(s, i, j): one for s in (0, 1)} for block in blocks for i in block for j in block if i != j]
     if pencil.det_one:
-        for i in range(n - 1):
-            e = _mat_sub(
-                _elementary(n, i, i, one, zero), _elementary(n, i + 1, i + 1, one, zero)
-            )
-            out.append((e, e))
+        out += [{(s, r, r): x for s in (0, 1) for r, x in ((i, one), (i + 1, -one))} for i in range(n - 1)]
     else:
-        for i in range(n):
-            e = _elementary(n, i, i, one, zero)
-            out.append((e, e))
+        out += [{(s, i, i): one for s in (0, 1)} for i in range(n)]
     return out
 
 
-def p_basis(pencil: GrassmannPencil, t=None) -> List[MatrixPair]:
+def p_basis(pencil: GrassmannPencil, t=None) -> List[SparsePair]:
     """Off-diagonal pairs at parameter t (symbolic when t is None)."""
     n, q = pencil.n, pencil.q
-    if t is None:
-        one, zero, tval = RF_ONE, RF_ZERO, RF_Z
-    else:
-        one, zero, tval = QI_ONE, QI_ZERO, GaussianRational._coerce(t)
-    out = []
-    for i in range(q):
-        for j in range(q, n):
-            e = _elementary(n, i, j, one, zero)
-            out.append((_mat_scale(e, tval), e))
-    for i in range(q, n):
-        for j in range(q):
-            e = _elementary(n, i, j, one, zero)
-            out.append((e, _mat_scale(e, tval)))
+    one, tval = (RF_ONE, RF_Z) if t is None else (QI_ONE, GaussianRational._coerce(t))
+    out = [_cleaned({(0, i, j): tval, (1, i, j): one}) for i in range(q) for j in range(q, n)]
+    out += [_cleaned({(0, i, j): one, (1, i, j): tval}) for i in range(q, n) for j in range(q)]
     return out
 
 
-def pencil_basis(pencil: GrassmannPencil, t=None) -> List[MatrixPair]:
-    kb = k_basis(pencil, RF_ONE, RF_ZERO) if t is None else k_basis(pencil)
-    return kb + p_basis(pencil, t)
+def pencil_basis(pencil: GrassmannPencil, t=None) -> List[SparsePair]:
+    return (k_basis(pencil, RF_ONE) if t is None else k_basis(pencil)) + p_basis(pencil, t)
 
 
 # ---------------------------------------------------------------------------
@@ -202,30 +123,25 @@ def pencil_basis(pencil: GrassmannPencil, t=None) -> List[MatrixPair]:
 # ---------------------------------------------------------------------------
 
 
-def _limit_vector(pair: MatrixPair, boundary: Point) -> MatrixPair:
+def _limit_vector(pair: SparsePair, boundary: Point) -> SparsePair:
     """Divide by the content power of the local coordinate, then evaluate."""
-    entries = flatten_pair(pair)
-    orders = [f.ord_at(boundary) for f in entries if not f.is_zero()]
-    if not orders:
+    if not pair:
         raise RankDropAtLimit("zero vector in pencil basis")
-    m = min(orders)
+    m = min(f.ord_at(boundary) for f in pair.values())
     if boundary is INFINITY:
         norm = RationalFunction.monomial(m)
     else:
         norm = (RF_Z - RationalFunction.constant(boundary)) ** (-m)
-    return tuple(
-        tuple(tuple(v.evaluate_point(boundary) for v in row) for row in mat)
-        for mat in pair_scale(pair, norm)
-    )
+    return _cleaned({key: (norm * f).evaluate_point(boundary) for key, f in pair.items()})
 
 
-def limit_subspace(pencil: GrassmannPencil, boundary: Point) -> List[MatrixPair]:
+def limit_subspace(pencil: GrassmannPencil, boundary: Point) -> List[SparsePair]:
     """The limit of p_t in the Grassmannian as t approaches the boundary."""
     if boundary is not INFINITY:
         boundary = GaussianRational._coerce(boundary)
     limited = [_limit_vector(v, boundary) for v in p_basis(pencil)]
     expected = 2 * pencil.p * pencil.q
-    if span_rank([flatten_pair(v) for v in limited]) != expected:
+    if span_rank(_flat_vectors(limited)[0]) != expected:
         raise RankDropAtLimit(f"limit at {boundary} spans less than dimension {expected}")
     return limited
 
@@ -235,18 +151,18 @@ def limit_subspace(pencil: GrassmannPencil, boundary: Point) -> List[MatrixPair]
 # ---------------------------------------------------------------------------
 
 
-def _span_of(basis: Sequence[MatrixPair]):
-    """The Span of the flattened pairs, the pairs as sparse pairs, and n."""
-    n = len(basis[0][0]) if basis else 0
-    return Span([flatten_pair(v) for v in basis]), [sparse_pair(v) for v in basis], n
+def _span_of(basis: Sequence[SparsePair]):
+    """The Span of the pairs as flat vectors, and the n of their flat index."""
+    vectors, n = _flat_vectors(basis)
+    return Span(vectors), n
 
 
-def verify_subalgebra(basis: Sequence[MatrixPair]):
+def verify_subalgebra(basis: Sequence[SparsePair]):
     """None when every pairwise bracket lies in the span; else (i, j)."""
-    span, sparse, n = _span_of(basis)
+    span, n = _span_of(basis)
     for i in range(len(basis)):
         for j in range(i + 1, len(basis)):
-            if not span.sparse_contains(_flat(pair_bracket(sparse[i], sparse[j]), n)):
+            if not span.sparse_contains(_flat(pair_bracket(basis[i], basis[j]), n)):
                 return (i, j)
     return None
 
@@ -262,13 +178,17 @@ def fiber_group_closure_check(
     """
     if p_pairs is None:
         p_pairs = limit_subspace(pencil, boundary)
-    span, sparse, n = _span_of(p_pairs)
-    for i, x in enumerate(sparse):
-        for j, y in enumerate(sparse):
-            if not _pair_is_zero(pair_product(x, y)):
+    # n covers the k vectors too, so that their products with p_pairs index
+    # into the same flat vectors whatever rows and columns p_pairs use
+    k_pairs = k_basis(pencil)
+    vectors, n = _flat_vectors(p_pairs + k_pairs)
+    span = Span(vectors[: len(p_pairs)])
+    for i, x in enumerate(p_pairs):
+        for j, y in enumerate(p_pairs):
+            if pair_product(x, y):
                 return f"product of limit vectors {i} and {j} is nonzero"
-    for a, d in enumerate(map(sparse_pair, k_basis(pencil))):
-        for i, x in enumerate(sparse):
+    for a, d in enumerate(k_pairs):
+        for i, x in enumerate(p_pairs):
             for prod, side in ((pair_product(d, x), "left"), (pair_product(x, d), "right")):
                 if not span.sparse_contains(_flat(prod, n)):
                     return f"{side} action of k vector {a} leaves the limit space at {i}"
@@ -280,12 +200,12 @@ def fiber_group_closure_check(
 # ---------------------------------------------------------------------------
 
 
-def family_from_pairs(labels: Sequence[str], basis: Sequence[MatrixPair]) -> LieFamily:
+def family_from_pairs(labels: Sequence[str], basis: Sequence[SparsePair]) -> LieFamily:
     """Structure constants of a pencil basis over the function field."""
-    span, sparse, n = _span_of(basis)
+    span, n = _span_of(basis)
     tbl = structure_constants(
         span,
-        lambda i, j: _flat(pair_bracket(sparse[i], sparse[j]), n),
+        lambda i, j: _flat(pair_bracket(basis[i], basis[j]), n),
         lambda i, j: NoIsomorphismFound("pencil basis is not bracket-closed"),
     )
     return LieFamily(labels=tuple(labels), constants=tbl)
@@ -319,14 +239,7 @@ class RealStructureSpec:
     p: int
     q: int
 
-    def j_matrix(self, one=QI_ONE, zero=QI_ZERO):
-        n = self.p + self.q
-        return tuple(tuple((one if i < self.q else -one) if i == j else zero for j in range(n)) for i in range(n))
-
-    def apply(self, pair: MatrixPair) -> MatrixPair:
-        return _dense_pair(self.sparse_apply(sparse_pair(pair)), self.p + self.q, QI_ZERO)
-
-    def sparse_apply(self, x: SparsePair) -> SparsePair:
+    def apply(self, x: SparsePair) -> SparsePair:
         """J is diagonal, so (-J M* J)_rc = -J_r J_c conj(M_cr): the conjugate
         of M_cr, negated inside the diagonal blocks."""
         q = self.q
@@ -338,7 +251,7 @@ class RealStructureSpec:
 
 @dataclass
 class RealFormReport:
-    basis: List[MatrixPair]
+    basis: List[SparsePair]
     signature: Tuple[int, int, int]  # (n_plus, n_zero, n_minus)
     invariants: dict
 
@@ -362,13 +275,13 @@ def real_form_at(pencil: GrassmannPencil, x) -> RealFormReport:
     # sigma is antilinear: with sigma(b_j) = sum_k (P_kj + i Q_kj) b_k over
     # the complex basis b of the fiber, its matrix in the rational basis
     # (b_0, i*b_0, b_1, ...) has the column (P, Q) at b_j and (Q, -P) at i*b_j.
-    span, basis, n = _span_of(fiber)
+    span, n = _span_of(fiber)
     columns = []
-    for b in basis:
-        coords = span.sparse_coordinates(_flat(sigma.sparse_apply(b), n))
+    for b in fiber:
+        coords = span.sparse_coordinates(_flat(sigma.apply(b), n))
         if coords is None:
             raise ValueError("real structure does not preserve this fiber")
-        col = [QI_ZERO] * (2 * len(basis))
+        col = [QI_ZERO] * (2 * len(fiber))
         for k, c in coords:
             col[2 * k], col[2 * k + 1] = c.parts()
         columns += [col, [v for k in range(0, len(col), 2) for v in (col[k + 1], -col[k])]]
@@ -378,7 +291,7 @@ def real_form_at(pencil: GrassmannPencil, x) -> RealFormReport:
     # A fixed vector with rational coordinates c in that basis is the complex
     # combination sum_j (c_2j + i c_2j+1) b_j.
     real_basis = [
-        _dense_pair(_combination([a + QI_I * b for a, b in zip(c[::2], c[1::2])], basis), n, QI_ZERO)
+        _combination([a + QI_I * b for a, b in zip(c[::2], c[1::2])], fiber)
         for c in kernel(fixed_system, QI_ONE, QI_ZERO)
     ]
     constants = _structure_constants_real(real_basis)
@@ -397,14 +310,14 @@ def _combination(coeffs: Sequence[GaussianRational], pairs: Sequence[SparsePair]
     return _cleaned(acc)
 
 
-def _structure_constants_real(basis: Sequence[MatrixPair]) -> tuple:
+def _structure_constants_real(basis: Sequence[SparsePair]) -> tuple:
     """The structure constants of a real form.  Its basis is also a complex
     basis of its span, so a bracket lies in the rational span of the basis
     iff its complex coordinates exist and are all real."""
-    span, sparse, n = _span_of(basis)
+    span, n = _span_of(basis)
     table = structure_constants(
         span,
-        lambda i, j: _flat(pair_bracket(sparse[i], sparse[j]), n),
+        lambda i, j: _flat(pair_bracket(basis[i], basis[j]), n),
         lambda i, j: ValueError("real form is not bracket-closed"),
     )
     if not all(c.is_real() for row in table for cell in row for _, c in cell):

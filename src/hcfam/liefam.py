@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .linalg import ExactMatrix, Span, echelon_basis, kernel, span_rank, structure_constants
-from .linalg import _flatten, _mat_add, _mat_mul, _mat_sub, _nonzero, _unit_vectors
+from .linalg import _bracket, _flat, _flat_vectors, _mat_add, _mat_sub, _nonzero, _unit_vectors
 from .scalars import (
     INFINITY,
     GaussianRational,
@@ -161,20 +161,16 @@ def abelian_algebra(d: int) -> LieAlgebra:
 def matrix_algebra(labels: Sequence[str], mats: Sequence) -> LieAlgebra:
     """Lie algebra of a linearly independent family of square matrices.
 
-    ``mats`` are nested lists of GaussianRational; the commutator of any two
-    must lie in their span.
+    ``mats`` are one-block sparse matrices {(0, r, c): x} of GaussianRational;
+    the commutator of any two must lie in their span.
     """
-    span = Span([_flatten(m) for m in mats])
+    vectors, n = _flat_vectors(mats)
+    span = Span(vectors)
     if span.rank != len(mats):
         raise ValueError("matrix basis is linearly dependent")
-
-    def commutator(i, j):
-        a, b = mats[i], mats[j]
-        return _nonzero(_flatten(_mat_sub(_mat_mul(a, b), _mat_mul(b, a))))
-
     constants = structure_constants(
         span,
-        commutator,
+        lambda i, j: _flat(_bracket(mats[i], mats[j]), n),
         lambda i, j: NotASubalgebra(f"commutator of basis elements {i},{j} escapes the span"),
     )
     return LieAlgebra.from_constants(labels, constants)
@@ -183,8 +179,7 @@ def matrix_algebra(labels: Sequence[str], mats: Sequence) -> LieAlgebra:
 def gl2_algebra() -> LieAlgebra:
     """gl(2) in the elementary-matrix basis (E11, E12, E21, E22)."""
     units = [(0, 0), (0, 1), (1, 0), (1, 1)]
-    mats = [[[QI_ONE if (r, c) == u else QI_ZERO for c in range(2)] for r in range(2)] for u in units]
-    return matrix_algebra(("E11", "E12", "E21", "E22"), mats)
+    return matrix_algebra(("E11", "E12", "E21", "E22"), [{(0, r, c): QI_ONE} for r, c in units])
 
 
 # ---------------------------------------------------------------------------
@@ -235,19 +230,19 @@ class Involution:
 
 
 def ad_diag_involution(algebra: LieAlgebra, mats: Sequence, diag: Sequence) -> Involution:
-    """Involution Ad(diag(...)) of a matrix Lie algebra with basis ``mats``;
-    as g is diagonal, (g m g^-1)_rc = g_r m_rc g_c^-1."""
-    d = algebra.rank
+    """Involution Ad(diag(...)) of a matrix Lie algebra with basis ``mats``,
+    one-block sparse matrices; as g is diagonal, (g m g^-1)_rc = g_r m_rc g_c^-1."""
     g = [GaussianRational._coerce(x) for x in diag]
     ginv = [x.inverse() for x in g]
-    span = Span([_flatten(m) for m in mats])
+    vectors, n = _flat_vectors(mats)
+    span = Span(vectors)
     cols = []
     for m in mats:
-        coords = span.coordinates([g[r] * x * ginv[c] if x else x for r, row in enumerate(m) for c, x in enumerate(row)])
+        coords = span.sparse_coordinates(_flat({(s, r, c): g[r] * x * ginv[c] for (s, r, c), x in m.items()}, n))
         if coords is None:
             raise InvalidInvolution("Ad(diag) does not preserve the span")
-        cols.append(coords)
-    theta = ExactMatrix([[cols[j][i] for j in range(d)] for i in range(d)])
+        cols.append(dict(coords))
+    theta = ExactMatrix([[col.get(i, QI_ZERO) for col in cols] for i in range(algebra.rank)])
     return Involution.from_matrix(algebra, theta)
 
 

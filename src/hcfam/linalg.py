@@ -7,19 +7,21 @@ there are no pivoting concerns beyond avoiding zero pivots.
 
 ``Span`` is the one path to coordinates and membership: it puts a list of
 vectors in echelon form once and then reduces any number of vectors, given by
-their nonzero entries, against it.  ``solve`` and ``in_span`` are one-line
-wrappers over it, and ``structure_constants`` uses it to express every
-bracket of a basis in the coordinates of that basis, as a sparse table.
+their nonzero entries, against it.  ``structure_constants`` uses it to express
+every bracket of a basis in the coordinates of that basis, as a sparse table.
 
-This module also holds the square-matrix helpers the other modules share, on
-nested sequences: ``_sum``, ``_mat_add``, ``_mat_sub``, ``_mat_scale``,
-``_mat_mul`` (which forms only products of two nonzero entries),
-``_flatten`` and ``_unit_vectors``.
+An element of a matrix Lie algebra is a sparse matrix: the dict
+``{(block, r, c): entry}`` of its nonzero entries, one block for gl(n) and two
+for the pairs of the Grassmannian pencil.  ``_product`` and ``_bracket``
+multiply such matrices blockwise from products of nonzero entries only;
+``_flat`` and ``_flat_vectors`` give their coordinates, block-major and then
+row-major.  The square-matrix helpers on nested sequences (``_sum``,
+``_mat_add``, ``_mat_sub``, ``_unit_vectors``) serve ``ExactMatrix``.
 """
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence, Tuple
 
 
 class ExactMatrix:
@@ -39,11 +41,6 @@ class ExactMatrix:
 
     def col(self, j) -> list:
         return [self.entries[i][j] for i in range(self.rows)]
-
-    def transpose(self) -> "ExactMatrix":
-        return ExactMatrix(
-            [[self.entries[i][j] for i in range(self.rows)] for j in range(self.cols)]
-        )
 
     def matvec(self, v: Sequence) -> list:
         return [_sum(x * y for x, y in zip(row, v)) for row in self.entries]
@@ -87,32 +84,57 @@ def _mat_sub(a, b):
     return tuple(tuple(x - y if y else x for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
 
 
-def _mat_scale(a, c):
-    return tuple(tuple(c * x if x else x for x in row) for row in a)
+SparseMatrix = dict  # the nonzero entries {(block, r, c): x}
 
 
-def _mat_mul(a, b):
-    """Product of square matrices, forming only products of nonzero entries."""
-    n = len(a)
-    if n == 0:
-        return ()
-    b_nonzero = [_nonzero(row) for row in b]
-    zero = a[0][0] * b[0][0]
-    if zero:
-        zero = zero - zero
-    out = []
-    for row in a:
-        acc = [zero] * n
-        for k, x in _nonzero(row):
-            for j, y in b_nonzero[k]:
-                t = x * y
-                acc[j] = t if acc[j] is zero else acc[j] + t
-        out.append(tuple(acc))
-    return tuple(out)
+def _product(x: SparseMatrix, y: SparseMatrix) -> dict:
+    """x y in each block, from the products of nonzero entries only; sums
+    that cancel stay in the result as zeros."""
+    rows = {}
+    for (s, k, c), b in y.items():
+        rows.setdefault((s, k), []).append((c, b))
+    out = {}
+    for (s, r, k), a in x.items():
+        for c, b in rows.get((s, k), ()):
+            key = (s, r, c)
+            out[key] = out[key] + a * b if key in out else a * b
+    return out
 
 
-def _flatten(m) -> list:
-    return [x for row in m for x in row]
+def _cleaned(x: dict) -> SparseMatrix:
+    return {key: v for key, v in x.items() if v}
+
+
+def _bracket(x: SparseMatrix, y: SparseMatrix) -> SparseMatrix:
+    """The commutator x y - y x."""
+    out = _product(x, y)
+    for key, v in _product(y, x).items():
+        out[key] = out[key] - v if key in out else -v
+    return _cleaned(out)
+
+
+def _flat(x: SparseMatrix, n: int) -> list:
+    """The nonzero coordinates of x as (index, entry) pairs, at index
+    block * n^2 + r * n + c."""
+    return [(s * n * n + r * n + c, v) for (s, r, c), v in x.items()]
+
+
+def _flat_vectors(mats: Sequence[SparseMatrix]) -> Tuple[List[list], int]:
+    """The dense coordinate vectors of the matrices, and the n of their
+    indices: the least one above every row and column they use.  A product
+    of two of them uses no other rows and columns, so ``_flat(x, n)`` of any
+    product or bracket indexes into the same vectors."""
+    keys = [key for m in mats for key in m]
+    n = 1 + max((max(r, c) for _, r, c in keys), default=-1)
+    blocks = 1 + max((s for s, _, _ in keys), default=-1)
+    zero = next((x - x for m in mats for x in m.values()), None)
+    vectors = []
+    for m in mats:
+        v = [zero] * (blocks * n * n)
+        for j, x in _flat(m, n):
+            v[j] = x
+        vectors.append(v)
+    return vectors, n
 
 
 def _unit_vectors(d: int, one, zero) -> List[list]:
@@ -232,10 +254,6 @@ def echelon_basis(vectors: Sequence[Sequence]) -> List[list]:
     return rows[: len(_rref(rows, len(rows[0])))] if rows else []
 
 
-def rank(m: ExactMatrix) -> int:
-    return span_rank(m.entries)
-
-
 def kernel(m: ExactMatrix, one, zero) -> List[list]:
     """Basis of the right kernel of m.
 
@@ -255,18 +273,8 @@ def kernel(m: ExactMatrix, one, zero) -> List[list]:
     return basis
 
 
-def solve(m: ExactMatrix, b: Sequence) -> Optional[list]:
-    """One solution x of m x = b, or None when the system is inconsistent."""
-    return Span(m.transpose().entries).coordinates(b)
-
-
 def span_rank(vectors: Sequence[Sequence]) -> int:
     return len(echelon_basis(vectors))
-
-
-def in_span(vectors: Sequence[Sequence], v: Sequence) -> bool:
-    """Whether v lies in the linear span of the given vectors."""
-    return Span(vectors).contains(v)
 
 
 def structure_constants(

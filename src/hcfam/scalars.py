@@ -27,6 +27,11 @@ class PoleAtPoint(Exception):
     """Raised when a rational function is evaluated at one of its poles."""
 
 
+class TooManyDigits(ValueError):
+    """Raised when ``str`` meets an integer above Python's digit limit for
+    integer-to-string conversion, the limit that parsing also keeps."""
+
+
 _new = object.__new__
 
 
@@ -43,7 +48,10 @@ def _ratio_str(n: int, d: int) -> str:
     if g != 1:
         n //= g
         d //= g
-    return str(n) if d == 1 else f"{n}/{d}"
+    try:
+        return str(n) if d == 1 else f"{n}/{d}"
+    except ValueError:
+        raise TooManyDigits(f"an exact result has more than {sys.get_int_max_str_digits()} digits") from None
 
 
 def _ratio_hash(n: int, d: int) -> int:

@@ -1,7 +1,7 @@
 """Tests for admissibility, canonical constructions, and uniqueness probes."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from hcfam.scalars import GaussianRational

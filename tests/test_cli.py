@@ -3,6 +3,7 @@
 import contextlib
 import dataclasses
 import functools
+import hashlib
 import io
 import json
 import os
@@ -280,6 +281,111 @@ class TestDeterminism:
         assert a == b
 
 
+#: (request, exit code, sha256 of stdout), recorded before pencil pairs and
+#: gl(2) matrices moved to the sparse form; the output must not change.
+PAIR_OUTPUT_CORPUS = (
+    ("grassmann pencil --pq 1,1", 0, "8f14112b3f46ed90835d178ff783fe016091755bc2ba8e1369013e5484c5ace4"),
+    ("grassmann pencil --pq 1,1 --at 0", 0, "394ed55725b2b4a0989940f76bca68145543fa61fe0ceaa507fe29ffcf3973f1"),
+    ("grassmann pencil --pq 1,1 --at -3/2", 0, "512e14a8265d7c99f63218f50573ea6896e3b5a511535082689ae901376fbe11"),
+    ("grassmann limit --pq 1,1 --boundary 0", 0, "27a2144e3dcf4736c58004f95e1a39f1c613072a668794759fd7e05604908c7e"),
+    ("grassmann limit --pq 1,1 --boundary inf", 0, "1e6a21bc93becfd766c19030e80ea7f7c64704e7e3375dcdfa75bbae56ee8c5a"),
+    ("grassmann limit --pq 1,1 --boundary 1", 0, "781e2df5b7d4ba7e13fb8cc007fc3676844cf084df8a0afffcaac55a178628d1"),
+    ("grassmann limit --pq 1,1 --boundary i", 0, "8d24fab1fede3a29b7db214ef57325c094e77011111fbc4ecb0f8f3aaaee0f23"),
+    ("grassmann subalg --pq 1,1", 0, "9608a9677ddbcd6b43eb4a35fb0b99d304118e3cfbf43bc5138eed1fc6acab13"),
+    ("grassmann closure --pq 1,1", 0, "6b23895a7ca5dee4e30b070d5b144a72b38f1ba722ee5cd6a670b50873016428"),
+    ("grassmann compare --pq 1,1", 3, "c5fd583fb135ebb0c50dd21b2d766354e6c33a2c013c28412c08739357b788cf"),
+    ("grassmann realform --pq 1,1 --at 2", 0, "f24814b7101e91eca641c223fa9714e50328d3b08fe9526d15e729af7e84a32c"),
+    ("grassmann realform --pq 1,1 --at -2", 0, "2f5601b416cf0da5a98241813682ddc55087afa01cb1fecdf6926c77b35a8eca"),
+    ("grassmann realform --pq 1,1 --at 0", 0, "57738f8e7283a266a5f31274661a5c6660dfa2a8717d7b8821d908954eb1927d"),
+    ("grassmann realform --pq 1,1 --at inf", 0, "17f75dbc341daf001ac9ea9d42a94b41e25030ce0dd6295c96b9ebed5e5fb6e5"),
+    ("grassmann pencil --pq 1,1 --det-one", 0, "fef51e7da041da0bd1e641033bd78591df4df449e290c5c5cfcc996e71cf9548"),
+    ("grassmann pencil --pq 1,1 --det-one --at 0", 0, "47d814e6480a809c62a313eabba70e7504440dc8364af9249fa4e5d6983796f4"),
+    ("grassmann pencil --pq 1,1 --det-one --at -3/2", 0, "a5748a248996d3190dbe7e7d4d7cc834a66411b6c87bc7d7022fb2e1b866542f"),
+    ("grassmann limit --pq 1,1 --det-one --boundary 0", 0, "27a2144e3dcf4736c58004f95e1a39f1c613072a668794759fd7e05604908c7e"),
+    ("grassmann limit --pq 1,1 --det-one --boundary inf", 0, "1e6a21bc93becfd766c19030e80ea7f7c64704e7e3375dcdfa75bbae56ee8c5a"),
+    ("grassmann limit --pq 1,1 --det-one --boundary 1", 0, "781e2df5b7d4ba7e13fb8cc007fc3676844cf084df8a0afffcaac55a178628d1"),
+    ("grassmann limit --pq 1,1 --det-one --boundary i", 0, "8d24fab1fede3a29b7db214ef57325c094e77011111fbc4ecb0f8f3aaaee0f23"),
+    ("grassmann subalg --pq 1,1 --det-one", 0, "9608a9677ddbcd6b43eb4a35fb0b99d304118e3cfbf43bc5138eed1fc6acab13"),
+    ("grassmann closure --pq 1,1 --det-one", 0, "6b23895a7ca5dee4e30b070d5b144a72b38f1ba722ee5cd6a670b50873016428"),
+    ("grassmann compare --pq 1,1 --det-one", 0, "403181ae23c68c8f537696297234c1b3f6e7c238aa8d36c06972e3d141168f11"),
+    ("grassmann realform --pq 1,1 --det-one --at 2", 0, "4c3520f4f6be0c7d6bbea36518fa73d4105062c79bc1b24c30c20198507bc198"),
+    ("grassmann realform --pq 1,1 --det-one --at -2", 0, "afb08fde8b8518bf74f02cb8dab2e79518590bc9c49d1001549ac1be3138d936"),
+    ("grassmann realform --pq 1,1 --det-one --at 0", 0, "4142e732b8d1323111d70fc7046320fa31285f928150bc0754d6d63dd9066a77"),
+    ("grassmann realform --pq 1,1 --det-one --at inf", 0, "6909adad8389855dc6c87f24a359cf76c83120a53697172a45ba83f0cae12721"),
+    ("grassmann pencil --pq 2,1", 0, "79f889eddeef28731d070ff6a4dc043b1211eea2d6937e7c1fdd3629245ce2f4"),
+    ("grassmann pencil --pq 2,1 --at 0", 0, "3fafeb084e1002847a25177f3119bab3b46c7e902bcec327e31e7692844b8afb"),
+    ("grassmann pencil --pq 2,1 --at -3/2", 0, "e2805c3d91e5eeb28a1072aa0d0d8ba29dd5485e7222cf8efe09a249d03b77a5"),
+    ("grassmann limit --pq 2,1 --boundary 0", 0, "ee6b840c418c788a14b83e11be286f84387bb9193b604301a378339ebb681a9e"),
+    ("grassmann limit --pq 2,1 --boundary inf", 0, "3780ee940f2a88c7730ef86174de6943c30f90afa1abbd244f014af9bf27c570"),
+    ("grassmann limit --pq 2,1 --boundary 1", 0, "b1276193ad41a22e84dfa4c545faff816a2b82f095b77b3db832ff9b4e0b3d0b"),
+    ("grassmann limit --pq 2,1 --boundary i", 0, "3aa6d9b6f9b72effdb020bf9c2606bc33806e7432b7560feea3b7948995f67e0"),
+    ("grassmann subalg --pq 2,1", 0, "9608a9677ddbcd6b43eb4a35fb0b99d304118e3cfbf43bc5138eed1fc6acab13"),
+    ("grassmann closure --pq 2,1", 0, "6b23895a7ca5dee4e30b070d5b144a72b38f1ba722ee5cd6a670b50873016428"),
+    ("grassmann compare --pq 2,1", 3, "c5fd583fb135ebb0c50dd21b2d766354e6c33a2c013c28412c08739357b788cf"),
+    ("grassmann realform --pq 2,1 --at 2", 0, "ebba9d6aca2e9c26268b494ff387a3c693049619863e2a682712f272b15120dc"),
+    ("grassmann realform --pq 2,1 --at -2", 0, "6c088db1979c65ac603d5668aab7e0a71fbf873c41a56ac263b6d6f207161620"),
+    ("grassmann realform --pq 2,1 --at 0", 0, "6e95c3af674c2ef3d5ed434d29e68a132f9e9de06007c0f22f0010543eb8db8a"),
+    ("grassmann realform --pq 2,1 --at inf", 0, "0345199a2a7d16f479507b6efb1de7b79444aa3de558a00f4c281f72ba801bf1"),
+    ("grassmann pencil --pq 2,1 --det-one", 0, "7b197c4d834a47b888b30b0cd1e806b3dac947f685cae4fdbdd94e64b8de3356"),
+    ("grassmann pencil --pq 2,1 --det-one --at 0", 0, "7f668e898c14e29ff7fc59ef4a560d66e4eaae7382cf165efcd12c1a6198894d"),
+    ("grassmann pencil --pq 2,1 --det-one --at -3/2", 0, "ebba38b35562bac26c1ed2a5cf0038014e42f3166404949f51e5a176055f0a2c"),
+    ("grassmann limit --pq 2,1 --det-one --boundary 0", 0, "ee6b840c418c788a14b83e11be286f84387bb9193b604301a378339ebb681a9e"),
+    ("grassmann limit --pq 2,1 --det-one --boundary inf", 0, "3780ee940f2a88c7730ef86174de6943c30f90afa1abbd244f014af9bf27c570"),
+    ("grassmann limit --pq 2,1 --det-one --boundary 1", 0, "b1276193ad41a22e84dfa4c545faff816a2b82f095b77b3db832ff9b4e0b3d0b"),
+    ("grassmann limit --pq 2,1 --det-one --boundary i", 0, "3aa6d9b6f9b72effdb020bf9c2606bc33806e7432b7560feea3b7948995f67e0"),
+    ("grassmann subalg --pq 2,1 --det-one", 0, "9608a9677ddbcd6b43eb4a35fb0b99d304118e3cfbf43bc5138eed1fc6acab13"),
+    ("grassmann closure --pq 2,1 --det-one", 0, "6b23895a7ca5dee4e30b070d5b144a72b38f1ba722ee5cd6a670b50873016428"),
+    ("grassmann compare --pq 2,1 --det-one", 3, "c5fd583fb135ebb0c50dd21b2d766354e6c33a2c013c28412c08739357b788cf"),
+    ("grassmann realform --pq 2,1 --det-one --at 2", 0, "38d600308ea3400710c802ddaeec2859a21c005cfbd75bb070af302538bea2e0"),
+    ("grassmann realform --pq 2,1 --det-one --at -2", 0, "c20175476f284cb772b6ea9b427cefe1ca2040adab8b07ed66abf92d2dc9d126"),
+    ("grassmann realform --pq 2,1 --det-one --at 0", 0, "baeac58317e06ac76f5ddcd609715400ba21e0dc2bbe0781584a71dc7932e859"),
+    ("grassmann realform --pq 2,1 --det-one --at inf", 0, "0f20f6695917439520468f60c418aec3718fc792901f12d524af3afd5f762b08"),
+    ("grassmann pencil --pq 1,2", 0, "4696a065c1337f78c263fca405bf6fe1e4b9e86000aaf274d430bfeb5c1da8d3"),
+    ("grassmann pencil --pq 1,2 --at 0", 0, "8efc20893849d084bedb0c888af718d22a5f6310c1541c2beecc5b6dec7f3ea6"),
+    ("grassmann pencil --pq 1,2 --at -3/2", 0, "da55dabf210d3030fda8d3ba499b421429526ff9c1f7b521e819b15e83117769"),
+    ("grassmann limit --pq 1,2 --boundary 0", 0, "b248947f1753742f9bf8496ff4132f1ccbf07860e112a1dceb27d379095dfcf1"),
+    ("grassmann limit --pq 1,2 --boundary inf", 0, "a36344fba0e22f800bef90f273906be4527b6eda530aeb12ab61717c134576b1"),
+    ("grassmann limit --pq 1,2 --boundary 1", 0, "38dadea466baced38cfc61c895ae4a74ada6318155cb6395dc12eaabdf6ac11f"),
+    ("grassmann limit --pq 1,2 --boundary i", 0, "92eb1a42a3bec81b618f9407c6d0f5090587bdec057c81b712694d65cfa19d13"),
+    ("grassmann subalg --pq 1,2", 0, "9608a9677ddbcd6b43eb4a35fb0b99d304118e3cfbf43bc5138eed1fc6acab13"),
+    ("grassmann closure --pq 1,2", 0, "6b23895a7ca5dee4e30b070d5b144a72b38f1ba722ee5cd6a670b50873016428"),
+    ("grassmann compare --pq 1,2", 3, "c5fd583fb135ebb0c50dd21b2d766354e6c33a2c013c28412c08739357b788cf"),
+    ("grassmann realform --pq 1,2 --at 2", 0, "06344a55b4092e384d29f6115e93699ca04badd3366357e6bd20ee3b718de123"),
+    ("grassmann realform --pq 1,2 --at -2", 0, "d8e5d9ef1e01a566d650cec263d49e929b17908e0ee69549da60331389afa054"),
+    ("grassmann realform --pq 1,2 --at 0", 0, "6aa6874a3eb1e117babe82910159f095331b0c99bf5bc5ac242e52c61b3a6c16"),
+    ("grassmann realform --pq 1,2 --at inf", 0, "e5907fae748db14fd861ff9b184041fb4b28aa68543f167597501fe285f38ed2"),
+    ("grassmann pencil --pq 1,2 --det-one", 0, "f8e6c87a367fd9f5bd69433061ad1a0c008aea890f29133dbb085c90014d5eb7"),
+    ("grassmann pencil --pq 1,2 --det-one --at 0", 0, "1c6197288800730f70c2fa661581cb20cc247fb08b27d7a60818413a4529a0f4"),
+    ("grassmann pencil --pq 1,2 --det-one --at -3/2", 0, "f6d7bd57cbd60e924d3bd167104a9550221cfefeeae9d8116d88968371156e88"),
+    ("grassmann limit --pq 1,2 --det-one --boundary 0", 0, "b248947f1753742f9bf8496ff4132f1ccbf07860e112a1dceb27d379095dfcf1"),
+    ("grassmann limit --pq 1,2 --det-one --boundary inf", 0, "a36344fba0e22f800bef90f273906be4527b6eda530aeb12ab61717c134576b1"),
+    ("grassmann limit --pq 1,2 --det-one --boundary 1", 0, "38dadea466baced38cfc61c895ae4a74ada6318155cb6395dc12eaabdf6ac11f"),
+    ("grassmann limit --pq 1,2 --det-one --boundary i", 0, "92eb1a42a3bec81b618f9407c6d0f5090587bdec057c81b712694d65cfa19d13"),
+    ("grassmann subalg --pq 1,2 --det-one", 0, "9608a9677ddbcd6b43eb4a35fb0b99d304118e3cfbf43bc5138eed1fc6acab13"),
+    ("grassmann closure --pq 1,2 --det-one", 0, "6b23895a7ca5dee4e30b070d5b144a72b38f1ba722ee5cd6a670b50873016428"),
+    ("grassmann compare --pq 1,2 --det-one", 3, "c5fd583fb135ebb0c50dd21b2d766354e6c33a2c013c28412c08739357b788cf"),
+    ("grassmann realform --pq 1,2 --det-one --at 2", 0, "5d049d07e61988cf6b557394f6be58ddb91153fa42f3f070bb7ff7030c48965b"),
+    ("grassmann realform --pq 1,2 --det-one --at -2", 0, "87a07d7d6fc9f7a1d412cf66802570dc179916e3e7a8190da67b6fa7a2561a25"),
+    ("grassmann realform --pq 1,2 --det-one --at 0", 0, "ec3ec2b4469ff6f823fb243d5cd26ab9f93121bc026cdf2708b41002107b40ce"),
+    ("grassmann realform --pq 1,2 --det-one --at inf", 0, "2aeb0d3d55899d0ef324dd4c745465544f3fb68347dea57b3cbec4af515dac44"),
+    ("family build --algebra gl2 --kind constant", 0, "90c61170be6181749a2287417e91bd2dcf189877c77fd1abecc8a8ba3604d2cb"),
+    ("family fiber --algebra gl2 --kind constant --at inf", 0, "5c85ad74e77802c962edd07ebebedb69ce4a733108d1d5794acae7f66ea5f093"),
+    ("family build --algebra gl2 --kind scaled", 0, "f7d4e3b92f2b5adc032769f06a0da8435e0e25e39650f2aa8753a81224b679d9"),
+    ("family fiber --algebra gl2 --kind scaled --at inf", 0, "919833d8e6372b57422fe051ce8df1e00717f8306dd926f218ab679ed9c88779"),
+    ("family build --algebra gl2 --kind contraction", 0, "a98932007f342b2efabfb1f0b827e6e3d8b0036ff3dde6101ee81db354b92ac3"),
+    ("family fiber --algebra gl2 --kind contraction --at inf", 0, "cc35f3223197bb20400bf31e86b3cb8e0cb7b0d5505ed21aac0af2d834e6bc10"),
+    ("family build --algebra gl2 --kind deformation", 0, "b80f144c2df5453cc594d2dc9748c2d08ba68f1ebee8107fb7c8c1e5fad51e40"),
+    ("family fiber --algebra gl2 --kind deformation --at inf", 0, "cc35f3223197bb20400bf31e86b3cb8e0cb7b0d5505ed21aac0af2d834e6bc10"),
+)
+
+
+class TestPairOutputBytes:
+    @pytest.mark.parametrize("argv, code, digest", PAIR_OUTPUT_CORPUS, ids=[r[0] for r in PAIR_OUTPUT_CORPUS])
+    def test_stdout_and_exit_code_unchanged(self, argv, code, digest):
+        got_code, out = _outcome(argv.split())
+        assert (got_code, hashlib.sha256(out.encode()).hexdigest()) == (code, digest)
+
+
 def _request_error(capsys, *argv):
     """The request exits 2 with exactly one JSON line naming a request error."""
     code, out = invoke(capsys, *argv)
@@ -316,6 +422,22 @@ class TestRequestContract:
         assert code == 2
         lines = out.splitlines()
         assert len(lines) == 1 and json.loads(lines[0])["error"] == "request"
+
+    def test_result_over_the_digit_limit_is_a_request_error(self, module_file, tmp_path):
+        """A 4300-digit denominator loads and validates, but the locus prints
+        c1/4, whose denominator has one digit more than ``str`` may write."""
+        doc = json.loads(open(module_file).read())
+        doc["casimir"][0] = "1/" + "9" * 4300
+        path = tmp_path / "long.json"
+        path.write_text(json.dumps(doc))
+        assert _outcome(["module", "validate", "--module", str(path)])[0] == 0
+        code, out = _outcome(["module", "locus", "--module", str(path), "--window", "-4..4"])
+        assert code == 2
+        lines = out.splitlines()
+        assert len(lines) == 1 and json.loads(lines[0]) == {
+            "error": "request",
+            "message": "an exact result has more than 4300 digits",
+        }
 
     @pytest.mark.parametrize(
         "argv",
@@ -421,12 +543,11 @@ class TestSubalgAt:
     def test_fiber_witness_comes_from_the_fiber(self, capsys, monkeypatch):
         # A fiber that is not bracket-closed: [(E01, E01), (E10, E10)] = (H, H)
         # lies outside its span, so the verdict must come from this basis.
-        z, o = GaussianRational(0), GaussianRational(1)
-        e01, e10 = ((z, o), (z, z)), ((z, z), (o, z))
+        o = GaussianRational(1)
 
         def broken(pencil, t=None):
             assert t == GaussianRational(2)
-            return [(e01, e01), (e10, e10)]
+            return [{(0, 0, 1): o, (1, 0, 1): o}, {(0, 1, 0): o, (1, 1, 0): o}]
 
         monkeypatch.setattr(cli, "pencil_basis", broken)
         code, doc = invoke_json(capsys, "grassmann", "subalg", "--pq", "1,1", "--at", "2")

@@ -10,28 +10,22 @@ from hcfam.liefam import LieAlgebra, fiber, fiber_invariants
 from hcfam.grassfam import (
     GrassmannPencil,
     NoIsomorphismFound,
-    RankDropAtLimit,
     RealStructureSpec,
     contraction_comparison,
     family_from_pairs,
     fiber_group_closure_check,
-    flatten_pair,
     k_basis,
     limit_subspace,
     p_basis,
     pair_bracket,
-    pair_scale,
     pencil_basis,
     real_form_at,
-    sparse_pair,
     sylvester_signature,
     verify_subalgebra,
-    _dense_pair,
-    _flat,
-    _pair_is_zero,
+    _span_of,
     _structure_constants_real,
 )
-from hcfam.linalg import ExactMatrix, Span, in_span, kernel, span_rank, structure_constants
+from hcfam.linalg import ExactMatrix, Span, _flat, kernel, structure_constants
 
 QI = GaussianRational
 
@@ -45,8 +39,9 @@ class TestPencilBases:
 
     def test_t_equal_one_is_diagonal_copy(self):
         pen = GrassmannPencil(1, 1)
-        for m1, m2 in pencil_basis(pen, 1):
-            assert m1 == m2
+        for v in pencil_basis(pen, 1):
+            first, second = ({(r, c): x for (s, r, c), x in v.items() if s == k} for k in (0, 1))
+            assert first == second
 
     def test_symbolic_pencil_is_subalgebra(self):
         for pen in (GrassmannPencil(1, 1, det_one=True), GrassmannPencil(2, 1, det_one=True)):
@@ -57,9 +52,7 @@ class TestPencilBases:
         basis = pencil_basis(pen, 2)
         # Replace one vector by a pair that is not in any subalgebra of the
         # pencil: a strictly upper-triangular first component only.
-        e01 = ((QI_ZERO, QI_ONE), (QI_ZERO, QI_ZERO))
-        z = ((QI_ZERO, QI_ZERO), (QI_ZERO, QI_ZERO))
-        basis[1] = (e01, z)
+        basis[1] = {(0, 0, 1): QI_ONE}
         assert verify_subalgebra(basis) is not None
 
     def test_generic_fiber_has_full_derived_algebra(self):
@@ -73,11 +66,8 @@ class TestPencilBases:
 class TestLimits:
     def test_limit_displays_rank_one(self):
         pen = GrassmannPencil(1, 1, det_one=True)
-        e01 = ((QI_ZERO, QI_ONE), (QI_ZERO, QI_ZERO))
-        e10 = ((QI_ZERO, QI_ZERO), (QI_ONE, QI_ZERO))
-        z = ((QI_ZERO, QI_ZERO), (QI_ZERO, QI_ZERO))
-        assert set(limit_subspace(pen, QI_ZERO)) == {(z, e01), (e10, z)}
-        assert set(limit_subspace(pen, INFINITY)) == {(e01, z), (z, e10)}
+        assert limit_subspace(pen, QI_ZERO) == [{(1, 0, 1): QI_ONE}, {(0, 1, 0): QI_ONE}]
+        assert limit_subspace(pen, INFINITY) == [{(0, 0, 1): QI_ONE}, {(1, 1, 0): QI_ONE}]
 
     def test_limits_abelian(self):
         for pq in ((1, 1), (2, 1)):
@@ -87,18 +77,18 @@ class TestLimits:
                 assert len(limited) == 2 * pq[0] * pq[1]
                 for x in limited:
                     for y in limited:
-                        assert _pair_is_zero(pair_bracket(sparse_pair(x), sparse_pair(y)))
+                        assert not pair_bracket(x, y)
 
     def test_limit_independent_of_basis_order(self):
         pen = GrassmannPencil(2, 1, det_one=True)
         limited = limit_subspace(pen, QI_ZERO)
-        flat = [flatten_pair(v) for v in limited]
+        span, n = _span_of(limited)
         rng = random.Random(4)
         shuffled = list(limited)
         rng.shuffle(shuffled)
         for v in shuffled:
-            assert in_span(flat, flatten_pair(v))
-        assert span_rank(flat) == len(limited)
+            assert span.sparse_contains(_flat(v, n))
+        assert span.rank == len(limited)
 
 
 class TestClosure:
@@ -143,17 +133,24 @@ class TestRealStructure:
         pen = GrassmannPencil(1, 1, det_one=True)
         sigma = RealStructureSpec(1, 1)
         x = QI(1, 2)  # 1 + 2i
-        target = [flatten_pair(v) for v in pencil_basis(pen, x.conjugate())]
+        target, n = _span_of(pencil_basis(pen, x.conjugate()))
         for v in pencil_basis(pen, x):
-            assert in_span(target, flatten_pair(sigma.apply(v)))
+            assert target.sparse_contains(_flat(sigma.apply(v), n))
 
     def test_sigma_commutes_with_block_conjugation(self):
+        """Against a dense reference: theta conjugates both matrices by
+        J = diag(I_q, -I_p) with a plain product of all n**3 terms."""
         sigma = RealStructureSpec(1, 1)
-        J = sigma.j_matrix()
-        from hcfam.linalg import _mat_mul
+        n = 2
+        J = [[QI_ONE if r == c == 0 else -QI_ONE if r == c else QI_ZERO for c in range(n)] for r in range(n)]
+
+        def dense_mul(a, b):
+            return [[sum((a[r][k] * b[k][c] for k in range(n)), QI_ZERO) for c in range(n)] for r in range(n)]
 
         def theta(pair):
-            return (_mat_mul(_mat_mul(J, pair[0]), J), _mat_mul(_mat_mul(J, pair[1]), J))
+            dense = [[[pair.get((s, r, c), QI_ZERO) for c in range(n)] for r in range(n)] for s in (0, 1)]
+            conj = [dense_mul(dense_mul(J, m), J) for m in dense]
+            return {(s, r, c): x for s, m in enumerate(conj) for r, row in enumerate(m) for c, x in enumerate(row) if x}
 
         for v in pencil_basis(GrassmannPencil(1, 1), QI(3)):
             assert sigma.apply(theta(v)) == theta(sigma.apply(v))
@@ -269,8 +266,8 @@ class TestRealFormTable:
 def rational_real_form(pencil, x):
     """The real form over x computed as it was before the Q(i) path: the fiber
     as a rational space with basis (b, i*b), every entry split into two
-    Fractions, and rational eliminations throughout.  Returns the basis, the
-    structure constants, the signature and the invariants."""
+    Fractions, and rational eliminations throughout.  Returns the basis (as
+    sparse pairs), the structure constants, the signature and the invariants."""
     if x is INFINITY or x == 0:
         fiber_basis = k_basis(pencil) + limit_subspace(pencil, INFINITY if x is INFINITY else QI_ZERO)
     else:
@@ -286,9 +283,9 @@ def rational_real_form(pencil, x):
             out[j] = c
         return out
 
-    rb = [v for b in map(sparse_pair, fiber_basis) for v in (b, {k: QI_I * e for k, e in b.items()})]
+    rb = [v for b in fiber_basis for v in (b, {k: QI_I * e for k, e in b.items()})]
     span = Span([real_coords(v) for v in rb])
-    columns = [span.coordinates(real_coords(sigma.sparse_apply(v))) for v in rb]
+    columns = [span.coordinates(real_coords(sigma.apply(v))) for v in rb]
     m = len(rb)
     fixed = ExactMatrix([[columns[j][i] - (1 if i == j else 0) for j in range(m)] for i in range(m)])
     real_basis = []
@@ -307,7 +304,7 @@ def rational_real_form(pencil, x):
     killing = [[sum((c * b[k, j] for (j, k), c in a.items() if (k, j) in b), Fraction(0)) for b in ad] for a in ad]
     algebra = LieAlgebra.from_constants(tuple(f"r{i}" for i in range(len(real_basis))), constants)
     return (
-        [_dense_pair(v, n, QI_ZERO) for v in real_basis],
+        real_basis,
         constants,
         sylvester_signature(killing),
         fiber_invariants(algebra),
@@ -343,4 +340,4 @@ class TestRealFormAgainstRationalPath:
         basis = real_form_at(GrassmannPencil(2, 1, det_one=True), -1).basis
         assert _structure_constants_real(basis)
         with pytest.raises(ValueError, match="real form is not bracket-closed"):
-            _structure_constants_real([pair_scale(basis[0], QI_I)] + basis[1:])
+            _structure_constants_real([{k: QI_I * e for k, e in basis[0].items()}] + basis[1:])

@@ -1,11 +1,13 @@
-"""Static checks over the library sources (no linter is a dependency)."""
+"""Static checks over the library sources and the tests (no linter is a
+dependency)."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "hcfam"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "hcfam"
 
 
 def _annotations(tree):
@@ -46,7 +48,7 @@ def test_detector_sees_string_annotations():
     assert unused_imports(src) == [(3, "c")]
 
 
-@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")) + sorted(TESTS.glob("*.py")), ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 

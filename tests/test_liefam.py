@@ -41,7 +41,7 @@ from hcfam.liefam import (
     scaled_bracket_family,
     sl2_algebra,
 )
-from hcfam.sl2fam import sl2_involution
+from hcfam.sl2fam import gl2_involution, sl2_involution
 from hcfam.linalg import span_rank
 
 QI = GaussianRational
@@ -78,9 +78,9 @@ class TestLieAlgebra:
             LieAlgebra.from_constants(g.labels, tbl)
 
     def test_matrix_algebra_matches_sl2(self):
-        h = ((QI(1), QI(0)), (QI(0), QI(-1)))
-        x = ((QI(0), QI(1)), (QI(0), QI(0)))
-        y = ((QI(0), QI(0)), (QI(1), QI(0)))
+        h = {(0, 0, 0): QI(1), (0, 1, 1): QI(-1)}
+        x = {(0, 0, 1): QI(1)}
+        y = {(0, 1, 0): QI(1)}
         g = matrix_algebra(("H", "X", "Y"), [h, x, y])
         assert g.constants == sl2_algebra().constants
 
@@ -213,11 +213,9 @@ class TestMorphisms:
 
 class TestAdDiagInvolution:
     def test_gl2_split(self):
-        e11 = ((QI(1), QI(0)), (QI(0), QI(0)))
-        e12 = ((QI(0), QI(1)), (QI(0), QI(0)))
-        e21 = ((QI(0), QI(0)), (QI(1), QI(0)))
-        e22 = ((QI(0), QI(0)), (QI(0), QI(1)))
-        theta = ad_diag_involution(gl2_algebra(), [e11, e12, e21, e22], [QI(1), QI(-1)])
+        units = [{(0, r, c): QI(1)} for r, c in ((0, 0), (0, 1), (1, 0), (1, 1))]
+        theta = ad_diag_involution(gl2_algebra(), units, [QI(1), QI(-1)])
+        assert theta.matrix == gl2_involution().matrix
         assert len(theta.k_vectors) == 2
         assert len(theta.p_vectors) == 2
         fam = contraction_family(gl2_algebra(), theta)

@@ -1,11 +1,11 @@
-"""Tests for exact dense linear algebra."""
+"""Tests for exact linear algebra and the sparse matrix product."""
 
 from fractions import Fraction
 
 from hypothesis import given
 from hypothesis import strategies as st
 
-from hcfam.linalg import ExactMatrix, Span, _mat_mul, _rref, in_span, kernel, rank, solve, span_rank
+from hcfam.linalg import ExactMatrix, Span, _cleaned, _product, _rref, kernel, span_rank
 from hcfam.scalars import GaussianRational, LaurentPoly, RationalFunction, RF_ONE, RF_Z, RF_ZERO
 
 fr = st.fractions(min_value=-9, max_value=9, max_denominator=5)
@@ -20,12 +20,12 @@ def matrices(rows, cols):
 class TestRankKernel:
     def test_rank_examples(self):
         m = ExactMatrix([[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]])
-        assert rank(m) == 1
-        assert rank(ExactMatrix([[Fraction(0)] * 3] * 2)) == 0
+        assert span_rank(m.entries) == 1
+        assert span_rank([[Fraction(0)] * 3] * 2) == 0
 
     @given(matrices(3, 4))
     def test_rank_nullity(self, m):
-        assert rank(m) + len(kernel(m, Fraction(1), Fraction(0))) == m.cols
+        assert span_rank(m.entries) + len(kernel(m, Fraction(1), Fraction(0))) == m.cols
 
     @given(matrices(3, 4))
     def test_kernel_vectors_annihilate(self, m):
@@ -34,22 +34,23 @@ class TestRankKernel:
 
     @given(matrices(4, 3), st.lists(fr, min_size=3, max_size=3))
     def test_solve_recovers_image_vectors(self, m, x):
+        """m x = b is solved by the coordinates of b in the span of the columns."""
         b = m.matvec(x)
-        sol = solve(m, b)
+        sol = Span([m.col(j) for j in range(m.cols)]).coordinates(b)
         assert sol is not None
         assert m.matvec(sol) == b
 
     def test_solve_inconsistent(self):
         m = ExactMatrix([[Fraction(1), Fraction(1)], [Fraction(1), Fraction(1)]])
-        assert solve(m, [Fraction(0), Fraction(1)]) is None
+        assert Span([m.col(j) for j in range(m.cols)]).coordinates([Fraction(0), Fraction(1)]) is None
 
 
 class TestSpan:
     def test_in_span(self):
         vs = [[Fraction(1), Fraction(0)], [Fraction(1), Fraction(1)]]
-        assert in_span(vs, [Fraction(3), Fraction(2)])
-        assert not in_span([vs[0]], [Fraction(0), Fraction(1)])
-        assert in_span([], [Fraction(0), Fraction(0)])
+        assert Span(vs).contains([Fraction(3), Fraction(2)])
+        assert not Span([vs[0]]).contains([Fraction(0), Fraction(1)])
+        assert Span([]).contains([Fraction(0), Fraction(0)])
 
     @given(st.lists(st.lists(fr, min_size=3, max_size=3), min_size=1, max_size=4))
     def test_span_rank_bounded(self, vs):
@@ -61,11 +62,11 @@ class TestSpan:
 
 
 class TestMatrixOps:
-    def test_matmul_transpose(self):
+    def test_matmul(self):
         a = ExactMatrix([[Fraction(1), Fraction(2)], [Fraction(3), Fraction(4)]])
         b = ExactMatrix([[Fraction(0), Fraction(1)], [Fraction(1), Fraction(0)]])
         assert a.matmul(b).entries == [[2, 1], [4, 3]]
-        assert a.transpose().transpose() == a
+        assert b.matmul(b) == ExactMatrix([[Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)]])
 
 
 def combination(coeffs, vectors, zero):
@@ -172,17 +173,26 @@ def square_pairs(draw, scalar):
     return draw(square), draw(square)
 
 
+def sparse(m, block=0):
+    """The sparse matrix {(block, r, c): x} of the nonzero entries of m."""
+    return {(block, r, c): x for r, row in enumerate(m) for c, x in enumerate(row) if x}
+
+
+def sparse_mul(a, b):
+    return _cleaned(_product(sparse(a), sparse(b)))
+
+
 class TestSparseMatMul:
     @given(square_pairs(sparse_fr))
     def test_rationals_match_dense(self, pair):
-        assert _mat_mul(*pair) == dense_mat_mul(*pair)
+        assert sparse_mul(*pair) == sparse(dense_mat_mul(*pair))
 
     @given(square_pairs(sparse_qi))
     def test_gaussian_rationals_match_dense(self, pair):
         a, b = pair
-        got = _mat_mul(a, b)
-        assert got == dense_mat_mul(a, b)
-        assert all(type(x) is GaussianRational for row in got for x in row)
+        got = sparse_mul(a, b)
+        assert got == sparse(dense_mat_mul(a, b))
+        assert all(type(x) is GaussianRational for x in got.values())
 
     def test_rational_function_elementary_products(self):
         z, one, zero = RF_Z, RF_ONE, RF_ZERO
@@ -192,7 +202,15 @@ class TestSparseMatMul:
 
         for a, b in [(unit(0, 1, z), unit(1, 2, one)), (unit(0, 1, z), unit(0, 1, one)),
                      (unit(2, 0, one), unit(0, 2, z + one))]:
-            assert _mat_mul(a, b) == dense_mat_mul(a, b)
+            assert sparse_mul(a, b) == sparse(dense_mat_mul(a, b))
+
+    @given(square_pairs(sparse_qi), square_pairs(sparse_qi))
+    def test_blocks_multiply_separately(self, first, second):
+        """Each block of the product of two-block matrices, as in the pairs of
+        the pencil, is the product of the blocks."""
+        (a0, b0), (a1, b1) = first, second
+        got = _cleaned(_product({**sparse(a0), **sparse(a1, 1)}, {**sparse(b0), **sparse(b1, 1)}))
+        assert got == {**sparse(dense_mat_mul(a0, b0)), **sparse(dense_mat_mul(a1, b1), 1)}
 
 
 def dense_rref(rows, ncols):

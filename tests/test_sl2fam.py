@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hcfam.scalars import GaussianRational, RationalFunction, RF_ONE, RF_Z, RF_ZERO
+from hcfam.scalars import RationalFunction, RF_ONE, RF_Z, RF_ZERO
 from hcfam.sl2fam import (
     NotHomogeneous,
     build_sl2_contraction,
@@ -44,7 +44,7 @@ class TestCanonicalSections:
     def test_relations_hold_in_both_charts(self, pair):
         # build_sl2_contraction verifies the relations at construction time;
         # a doctored section must be caught by the same check.
-        from hcfam.sl2fam import Section, Sl2ContractionPair, _relations_counterexample
+        from hcfam.sl2fam import _relations_counterexample
         import dataclasses
 
         broken = dataclasses.replace(pair, X=dataclasses.replace(pair.X, z_coords=(RF_ZERO, RF_Z, RF_ZERO)))
