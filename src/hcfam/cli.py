@@ -403,7 +403,7 @@ def cmd_grassmann(args) -> int:
         emit(
             {
                 "isomorphic": True,
-                "map": [[str(v) for v in row] for row in phi.matrix.entries],
+                "map": [[str(col[i]) if i in col else "0" for col in phi.images] for i in range(len(phi.images))],
             }
         )
         return 0

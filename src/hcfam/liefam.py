@@ -9,6 +9,10 @@ coordinate w = 1/z, giving the fiber at infinity.
 Structure constants are stored sparse: ``constants[i][j]`` is a tuple of the
 (k, c) pairs with c the nonzero coordinate of [e_i, e_j] along e_k, in
 increasing k.  Every loop over a table runs over these nonzero entries only.
+An element of an algebra or family is sparse too: the dict {k: c} of its
+nonzero coordinates.  Brackets, involutions and morphisms act on that form;
+dense coordinate lists appear only as rows for ``linalg``'s elimination, as
+the vectors of its kernels and in the residual of a failed check.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .linalg import ExactMatrix, Span, echelon_basis, kernel, span_rank, structure_constants
-from .linalg import _bracket, _flat, _flat_vectors, _mat_add, _mat_sub, _nonzero, _unit_vectors
+from .linalg import _bracket, _flat, _flat_vectors, _nonzero, _unit_vectors
 from .scalars import (
     INFINITY,
     GaussianRational,
@@ -75,11 +79,8 @@ class LieAlgebra:
             raise NotALieAlgebra(f"Jacobi fails on basis triple {(i, j, k)}")
         return LieAlgebra(tuple(labels), tbl)
 
-    def bracket(self, u: Sequence, v: Sequence) -> list:
-        return bracket_with(self.constants, u, v, QI_ZERO)
-
-    def jacobi_counterexample(self):
-        return jacobi_witness(self.constants, QI_ZERO)
+    def bracket(self, u: dict, v: dict) -> dict:
+        return bracket_with(self.constants, u, v)
 
 
 def _sparse_table(cells, f=lambda c: c) -> tuple:
@@ -91,21 +92,31 @@ def _sparse_table(cells, f=lambda c: c) -> tuple:
     )
 
 
-def bracket_with(constants, u: Sequence, v: Sequence, zero) -> list:
-    """[u, v] in coordinates, where ``constants[i][j]`` holds the nonzero
-    coordinates (k, c) of [e_i, e_j] and ``zero`` is the zero of the
-    coefficient field."""
-    out = [zero] * len(constants)
-    v_nonzero = [(j, y) for j, y in enumerate(v) if y]
-    for i, x in enumerate(u):
-        if x:
-            row = constants[i]
-            for j, y in v_nonzero:
-                if row[j]:
-                    f = x * y
-                    for k, c in row[j]:
-                        out[k] = out[k] + f * c
-    return out
+def bracket_with(constants, u: dict, v: dict) -> dict:
+    """[u, v] for sparse vectors {k: c}, where ``constants[i][j]`` holds the
+    nonzero coordinates (k, c) of [e_i, e_j]."""
+    out = {}
+    for i, x in u.items():
+        row = constants[i]
+        for j, y in v.items():
+            cell = row[j]
+            if cell:
+                f = x * y
+                for k, c in cell:
+                    t = f * c
+                    out[k] = out[k] + t if k in out else t
+    return {k: c for k, c in out.items() if c}
+
+
+def _apply(images, w) -> dict:
+    """The image of the vector with nonzero coordinates w, (j, c) pairs, under
+    the linear map that sends e_j to the sparse vector ``images[j]``."""
+    out = {}
+    for j, x in w:
+        for k, c in images[j].items():
+            t = x * c
+            out[k] = out[k] + t if k in out else t
+    return {k: c for k, c in out.items() if c}
 
 
 def jacobi_witness(constants, zero):
@@ -191,38 +202,41 @@ def gl2_algebra() -> LieAlgebra:
 class Involution:
     """An involutive automorphism of a constant-fiber Lie algebra.
 
-    Carries the eigenspace decomposition g = k + p, with the indices of an
-    adapted basis (fixed vectors first is not required; order follows the
-    eigenvector solve).
+    ``columns[j]`` is the image of e_j as a sparse vector {k: c}.  Carries the
+    eigenspace decomposition g = k + p, with the indices of an adapted basis
+    (fixed vectors first is not required; order follows the eigenvector solve).
     """
 
     algebra: LieAlgebra
-    matrix: ExactMatrix
+    columns: tuple  # theta(e_j) as sparse vectors {k: c}
     k_vectors: tuple  # coordinate vectors spanning the +1 eigenspace
     p_vectors: tuple  # coordinate vectors spanning the -1 eigenspace
 
     @staticmethod
     def from_matrix(algebra: LieAlgebra, matrix) -> "Involution":
+        """The involution with the given matrix, a list of d rows."""
         d = algebra.rank
-        m = matrix if isinstance(matrix, ExactMatrix) else ExactMatrix(
-            [[GaussianRational._coerce(x) for x in row] for row in matrix]
-        )
-        if m.rows != d or m.cols != d:
+        rows = [[GaussianRational._coerce(x) for x in row] for row in matrix]
+        if len(rows) != d or any(len(row) != d for row in rows):
             raise InvalidInvolution("matrix size does not match the algebra")
-        eye = _unit_vectors(d, QI_ONE, QI_ZERO)
-        if m.matmul(m).entries != eye:
+        columns = tuple({i: row[j] for i, row in enumerate(rows) if row[j]} for j in range(d))
+        if any(_apply(columns, col.items()) != {j: QI_ONE} for j, col in enumerate(columns)):
             raise InvalidInvolution("matrix squared is not the identity")
+        # The table is antisymmetric (from_constants checked it), so the pairs
+        # i < j decide whether theta preserves every bracket.
+        tbl = algebra.constants
         for i in range(d):
-            for j in range(d):
-                lhs = m.matvec(algebra.bracket(eye[i], eye[j]))
-                rhs = algebra.bracket(m.matvec(eye[i]), m.matvec(eye[j]))
-                if lhs != rhs:
+            for j in range(i + 1, d):
+                if _apply(columns, tbl[i][j]) != algebra.bracket(columns[i], columns[j]):
                     raise InvalidInvolution("matrix is not a Lie automorphism")
-        k_vecs = kernel(ExactMatrix(_mat_sub(m.entries, eye)), QI_ONE, QI_ZERO)
-        p_vecs = kernel(ExactMatrix(_mat_add(m.entries, eye)), QI_ONE, QI_ZERO)
+        shifted = [
+            ExactMatrix([[x + s if i == j else x for j, x in enumerate(row)] for i, row in enumerate(rows)])
+            for s in (-QI_ONE, QI_ONE)
+        ]
+        k_vecs, p_vecs = (kernel(m, QI_ONE, QI_ZERO) for m in shifted)
         if len(k_vecs) + len(p_vecs) != d:
             raise InvalidInvolution("eigenspaces do not span")
-        return Involution(algebra, m, tuple(map(tuple, k_vecs)), tuple(map(tuple, p_vecs)))
+        return Involution(algebra, columns, tuple(map(tuple, k_vecs)), tuple(map(tuple, p_vecs)))
 
     @staticmethod
     def identity(algebra: LieAlgebra) -> "Involution":
@@ -242,8 +256,7 @@ def ad_diag_involution(algebra: LieAlgebra, mats: Sequence, diag: Sequence) -> I
         if coords is None:
             raise InvalidInvolution("Ad(diag) does not preserve the span")
         cols.append(dict(coords))
-    theta = ExactMatrix([[col.get(i, QI_ZERO) for col in cols] for i in range(algebra.rank)])
-    return Involution.from_matrix(algebra, theta)
+    return Involution.from_matrix(algebra, [[col.get(i, QI_ZERO) for col in cols] for i in range(algebra.rank)])
 
 
 # ---------------------------------------------------------------------------
@@ -270,8 +283,8 @@ class LieFamily:
     def rank(self) -> int:
         return len(self.labels)
 
-    def bracket(self, u: Sequence[RationalFunction], v: Sequence[RationalFunction]) -> list:
-        return bracket_with(self.constants, u, v, RF_ZERO)
+    def bracket(self, u: dict, v: dict) -> dict:
+        return bracket_with(self.constants, u, v)
 
     # -- serialization ------------------------------------------------------
 
@@ -306,9 +319,10 @@ def _adapted_constants(theta: Involution):
     """Structure constants in the eigenbasis k then p, over Q(i)."""
     alg = theta.algebra
     basis = list(theta.k_vectors) + list(theta.p_vectors)
+    vectors = [dict(_nonzero(v)) for v in basis]
     tbl = structure_constants(
         Span(basis),
-        lambda i, j: _nonzero(alg.bracket(basis[i], basis[j])),
+        lambda i, j: alg.bracket(vectors[i], vectors[j]).items(),
         lambda i, j: InvalidInvolution("bracket escapes the adapted basis span"),
     )
     labels = tuple(f"k{i}" for i in range(len(theta.k_vectors))) + tuple(
@@ -438,49 +452,57 @@ def fiber(family: LieFamily, p: Point) -> LieAlgebra:
 def fiber_invariants(algebra: LieAlgebra) -> dict:
     """Dimension of the derived algebra and center, and solvability."""
     d = algebra.rank
+    tbl = algebra.constants
+
+    def dense_rows(vectors):
+        """Rows for elimination from the (k, c) pairs of each vector; equal
+        vectors give one row, which leaves every echelon form unchanged."""
+        out = []
+        for v in dict.fromkeys(tuple(v) for v in vectors):
+            row = [QI_ZERO] * d
+            for k, c in v:
+                row[k] = c
+            out.append(row)
+        return out
+
     # center: the kernel of v -> ([v, e_j])_j, whose matrix has the row
     # (c_ij^k)_i for each (j, k); only its nonzero rows are formed.
     ad_rows = {}
-    for i, row in enumerate(algebra.constants):
+    for i, row in enumerate(tbl):
         for j, cell in enumerate(row):
             for k, c in cell:
-                ad_rows.setdefault((j, k), [QI_ZERO] * d)[i] = c
-    dim_center = d - span_rank(list(ad_rows.values()))
-    # Derived series: by bilinearity the brackets of any basis of a term span
-    # the next term, so only an echelon basis of each term is bracketed.  The
-    # series either reaches 0 (solvable) or stops shrinking (not solvable).
-    current = _unit_vectors(d, QI_ONE, QI_ZERO)
-    dims = []
-    while current:
-        nxt = echelon_basis(
-            [algebra.bracket(u, v) for a, u in enumerate(current) for v in current[a + 1 :]]
+                ad_rows.setdefault((j, k), []).append((i, c))
+    dim_center = d - span_rank(dense_rows(ad_rows.values()))
+    # Derived series: [g, g] is spanned by the nonzero cells c_ij, i < j.  By
+    # bilinearity the brackets of any basis of a term span the next term, so
+    # only an echelon basis of each later term is bracketed.  The series
+    # either reaches 0 (solvable) or stops shrinking (not solvable).
+    current = echelon_basis(dense_rows(cell for i, row in enumerate(tbl) for cell in row[i + 1 :] if cell))
+    dim_derived, size = len(current), d
+    while current and len(current) < size:
+        size = len(current)
+        vectors = [dict(_nonzero(v)) for v in current]
+        current = echelon_basis(
+            dense_rows(bracket_with(tbl, u, v).items() for a, u in enumerate(vectors) for v in vectors[a + 1 :])
         )
-        dims.append(len(nxt))
-        if len(nxt) == len(current):
-            break
-        current = nxt
-    return {
-        "dim_derived": dims[0] if dims else 0,
-        "dim_center": dim_center,
-        "solvable": not current,
-    }
+    return {"dim_derived": dim_derived, "dim_center": dim_center, "solvable": not current}
 
 
 @dataclass(frozen=True)
 class FamilyMorphism:
-    """A basis-to-basis map with rational-function entries."""
+    """A basis-to-basis map with rational-function entries: ``images[j]`` is
+    the image of e_j as a sparse vector {k: c}."""
 
-    matrix: ExactMatrix
+    images: tuple
 
     @staticmethod
     def identity(d: int) -> "FamilyMorphism":
-        return FamilyMorphism(ExactMatrix(_unit_vectors(d, RF_ONE, RF_ZERO)))
+        return FamilyMorphism(tuple({j: RF_ONE} for j in range(d)))
 
     @staticmethod
     def diagonal(entries) -> "FamilyMorphism":
-        d = len(entries)
-        rows = [[RationalFunction._coerce(x) if i == j else RF_ZERO for j in range(d)] for i, x in enumerate(entries)]
-        return FamilyMorphism(ExactMatrix(rows))
+        coerced = [RationalFunction._coerce(x) for x in entries]
+        return FamilyMorphism(tuple({j: x} if x else {} for j, x in enumerate(coerced)))
 
 
 def check_morphism(phi: FamilyMorphism, source: LieFamily, target: LieFamily):
@@ -488,16 +510,13 @@ def check_morphism(phi: FamilyMorphism, source: LieFamily, target: LieFamily):
     if source.rank != target.rank:
         raise ValueError("rank mismatch")
     d = source.rank
-    m = phi.matrix
-    basis = _unit_vectors(d, RF_ONE, RF_ZERO)
-    images = [m.matvec(basis[i]) for i in range(d)]
+    images = phi.images
     for i in range(d):
         for j in range(i + 1, d):
-            lhs = m.matvec(source.bracket(basis[i], basis[j]))
+            lhs = _apply(images, source.constants[i][j])
             rhs = target.bracket(images[i], images[j])
-            diff = [a - b for a, b in zip(lhs, rhs)]
-            if any(diff):
-                return (i, j, diff)
+            if lhs != rhs:
+                return (i, j, [lhs.get(k, RF_ZERO) - rhs.get(k, RF_ZERO) for k in range(d)])
     return None
 
 

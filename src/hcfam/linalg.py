@@ -15,8 +15,7 @@ An element of a matrix Lie algebra is a sparse matrix: the dict
 for the pairs of the Grassmannian pencil.  ``_product`` and ``_bracket``
 multiply such matrices blockwise from products of nonzero entries only;
 ``_flat`` and ``_flat_vectors`` give their coordinates, block-major and then
-row-major.  The square-matrix helpers on nested sequences (``_sum``,
-``_mat_add``, ``_mat_sub``, ``_unit_vectors``) serve ``ExactMatrix``.
+row-major.
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 
 class ExactMatrix:
-    """A dense matrix with exact field entries."""
+    """A dense matrix with exact field entries: the input of ``kernel``."""
 
     __slots__ = ("rows", "cols", "entries")
 
@@ -39,49 +38,10 @@ class ExactMatrix:
         self.cols = ncols
         self.entries = entries
 
-    def col(self, j) -> list:
-        return [self.entries[i][j] for i in range(self.rows)]
-
-    def matvec(self, v: Sequence) -> list:
-        return [_sum(x * y for x, y in zip(row, v)) for row in self.entries]
-
-    def matmul(self, other: "ExactMatrix") -> "ExactMatrix":
-        if self.cols != other.rows:
-            raise ValueError("shape mismatch")
-        return ExactMatrix(
-            [
-                [
-                    _sum(x * y for x, y in zip(self.entries[i], other.col(j)))
-                    for j in range(other.cols)
-                ]
-                for i in range(self.rows)
-            ]
-        )
-
-    def __eq__(self, other):
-        if not isinstance(other, ExactMatrix):
-            return NotImplemented
-        return self.entries == other.entries
-
 
 def _nonzero(seq) -> list:
     """(index, entry) for the nonzero entries of seq."""
     return [(j, x) for j, x in enumerate(seq) if x]
-
-
-def _sum(terms):
-    acc = None
-    for t in terms:
-        acc = t if acc is None else acc + t
-    return acc
-
-
-def _mat_add(a, b):
-    return tuple(tuple(x + y if y else x for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
-def _mat_sub(a, b):
-    return tuple(tuple(x - y if y else x for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
 
 
 SparseMatrix = dict  # the nonzero entries {(block, r, c): x}
@@ -174,25 +134,23 @@ class Span:
 
     ``_rref`` runs once on the rows [v_k | e_k].  Pivot row r then reads
     row_r = sum_k T[r][k] v_k, with a one in its pivot column p_r and zeros in
-    the other pivot columns.  A vector w is reduced from its nonzero entries
-    (dense callers pass theirs): subtracting w[p_r] * row_r for every pivot
-    where w is nonzero leaves a residual, w is in the span iff it is zero,
-    and then its coordinates are sum_r w[p_r] * T[r].
+    the other pivot columns.  A vector w is reduced from its nonzero entries:
+    subtracting w[p_r] * row_r for every pivot where w is nonzero leaves a
+    residual, w is in the span iff it is zero, and then its coordinates are
+    sum_r w[p_r] * T[r].
     """
 
-    __slots__ = ("count", "zero", "pivots", "rows", "transforms")
+    __slots__ = ("count", "pivots", "rows", "transforms")
 
     def __init__(self, vectors: Sequence[Sequence]):
         vectors = [list(v) for v in vectors]
-        entries = [x for v in vectors for x in v]
-        nonzero = next((x for x in entries if x), None)
+        nonzero = next((x for v in vectors for x in v if x), None)
         self.count = len(vectors)
-        self.zero = entries[0] - entries[0] if entries else None
         self.pivots, self.rows, self.transforms = {}, [], []
         if nonzero is None:
             return
         ncols = len(vectors[0])
-        eye = _unit_vectors(self.count, nonzero / nonzero, self.zero)
+        eye = _unit_vectors(self.count, nonzero / nonzero, nonzero - nonzero)
         rows = [v + e for v, e in zip(vectors, eye)]
         pivots = _rref(rows, ncols)
         self.pivots = {p: r for r, p in enumerate(pivots)}
@@ -207,7 +165,8 @@ class Span:
     def _weights(self, w) -> Optional[list]:
         """(r, w[p_r]) for the pivots where w is nonzero, or None when the
         residual of w is nonzero, that is when w is outside the span.  ``w``
-        is the list of (index, entry) pairs of the nonzero entries."""
+        holds the (index, entry) pairs of the nonzero entries: a list, or the
+        items of a sparse vector {k: c}."""
         pivots = self.pivots
         weights = [(pivots[j], x) for j, x in w if j in pivots]
         residual = {j: x for j, x in w if j not in pivots}
@@ -233,19 +192,6 @@ class Span:
                 x = c * t
                 acc[k] = acc[k] + x if k in acc else x
         return [(k, acc[k]) for k in sorted(acc) if acc[k]]
-
-    def contains(self, w: Sequence) -> bool:
-        """Whether w lies in the span."""
-        return self.sparse_contains(_nonzero(w))
-
-    def coordinates(self, w: Sequence) -> Optional[list]:
-        """Coefficients c with sum_k c_k v_k == w, or None when w is outside
-        the span.  When the vectors are dependent this is one such c."""
-        coords = self.sparse_coordinates(_nonzero(w))
-        if coords is None:
-            return None
-        found = dict(coords)
-        return [found.get(k, self.zero) for k in range(self.count)]
 
 
 def echelon_basis(vectors: Sequence[Sequence]) -> List[list]:
@@ -287,16 +233,18 @@ def structure_constants(
     ``span`` is the Span of the basis elements as flat coordinate vectors and
     ``bracket(i, j)`` gives the nonzero entries of [b_i, b_j] in the same flat
     coordinates, as (index, entry) pairs.  Entry [i][j] of the result holds
-    the nonzero coordinates (k, c) of [b_i, b_j] in increasing k; the first
-    bracket outside the span raises ``escape(i, j)``.
+    the nonzero coordinates (k, c) of [b_i, b_j] in increasing k.  The bracket
+    must be antisymmetric: only the pairs i < j are formed, [b_j, b_i] is
+    their negation and the diagonal is empty.  The first bracket outside the
+    span, in row-major order, raises ``escape(i, j)``.
     """
-    table = []
-    for i in range(span.count):
-        row = []
-        for j in range(span.count):
+    d = span.count
+    table = [[()] * d for _ in range(d)]
+    for i in range(d):
+        for j in range(i + 1, d):
             coords = span.sparse_coordinates(bracket(i, j))
             if coords is None:
                 raise escape(i, j)
-            row.append(tuple(coords))
-        table.append(tuple(row))
-    return tuple(table)
+            table[i][j] = tuple(coords)
+            table[j][i] = tuple((k, -c) for k, c in coords)
+    return tuple(map(tuple, table))

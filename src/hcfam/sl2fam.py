@@ -15,13 +15,12 @@ invertible subsheaf, H a degree 0 one.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Dict, Optional
 
 from .scalars import (
     GaussianRational,
     RationalFunction,
     RF_ONE,
-    RF_ZERO,
     RF_Z,
 )
 from .liefam import (
@@ -41,25 +40,24 @@ class NotHomogeneous(Exception):
 
 @dataclass(frozen=True)
 class Section:
-    """A rational section of the family, in both charts' regular bases."""
+    """A rational section of the family, in both charts' regular bases, as
+    sparse vectors {k: c} of nonzero coordinates."""
 
     name: str
     weight: int
-    z_coords: Tuple[RationalFunction, ...]
-    w_coords: Tuple[RationalFunction, ...]
+    z_coords: Dict[int, RationalFunction]
+    w_coords: Dict[int, RationalFunction]
 
     def degree(self) -> int:
         """Degree of the invertible sheaf the section spans: the sum of its
         orders of vanishing over every point of the projective line."""
         total = 0
-        for f in self.z_coords:
-            if not f.is_zero():
-                # Sum of finite-point orders of a rational function is
-                # deg(num) - deg(den), each finite root counted once.
-                total += f.num.degree() - f.den.degree()
-        for f in self.w_coords:
-            if not f.is_zero():
-                total += f.ord_at(GaussianRational(0))  # order at w = 0, i.e. infinity
+        for f in self.z_coords.values():
+            # Sum of finite-point orders of a rational function is
+            # deg(num) - deg(den), each finite root counted once.
+            total += f.num.degree() - f.den.degree()
+        for f in self.w_coords.values():
+            total += f.ord_at(GaussianRational(0))  # order at w = 0, i.e. infinity
         return total
 
 
@@ -95,9 +93,9 @@ def build_sl2_contraction() -> Sl2ContractionPair:
     family = contraction_family(sl2_algebra(), sl2_involution())
     zinv = RF_ONE / RF_Z
     winv_in_w = RF_ONE / RF_Z  # coordinate functions of the w-chart reuse z
-    H = Section("H", 0, (RF_ONE, RF_ZERO, RF_ZERO), (RF_ONE, RF_ZERO, RF_ZERO))
-    X = Section("X", 2, (RF_ZERO, RF_ONE, RF_ZERO), (RF_ZERO, winv_in_w, RF_ZERO))
-    Y = Section("Y", -2, (RF_ZERO, RF_ZERO, zinv), (RF_ZERO, RF_ZERO, RF_ONE))
+    H = Section("H", 0, {0: RF_ONE}, {0: RF_ONE})
+    X = Section("X", 2, {1: RF_ONE}, {1: winv_in_w})
+    Y = Section("Y", -2, {2: zinv}, {2: RF_ONE})
     pair = Sl2ContractionPair(family, H, X, Y)
     err = _relations_counterexample(pair)
     if err is not None:
@@ -109,11 +107,10 @@ def build_sl2_contraction() -> Sl2ContractionPair:
 _BASIS_WEIGHTS = (0, 2, -2)
 
 
-def weight_of_section(coords: Sequence[RationalFunction]) -> int:
-    """Weight of a torus-homogeneous section given in the regular basis."""
-    weights = {
-        _BASIS_WEIGHTS[i] for i, c in enumerate(coords) if not c.is_zero()
-    }
+def weight_of_section(coords: Dict[int, RationalFunction]) -> int:
+    """Weight of a torus-homogeneous section given by its nonzero coordinates
+    {k: c} in the regular basis."""
+    weights = {_BASIS_WEIGHTS[k] for k in coords}
     if len(weights) != 1:
         raise NotHomogeneous(f"section mixes weights {sorted(weights)}")
     return weights.pop()
@@ -124,18 +121,17 @@ def _relations_counterexample(pair: Sl2ContractionPair) -> Optional[str]:
     fam = pair.family
     two = RationalFunction.constant(GaussianRational(2))
     cases = [
-        ("[H,X]=2X", pair.H, pair.X, lambda s: [two * c for c in s]),
-        ("[H,Y]=-2Y", pair.H, pair.Y, lambda s: [-(two * c) for c in s]),
+        ("[H,X]=2X", pair.H, pair.X, lambda s: {k: two * c for k, c in s.items()}),
+        ("[H,Y]=-2Y", pair.H, pair.Y, lambda s: {k: -(two * c) for k, c in s.items()}),
         ("[X,Y]=H", pair.X, pair.Y, None),
     ]
     for chart, constants in (("z", fam.constants), ("w", fam.w_constants)):
         for name, a, b, scale in cases:
             u = a.z_coords if chart == "z" else a.w_coords
             v = b.z_coords if chart == "z" else b.w_coords
-            got = bracket_with(constants, u, v, RF_ZERO)
+            got = bracket_with(constants, u, v)
             if scale is None:
-                h = pair.H.z_coords if chart == "z" else pair.H.w_coords
-                want = list(h)
+                want = pair.H.z_coords if chart == "z" else pair.H.w_coords
             else:
                 want = scale(v)
             if got != want:

@@ -282,7 +282,9 @@ class TestDeterminism:
 
 
 #: (request, exit code, sha256 of stdout), recorded before pencil pairs and
-#: gl(2) matrices moved to the sparse form; the output must not change.
+#: gl(2) matrices moved to the sparse form, and (from the morphcheck entries
+#: on) before Lie-algebra vectors, involutions and morphisms did; the output
+#: must not change.
 PAIR_OUTPUT_CORPUS = (
     ("grassmann pencil --pq 1,1", 0, "8f14112b3f46ed90835d178ff783fe016091755bc2ba8e1369013e5484c5ace4"),
     ("grassmann pencil --pq 1,1 --at 0", 0, "394ed55725b2b4a0989940f76bca68145543fa61fe0ceaa507fe29ffcf3973f1"),
@@ -376,6 +378,47 @@ PAIR_OUTPUT_CORPUS = (
     ("family fiber --algebra gl2 --kind contraction --at inf", 0, "cc35f3223197bb20400bf31e86b3cb8e0cb7b0d5505ed21aac0af2d834e6bc10"),
     ("family build --algebra gl2 --kind deformation", 0, "b80f144c2df5453cc594d2dc9748c2d08ba68f1ebee8107fb7c8c1e5fad51e40"),
     ("family fiber --algebra gl2 --kind deformation --at inf", 0, "cc35f3223197bb20400bf31e86b3cb8e0cb7b0d5505ed21aac0af2d834e6bc10"),
+    ("family morphcheck --preset pullback-deformation", 0, "38969620d431c31a9d548ac5a3e3d99be57b8bdc14a3065ceb0d92bc0a46c146"),
+    ("family morphcheck --preset p-scaling-embedding", 0, "de1c07d37297d10113f42a9f75e84dfeeea557bb6f7e2340bdf6aa6a0d8387bc"),
+    ("family morphcheck --preset identity-contraction-deformation", 1, "53ff9853c74f861ccca2c9b99644e64b926cfe371059a13bee7be8f5c0f82683"),
+    ("family jacobi --algebra sl2 --kind constant", 0, "e5f1eb4d806641698a35efe20e098efd20d7d57a9b90ee69079d5bb650920726"),
+    ("family fiber --algebra sl2 --kind constant --at 0", 0, "61f14a5e92b62e1a2742dbb7285835b61eddc4d6d419f558d53852b81cc9498c"),
+    ("family fiber --algebra sl2 --kind constant --at inf", 0, "4e7db247c35e4a97167473cc7240c0ade1506627cd6b3dc323188a691a7c0505"),
+    ("family fiber --algebra sl2 --kind constant --at 2", 0, "73afde00de4eb58d4e7bc826a06b57bf04831f1c65b28616a03c8c622fd5be0b"),
+    ("family jacobi --algebra sl2 --kind scaled", 0, "e5f1eb4d806641698a35efe20e098efd20d7d57a9b90ee69079d5bb650920726"),
+    ("family fiber --algebra sl2 --kind scaled --at 0", 0, "3901cbcbe2ea6f88d988eaaf99540050c980625cba28dd5c8a60ecbcdc48862a"),
+    ("family fiber --algebra sl2 --kind scaled --at inf", 0, "e158f5d5ebbb4383fba341f20a6ac0b0684ea755ba6bfa9945c136de232622d8"),
+    ("family fiber --algebra sl2 --kind scaled --at 2", 0, "73afde00de4eb58d4e7bc826a06b57bf04831f1c65b28616a03c8c622fd5be0b"),
+    ("family jacobi --algebra sl2 --kind contraction", 0, "e5f1eb4d806641698a35efe20e098efd20d7d57a9b90ee69079d5bb650920726"),
+    ("family fiber --algebra sl2 --kind contraction --at 0", 0, "ee88746a33b8c08c0c4b40d3bf6c7f3e6d2b77748ed62227f8be9b07db0b86ff"),
+    ("family fiber --algebra sl2 --kind contraction --at inf", 0, "974d8aabc2e2aa1a26121a81e08ab48bfeecdb90242a60e4b1977b1166975deb"),
+    ("family fiber --algebra sl2 --kind contraction --at 2", 0, "73afde00de4eb58d4e7bc826a06b57bf04831f1c65b28616a03c8c622fd5be0b"),
+    ("family jacobi --algebra sl2 --kind deformation", 0, "e5f1eb4d806641698a35efe20e098efd20d7d57a9b90ee69079d5bb650920726"),
+    ("family fiber --algebra sl2 --kind deformation --at 0", 0, "ee88746a33b8c08c0c4b40d3bf6c7f3e6d2b77748ed62227f8be9b07db0b86ff"),
+    ("family fiber --algebra sl2 --kind deformation --at inf", 0, "974d8aabc2e2aa1a26121a81e08ab48bfeecdb90242a60e4b1977b1166975deb"),
+    ("family fiber --algebra sl2 --kind deformation --at 2", 0, "73afde00de4eb58d4e7bc826a06b57bf04831f1c65b28616a03c8c622fd5be0b"),
+    ("family fiber --algebra gl2 --kind constant --at 2", 0, "020594651e8bbaf7763794b4e119676725221133f800e926778088bdc28dae0b"),
+    ("family fiber --algebra gl2 --kind constant --at i", 0, "7c3fe526a10b4de36dae49936cfbfb92e0faffec5a48f2873650019df97d866a"),
+    ("family fiber --algebra gl2 --kind scaled --at 2", 0, "020594651e8bbaf7763794b4e119676725221133f800e926778088bdc28dae0b"),
+    ("family fiber --algebra gl2 --kind scaled --at i", 0, "7c3fe526a10b4de36dae49936cfbfb92e0faffec5a48f2873650019df97d866a"),
+    ("family fiber --algebra gl2 --kind contraction --at 2", 0, "020594651e8bbaf7763794b4e119676725221133f800e926778088bdc28dae0b"),
+    ("family fiber --algebra gl2 --kind contraction --at i", 0, "7c3fe526a10b4de36dae49936cfbfb92e0faffec5a48f2873650019df97d866a"),
+    ("family fiber --algebra gl2 --kind deformation --at 2", 0, "020594651e8bbaf7763794b4e119676725221133f800e926778088bdc28dae0b"),
+    ("family fiber --algebra gl2 --kind deformation --at i", 0, "7c3fe526a10b4de36dae49936cfbfb92e0faffec5a48f2873650019df97d866a"),
+    ("grassmann realform --pq 2,2 --at 1", 0, "077b2d1c0701969a5e640a9af2be03c786a848af62e47fd1606015828c8de463"),
+    ("grassmann realform --pq 2,2 --at -1", 0, "741a62eea1de9954697d029521d58590b5e1782e1eac67fb4e5fd477486cbadc"),
+    ("grassmann realform --pq 2,2 --det-one --at 1", 0, "960cdb6a8697b32277f0ae08dced198a17250e6d2aa396ab6d8a9f688df4fcb1"),
+    ("grassmann realform --pq 2,2 --det-one --at -1", 0, "995003efcf5b5b59563e75631236334397fee750d5f03a9d703cb0e1c3c7bc5d"),
+    ("grassmann realform --pq 3,1 --at 1", 0, "5aa95ddcc5b02a52fc4812416070ce2a38a979b9983c430784eb1a041be4362c"),
+    ("grassmann realform --pq 3,1 --at -1", 0, "fe7f3a6f1415e989812ca1e74c77f0f03e8b6bd10222229aceb1f17628975c93"),
+    ("grassmann realform --pq 3,1 --det-one --at 1", 0, "b20a6127fc84025842fcbfc2f1ab28c29692b483bf3b8fb2e5e144a13f9f760c"),
+    ("grassmann realform --pq 3,1 --det-one --at -1", 0, "70f269bbb24574b39a124605fdd5dd05be7658b31c2d732f708a811835ce9037"),
+    ("grassmann realform --pq 1,3 --at 1", 0, "533972dd427f2bd98dc665a058c3b753cb8a4ca5cc3640538433441f533ed015"),
+    ("grassmann realform --pq 1,3 --at -1", 0, "184492043606ce8b3cd9f9eb6c1847532bd1d5296e63d2d637477846ee7ccb60"),
+    ("grassmann realform --pq 1,3 --det-one --at 1", 0, "7924dbff64beca17a5e2bf1bba402ae30f15b6c4420cf5bfff24730be82cf3de"),
+    ("grassmann realform --pq 1,3 --det-one --at -1", 0, "a3dc8165efce1cafa18ecd8563fc53e9d8fbdb46b3721c32f28601bfa7c3d3d0"),
+    ("verify --profile quick", 0, "db974e9a7cfeef60fcbe11ffdbdfe5daa3dd012d65408f273e33fcd593f97b25"),
+    ("verify --profile full", 0, "e8e44d46c0c7ade169c3577b58eef7186438c526ae609b0712188c8f2e26c6e3"),
 )
 
 

@@ -2,10 +2,11 @@
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from hcfam.linalg import ExactMatrix, Span, _cleaned, _product, _rref, kernel, span_rank
+from hcfam.linalg import ExactMatrix, Span, _cleaned, _product, _rref, kernel, span_rank, structure_constants
 from hcfam.scalars import GaussianRational, LaurentPoly, RationalFunction, RF_ONE, RF_Z, RF_ZERO
 
 fr = st.fractions(min_value=-9, max_value=9, max_denominator=5)
@@ -15,6 +16,28 @@ def matrices(rows, cols):
     return st.lists(
         st.lists(fr, min_size=cols, max_size=cols), min_size=rows, max_size=rows
     ).map(ExactMatrix)
+
+
+def matvec(m, v):
+    """m v for a dense matrix and a dense vector."""
+    return [sum((x * y for x, y in zip(row, v)), Fraction(0)) for row in m.entries]
+
+
+def column(m, j):
+    return [row[j] for row in m.entries]
+
+
+def nonzero(v):
+    """The (index, entry) pairs of the nonzero entries of a dense vector."""
+    return [(j, x) for j, x in enumerate(v) if x != 0]
+
+
+def dense(coords, count, zero):
+    """The dense list of count coordinates with the nonzero ones (k, c)."""
+    out = [zero] * count
+    for k, c in coords:
+        out[k] = c
+    return out
 
 
 class TestRankKernel:
@@ -30,27 +53,27 @@ class TestRankKernel:
     @given(matrices(3, 4))
     def test_kernel_vectors_annihilate(self, m):
         for v in kernel(m, Fraction(1), Fraction(0)):
-            assert all(x == 0 for x in m.matvec(v))
+            assert all(x == 0 for x in matvec(m, v))
 
     @given(matrices(4, 3), st.lists(fr, min_size=3, max_size=3))
     def test_solve_recovers_image_vectors(self, m, x):
         """m x = b is solved by the coordinates of b in the span of the columns."""
-        b = m.matvec(x)
-        sol = Span([m.col(j) for j in range(m.cols)]).coordinates(b)
+        b = matvec(m, x)
+        sol = Span([column(m, j) for j in range(m.cols)]).sparse_coordinates(nonzero(b))
         assert sol is not None
-        assert m.matvec(sol) == b
+        assert matvec(m, dense(sol, m.cols, Fraction(0))) == b
 
     def test_solve_inconsistent(self):
         m = ExactMatrix([[Fraction(1), Fraction(1)], [Fraction(1), Fraction(1)]])
-        assert Span([m.col(j) for j in range(m.cols)]).coordinates([Fraction(0), Fraction(1)]) is None
+        assert Span([column(m, j) for j in range(m.cols)]).sparse_coordinates([(1, Fraction(1))]) is None
 
 
 class TestSpan:
     def test_in_span(self):
         vs = [[Fraction(1), Fraction(0)], [Fraction(1), Fraction(1)]]
-        assert Span(vs).contains([Fraction(3), Fraction(2)])
-        assert not Span([vs[0]]).contains([Fraction(0), Fraction(1)])
-        assert Span([]).contains([Fraction(0), Fraction(0)])
+        assert Span(vs).sparse_contains([(0, Fraction(3)), (1, Fraction(2))])
+        assert not Span([vs[0]]).sparse_contains([(1, Fraction(1))])
+        assert Span([]).sparse_contains([])
 
     @given(st.lists(st.lists(fr, min_size=3, max_size=3), min_size=1, max_size=4))
     def test_span_rank_bounded(self, vs):
@@ -59,14 +82,6 @@ class TestSpan:
         # Adding a combination of existing vectors never raises the rank.
         combo = [sum(v[i] for v in vs) for i in range(3)]
         assert span_rank(vs + [combo]) == r
-
-
-class TestMatrixOps:
-    def test_matmul(self):
-        a = ExactMatrix([[Fraction(1), Fraction(2)], [Fraction(3), Fraction(4)]])
-        b = ExactMatrix([[Fraction(0), Fraction(1)], [Fraction(1), Fraction(0)]])
-        assert a.matmul(b).entries == [[2, 1], [4, 3]]
-        assert b.matmul(b) == ExactMatrix([[Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)]])
 
 
 def combination(coeffs, vectors, zero):
@@ -99,14 +114,18 @@ def spans_with_target(draw, scalar, zero, dim=4):
 
 
 def check_span(vectors, target, zero):
+    """Membership and coordinates of target, given by its nonzero entries,
+    against the rank and the combination of the vectors."""
     span = Span(vectors)
-    coords = span.coordinates(target)
+    coords = span.sparse_coordinates(nonzero(target))
     inside = span_rank(vectors + [target]) == span_rank(vectors)
     assert span.rank == span_rank(vectors)
-    assert span.contains(target) == inside == (coords is not None)
+    assert span.sparse_contains(nonzero(target)) == inside == (coords is not None)
     if coords is not None:
-        assert len(coords) == len(vectors)
-        got = combination(coords, vectors, zero) if vectors else [zero] * len(target)
+        indices = [k for k, _ in coords]
+        assert indices == sorted(set(indices)) and all(0 <= k < len(vectors) for k in indices)
+        assert all(c != 0 for _, c in coords)
+        got = combination(dense(coords, len(vectors), zero), vectors, zero) if vectors else [zero] * len(target)
         assert got == list(target)
 
 
@@ -133,18 +152,18 @@ class TestSpanPrimitive:
         for coeffs in ([inv, z, zero, one], [one, zero, i, zero], [zero] * 4):
             check_span(vectors, combination(coeffs, vectors, zero), zero)
         check_span(vectors, [zero, zero, one], zero)
-        assert not Span(vectors).contains([zero, zero, one])
+        assert not Span(vectors).sparse_contains([(2, one)])
 
     def test_independent_coordinates_are_unique(self):
         vs = [[Fraction(1), Fraction(2), Fraction(0)], [Fraction(0), Fraction(1), Fraction(1)]]
-        assert Span(vs).coordinates([Fraction(2), Fraction(1), Fraction(-3)]) == [2, -3]
-        assert Span(vs).coordinates([Fraction(0), Fraction(0), Fraction(1)]) is None
+        assert Span(vs).sparse_coordinates([(0, Fraction(2)), (1, Fraction(1)), (2, Fraction(-3))]) == [(0, 2), (1, -3)]
+        assert Span(vs).sparse_coordinates([(2, Fraction(1))]) is None
 
     def test_no_vectors(self):
         span = Span([])
         assert span.rank == 0
-        assert span.coordinates([Fraction(0), Fraction(0)]) == []
-        assert span.coordinates([Fraction(0), Fraction(1)]) is None
+        assert span.sparse_coordinates([]) == []
+        assert span.sparse_coordinates([(1, Fraction(1))]) is None
 
 
 def dense_mat_mul(a, b):
@@ -241,14 +260,30 @@ class TestSparseReduction:
         assert _rref(sparse_rows, 5) == dense_rref(dense_rows, 5)
         assert sparse_rows == dense_rows
 
-    @given(spans_with_target(qi, GaussianRational(0)))
-    def test_coordinates_agree_on_sparse_and_dense_input(self, case):
-        vectors, target = case
-        span = Span(vectors)
-        nonzero = [(j, x) for j, x in enumerate(target) if x != 0]
-        sparse = span.sparse_coordinates(nonzero)
-        dense = span.coordinates(target)
-        assert span.sparse_contains(nonzero) == span.contains(target) == (dense is not None)
-        if dense is not None:
-            assert [k for k, _ in sparse] == sorted(k for k, c in enumerate(dense) if c != 0)
-            assert all(dense[k] == c for k, c in sparse)
+
+def cross(i, j):
+    """The nonzero entries of e_i x e_j in Q^3, an antisymmetric product."""
+    k = 3 - i - j
+    if i == j:
+        return []
+    return [(k, Fraction(1 if (j - i) % 3 == 1 else -1))]
+
+
+class TestStructureConstants:
+    def test_forms_each_bracket_once(self):
+        calls = []
+
+        def bracket(i, j):
+            calls.append((i, j))
+            return cross(i, j)
+
+        units = [[Fraction(int(i == j)) for j in range(3)] for i in range(3)]
+        table = structure_constants(Span(units), bracket, lambda i, j: AssertionError((i, j)))
+        assert calls == [(0, 1), (0, 2), (1, 2)]
+        assert table == tuple(tuple(tuple(cross(i, j)) for j in range(3)) for i in range(3))
+
+    def test_first_escape_in_row_major_order(self):
+        # e_0 x e_1 = e_2 leaves the span of e_0, e_1.
+        units = [[Fraction(int(i == j)) for j in range(3)] for i in range(2)]
+        with pytest.raises(ValueError, match=r"\(0, 1\)"):
+            structure_constants(Span(units), cross, lambda i, j: ValueError((i, j)))

@@ -37,9 +37,9 @@ class TestCanonicalSections:
     def test_weight_of_section(self, pair):
         assert weight_of_section(pair.X.z_coords) == 2
         assert weight_of_section(pair.Y.w_coords) == -2
-        assert weight_of_section((RF_ONE, RF_ZERO, RF_ZERO)) == 0
+        assert weight_of_section({0: RF_ONE}) == 0
         with pytest.raises(NotHomogeneous):
-            weight_of_section((RF_ONE, RF_Z, RF_ZERO))
+            weight_of_section({0: RF_ONE, 1: RF_Z})
 
     def test_relations_hold_in_both_charts(self, pair):
         # build_sl2_contraction verifies the relations at construction time;
@@ -47,7 +47,7 @@ class TestCanonicalSections:
         from hcfam.sl2fam import _relations_counterexample
         import dataclasses
 
-        broken = dataclasses.replace(pair, X=dataclasses.replace(pair.X, z_coords=(RF_ZERO, RF_Z, RF_ZERO)))
+        broken = dataclasses.replace(pair, X=dataclasses.replace(pair.X, z_coords={1: RF_Z}))
         assert _relations_counterexample(broken) is not None
         assert _relations_counterexample(pair) is None
 
