@@ -159,8 +159,7 @@ def construct(
     report = validate(module, window)
     if not report.ok:
         raise IncompatibleClass(
-            f"class {cls} is incompatible with this weight set and Casimir: "
-            + "; ".join(v.message for v in report.violations[:3])
+            f"class {cls} is incompatible with this weight set and Casimir: " + report.summary()
         )
     return module
 

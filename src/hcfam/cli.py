@@ -92,6 +92,20 @@ DOMAIN_ERRORS = (
 )
 
 
+#: The most entries one request may list.  ``module fiber``, ``locus`` and
+#: ``iso`` may list one entry per transition of the window (``classify probe``
+#: builds one per trial), so they refuse a window with more transitions, and
+#: ``module validate`` refuses a report with more violations.  The other
+#: requests read the window as runs and take any window.
+MAX_LISTED = 10**6
+
+
+def _check_listable(weights: WeightSet, window) -> None:
+    span = weights.transition_span(window)
+    if span and (span[1] - span[0]) // 2 >= MAX_LISTED:
+        raise RequestError(f"the window holds more than {MAX_LISTED} transitions, the most a listing request takes")
+
+
 def emit(obj) -> None:
     sys.stdout.write(json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n")
 
@@ -270,18 +284,16 @@ def cmd_module(args) -> int:
     module = load_module(args.module)
     if args.action == "validate":
         report = validate(module, window)
+        if report.count() > MAX_LISTED:
+            raise RequestError(f"the report holds more than {MAX_LISTED} violations, the most a request lists")
         emit(report.to_json())
         return 0 if report.ok else 1
+    if args.action in ("fiber", "locus", "iso"):
+        _check_listable(module.weights, window)
     if args.action == "fiber":
         p = parse_point(args.at)
         verdict = fiber_irreducible(module, p, window)
-        vanishing = []
-        for n in sorted(verdict.scalars):
-            a, b = verdict.scalars[n]
-            if a.is_zero():
-                vanishing.append({"n": n, "poly": "A"})
-            if b.is_zero():
-                vanishing.append({"n": n, "poly": "B"})
+        vanishing = [{"n": n, "poly": poly} for n, poly in verdict.vanishing]
         tail = [{"side": side, "n": n, "poly": poly} for side, n, poly in verdict.tail]
         emit({"at": str(p), "irreducible": verdict.irreducible, "vanishing": vanishing, "tail_vanishing": tail})
         return 0 if verdict else 1
@@ -339,6 +351,7 @@ def cmd_classify(args) -> int:
     if args.action == "probe":
         if args.trials < 1:
             raise RequestError("the probe needs --trials >= 1")
+        _check_listable(weights, parse_window(args.window))
         probe = uniqueness_probe(
             weights,
             cls,

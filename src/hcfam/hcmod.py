@@ -11,9 +11,10 @@ the whole (infinite) weight set.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property
+from itertools import islice
 from typing import Dict, List, Optional, Tuple
 
 from .scalars import (
@@ -107,21 +108,28 @@ class WeightSet:
         Finite weight sets list all of their transitions; infinite ones are
         clipped to the window (tails are handled symbolically elsewhere).
         """
-        ns = self.weights_in(window)
-        if ns and not self.unbounded_above and ns[-1] == self.param:
-            ns.pop()  # the top weight of a bounded-above set has no transition
-        return ns
+        span = self.transition_span(window)
+        return list(range(span[0], span[1] + 1, 2)) if span else []
+
+    def transition_span(self, window: Window) -> Optional[Tuple[int, int]]:
+        """(first, last) of :meth:`transitions_in`, found without listing
+        them; None where there is none."""
+        first, last = self._weight_span(window)
+        if not self.unbounded_above:  # the top weight has no transition
+            last = min(last, self.param - 2)
+        return (first, last) if first <= last else None
 
     def weights_in(self, window: Window) -> List[int]:
-        lo, hi = window
-        if self.kind == "finite":
-            return list(range(-self.param, self.param + 1, 2))
+        first, last = self._weight_span(window)
+        return list(range(first, last + 1, 2))
+
+    def _weight_span(self, window: Window) -> Tuple[int, int]:
+        lo, hi = (-self.param, self.param) if self.kind == "finite" else window
         if self.kind == "lowest":
             lo = max(lo, self.param)
         if self.kind == "highest":
             hi = min(hi, self.param)
-        start = lo if lo % 2 == self.parity else lo + 1
-        return list(range(start, hi + 1, 2))
+        return lo + (lo - self.parity) % 2, hi - (hi - self.parity) % 2
 
     def anchor_weight(self) -> int:
         if self.kind == "even":
@@ -202,8 +210,11 @@ class DegreeProfile:
 
 
 def profiles_equal(a: DegreeProfile, b: DegreeProfile, weights: WeightSet, window: Window) -> bool:
-    """Equality of degree profiles as functions on the weight set."""
-    for n in weights.weights_in(window):
+    """Equality of degree profiles as functions on the weight set: on every
+    weight where validate admits a degree override, lo - 2..hi + 2, and in
+    the slopes of the infinite tails."""
+    lo, hi = window
+    for n in weights.weights_in((lo - 2, hi + 2)):
         if a.deg(n) != b.deg(n):
             return False
     if weights.unbounded_above and a.slope_up != b.slope_up:
@@ -358,6 +369,21 @@ class HCModuleFamily:
             t = self._derived[n] = (*self.transition_polys(n), self.q_poly(n))
         return t
 
+    @cached_property
+    def breaks(self) -> List[int]:
+        """The n of the weights' parity at which a run of rule-governed
+        transitions must end: an override at n, a degree override at n or
+        n + 2, the anchor or the pivot in n+1..n+2, and, when c1 = 0,
+        n(n+2) = c0.  Between them the unit side, the degree step and
+        deg q_n do not change."""
+        d, t = self.degrees, self.transitions
+        c1, c0, _ = self.casimir
+        ns = {n for n, _, _ in t.overrides} | {m for n, _ in d.overrides for m in (n, n - 2)}
+        ns |= {m for x in (d.anchor, t.pivot) for m in (x - 1, x - 2)}
+        if c1.is_zero():
+            ns.update(_integer_weight_solutions(c0))
+        return sorted(n for n in ns if n % 2 == self.weights.parity)
+
     def degree_bounds(self, n: int) -> Tuple[int, int]:
         """(bound for deg A_n, bound for deg B_n)."""
         s = self.degrees.step(n)
@@ -395,16 +421,39 @@ class Violation:
         return {"where": str(self.where), "message": self.message}
 
 
-@dataclass
 class ValidationReport:
-    violations: List[Violation]
+    """The violations found, in order.  A run of transitions that fail alike
+    is held as one part (first, last, messages) and listed on demand."""
+
+    def __init__(self, parts: list):
+        self.parts = parts  # Violation, or (first, last, messages) over first, first + 2, ..., last
 
     @property
     def ok(self) -> bool:
-        return not self.violations
+        return not self.parts
+
+    def __iter__(self):
+        for part in self.parts:
+            if isinstance(part, Violation):
+                yield part
+                continue
+            first, last, messages = part
+            for n in range(first, last + 1, 2):
+                yield from (Violation(n, m) for m in messages)
+
+    @property
+    def violations(self) -> List[Violation]:
+        return list(self)
+
+    def count(self) -> int:
+        return sum(1 if isinstance(v, Violation) else ((v[1] - v[0]) // 2 + 1) * len(v[2]) for v in self.parts)
+
+    def summary(self) -> str:
+        """The first three messages."""
+        return "; ".join(v.message for v in islice(self, 3))
 
     def to_json(self) -> dict:
-        return {"ok": self.ok, "violations": [v.to_json() for v in self.violations]}
+        return {"ok": self.ok, "violations": [v.to_json() for v in self]}
 
 
 def _integer_weight_solutions(c0: GaussianRational) -> List[int]:
@@ -417,14 +466,36 @@ def _integer_weight_solutions(c0: GaussianRational) -> List[int]:
     return sorted({s.numerator - 1, -s.numerator - 1})
 
 
+def _runs(module: HCModuleFamily, first: Optional[int], last: Optional[int]) -> List[Tuple]:
+    """Split the transitions first, first + 2, ..., last into runs (a, b):
+    each n in :attr:`HCModuleFamily.breaks` is a run of one, the rest are the
+    maximal progressions between them.  None for first or last is a tail
+    without an end, and so is a run's a or b."""
+    out, start = [], first
+    for n in module.breaks:
+        if (first is None or n >= first) and (last is None or n <= last):
+            if start is None or n > start:
+                out.append((start, n - 2))
+            out.append((n, n))
+            start = n + 2
+    if start is None or last is None or start <= last:
+        out.append((start, last))
+    return out
+
+
+def _window_runs(module: HCModuleFamily, window: Window) -> List[Tuple[int, int]]:
+    span = module.weights.transition_span(window)
+    return _runs(module, *span) if span else []
+
+
 def validate(module: HCModuleFamily, window: Window = DEFAULT_WINDOW) -> ValidationReport:
     """Check every structural invariant of the module family.
 
-    Explicit transitions in the window are checked directly; infinite tails
-    are checked through the closed-form rules, symbolically in n.  Violations
-    are data, not exceptions.
+    Explicit transitions in the window are checked directly, one per run;
+    infinite tails are checked through the closed-form rules, symbolically
+    in n.  Violations are data, not exceptions.
     """
-    v: List[Violation] = []
+    v: list = []
     w = module.weights
     lo, hi = window
     if lo > hi:
@@ -444,35 +515,15 @@ def validate(module: HCModuleFamily, window: Window = DEFAULT_WINDOW) -> Validat
     if _anchor_outside(module, window):
         v.append(Violation("structure", "degree anchor outside the checked window"))
 
-    # Per-transition checks: overrides directly, the rest in closed form in n (a unit
-    # beside q_n / (4 * unit) is polynomial, nonzero and gives 4 A_n B_n = q_n).
-    t = module.transitions
-    for n in _checked_transitions(module, window):
-        dq = module.q_lead(n)[0]
-        if dq < 0:
-            v.append(Violation(n, "q_n is identically zero (excluded Casimir value)"))
-            continue
-        if t.override_for(n) is None:
-            da, db = (0, dq) if t.rule_for(n).unit_on == "A" else (dq, 0)
-        else:
-            A, B, q = module.transition(n)
-            if not (A.is_ordinary() and B.is_ordinary()):
-                v.append(Violation(n, "transition data is not polynomial"))
-                continue
-            if A.is_zero() or B.is_zero():
-                v.append(Violation(n, "zero transition polynomial (not generically irreducible)"))
-                continue
-            if (A * B).scale(4) != q:
-                v.append(Violation(n, "Casimir equation 4 A_n B_n = q_n fails"))
-            da, db = A.degree(), B.degree()
-        step = module.degrees.step(n)
-        if abs(step) > 1:
-            v.append(Violation(n, "degree profile jumps by more than one"))
-        ba, bb = 1 + step, 1 - step  # degree_bounds(n)
-        if da > ba:
-            v.append(Violation(n, f"deg A_n = {da} exceeds bound {ba}"))
-        if db > bb:
-            v.append(Violation(n, f"deg B_n = {db} exceeds bound {bb}"))
+    # Per-transition checks, on one transition of each run (all of a run's
+    # transitions fail alike): the window, the finite stretch between it and
+    # the end of a half-infinite set, and the transitions the tails miss.
+    runs = _window_runs(module, window) + [(n, n) for n in _checked_beyond(module, window)]
+    runs += [r for _, a, b in _beyond(module, window) if None not in (a, b) for r in _runs(module, a, b)]
+    for a, b in sorted(runs):
+        messages = _transition_violations(module, a)
+        if messages:
+            v.append((a, b, messages))
 
     # Symbolic tail checks.
     if w.unbounded_above:
@@ -482,17 +533,62 @@ def validate(module: HCModuleFamily, window: Window = DEFAULT_WINDOW) -> Validat
     return ValidationReport(v)
 
 
-def _checked_transitions(module: HCModuleFamily, window: Window) -> List[int]:
-    """The window's transitions, plus those just beyond it that the tail checks
-    do not cover: next to a degree override, or following the other tail's rule."""
+def _transition_violations(module: HCModuleFamily, n: int) -> Tuple[str, ...]:
+    """The violations at transition n: overrides directly, the rest in closed
+    form in n (a unit beside q_n / (4 * unit) is polynomial, nonzero and
+    gives 4 A_n B_n = q_n)."""
+    t = module.transitions
+    dq = module.q_lead(n)[0]
+    if dq < 0:
+        return ("q_n is identically zero (excluded Casimir value)",)
+    out = []
+    if t.override_for(n) is None:
+        da, db = (0, dq) if t.rule_for(n).unit_on == "A" else (dq, 0)
+    else:
+        A, B, q = module.transition(n)
+        if not (A.is_ordinary() and B.is_ordinary()):
+            return ("transition data is not polynomial",)
+        if A.is_zero() or B.is_zero():
+            return ("zero transition polynomial (not generically irreducible)",)
+        if (A * B).scale(4) != q:
+            out.append("Casimir equation 4 A_n B_n = q_n fails")
+        da, db = A.degree(), B.degree()
+    step = module.degrees.step(n)
+    if abs(step) > 1:
+        out.append("degree profile jumps by more than one")
+    ba, bb = 1 + step, 1 - step  # degree_bounds(n)
+    if da > ba:
+        out.append(f"deg A_n = {da} exceeds bound {ba}")
+    if db > bb:
+        out.append(f"deg B_n = {db} exceeds bound {bb}")
+    return tuple(out)
+
+
+def _checked_beyond(module: HCModuleFamily, window: Window) -> List[int]:
+    """The transitions just beyond the window on an infinite tail that
+    validate checks because the tail checks do not cover them: next to a
+    degree override, or following the other tail's rule."""
+    w, (lo, hi) = module.weights, window
+    degs, pivot = module.degrees._override_map, module.transitions.pivot
+    near = [(n, False) for n in range(lo - 4, lo) if w.unbounded_below]
+    near += [(n, True) for n in (hi + 1, hi + 2) if w.unbounded_above]
+    return [n for n, up in near
+            if w.has_transition(n) and (n in degs or n + 2 in degs or (n >= pivot) != up)]
+
+
+def _beyond(module: HCModuleFamily, window: Window) -> List[Tuple[str, Optional[int], Optional[int]]]:
+    """(side, first, last) of the transitions above and below the window, to
+    the end of the weight set; None for the end of an infinite tail."""
     w, (lo, hi) = module.weights, window
     if w.kind == "finite":
-        return w.transitions_in(window)
-    degs, pivot = module.degrees._override_map, module.transitions.pivot
-    near = [(n, False) for n in range(lo - 4, lo)] + [(hi + 1, True), (hi + 2, True)]
-    extra = [n for n, up in near
-             if w.has_transition(n) and (n in degs or n + 2 in degs or (n >= pivot) != up)]
-    return sorted(extra + w.transitions_in(window))
+        return []
+    up = (hi + 1 + (hi + 1 - w.parity) % 2, None)
+    down = (None, lo - 1 - (lo - 1 - w.parity) % 2)
+    if w.kind == "lowest":
+        up, down = (max(up[0], w.param), None), (w.param, down[1])
+    if w.kind == "highest":
+        up, down = (up[0], w.param - 2), (None, min(down[1], w.param - 2))
+    return [(side, a, b) for side, (a, b) in (("up", up), ("down", down)) if None in (a, b) or a <= b]
 
 
 def _anchor_outside(module: HCModuleFamily, window: Window) -> bool:
@@ -500,14 +596,9 @@ def _anchor_outside(module: HCModuleFamily, window: Window) -> bool:
     the window and the degree anchor, where its degree step is not the tail's
     slope: above the window every transition must start at or above the
     anchor, below it every transition must end at or below the anchor."""
-    w, anchor, (lo, hi) = module.weights, module.degrees.anchor, window
-    first_up = hi + 1 + (hi + 1 - w.parity) % 2  # the first weight above the window
-    last_down = lo - 1 - (lo - 1 - w.parity) % 2  # the last weight below it
-    if w.kind == "lowest":
-        first_up = max(first_up, w.param)
-    if w.kind == "highest":
-        last_down = min(last_down, w.param - 2)
-    return (w.unbounded_above and anchor > first_up) or (w.unbounded_below and anchor < last_down + 2)
+    anchor = module.degrees.anchor
+    return any(anchor > a if b is None else anchor < b + 2
+               for _, a, b in _beyond(module, window) if None in (a, b))
 
 
 def _tail_bounds(module: HCModuleFamily, up: bool) -> Tuple[str, int, int, int]:
@@ -524,16 +615,6 @@ def _tail_bounds(module: HCModuleFamily, up: bool) -> Tuple[str, int, int, int]:
     return rule.unit_on, slope, 1 - slope, 1 + slope
 
 
-def _tail_transitions(module: HCModuleFamily, window: Window, up: bool, value) -> List[int]:
-    """Transitions n beyond the window on one side with n(n+2) equal to value."""
-    lo, hi = window
-    return [
-        m
-        for m in _integer_weight_solutions(value)
-        if (m > hi if up else m < lo) and module.weights.has_transition(m)
-    ]
-
-
 def _tail_violations(module: HCModuleFamily, window: Window, up: bool) -> List[Violation]:
     where = "tail-up" if up else "tail-down"
     unit_on, slope, _, partner_bound = _tail_bounds(module, up)
@@ -543,8 +624,9 @@ def _tail_violations(module: HCModuleFamily, window: Window, up: bool) -> List[V
     out: List[Violation] = []
     # q_n identically zero somewhere in the tail?
     if c1.is_zero() and cm1.is_zero():
-        for m in _tail_transitions(module, window, up, c0):
-            out.append(Violation(where, f"q_n vanishes identically at tail transition n={m}"))
+        for m in _integer_weight_solutions(c0):
+            if (m > window[1] if up else m < window[0]) and module.weights.has_transition(m):
+                out.append(Violation(where, f"q_n vanishes identically at tail transition n={m}"))
     if partner_bound <= 0:
         out.append(
             Violation(
@@ -582,10 +664,7 @@ def degrees_lemma_check(module: HCModuleFamily, window: Window = DEFAULT_WINDOW)
 def _require_valid(module: HCModuleFamily, window: Window):
     report = validate(module, window)
     if not report.ok:
-        raise NotValidated(
-            "module fails validation: "
-            + "; ".join(v.message for v in report.violations[:3])
-        )
+        raise NotValidated("module fails validation: " + report.summary())
 
 
 # ---------------------------------------------------------------------------
@@ -601,84 +680,108 @@ def _scalar_at(poly: LaurentPoly, p: Point, bound: int) -> GaussianRational:
     return poly.evaluate(GaussianRational._coerce(p))
 
 
+def _scalar_pair(module: HCModuleFamily, n: int, p: Point, base) -> Tuple[GaussianRational, GaussianRational]:
+    """The transition scalars (a_n, b_n) of the fiber at p; base is q_0(p)
+    at a finite p.
+
+    At interior points these are plain evaluations (the local basis at 0 is
+    f_n, X, zY); at infinity a polynomial contributes its leading coefficient
+    exactly when its degree attains the degree bound.  A transition without
+    an override is read in closed form in n: the unit u and q_n(p) / (4u).
+    """
+    ba, bb = module.degree_bounds(n)
+    t = module.transitions
+    if t.override_for(n) is not None:
+        A, B, _ = module.transition(n)
+        return _scalar_at(A, p, ba), _scalar_at(B, p, bb)
+    rule = t.rule_for(n)
+    unit_bound, partner_bound = (ba, bb) if rule.unit_on == "A" else (bb, ba)
+    if p is INFINITY:  # the unit attains a bound of 0; deg q_n the partner's
+        dq, lead = module.q_lead(n)
+        unit = rule.value if unit_bound == 0 else QI_ZERO
+        pair = (unit, lead * rule.partner_scale if dq == partner_bound else QI_ZERO)
+    else:
+        pair = (rule.value, (base - p * (n * (n + 2))) * rule.partner_scale)  # q_n(p) = base - n(n+2) p
+    return pair if rule.unit_on == "A" else pair[::-1]
+
+
+def _at(module: HCModuleFamily, p: Point):
+    """(p, q_0(p)) with p a Gaussian rational, or (INFINITY, None)."""
+    if p is INFINITY:
+        return p, None
+    p = GaussianRational._coerce(p)
+    return p, module.q_poly(0).evaluate(p)
+
+
 def _fiber_scalars(
     module: HCModuleFamily, p: Point, window: Window
 ) -> Dict[int, Tuple[GaussianRational, GaussianRational]]:
     """Transition scalars {n: (a_n, b_n)} of the fiber at p, over the window,
-    for a module already validated on it.
+    for a module already validated on it (see :func:`_scalar_pair`)."""
+    p, base = _at(module, p)
+    return {n: _scalar_pair(module, n, p, base) for n in module.weights.transitions_in(window)}
 
-    At interior points these are plain evaluations (the local basis at 0 is
-    f_n, X, zY); at infinity a polynomial contributes its leading coefficient
-    exactly when its degree attains the degree bound.  Transitions without an
-    override are read in closed form in n: the unit u and q_n(p) / (4u).
-    """
-    if p is not INFINITY:
-        p = GaussianRational._coerce(p)
-        base = module.q_poly(0).evaluate(p)  # q_n(p) = base - n(n+2) p
-    t = module.transitions
-    out = {}
-    for n in module.weights.transitions_in(window):
-        ba, bb = module.degree_bounds(n)
-        if t.override_for(n) is not None:
-            A, B, _ = module.transition(n)
-            out[n] = (_scalar_at(A, p, ba), _scalar_at(B, p, bb))
+
+def _zeros(module: HCModuleFamily, runs, p: Point, base) -> List[Tuple]:
+    """(a, b, letters): the scalars named by letters ('A', 'B' or 'AB')
+    vanish at p on every transition of the run a..b.  At 0 and infinity a
+    run's zero pattern is that of any one of its transitions; at any other p
+    a rule-governed partner vanishes only where n(n+2) = q_0(p) / p."""
+    out = []
+    for a, b in runs:
+        if a != b and p is not INFINITY and not p.is_zero():
+            out += [(m, m, "BA"[module.transitions.rule_for(m).unit_on == "B"])
+                    for m in _integer_weight_solutions(base / p)
+                    if (a is None or m >= a) and (b is None or m <= b) and module.weights.has_transition(m)]
             continue
-        rule = t.rule_for(n)
-        unit_bound, partner_bound = (ba, bb) if rule.unit_on == "A" else (bb, ba)
-        if p is INFINITY:  # the unit attains a bound of 0; deg q_n the partner's
-            dq, lead = module.q_lead(n)
-            unit = rule.value if unit_bound == 0 else QI_ZERO
-            pair = (unit, lead * rule.partner_scale if dq == partner_bound else QI_ZERO)
-        else:
-            pair = (rule.value, (base - p * (n * (n + 2))) * rule.partner_scale)
-        out[n] = pair if rule.unit_on == "A" else pair[::-1]
+        pair = _scalar_pair(module, b if a is None else a, p, base)
+        letters = "".join(x for x, c in zip("AB", pair) if c.is_zero())
+        if letters:
+            out.append((a, b, letters))
     return out
-
-
-def _tail_vanishing(module: HCModuleFamily, p: Point, window: Window, up: bool) -> list:
-    """The tail transition scalars beyond the window that vanish at p, as
-    (side, n, 'A' or 'B'), with n None where all of that tail's transitions
-    vanish (closed form in n)."""
-    w = module.weights
-    if not (w.unbounded_above if up else w.unbounded_below):
-        return []
-    side = "up" if up else "down"
-    c1, c0, cm1 = module.casimir
-    unit_on, _, unit_bound, _ = _tail_bounds(module, up)
-    partner = "B" if unit_on == "A" else "A"
-    if p is INFINITY:
-        # The constant unit attains its bound iff that bound is zero; the
-        # partner bound is then two, attained by deg q_n = 2 iff c1 != 0.
-        zero = unit_on if unit_bound != 0 else partner if c1.is_zero() else None
-        return [(side, None, zero)] if zero else []
-    p = GaussianRational._coerce(p)
-    if p.is_zero():
-        # q_n(0) = c_{-1} for every n.
-        return [(side, None, partner)] if cm1.is_zero() else []
-    # q_n(p) = 0  <=>  n(n+2) = (c1 p^2 + c0 p + cm1) / p.
-    value = (c1 * p * p + c0 * p + cm1) / p
-    return [(side, m, partner) for m in _tail_transitions(module, window, up, value)]
 
 
 @dataclass
 class FiberVerdict:
-    """Irreducibility of the fiber at a point, with the window's transition
-    scalars {n: (a_n, b_n)} as :func:`_fiber_scalars` gives them."""
+    """Irreducibility of the fiber at a point, with its vanishing transition
+    scalars: in the window as (n, 'A' or 'B'), beyond it as (side, n, 'A' or
+    'B').  Beyond the window n is None for every transition of that tail
+    that is not listed with its own n."""
 
     irreducible: bool
-    scalars: Dict[int, Tuple[GaussianRational, GaussianRational]]
-    tail: list  # the vanishing tail scalars, as _tail_vanishing gives them
+    zeros: list  # the window's runs as _zeros gives them
+    tail: list
+    module: HCModuleFamily = field(repr=False, compare=False)
+    p: Point = field(repr=False, compare=False)
+    window: Window = field(repr=False, compare=False)
+
+    @property
+    def vanishing(self) -> List[Tuple[int, str]]:
+        return [(n, x) for a, b, letters in self.zeros for n in range(a, b + 1, 2) for x in letters]
+
+    @cached_property
+    def scalars(self) -> Dict[int, Tuple[GaussianRational, GaussianRational]]:
+        """The window's transition scalars, as :func:`_fiber_scalars` gives them."""
+        return _fiber_scalars(self.module, self.p, self.window)
 
     def __bool__(self):
         return self.irreducible
 
 
 def _fiber_verdict(module: HCModuleFamily, p: Point, window: Window) -> FiberVerdict:
-    """:func:`fiber_irreducible` for a module already validated on the window."""
-    scalars = _fiber_scalars(module, p, window)
-    tail = _tail_vanishing(module, p, window, up=True) + _tail_vanishing(module, p, window, up=False)
-    reducible = bool(tail) or any(a.is_zero() or b.is_zero() for a, b in scalars.values())
-    return FiberVerdict(not reducible, scalars, tail)
+    """:func:`fiber_irreducible` for a module already validated on the window:
+    the window and each infinite tail are read run by run."""
+    p, base = _at(module, p)
+    zeros = _zeros(module, _window_runs(module, window), p, base)
+    tail = []
+    for side, first, last in _beyond(module, window):
+        if None not in (first, last):  # the stretch to the end of a half-infinite set is no tail
+            continue
+        # A run of one keeps its n; the longer runs of a tail share one zero pattern.
+        found = [(side, a if a == b else None, x) for a, b, xs in _zeros(module, _runs(module, first, last), p, base)
+                 for x in xs]
+        tail += sorted({e for e in found if e[1] is not None}) + list(dict.fromkeys(e for e in found if e[1] is None))
+    return FiberVerdict(not (zeros or tail), zeros, tail, module, p, window)
 
 
 def fiber_irreducible(
@@ -687,10 +790,9 @@ def fiber_irreducible(
     """Transition-scalar irreducibility criterion for the fiber at p.
 
     A weight-supported proper invariant subspace exists iff some transition
-    scalar vanishes; the explicit window is scanned directly and the tails
-    through the closed-form rules, so the verdict covers the whole weight set.
-    The result is truthy iff the fiber is irreducible and carries the
-    window's scalars.
+    scalar vanishes; the window and the tails are read run by run, so the
+    verdict covers the whole weight set.  The result is truthy iff the fiber
+    is irreducible.
     """
     _require_valid(module, window)
     return _fiber_verdict(module, p, window)
@@ -780,12 +882,16 @@ def iso_check(
     if w.unbounded_below and t1.rule_down.unit_on != t2.rule_down.unit_on:
         return IsoResult(False, {}, "lower tail rules place units on different sides")
     scalars: Dict[int, GaussianRational] = {}
+    tail_mu: Dict[Tuple[bool, bool], GaussianRational] = {}
     for n in sorted(w.transitions_in(window), key=lambda n: (abs(n), n)):
         r1, r2 = t1.rule_for(n), t2.rule_for(n)
         if t1.override_for(n) is t2.override_for(n) is None and r1.unit_on == r2.unit_on:
             # (u, q_n / 4u) against (u', q_n / 4u'): mu_n takes u to u' on A, or
             # q_n / 4u to q_n / 4u' on A, and B then matches identically.
-            scalars[n] = r2.value / r1.value if r1.unit_on == "A" else r1.value / r2.value
+            key = (n >= t1.pivot, n >= t2.pivot)
+            if key not in tail_mu:
+                tail_mu[key] = r2.value / r1.value if r1.unit_on == "A" else r1.value / r2.value
+            scalars[n] = tail_mu[key]
             continue
         A1, B1, _ = m1.transition(n)
         A2, B2, _ = m2.transition(n)

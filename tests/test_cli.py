@@ -547,6 +547,53 @@ class TestRequestContract:
         assert code in (0, 1) and "error" not in json.loads(out)
 
 
+HUGE_WINDOW = "-99999999999999999999..99999999999999999999"
+
+
+class TestWindowLimit:
+    """Requests that read the window as runs take any window; those that may
+    list one entry per transition refuse one of more than MAX_LISTED."""
+
+    @pytest.mark.parametrize("argv, code", [
+        (["module", "validate"], 0),
+        (["module", "twist", "--degree", "2"], 0),
+        (["module", "swap", "--indices", "2"], 3),
+        (["module", "fiber", "--at", "3"], 2),
+        (["module", "locus"], 2),
+        (["module", "iso", "--other", "@module"], 2),
+    ])
+    def test_huge_window(self, capsys, module_file, argv, code):
+        argv = [module_file if a == "@module" else a for a in argv]
+        got, out = invoke(capsys, *argv, "--module", module_file, "--window", HUGE_WINDOW)
+        assert got == code and len(out.splitlines()) == 1
+        if code == 2:
+            assert json.loads(out)["error"] == "request"
+
+    def test_huge_window_classify(self, capsys):
+        common = ["--weights", "odd", "--class", "I:1", "--casimir", "1,2,3", "--window", HUGE_WINDOW]
+        code, doc = invoke_json(capsys, "classify", "construct", *common)
+        assert code == 0 and doc["transitions"]["pivot"] == 1
+        code, doc = invoke_json(capsys, "classify", "probe", *common)
+        assert code == 2 and doc["error"] == "request"
+
+    def test_limit_counts_transitions_and_violations(self, capsys, monkeypatch, module_file, tmp_path):
+        monkeypatch.setattr(cli, "MAX_LISTED", 4)
+        for window, code in (("-4..4", 2), ("-4..2", 1), ("-3..5", 1)):  # 5, 4 and 4 transitions
+            got, doc = invoke_json(capsys, "module", "fiber", "--module", module_file, "--at", "1/8", "--window", window)
+            assert got == code and (code == 2) is ("error" in doc), window
+        # Slope 2 breaks the upper tail and each transition from the anchor at
+        # 0 up twice: the step and the bound of the unit B.
+        with open(module_file) as fh:
+            doc = json.load(fh)
+        doc["degree_rule"]["slope_up"] = 2
+        steep = tmp_path / "steep.json"
+        steep.write_text(json.dumps(doc))
+        code, doc = invoke_json(capsys, "module", "validate", "--module", str(steep), "--window", "-6..0")
+        assert code == 1 and [v["where"] for v in doc["violations"]] == ["0", "0", "tail-up"]
+        code, doc = invoke_json(capsys, "module", "validate", "--module", str(steep), "--window", "-6..2")
+        assert code == 2 and doc["error"] == "request"
+
+
 class TestUsageErrors:
     @pytest.mark.parametrize(
         "argv",
@@ -655,7 +702,8 @@ _FLAG_VALUES = {
     "--preset": (["pullback-deformation", "p-scaling-embedding", "identity-contraction-deformation"], ["x"]),
     "--module": (["@doc"], ["/no/such/file.json", "@missing"]),
     "--other": (["@doc", "@other"], ["/no/such/file.json"]),
-    "--window": (["-4..4", "0..0", "-2..3", "-6..6"], ["5..-5", "x", "1..2..3"]),
+    "--window": (["-4..4", "0..0", "-2..3", "-6..6", "-99999999999999999999..99999999999999999999",
+                  "3..99999999999999999999"], ["5..-5", "x", "1..2..3"]),
     "--degree": (["-1", "0", "2"], ["1.5"]),
     "--indices": (["0", "0,2", "-2,2"], ["", "a"]),
     "--weights": (["even", "odd", "lowest:1", "highest:-1", "finite:2"], ["banana", "lowest:x"]),

@@ -340,6 +340,35 @@ class TestWindowGrowth:
             assert {n: scalars[n] for n in small} == small
 
 
+    @staticmethod
+    def degree_override_pair():
+        """An even module with q_4 = 1 and flat degrees, and its copy with deg F_6
+        raised to 1: both are valid on -4..4 and on -8..8."""
+        A = TailRule("A", QI(1))
+        flat = HCModuleFamily(WeightSet("even"), DegreeProfile(0, 0, 0, 0), TransitionData(0, A, A),
+                              casimir_triple(0, 24, 1))
+        return flat, _with_degree(flat, 6, 1)
+
+    def test_iso_compares_degrees_validate_admits_beyond_the_window(self):
+        flat, raised = self.degree_override_pair()
+        for w in ((-4, 4), (-8, 8)):
+            assert validate(flat, w).ok and validate(raised, w).ok
+            result = iso_check(flat, raised, w)
+            assert (result.isomorphic, result.obstruction) == (False, "degree profiles differ"), w
+
+    def test_tail_witness_names_checked_transitions_beyond_the_window(self):
+        # At n = 6 the step is -1: A_6 = 1 attains its bound 0 and B_6, of
+        # degree 1 below its bound 2, is the scalar that vanishes at infinity.
+        _, raised = self.degree_override_pair()
+        small = fiber_irreducible(raised, INFINITY, (-4, 4))
+        assert [e for e in small.tail if e[0] == "up"] == [("up", 6, "B"), ("up", None, "A")]
+        # q_{-6} = 1: both scalars of n = -6 vanish, the unit A on the rest.
+        assert [e for e in small.tail if e[0] == "down"] == [("down", -6, "A"), ("down", -6, "B"), ("down", None, "A")]
+        large = fiber_irreducible(raised, INFINITY, (-8, 8))
+        assert (6, "B") in large.vanishing and (6, "A") not in large.vanishing
+        assert {(n, x) for _, n, x in small.tail if n is not None} <= set(large.vanishing)
+
+
 class TestIsomorphism:
     def test_rescaled_module_isomorphic(self):
         module = ascending_module()
@@ -695,6 +724,20 @@ class TestTransitionRanges:
                     assert w.transitions_in((lo, hi)) == expected, (kind, param, lo, hi)
 
 
+    @given(module_cases())
+    @settings(max_examples=40, deadline=None)
+    def test_runs_partition_the_window_at_the_breaks(self, case):
+        module, window, _ = case
+        runs = hcmod._window_runs(module, window)
+        listed = [n for a, b in runs for n in range(a, b + 1, 2)]
+        assert listed == module.weights.transitions_in(window)
+        assert [a for a, b in runs if a == b and a in module.breaks] == [n for n in listed if n in module.breaks]
+        for a, b in runs:  # on a run, the unit side, the degree step and deg q_n are those of its first n
+            assert all((module.transitions.rule_for(n), module.degrees.step(n), module.q_lead(n)[0])
+                       == (module.transitions.rule_for(a), module.degrees.step(a), module.q_lead(a)[0])
+                       and module.transitions.override_for(n) is None for n in range(a + 2, b + 1, 2))
+
+
 def _pivot_beyond_window(window=(-24, 23)):
     """construct(even, I(0), (0, 1, 1)) with its in-window upper transitions
     made overrides and the pivot moved to hi + 2."""
@@ -824,6 +867,17 @@ def _loop_scalar_at(poly, p, bound):
     return poly.evaluate(GaussianRational._coerce(p))
 
 
+def _listed_checked_transitions(module, window):
+    """Every transition validate checks, listed: the window, the transitions
+    just beyond it that the tail checks miss, and the finite stretch between
+    the window and the end of a half-infinite weight set."""
+    ns = module.weights.transitions_in(window) + hcmod._checked_beyond(module, window)
+    for _, a, b in hcmod._beyond(module, window):
+        if None not in (a, b):
+            ns += range(a, b + 1, 2)
+    return sorted(ns)
+
+
 def _loop_validate(module, window=DEFAULT_WINDOW):
     """validate as it was written before the closed form: every checked
     transition through module.transition(n) and 4 A_n B_n = q_n."""
@@ -844,7 +898,7 @@ def _loop_validate(module, window=DEFAULT_WINDOW):
         v.append(hcmod.Violation("structure", "tail pivot outside the checked window"))
     if w.kind != "finite" and not _anchor_in_reach(module, window):
         v.append(hcmod.Violation("structure", "degree anchor outside the checked window"))
-    for n in hcmod._checked_transitions(module, window):
+    for n in _listed_checked_transitions(module, window):
         A, B, q = module.transition(n)
         if q.is_zero():
             v.append(hcmod.Violation(n, "q_n is identically zero (excluded Casimir value)"))
@@ -993,7 +1047,7 @@ def closed_form_cases(draw):
         su, sd = slopes or (0, 0)
         up = "A" if su < 0 else "B" if su > 0 else draw(st.sampled_from("AB"))
         down = "A" if sd > 0 else "B" if sd < 0 else draw(st.sampled_from("AB"))
-        anchor = draw(st.integers(*window))
+        anchor = draw(st.integers(lo - 2, window[1] + 2))  # of either parity
         module = HCModuleFamily(
             weights,
             DegreeProfile(anchor, 0, su, sd),
@@ -1001,17 +1055,47 @@ def closed_form_cases(draw):
             casimir,
         )
     t = module.transitions
+    if draw(st.integers(0, 2)) == 0:  # the pivot moves, to either parity
+        t = dataclasses.replace(t, pivot=draw(st.integers(lo, window[1] + 2)))
     for n in draw(st.lists(st.sampled_from(indices), max_size=2)) if indices else []:
         A, B = module.transition_polys(n)
         mu = draw(nonzero_qi)
         t = t.with_override(n, A.scale(mu), B.scale(mu.inverse()))
     degs = [(n, module.degrees.deg(n) + draw(st.sampled_from([0, 0, 1, -1])))
-            for n in draw(st.lists(st.integers(lo - 2, window[1] + 2), max_size=2))]
+            for n in draw(st.lists(st.one_of(st.sampled_from([lo - 2, window[1] + 2]), st.integers(lo - 2, window[1] + 2)),
+                                   max_size=2))]
     module = dataclasses.replace(module, transitions=t,
                                  degrees=dataclasses.replace(module.degrees, overrides=tuple(degs)))
     twins = _iso_twins(module, window, draw(nonzero_qi), draw(nonzero_qi))
     points = [QI_ZERO, INFINITY, draw(small_qi), QI(Fraction(draw(st.integers(-9, 9)), draw(st.integers(1, 99))))]
     return module, window, points, twins
+
+
+def _loop_zero_letters(module, n, p):
+    A, B, _ = module.transition(n)
+    ba, bb = module.degree_bounds(n)
+    return [x for x, poly, bound in (("A", A, ba), ("B", B, bb)) if _loop_scalar_at(poly, p, bound).is_zero()]
+
+
+def assert_tail_agrees(module, p, window, tail, reach=40):
+    """Each tail entry with its own n names the zero scalars of that
+    transition, and those with n None name the zero scalars of every other
+    transition of their tail: checked by evaluation for reach weights beyond
+    the window on each side."""
+    w, (lo, hi) = module.weights, window
+    for side, near in (("up", range(hi + 1, hi + reach)), ("down", range(lo - reach, lo))):
+        entries = [(n, x) for s, n, x in tail if s == side]
+        if not (w.unbounded_above if side == "up" else w.unbounded_below):
+            assert entries == []
+            continue
+        own = {}
+        for n, x in entries:
+            if n is not None:
+                own.setdefault(n, []).append(x)
+        every_other = [x for n, x in entries if n is None]
+        for n in sorted(set(near) | set(own)):
+            if w.has_transition(n):
+                assert _loop_zero_letters(module, n, p) == own.get(n, every_other), (side, n, p)
 
 
 def closed_form_verdicts(module, window, points, twins):
@@ -1026,6 +1110,11 @@ def closed_form_verdicts(module, window, points, twins):
     for p in points:
         v = _outcome_of(hcmod.fiber_irreducible, module, p, window)
         out[f"fiber {p}"] = v if isinstance(v, tuple) else (v.irreducible, v.scalars, v.tail)
+        if not isinstance(v, tuple):
+            loop = _loop_fiber_scalars(module, p, window)
+            assert v.vanishing == [(n, x) for n in sorted(loop) for x, c in zip("AB", loop[n]) if c.is_zero()]
+            assert_tail_agrees(module, p, window, v.tail)
+            assert v.irreducible is not (v.vanishing or v.tail)
     for i, twin in enumerate(twins):
         for a, b in ((module, twin), (twin, module)):
             iso = _outcome_of(hcmod.iso_check, a, b, window)
@@ -1040,6 +1129,8 @@ class TestClosedForm:
         WeightSet("even"), DegreeProfile(0, 0, 0, 0), TransitionData(0, TailRule("A", QI(2)), TailRule("B", QI(1, 1))),
         casimir_triple(0, 8, 1))))
     @example(_closed_form_example(construct(WeightSet("even"), ClassSpec("III"), casimir_triple(1, 0, -1))))
+    # q_n(1) = 15 - n(n+2) vanishes at the odd n = 3 and n = -5 only.
+    @example(_closed_form_example(construct(WeightSet("even"), ClassSpec("III"), casimir_triple(0, 0, 15))))
     @given(closed_form_cases())
     @settings(max_examples=60, deadline=None)
     def test_closed_form_matches_per_transition_loops(self, case):
@@ -1047,6 +1138,28 @@ class TestClosedForm:
         with per_transition_loops():
             expected = closed_form_verdicts(*case)
         assert got == expected
+
+    @pytest.mark.parametrize("weights, cls, casimir", [
+        (WeightSet("even"), ClassSpec("III"), (0, Fraction(1, 3), 1)),
+        (WeightSet("odd"), ClassSpec("I", 1), (1, 2, 3)),
+        (WeightSet("lowest", 3), ClassSpec("I", 3), (0, 3, 0)),
+    ], ids=["even-III", "odd-I", "lowest-I"])
+    def test_work_does_not_grow_with_the_window(self, monkeypatch, weights, cls, casimir):
+        # No n(n+2) = q_0(1/3) / (1/3) lies in either window, so the verdicts
+        # match as they stand.
+        counts = []
+        for name in ("_transition_violations", "_scalar_pair"):
+            real = getattr(hcmod, name)
+            monkeypatch.setattr(hcmod, name, lambda *args, real=real, name=name: counts.append(name) or real(*args))
+        module = construct(weights, cls, casimir_triple(*casimir), (-10, 10))
+        seen = []
+        for window in ((-10**2, 10**2), (-10**6, 10**6)):
+            counts.clear()
+            report = validate(module, window).to_json()
+            verdicts = [fiber_irreducible(module, p, window) for p in (QI_ZERO, INFINITY, QI(Fraction(1, 3)))]
+            seen.append((sorted(counts), report, [(v.irreducible, v.tail, len(v.zeros)) for v in verdicts]))
+        assert seen[0] == seen[1]
+        assert 0 < len(seen[0][0]) < 100
 
     def test_override_free_module_builds_no_transition(self, monkeypatch):
         window = (-200, 200)
