@@ -382,7 +382,8 @@ class HCModuleFamily:
         ns |= {m for x in (d.anchor, t.pivot) for m in (x - 1, x - 2)}
         if c1.is_zero():
             ns.update(_integer_weight_solutions(c0))
-        return sorted(n for n in ns if n % 2 == self.weights.parity)
+        parity = self.weights.parity
+        return sorted(n for n in ns if n % 2 == parity)
 
     def degree_bounds(self, n: int) -> Tuple[int, int]:
         """(bound for deg A_n, bound for deg B_n)."""
@@ -441,10 +442,6 @@ class ValidationReport:
             for n in range(first, last + 1, 2):
                 yield from (Violation(n, m) for m in messages)
 
-    @property
-    def violations(self) -> List[Violation]:
-        return list(self)
-
     def count(self) -> int:
         return sum(1 if isinstance(v, Violation) else ((v[1] - v[0]) // 2 + 1) * len(v[2]) for v in self.parts)
 
@@ -485,7 +482,13 @@ def _runs(module: HCModuleFamily, first: Optional[int], last: Optional[int]) -> 
 
 def _window_runs(module: HCModuleFamily, window: Window) -> List[Tuple[int, int]]:
     span = module.weights.transition_span(window)
-    return _runs(module, *span) if span else []
+    if span is None:
+        return []
+    first, last = span
+    ov = module.transitions._override_map
+    if len(ov) > (last - first) // 2 and all(n in ov for n in range(first, last + 1, 2)):
+        return [(n, n) for n in range(first, last + 1, 2)]  # every transition an override: runs of one
+    return _runs(module, first, last)
 
 
 def validate(module: HCModuleFamily, window: Window = DEFAULT_WINDOW) -> ValidationReport:

@@ -112,7 +112,7 @@ class TestValidation:
         bad = dataclasses.replace(module, transitions=broken)
         report = validate(bad)
         assert not report.ok
-        assert any("zero transition" in v.message for v in report.violations)
+        assert any("zero transition" in v.message for v in report)
 
     def test_casimir_equation_enforced(self):
         module = ascending_module()
@@ -123,7 +123,7 @@ class TestValidation:
 
         bad = dataclasses.replace(module, transitions=broken)
         report = validate(bad)
-        assert any("Casimir equation" in v.message for v in report.violations)
+        assert any("Casimir equation" in v.message for v in report)
 
     def test_degree_bound_enforced(self):
         module = ascending_module()
@@ -136,7 +136,7 @@ class TestValidation:
         broken = module.transitions.with_override(2, LaurentPoly.constant(1), half)
         bad = dataclasses.replace(module, transitions=broken)
         report = validate(bad)
-        assert any("exceeds bound" in v.message for v in report.violations)
+        assert any("exceeds bound" in v.message for v in report)
 
     def test_tail_rule_side_must_match_slope(self):
         # Ascending degrees with the unit on A would force the partner beyond
@@ -148,7 +148,7 @@ class TestValidation:
             casimir_triple(0, 0, 1),
         )
         report = validate(module)
-        assert any("impossible for a whole tail" in v.message for v in report.violations)
+        assert any("impossible for a whole tail" in v.message for v in report)
 
     def test_identically_zero_q_rejected(self):
         module = HCModuleFamily(
@@ -315,7 +315,7 @@ class TestWindowGrowth:
             for w in GROWING_WINDOWS:
                 report = validate(bad, w)
                 assert not report.ok
-                tails.append([v.to_json() for v in report.violations if str(v.where).startswith("tail")])
+                tails.append([v.to_json() for v in report if str(v.where).startswith("tail")])
             assert [[v["where"] for v in tv] for tv in tails] == [[where]] * len(tails)
             assert tails == [tails[0]] * len(tails)
 
@@ -736,6 +736,14 @@ class TestTransitionRanges:
             assert all((module.transitions.rule_for(n), module.degrees.step(n), module.q_lead(n)[0])
                        == (module.transitions.rule_for(a), module.degrees.step(a), module.q_lead(a)[0])
                        and module.transitions.override_for(n) is None for n in range(a + 2, b + 1, 2))
+        # Overriding every transition of the window leaves the same runs as
+        # the split at the breaks: one per transition.
+        span = module.weights.transition_span(window)
+        t = module.transitions
+        for n in listed:
+            t = t.with_override(n, *module.transition_polys(n))
+        full = dataclasses.replace(module, transitions=t)
+        assert hcmod._window_runs(full, window) == (hcmod._runs(full, *span) if span else []) == [(n, n) for n in listed]
 
 
 def _pivot_beyond_window(window=(-24, 23)):
@@ -798,10 +806,10 @@ class TestBeyondWindow:
         module = HCModuleFamily(WeightSet("odd"), DegreeProfile(40, 20, 1, -1), TransitionData(1, B, B),
                                 casimir_triple(1, 0, 1))
         report = validate(module, (-25, 25))
-        assert [v.to_json() for v in report.violations] == [
+        assert [v.to_json() for v in report] == [
             {"where": "structure", "message": "degree anchor outside the checked window"}
         ]
-        assert validate(module, (-25, 39)).violations[0].to_json() == {
+        assert list(validate(module, (-25, 39)))[0].to_json() == {
             "where": "39", "message": "deg A_n = 2 exceeds bound 1"}
 
     def test_anchor_at_lo_of_the_other_parity(self):
@@ -811,8 +819,8 @@ class TestBeyondWindow:
         module = HCModuleFamily(WeightSet("odd"), DegreeProfile(0, 0, 1, -1), TransitionData(1, B, B),
                                 casimir_triple(1, 0, 1))
         assert not _anchor_in_reach(module, (0, 10)) and _anchor_in_reach(module, (-1, 10))
-        assert [v.where for v in validate(module, (0, 10)).violations] == ["structure"]
-        assert [v.where for v in validate(module, (-1, 10)).violations] == [-1]
+        assert [v.where for v in validate(module, (0, 10))] == ["structure"]
+        assert [v.where for v in validate(module, (-1, 10))] == [-1]
 
     @pytest.mark.parametrize("kind, param", [("lowest", 5), ("highest", -5)])
     def test_anchor_at_the_end_of_a_half_infinite_set(self, kind, param):
@@ -823,16 +831,16 @@ class TestBeyondWindow:
                                 casimir_triple(0, QI(1, 1), 1))
         window = (-12, -8) if kind == "lowest" else (8, 12)
         assert _anchor_in_reach(module, window)
-        messages = [v.message for v in validate(module, window).violations]
+        messages = [v.message for v in validate(module, window)]
         assert "degree anchor outside the checked window" not in messages
 
     def test_transition_between_window_and_pivot_is_checked(self):
         module = _pivot_beyond_window()
         report = validate(module, (-24, 23))
         assert not report.ok
-        assert report.violations[0].where == 24
-        assert report.violations[0].message == "deg A_n = 1 exceeds bound 0"
-        assert validate(module, (-24, 25)).violations[0].to_json() == report.violations[0].to_json()
+        assert list(report)[0].where == 24
+        assert list(report)[0].message == "deg A_n = 1 exceeds bound 0"
+        assert list(validate(module, (-24, 25)))[0].to_json() == list(report)[0].to_json()
 
     @pytest.mark.parametrize("side", ["hi", "lo"])
     @example(case=(_with_degree(ascending_module(), -8, -2), (-7, 6)))  # steps 3 and -1 below lo
@@ -868,14 +876,22 @@ def _loop_scalar_at(poly, p, bound):
 
 
 def _listed_checked_transitions(module, window):
-    """Every transition validate checks, listed: the window, the transitions
-    just beyond it that the tail checks miss, and the finite stretch between
-    the window and the end of a half-infinite weight set."""
-    ns = module.weights.transitions_in(window) + hcmod._checked_beyond(module, window)
-    for _, a, b in hcmod._beyond(module, window):
-        if None not in (a, b):
-            ns += range(a, b + 1, 2)
-    return sorted(ns)
+    """Every transition validate checks, listed from the weight set and the
+    window: the window; those just beyond it that the tail checks miss (next
+    to a degree override, or following the other tail's rule); and the finite
+    stretch between the window and the end of a lowest- or highest-weight set."""
+    w, (lo, hi) = module.weights, window
+    if w.kind == "finite":
+        return w.transitions_in(window)
+    degs, pivot = {n for n, _ in module.degrees.overrides}, module.transitions.pivot
+    near = [(n, False) for n in range(lo - 4, lo)] + [(hi + 1, True), (hi + 2, True)]
+    ns = set(w.transitions_in(window))
+    ns.update(n for n, up in near if n in degs or n + 2 in degs or (n >= pivot) != up)
+    if w.kind == "lowest":
+        ns.update(range(w.param, lo, 2))
+    if w.kind == "highest":
+        ns.update(range(w.param - 2, hi, -2))
+    return sorted(n for n in ns if w.has_transition(n))
 
 
 def _loop_validate(module, window=DEFAULT_WINDOW):
@@ -1131,6 +1147,14 @@ class TestClosedForm:
     @example(_closed_form_example(construct(WeightSet("even"), ClassSpec("III"), casimir_triple(1, 0, -1))))
     # q_n(1) = 15 - n(n+2) vanishes at the odd n = 3 and n = -5 only.
     @example(_closed_form_example(construct(WeightSet("even"), ClassSpec("III"), casimir_triple(0, 0, 15))))
+    # The one violation lies between the window and the end of the weight set:
+    # at the lowest transition n = 1, and at the highest n = -3.
+    @example(_closed_form_example(HCModuleFamily(
+        WeightSet("lowest", 1), DegreeProfile(0, 0, 1, 0), TransitionData(3, TailRule("B"), TailRule("A")),
+        casimir_triple(0, -1, 0)), (3, 9)))
+    @example(_closed_form_example(HCModuleFamily(
+        WeightSet("highest", -1), DegreeProfile(0, 0, 0, 1), TransitionData(-3, TailRule("B"), TailRule("A")),
+        casimir_triple(0, -1, 0)), (-9, -5)))
     @given(closed_form_cases())
     @settings(max_examples=60, deadline=None)
     def test_closed_form_matches_per_transition_loops(self, case):
