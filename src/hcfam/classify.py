@@ -236,18 +236,15 @@ def uniqueness_probe(
         )
     canonical = construct(weights, cls, casimir, window)
     rng = random.Random(seed)
+    t = canonical.transitions  # canonical: no overrides, so the ascending window's are sorted
     for trial in range(trials):
-        t = canonical.transitions
+        overrides = []
         for n in canonical.weights.transitions_in(window):
             u = _random_unit(rng)
-            q = canonical.q_poly(n)
-            other = q.scale((GaussianRational(4) * u).inverse())
-            rule = canonical.transitions.rule_for(n)
-            if rule.unit_on == "A":
-                t = t.with_override(n, hcmod.LaurentPoly.constant(u), other)
-            else:
-                t = t.with_override(n, other, hcmod.LaurentPoly.constant(u))
-        variant = hcmod.replace(canonical, transitions=t)
+            other = canonical.q_poly(n).scale((GaussianRational(4) * u).inverse())
+            pair = (hcmod.LaurentPoly.constant(u), other)
+            overrides.append((n, *(pair if t.rule_for(n).unit_on == "A" else pair[::-1])))
+        variant = hcmod.replace(canonical, transitions=hcmod.replace(t, overrides=tuple(overrides)))
         result = iso_check(canonical, variant, window)
         if not result:
             return ProbeResult(

@@ -95,7 +95,8 @@ DOMAIN_ERRORS = (
 #: The most entries one request may list.  ``module fiber``, ``locus`` and
 #: ``iso`` may list one entry per transition of the window (``classify probe``
 #: builds one per trial), so they refuse a window with more transitions, and
-#: ``module validate`` refuses a report with more violations.  The other
+#: ``module validate`` refuses a report with more violations, ``module fiber``
+#: a stretch beyond the window with more vanishing transitions.  The other
 #: requests read the window as runs and take any window.
 MAX_LISTED = 10**6
 
@@ -293,6 +294,8 @@ def cmd_module(args) -> int:
     if args.action == "fiber":
         p = parse_point(args.at)
         verdict = fiber_irreducible(module, p, window)
+        if sum((b - a) // 2 + 1 for _, a, b, _ in verdict.beyond if a is not None) > MAX_LISTED:
+            raise RequestError(f"more than {MAX_LISTED} transitions vanish beyond the window, the most listed")
         vanishing = [{"n": n, "poly": poly} for n, poly in verdict.vanishing]
         tail = [{"side": side, "n": n, "poly": poly} for side, n, poly in verdict.tail]
         emit({"at": str(p), "irreducible": verdict.irreducible, "vanishing": vanishing, "tail_vanishing": tail})

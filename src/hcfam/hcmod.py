@@ -28,7 +28,9 @@ from .scalars import (
     _lp,
     _qi,
     _sqrt_fraction,
+    casimir_product_holds,
     poly_roots,
+    rescaling_mismatch,
 )
 
 
@@ -359,14 +361,14 @@ class HCModuleFamily:
         return other, unit
 
     @cached_property
-    def _derived(self) -> Dict[int, Tuple[LaurentPoly, LaurentPoly, LaurentPoly]]:
+    def _derived(self) -> Dict[int, Tuple[LaurentPoly, LaurentPoly]]:
         return {}
 
-    def transition(self, n: int) -> Tuple[LaurentPoly, LaurentPoly, LaurentPoly]:
-        """(A_n, B_n, q_n), derived once per module object and then reused."""
+    def transition(self, n: int) -> Tuple[LaurentPoly, LaurentPoly]:
+        """(A_n, B_n), derived once per module object and then reused."""
         t = self._derived.get(n)
         if t is None:
-            t = self._derived[n] = (*self.transition_polys(n), self.q_poly(n))
+            t = self._derived[n] = self.transition_polys(n)
         return t
 
     @cached_property
@@ -548,14 +550,14 @@ def _transition_violations(module: HCModuleFamily, n: int) -> Tuple[str, ...]:
     if t.override_for(n) is None:
         da, db = (0, dq) if t.rule_for(n).unit_on == "A" else (dq, 0)
     else:
-        A, B, q = module.transition(n)
-        if not (A.is_ordinary() and B.is_ordinary()):
+        A, B = t.override_for(n)
+        if min(A.coeffs, default=0) < 0 or min(B.coeffs, default=0) < 0:
             return ("transition data is not polynomial",)
-        if A.is_zero() or B.is_zero():
+        if not (A.coeffs and B.coeffs):
             return ("zero transition polynomial (not generically irreducible)",)
-        if (A * B).scale(4) != q:
+        if not casimir_product_holds(A, B, module.casimir, n * (n + 2)):
             out.append("Casimir equation 4 A_n B_n = q_n fails")
-        da, db = A.degree(), B.degree()
+        da, db = max(A.coeffs), max(B.coeffs)
     step = module.degrees.step(n)
     if abs(step) > 1:
         out.append("degree profile jumps by more than one")
@@ -654,7 +656,7 @@ def degrees_lemma_check(module: HCModuleFamily, window: Window = DEFAULT_WINDOW)
     """Descending steps force constant nonzero A_n; ascending force B_n."""
     _require_valid(module, window)
     for n in module.weights.transitions_in(window):
-        A, B, _ = module.transition(n)
+        A, B = module.transition(n)
         step = module.degrees.step(n)
         if step == -1 and not (A.degree() == 0 and not A.is_zero()):
             return False
@@ -694,9 +696,9 @@ def _scalar_pair(module: HCModuleFamily, n: int, p: Point, base) -> Tuple[Gaussi
     """
     ba, bb = module.degree_bounds(n)
     t = module.transitions
-    if t.override_for(n) is not None:
-        A, B, _ = module.transition(n)
-        return _scalar_at(A, p, ba), _scalar_at(B, p, bb)
+    ov = t.override_for(n)
+    if ov is not None:
+        return _scalar_at(ov[0], p, ba), _scalar_at(ov[1], p, bb)
     rule = t.rule_for(n)
     unit_bound, partner_bound = (ba, bb) if rule.unit_on == "A" else (bb, ba)
     if p is INFINITY:  # the unit attains a bound of 0; deg q_n the partner's
@@ -748,12 +750,12 @@ def _zeros(module: HCModuleFamily, runs, p: Point, base) -> List[Tuple]:
 class FiberVerdict:
     """Irreducibility of the fiber at a point, with its vanishing transition
     scalars: in the window as (n, 'A' or 'B'), beyond it as (side, n, 'A' or
-    'B').  Beyond the window n is None for every transition of that tail
-    that is not listed with its own n."""
+    'B').  n is None for every transition of an infinite tail not listed with
+    its own n; the stretch to the end of a lowest or highest set lists each."""
 
     irreducible: bool
     zeros: list  # the window's runs as _zeros gives them
-    tail: list
+    beyond: list  # (side, a, b, letters): a run a..b, or a == b == None for the rest of a tail
     module: HCModuleFamily = field(repr=False, compare=False)
     p: Point = field(repr=False, compare=False)
     window: Window = field(repr=False, compare=False)
@@ -761,6 +763,11 @@ class FiberVerdict:
     @property
     def vanishing(self) -> List[Tuple[int, str]]:
         return [(n, x) for a, b, letters in self.zeros for n in range(a, b + 1, 2) for x in letters]
+
+    @property
+    def tail(self) -> List[Tuple[str, Optional[int], str]]:
+        return [(side, n, x) for side, a, b, letters in self.beyond
+                for n in ((None,) if a is None else range(a, b + 1, 2)) for x in letters]
 
     @cached_property
     def scalars(self) -> Dict[int, Tuple[GaussianRational, GaussianRational]]:
@@ -773,18 +780,18 @@ class FiberVerdict:
 
 def _fiber_verdict(module: HCModuleFamily, p: Point, window: Window) -> FiberVerdict:
     """:func:`fiber_irreducible` for a module already validated on the window:
-    the window and each infinite tail are read run by run."""
+    the window and every transition beyond it are read run by run."""
     p, base = _at(module, p)
     zeros = _zeros(module, _window_runs(module, window), p, base)
-    tail = []
+    beyond = []
     for side, first, last in _beyond(module, window):
-        if None not in (first, last):  # the stretch to the end of a half-infinite set is no tail
-            continue
-        # A run of one keeps its n; the longer runs of a tail share one zero pattern.
-        found = [(side, a if a == b else None, x) for a, b, xs in _zeros(module, _runs(module, first, last), p, base)
-                 for x in xs]
-        tail += sorted({e for e in found if e[1] is not None}) + list(dict.fromkeys(e for e in found if e[1] is None))
-    return FiberVerdict(not (zeros or tail), zeros, tail, module, p, window)
+        runs = _zeros(module, _runs(module, first, last), p, base)
+        if None in (first, last):  # a tail: a run of one keeps its n, the longer runs share one zero pattern
+            found = [(a if a == b else None, x) for a, b, xs in runs for x in xs]
+            own = sorted({e for e in found if e[0] is not None})
+            runs = [(n, n, x) for n, x in own + list(dict.fromkeys(e for e in found if e[0] is None))]
+        beyond += [(side, *run) for run in runs]  # a stretch to the end of a lowest or highest set stays as runs
+    return FiberVerdict(not (zeros or beyond), zeros, beyond, module, p, window)
 
 
 def fiber_irreducible(
@@ -793,7 +800,7 @@ def fiber_irreducible(
     """Transition-scalar irreducibility criterion for the fiber at p.
 
     A weight-supported proper invariant subspace exists iff some transition
-    scalar vanishes; the window and the tails are read run by run, so the
+    scalar vanishes; the window and all beyond it are read run by run, so the
     verdict covers the whole weight set.  The result is truthy iff the fiber
     is irreducible.
     """
@@ -824,7 +831,7 @@ def reducible_locus(module: HCModuleFamily, window: Window = DEFAULT_WINDOW) -> 
             rule = t.rule_for(n)
             polys = [("B" if rule.unit_on == "A" else "A", module.q_poly(n), rule.partner_scale)]
         else:
-            polys = [(which, poly, QI_ONE) for which, poly in zip("AB", module.transition(n))]
+            polys = [(which, poly, QI_ONE) for which, poly in zip("AB", t.override_for(n))]
         for which, poly, scale in polys:
             try:
                 points.update(poly_roots(poly))
@@ -849,16 +856,6 @@ class IsoResult:
 
     def __bool__(self):
         return self.isomorphic
-
-
-def _proportionality(a: LaurentPoly, b: LaurentPoly) -> Optional[GaussianRational]:
-    """The constant mu with b = mu * a, or None."""
-    if a.is_zero() or b.is_zero():
-        return None
-    if set(a.coeffs) != set(b.coeffs):
-        return None
-    mu = b.leading_coeff() / a.leading_coeff()
-    return mu if a.scale(mu) == b else None
 
 
 def iso_check(
@@ -896,14 +893,14 @@ def iso_check(
                 tail_mu[key] = r2.value / r1.value if r1.unit_on == "A" else r1.value / r2.value
             scalars[n] = tail_mu[key]
             continue
-        A1, B1, _ = m1.transition(n)
-        A2, B2, _ = m2.transition(n)
-        mu = _proportionality(A1, A2)
-        if mu is None or mu.is_zero():
+        A1, B1 = m1.transition(n)
+        A2, B2 = m2.transition(n)
+        bad = rescaling_mismatch(A1, B1, A2, B2)
+        if bad == "A":
             return IsoResult(False, scalars, f"A_{n} is not a scalar multiple")
-        if B1.scale(mu.inverse()) != B2:
+        if bad:
             return IsoResult(False, scalars, f"B_{n} does not match the scalar of A_{n}")
-        scalars[n] = mu
+        scalars[n] = A2.leading_coeff() / A1.leading_coeff()
     return IsoResult(True, scalars)
 
 
@@ -922,7 +919,7 @@ def swap_transitions(
     for n in indices:
         if module.degrees.step(n) != 0:
             raise DegreeBoundViolated(f"transition {n} does not have equal degrees")
-        A, B, _ = module.transition(n)
+        A, B = module.transition(n)
         if A.degree() > 1 or B.degree() > 1:
             raise DegreeBoundViolated(f"transition {n} polynomials exceed degree one")
         t = t.with_override(n, B, A)

@@ -17,6 +17,7 @@ when the denominator is a monomial.
 
 from __future__ import annotations
 
+import re
 import sys
 from fractions import Fraction
 from math import gcd as _gcd, isqrt
@@ -226,11 +227,20 @@ class GaussianRational:
 
     @staticmethod
     def parse(text: str) -> "GaussianRational":
-        """Parse the "a/b", "c/d*i", or "a/b+c/d*i" string forms."""
-        s = text.replace(" ", "")
-        if not s:
-            raise ValueError(f"cannot parse Gaussian rational {text!r}")
+        """Parse the "a/b", "c/d*i", or "a/b+c/d*i" string forms.  The forms
+        ``str`` writes are read by one match; other text ("i", "2i", spaces,
+        "1.5", ...) is split at its last interior sign and read by ``Fraction``."""
         try:
+            m = _STR_FORM.fullmatch(text)
+            if m:
+                a, ad, b, bd, c, cd = m.groups()
+                if c is not None:  # "c/d*i"
+                    return _qi(0, int(c), int(cd or 1))
+                if b is None:  # "a/b"
+                    return _qi(int(a), 0, int(ad or 1))
+                ad, bd = int(ad or 1), int(bd or 1)
+                return _qi(int(a) * bd, int(b) * ad, ad * bd)
+            s = text.replace(" ", "")
             if not s.endswith("i"):
                 a, d = _parse_ratio(s)
                 return _qi(a, 0, d)
@@ -245,27 +255,22 @@ class GaussianRational:
             b, bd = _parse_ratio(im_txt + "1" if im_txt in ("", "+", "-") else im_txt)
             return _qi(a * bd, b * ad, ad * bd)
         except (ValueError, ZeroDivisionError):
-            raise ValueError(f"cannot parse Gaussian rational {text!r}")
+            raise ValueError(f"cannot parse Gaussian rational {text!r}") from None
+
+
+#: The forms ``str`` writes ("a/b", "a/b-c/d*i", "c/d*i"): ASCII, nonzero denominators.
+_STR_FORM = re.compile(r"(-?\d+)(?:/(0*[1-9]\d*))?(?:([+-]\d+)(?:/(0*[1-9]\d*))?\*i)?|(-?\d+)(?:/(0*[1-9]\d*))?\*i",
+                       re.ASCII)
 
 
 def _parse_ratio(text: str) -> Tuple[int, int]:
-    """(n, d) with d > 0 for the value ``Fraction(text)``, reading the "n" and
-    "n/d" forms that ``str`` emits with ``int`` alone."""
-    num, slash, den = text.partition("/")
-    if text.isascii() and num.lstrip("+-").isdigit() and (den.isdigit() or not slash):
-        n, d = int(num), int(den or 1)
-    else:
-        f = Fraction(text)
-        n, d = f.numerator, f.denominator
-        # The fast path's ``int`` refuses a number ``str`` could not write
-        # back; so must this one (e.g. "1e5000").  Pythons before 3.10.7
-        # have no such limit.
-        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-        if limit and max(abs(n), d) >= 10**limit:
-            raise ValueError(f"more than {limit} digits in {text!r}")
-    if d == 0:
-        raise ZeroDivisionError(f"zero denominator in {text!r}")
-    return n, d
+    """(n, d) of ``Fraction(text)``, refusing a number ``str`` could not write
+    back (e.g. "1e5000"), as ``int`` does from Python 3.10.7 on."""
+    f = Fraction(text)
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit and max(abs(f.numerator), f.denominator) >= 10**limit:
+        raise ValueError(f"more than {limit} digits in {text!r}")
+    return f.numerator, f.denominator
 
 
 def _qi(a: int, b: int, d: int) -> GaussianRational:
@@ -281,6 +286,43 @@ def _qi(a: int, b: int, d: int) -> GaussianRational:
     q._b = b
     q._d = d
     return q
+
+
+def casimir_product_holds(A, B, casimir, m: int) -> bool:
+    """Whether 4 A B = c1 z^2 + (c0 - m) z + c-1 for Laurent polynomials A, B,
+    the Casimir triple (c1, c0, c-1) and an int m.  Per exponent, the triples
+    of -q and of 4 times each product are summed unreduced over the product
+    of their denominators; no polynomial and no normalised scalar is built."""
+    c1, c0, cm1 = casimir
+    acc = {2: (-c1._a, -c1._b, c1._d), 1: (m * c0._d - c0._a, -c0._b, c0._d), 0: (-cm1._a, -cm1._b, cm1._d)}
+    for e1, x in A.coeffs.items():
+        for e2, y in B.coeffs.items():
+            a, b, d = acc.get(e1 + e2, (0, 0, 1))
+            re_, im, den = 4 * (x._a * y._a - x._b * y._b), 4 * (x._a * y._b + x._b * y._a), x._d * y._d
+            acc[e1 + e2] = (a * den + re_ * d, b * den + im * d, d * den)
+    return not any(a or b for a, b, _ in acc.values())
+
+
+def rescaling_mismatch(A, B, A2, B2) -> Optional[str]:
+    """None when (A2, B2) = (mu A, mu^-1 B) for one scalar mu, else the side
+    that fails: 'A' (also where A or A2 is zero) or 'B'.  Each coefficient is
+    cross-multiplied with the leading ones of A and A2, so mu is not formed."""
+    ac, a2c, bc, b2c = A.coeffs, A2.coeffs, B.coeffs, B2.coeffs
+    if not ac or ac.keys() != a2c.keys():
+        return "A"
+    u, v = ac[max(ac)], a2c[max(ac)]
+    if not all(_cross_equal(a2c[e], u, v, x) for e, x in ac.items()):  # A2[e] lead A = lead A2 A[e]
+        return "A"
+    if bc.keys() != b2c.keys() or not all(_cross_equal(b2c[e], v, u, x) for e, x in bc.items()):
+        return "B"  # B2[e] lead A2 = lead A B[e]
+    return None
+
+
+def _cross_equal(x, y, u, v) -> bool:
+    """x y == u v for Gaussian rationals, on their triples."""
+    dl, dr = x._d * y._d, u._d * v._d
+    return ((x._a * y._a - x._b * y._b) * dr == (u._a * v._a - u._b * v._b) * dl
+            and (x._a * y._b + x._b * y._a) * dr == (u._a * v._b + u._b * v._a) * dl)
 
 
 QI_ZERO = GaussianRational(0)

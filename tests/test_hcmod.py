@@ -529,11 +529,11 @@ class TestDerivedOnce:
         )
         window = (-8, 8)
         assert validate(module, window).ok and fiber_irreducible(module, QI(1), window)
-        A0, B0, q0 = module.transition(2)
+        A0, B0 = module.transition(2)
         swapped = swap_transitions(module, [2], window)
-        assert swapped.transition(2) == (B0, A0, q0)
+        assert swapped.transition(2) == (B0, A0)
         assert swapped.transition_polys(2) == (B0, A0)
-        assert module.transition(2) == (A0, B0, q0)
+        assert module.transition(2) == (A0, B0)
         degrees = [module.degrees.deg(n) for n in range(-10, 11, 2)]
         twisted = picard_twist(module, 3, window)
         assert [twisted.degrees.deg(n) for n in range(-10, 11, 2)] == [d + 3 for d in degrees]
@@ -568,7 +568,7 @@ def _scan_deg(self, n):
 
 
 def _fresh_transition(self, n):
-    """(A_n, B_n, q_n) derived afresh on every call, through the public
+    """(A_n, B_n) derived afresh on every call, through the public
     constructors."""
     if not self.weights.has_transition(n):
         raise WeightNotPresent(f"no transition at weight {n}")
@@ -576,11 +576,11 @@ def _fresh_transition(self, n):
     q = LaurentPoly({2: c1, 1: c0 - QI(n * (n + 2)), 0: cm1})
     ov = _scan_override(self.transitions, n)
     if ov is not None:
-        return (*ov, q)
+        return ov
     rule = self.transitions.rule_for(n)
     unit = LaurentPoly.constant(rule.value)
     other = q.scale((QI(4) * rule.value).inverse())
-    return (unit, other, q) if rule.unit_on == "A" else (other, unit, q)
+    return (unit, other) if rule.unit_on == "A" else (other, unit)
 
 
 def _term_sum(self, z0):
@@ -602,7 +602,7 @@ def reference_derivation():
             (TransitionData, "override_for", _scan_override),
             (DegreeProfile, "deg", _scan_deg),
             (HCModuleFamily, "transition", _fresh_transition),
-            (HCModuleFamily, "transition_polys", lambda self, n: _fresh_transition(self, n)[:2]),
+            (HCModuleFamily, "transition_polys", _fresh_transition),
             (LaurentPoly, "evaluate", _term_sum),
         ):
             stack.enter_context(mock.patch.object(owner, name, fn))
@@ -915,7 +915,8 @@ def _loop_validate(module, window=DEFAULT_WINDOW):
     if w.kind != "finite" and not _anchor_in_reach(module, window):
         v.append(hcmod.Violation("structure", "degree anchor outside the checked window"))
     for n in _listed_checked_transitions(module, window):
-        A, B, q = module.transition(n)
+        A, B = module.transition(n)
+        q = module.q_poly(n)
         if q.is_zero():
             v.append(hcmod.Violation(n, "q_n is identically zero (excluded Casimir value)"))
             continue
@@ -945,7 +946,7 @@ def _loop_validate(module, window=DEFAULT_WINDOW):
 def _loop_fiber_scalars(module, p, window):
     out = {}
     for n in module.weights.transitions_in(window):
-        A, B, _ = module.transition(n)
+        A, B = module.transition(n)
         ba, bb = module.degree_bounds(n)
         out[n] = (_loop_scalar_at(A, p, ba), _loop_scalar_at(B, p, bb))
     return out
@@ -955,7 +956,7 @@ def _loop_reducible_locus(module, window=DEFAULT_WINDOW):
     hcmod._require_valid(module, window)
     points, unsplit = set(), []
     for n in module.weights.transitions_in(window):
-        A, B, _ = module.transition(n)
+        A, B = module.transition(n)
         for which, poly in (("A", A), ("B", B)):
             try:
                 points.update(poly_roots(poly))
@@ -963,6 +964,15 @@ def _loop_reducible_locus(module, window=DEFAULT_WINDOW):
                 unsplit.append((n, which, poly))
     boundary = {bp for bp in (QI_ZERO, INFINITY) if not hcmod._fiber_verdict(module, bp, window)}
     return hcmod.ReducibleLocus(frozenset(points), frozenset(boundary), tuple(unsplit))
+
+
+def _proportionality(a, b):
+    """The constant mu with b = mu * a, or None: iso_check's test before it
+    cross-multiplied on the integer triples."""
+    if a.is_zero() or b.is_zero() or set(a.coeffs) != set(b.coeffs):
+        return None
+    mu = b.leading_coeff() / a.leading_coeff()
+    return mu if a.scale(mu) == b else None
 
 
 def _loop_iso_check(m1, m2, window=DEFAULT_WINDOW):
@@ -981,9 +991,9 @@ def _loop_iso_check(m1, m2, window=DEFAULT_WINDOW):
         return hcmod.IsoResult(False, {}, "lower tail rules place units on different sides")
     scalars = {}
     for n in sorted(w.transitions_in(window), key=lambda n: (abs(n), n)):
-        A1, B1, _ = m1.transition(n)
-        A2, B2, _ = m2.transition(n)
-        mu = hcmod._proportionality(A1, A2)
+        A1, B1 = m1.transition(n)
+        A2, B2 = m2.transition(n)
+        mu = _proportionality(A1, A2)
         if mu is None or mu.is_zero():
             return hcmod.IsoResult(False, scalars, f"A_{n} is not a scalar multiple")
         if B1.scale(mu.inverse()) != B2:
@@ -1088,7 +1098,7 @@ def closed_form_cases(draw):
 
 
 def _loop_zero_letters(module, n, p):
-    A, B, _ = module.transition(n)
+    A, B = module.transition(n)
     ba, bb = module.degree_bounds(n)
     return [x for x, poly, bound in (("A", A, ba), ("B", B, bb)) if _loop_scalar_at(poly, p, bound).is_zero()]
 
@@ -1097,12 +1107,14 @@ def assert_tail_agrees(module, p, window, tail, reach=40):
     """Each tail entry with its own n names the zero scalars of that
     transition, and those with n None name the zero scalars of every other
     transition of their tail: checked by evaluation for reach weights beyond
-    the window on each side."""
+    the window on each side.  On a side that ends, every transition from the
+    window to the end of the weight set is listed with its own n."""
     w, (lo, hi) = module.weights, window
     for side, near in (("up", range(hi + 1, hi + reach)), ("down", range(lo - reach, lo))):
         entries = [(n, x) for s, n, x in tail if s == side]
         if not (w.unbounded_above if side == "up" else w.unbounded_below):
-            assert entries == []
+            stretch = range(w.param, lo) if w.kind == "lowest" else range(hi + 1, w.param) if w.kind == "highest" else ()
+            assert entries == [(n, x) for n in stretch if w.has_transition(n) for x in _loop_zero_letters(module, n, p)]
             continue
         own = {}
         for n, x in entries:
@@ -1198,3 +1210,102 @@ class TestClosedForm:
         assert iso_check(module, twin, window)
         reducible_locus(module, window)
         assert calls == []
+
+
+# q_3(1) = 15 - 3 * 5 = 0, so B_3(1) = 0: below the window (11, 21), above (1, 21)'s lowest weight.
+STRETCH_REPRO = HCModuleFamily(WeightSet("lowest", 1), DegreeProfile(11, 0, 0, 0),
+                               TransitionData(11, TailRule("A"), TailRule("A")), casimir_triple(0, 0, 15))
+
+
+@st.composite
+def stretch_cases(draw):
+    """A module on a lowest- or highest-weight set (valid or not), a window
+    away from the end of the set, that window moved toward the end, and fiber
+    points, among them roots of q_m for m between the two."""
+    kind = draw(st.sampled_from(["lowest", "highest"]))
+    sign = 1 if kind == "lowest" else -1
+    param, gap, width = sign * draw(st.integers(1, 5)), draw(st.integers(2, 16)), draw(st.integers(0, 8))
+    if kind == "lowest":
+        far = (param + gap, param + gap + width)
+        moved = (draw(st.integers(param - 3, far[0])), far[1])
+    else:
+        far = (param - gap - width, param - gap)
+        moved = (far[0], draw(st.integers(far[1], param + 3)))
+    slopes = st.sampled_from([0, 0, 0, 1, -1])
+    degrees = DegreeProfile(draw(st.integers(*far)), 0, draw(slopes), draw(slopes))
+    rules = st.builds(TailRule, st.sampled_from("AB"), nonzero_qi)
+    transitions = TransitionData(draw(st.integers(far[0], far[1] + 2)), draw(rules), draw(rules))
+    casimir = casimir_triple(draw(st.sampled_from([0, 0, 0, 1])), draw(st.integers(-20, 40)), draw(st.integers(-3, 3)))
+    module = HCModuleFamily(WeightSet(kind, param), degrees, transitions, casimir)
+    points = [QI_ZERO, INFINITY, draw(small_qi)]
+    between = [m for m in range(min(far[0], moved[0]) - 2, max(far[1], moved[1]) + 3) if module.weights.has_transition(m)]
+    for m in draw(st.lists(st.sampled_from(between), max_size=2)) if between else []:
+        with contextlib.suppress(UnsplitQuadratic):
+            points += [r for r in poly_roots(module.q_poly(m)) if not r.is_zero()]
+    return module, far, moved, points
+
+
+class TestFiniteStretch:
+    """The fiber verdict also reads the transitions between the window and
+    the end of a lowest- or highest-weight set, so it does not depend on how
+    far the window lies from that end."""
+
+    def test_stretch_zero_is_listed_with_its_own_n(self):
+        far = fiber_irreducible(STRETCH_REPRO, QI(1), (11, 21))
+        near = fiber_irreducible(STRETCH_REPRO, QI(1), (1, 21))
+        assert not far.irreducible and not near.irreducible
+        assert (far.vanishing, far.tail) == ([], [("down", 3, "B")])
+        assert (near.vanishing, near.tail) == ([(3, "B")], [])
+
+    def test_every_stretch_transition_is_listed_at_zero(self):
+        # c_{-1} = 0: every B_n vanishes at 0, each listed with its n; the
+        # infinite tail keeps its one entry.
+        module = dataclasses.replace(STRETCH_REPRO, casimir=casimir_triple(0, 1, 0))
+        verdict = fiber_irreducible(module, QI_ZERO, (11, 21))
+        assert verdict.tail == [("up", None, "B")] + [("down", n, "B") for n in range(1, 11, 2)]
+        highest = HCModuleFamily(WeightSet("highest", -1), DegreeProfile(-11, 0, 0, 0),
+                                 TransitionData(-11, TailRule("B"), TailRule("B")), casimir_triple(0, 1, 0))
+        verdict = fiber_irreducible(highest, QI_ZERO, (-21, -11))
+        assert verdict.tail == [("up", n, "A") for n in range(-9, -2, 2)] + [("down", None, "A")]
+
+    @example((STRETCH_REPRO, (11, 21), (1, 21), [QI(1)]))
+    @given(stretch_cases())
+    @settings(max_examples=80, deadline=None)
+    def test_verdicts_do_not_move_with_the_window(self, case):
+        module, far, moved, points = case
+        report = validate(module, far)
+        assert report.to_json() == validate(module, moved).to_json()
+        if not report.ok:
+            return
+        stretch_side = "down" if module.weights.kind == "lowest" else "up"
+        seen = []
+        for window in (far, moved):
+            verdicts = [fiber_irreducible(module, p, window) for p in points]
+            for v in verdicts:
+                assert v.irreducible is not bool(v.vanishing or v.tail)
+            seen.append([(v.irreducible, sorted(v.vanishing + [(n, x) for s, n, x in v.tail if s == stretch_side]),
+                          [e for e in v.tail if e[0] != stretch_side]) for v in verdicts])
+        assert seen[0] == seen[1]
+
+    def test_cli_lists_the_stretch_and_refuses_one_too_long(self, tmp_path, monkeypatch):
+        from hcfam import cli
+
+        path = tmp_path / "module.json"
+        path.write_text(json.dumps(STRETCH_REPRO.to_json()))
+
+        def request(*argv):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+                code = cli.run(["module", *argv, "--module", str(path)])
+            return code, json.loads(out.getvalue())
+
+        code, doc = request("fiber", "--at", "1", "--window", "11..21")
+        assert code == 1 and doc["vanishing"] == [] and doc["tail_vanishing"] == [{"side": "down", "n": 3, "poly": "B"}]
+        # With c_{-1} = 0 each B_n vanishes at 0: five times in 1..9, below
+        # the window 11..17, which holds four transitions.
+        monkeypatch.setattr(cli, "MAX_LISTED", 4)
+        path.write_text(json.dumps(dataclasses.replace(STRETCH_REPRO, casimir=casimir_triple(0, 1, 0)).to_json()))
+        code, doc = request("fiber", "--at", "0", "--window", "11..17")
+        assert code == 2 and doc["error"] == "request"
+        assert request("fiber", "--at", "0", "--window", "5..11")[0] == 1
+        assert request("locus", "--window", "11..17")[0] == 0

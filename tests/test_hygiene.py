@@ -161,3 +161,28 @@ def test_real_forms_stay_on_the_integer_core():
     """``grassfam`` computes real forms over Q(i); the Killing matrix becomes
     rational only through the ``re`` of its entries."""
     assert fraction_calls((SRC / "grassfam.py").read_text()) == []
+
+
+TRIPLE_SLOTS = {"_a", "_b", "_d"}
+
+
+def triple_slot_reads(source: str) -> list:
+    """Lines that touch a Gaussian rational's integer triple: any attribute
+    ``._a``, ``._b`` or ``._d``, read or assigned."""
+    tree = ast.parse(source)
+    return sorted(
+        (node.lineno, node.attr)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr in TRIPLE_SLOTS
+    )
+
+
+def test_triple_slot_detector():
+    src = "x = g._a\ny = f(g)._d + g.a\ng._b = 1\nh = g._ab\n"
+    assert triple_slot_reads(src) == [(1, "_a"), (2, "_d"), (3, "_b")]
+
+
+@pytest.mark.parametrize("path", sorted(p for p in SRC.glob("*.py") if p.name != "scalars.py"), ids=lambda p: p.name)
+def test_triple_slots_stay_in_scalars(path):
+    """Only ``scalars`` reads the triples, so kernels on them live there."""
+    assert triple_slot_reads(path.read_text()) == []

@@ -3,6 +3,7 @@
 import json
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -23,8 +24,10 @@ from hcfam.scalars import (
     RF_Z,
     RF_ZERO,
     UnsplitQuadratic,
+    casimir_product_holds,
     gaussian_sqrt,
     poly_roots,
+    rescaling_mismatch,
 )
 
 fractions_ = st.fractions(min_value=-20, max_value=20, max_denominator=9)
@@ -458,3 +461,192 @@ class TestMonomialDenominator:
         assert calls == []
         RationalFunction(lp({1: 1}), lp({1: 1, 0: 1}))
         assert len(calls) == 1
+
+
+# ---------------------------------------------------------------------------
+# Parsing the text forms of ``str`` in one match
+# ---------------------------------------------------------------------------
+
+
+def _ratio_parse(text):
+    """(n, d) as ``_parse_ratio`` read a ratio before parse matched the forms
+    of ``str`` in one go."""
+    num, slash, den = text.partition("/")
+    if text.isascii() and num.lstrip("+-").isdigit() and (den.isdigit() or not slash):
+        n, d = int(num), int(den or 1)
+    else:
+        f = Fraction(text)
+        n, d = f.numerator, f.denominator
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if limit and max(abs(n), d) >= 10**limit:
+            raise ValueError(f"more than {limit} digits in {text!r}")
+    if d == 0:
+        raise ZeroDivisionError(f"zero denominator in {text!r}")
+    return n, d
+
+
+def _split_parse(text):
+    """GaussianRational.parse before the one-match path: strip spaces, split
+    at the last interior sign, read each ratio."""
+    s = text.replace(" ", "")
+    if not s:
+        raise ValueError(f"cannot parse Gaussian rational {text!r}")
+    try:
+        if not s.endswith("i"):
+            a, d = _ratio_parse(s)
+            return GaussianRational(Fraction(a, d))
+        body = s[:-1]
+        if body.endswith("*"):
+            body = body[:-1]
+        split = max(body.rfind("+"), body.rfind("-"))
+        re_txt, im_txt = (body[:split], body[split:]) if split > 0 else ("0", body)
+        a, ad = _ratio_parse(re_txt)
+        b, bd = _ratio_parse(im_txt + "1" if im_txt in ("", "+", "-") else im_txt)
+        return GaussianRational(Fraction(a, ad), Fraction(b, bd))
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"cannot parse Gaussian rational {text!r}")
+
+
+PARSE_EDGES = [
+    " 1 / 2 ", "i", "-i", "2i", "+2*i", "1.5", "1e3", "1/0", "1/-2", "--1", "", "١", "1/2+١*i", "0/00",
+    "12*i", "1-2*i", "1--2*i", "1+-2*i", "+3", "007/0004", "3/4*i", "-3/4-5/6*i", "1 +2*i", "1\n", "0*i",
+    "9" * 4301, "1/" + "9" * 4300, "9" * 4300 + "+1/" + "9" * 4300 + "*i", "1/" + "9" * 4301 + "*i",
+]
+
+
+class TestParseForms:
+    @pytest.mark.parametrize("text", PARSE_EDGES, ids=lambda t: repr(t)[:24])
+    def test_edge_inputs_match_the_split_parse(self, text):
+        assert _parse_outcome(GaussianRational.parse, text) == _parse_outcome(_split_parse, text)
+
+    def test_edge_verdicts(self):
+        ok = {" 1 / 2 ": GaussianRational(Fraction(1, 2)), "i": QI_I, "-i": -QI_I, "2i": GaussianRational(0, 2),
+              "1.5": GaussianRational(Fraction(3, 2)), "1e3": GaussianRational(1000),
+              "1/" + "9" * 4300: GaussianRational(Fraction(1, 10**4300 - 1))}
+        for text, value in ok.items():
+            assert GaussianRational.parse(text) == value
+        for text in ("1/0", "1/-2", "--1", "", "9" * 4301):
+            with pytest.raises(ValueError):
+                GaussianRational.parse(text)
+
+    @given(parse_texts)
+    @settings(max_examples=150)
+    def test_texts_match_the_split_parse(self, text):
+        assert _parse_outcome(GaussianRational.parse, text) == _parse_outcome(_split_parse, text)
+
+    @given(st.integers(-(10**40), 10**40), st.integers(-(10**40), 10**40), st.integers(1, 10**40))
+    def test_str_round_trip_matches_the_split_parse(self, a, b, d):
+        g = GaussianRational(Fraction(a, d), Fraction(b, d))
+        got = GaussianRational.parse(str(g))
+        assert got == g == _split_parse(str(g)) and str(got) == str(g)
+
+
+# ---------------------------------------------------------------------------
+# The triple kernels: 4 A B = q and (mu A, mu^-1 B), against polynomial code
+# ---------------------------------------------------------------------------
+
+# Large coprime denominators, and small ones, on both parts.
+_dens = st.sampled_from([1, 2, 3, 7, 2**61 - 1, 10**18 + 9, 3**40])
+kernel_gaussians = st.builds(
+    lambda a, b, d, e: GaussianRational(Fraction(a, d), Fraction(b, e)),
+    st.integers(-(10**20), 10**20) | st.integers(-3, 3), st.integers(-3, 3) | st.integers(-(10**20), 10**20), _dens, _dens,
+)
+kernel_polys = st.dictionaries(st.integers(-3, 3), kernel_gaussians, max_size=3).map(LaurentPoly)
+
+
+@st.composite
+def product_cases(draw):
+    """(A, B, casimir, m): random; 4 A B = q_m exactly (with negative
+    exponents, or a term that cancels); or one coefficient off."""
+    shape = draw(st.sampled_from(["random", "fits", "cancels", "off"]))
+    if shape == "random":
+        A, B = draw(kernel_polys), draw(kernel_polys)
+    else:
+        k = draw(st.integers(-3, 3))
+        a0, a1, b0, b1 = (draw(kernel_gaussians) for _ in range(4))
+        if shape == "cancels":  # (a0 + a1 z)(b0 - b0 a1 / a0 z): no z term
+            a0, b0 = a0 or QI_ONE, b0 or QI_ONE
+            b1 = -(b0 * a1) / a0
+        A = LaurentPoly({k: a0, k + 1: a1})
+        B = LaurentPoly({-k: b0, 1 - k: b1})
+    m = draw(st.integers(-50, 50))
+    target = (A * B).scale(4)
+    if shape == "random" or not set(target.coeffs) <= {0, 1, 2}:
+        return A, B, tuple(draw(kernel_gaussians) for _ in range(3)), m
+    casimir = [target.coeff(2), target.coeff(1) + m, target.coeff(0)]
+    if shape == "off":
+        i = draw(st.integers(0, 2))
+        casimir[i] = casimir[i] + draw(kernel_gaussians.filter(bool))
+    return A, B, tuple(casimir), m
+
+
+def _reference_product(A, B, casimir, m):
+    c1, c0, cm1 = casimir
+    return (A * B).scale(4) == LaurentPoly({2: c1, 1: c0 - m, 0: cm1})
+
+
+def _reference_rescaling(A, B, A2, B2):
+    """iso_check's test before the triple kernel: mu from the leading
+    coefficients, then scale and compare."""
+    if A.is_zero() or A2.is_zero() or set(A.coeffs) != set(A2.coeffs):
+        return "A"
+    mu = A2.leading_coeff() / A.leading_coeff()
+    if A.scale(mu) != A2:
+        return "A"
+    return None if B.scale(mu.inverse()) == B2 else "B"
+
+
+@st.composite
+def rescaling_cases(draw):
+    """(A, B, A2, B2): random; (mu A, mu^-1 B); or that pair with one side
+    moved (a coefficient changed, a term added, the other mu)."""
+    A, B = draw(kernel_polys), draw(kernel_polys)
+    shape = draw(st.sampled_from(["random", "twin", "A off", "B off", "B by mu", "A shifted"]))
+    if shape == "random":
+        return A, B, draw(kernel_polys), draw(kernel_polys)
+    mu = draw(kernel_gaussians.filter(bool))
+    A2, B2 = A.scale(mu), B.scale(mu.inverse())
+    bump = LaurentPoly({draw(st.integers(-3, 3)): draw(kernel_gaussians.filter(bool))})
+    if shape == "A off":
+        A2 = A2 + bump
+    elif shape == "B off":
+        B2 = B2 + bump
+    elif shape == "B by mu":
+        B2 = B.scale(mu)
+    elif shape == "A shifted":
+        A2 = A2.shift(1)
+    return A, B, A2, B2
+
+
+class TestTripleKernels:
+    @given(product_cases())
+    @settings(max_examples=300)
+    def test_casimir_product_matches_polynomial_arithmetic(self, case):
+        assert casimir_product_holds(*case) == _reference_product(*case)
+
+    def test_casimir_product_examples(self):
+        def c(*xs):
+            return tuple(GaussianRational(x) for x in xs)
+
+        one_plus, one_minus = lp({0: 1, 1: 1}), lp({0: 1, 1: -1})
+        assert casimir_product_holds(one_plus, one_minus, c(-4, 10, 4), 10)  # the z terms cancel
+        assert not casimir_product_holds(one_plus, one_minus, c(-4, 11, 4), 10)
+        assert not casimir_product_holds(one_plus, one_minus, c(-1, 0, 1), 0)  # 4 A B, not A B
+        assert casimir_product_holds(lp({-1: 2}), lp({1: 3}), c(0, 8, 24), 8)  # negative exponents meet at 0
+        assert not casimir_product_holds(lp({-1: 2}), lp({0: 3}), c(0, 0, 0), 0)  # exponent -1 on one side only
+        assert casimir_product_holds(LaurentPoly(), one_plus, c(0, 5, 0), 5)  # zero both sides
+        assert not casimir_product_holds(LaurentPoly(), one_plus, c(0, 0, 1), 0)
+
+    @given(rescaling_cases())
+    @settings(max_examples=300)
+    def test_rescaling_matches_scale_and_compare(self, case):
+        assert rescaling_mismatch(*case) == _reference_rescaling(*case)
+
+    def test_rescaling_examples(self):
+        A, B = lp({0: 1, 2: 3}), lp({1: 2})
+        mu = GaussianRational(Fraction(2, 7), 5)
+        assert rescaling_mismatch(A, B, A.scale(mu), B.scale(mu.inverse())) is None
+        assert rescaling_mismatch(A, B, A.scale(mu), B.scale(mu)) == "B"
+        assert rescaling_mismatch(A, B, A.scale(mu) + lp({0: 1}), B) == "A"
+        assert rescaling_mismatch(LaurentPoly(), B, LaurentPoly(), B) == "A"
+        assert rescaling_mismatch(A, LaurentPoly(), A, LaurentPoly()) is None
