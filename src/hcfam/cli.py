@@ -175,8 +175,8 @@ def load_module(path: str) -> HCModuleFamily:
     integers += [x for pair in d.overrides for x in pair] + [n for n, _, _ in t.overrides]
     if any(type(x) is not int for x in integers):
         raise RequestError(f"cannot load module from {path!r}: weights, degrees and indices must be integers")
-    if len(module.casimir) != 3:
-        raise RequestError(f"cannot load module from {path!r}: casimir must hold three scalars")
+    if type(data["casimir"]) is not list or len(module.casimir) != 3:  # a string or an object iterates too
+        raise RequestError(f"cannot load module from {path!r}: casimir must be a list of three scalars")
     return module
 
 
@@ -294,7 +294,7 @@ def cmd_module(args) -> int:
     if args.action == "fiber":
         p = parse_point(args.at)
         verdict = fiber_irreducible(module, p, window)
-        if sum((b - a) // 2 + 1 for _, a, b, _ in verdict.beyond if a is not None) > MAX_LISTED:
+        if verdict.count() > MAX_LISTED:
             raise RequestError(f"more than {MAX_LISTED} transitions vanish beyond the window, the most listed")
         vanishing = [{"n": n, "poly": poly} for n, poly in verdict.vanishing]
         tail = [{"side": side, "n": n, "poly": poly} for side, n, poly in verdict.tail]

@@ -22,7 +22,6 @@ from .scalars import (
     GaussianRational,
     LaurentPoly,
     Point,
-    QI_ONE,
     QI_ZERO,
     UnsplitQuadratic,
     _lp,
@@ -30,7 +29,7 @@ from .scalars import (
     _sqrt_fraction,
     casimir_product_holds,
     poly_roots,
-    rescaling_mismatch,
+    proportional,
 )
 
 
@@ -281,9 +280,14 @@ class TransitionData:
     def rule_for(self, n: int) -> TailRule:
         return self.rule_up if n >= self.pivot else self.rule_down
 
-    def with_override(self, n: int, A: LaurentPoly, B: LaurentPoly) -> "TransitionData":
-        others = tuple((m, a, b) for m, a, b in self.overrides if m != n)
-        return replace(self, overrides=tuple(sorted(others + ((n, A, B),), key=lambda o: o[0])))
+    def with_overrides(self, pairs: Dict[int, Tuple[LaurentPoly, LaurentPoly]]) -> "TransitionData":
+        """The pairs {n: (A_n, B_n)} in place of every override at their n,
+        merged in one sort."""
+        if not pairs:
+            return self
+        kept = tuple(o for o in self.overrides if o[0] not in pairs)
+        added = tuple((n, A, B) for n, (A, B) in pairs.items())
+        return replace(self, overrides=tuple(sorted(kept + added, key=lambda o: o[0])))
 
     def to_json(self) -> dict:
         return {
@@ -350,26 +354,18 @@ class HCModuleFamily:
         """Derive (A_n, B_n): the override at n, else the tail rule of n's side."""
         if not self.weights.has_transition(n):
             raise WeightNotPresent(f"no transition at weight {n}")
+        return self._side(n, "A"), self._side(n, "B")
+
+    def _side(self, n: int, which: str) -> LaurentPoly:
+        """A_n (which is 'A') or B_n at a transition n: the override's, else
+        the tail rule's unit or q_n / (4 * unit)."""
         ov = self.transitions.override_for(n)
         if ov is not None:
-            return ov
+            return ov[which == "B"]
         rule = self.transitions.rule_for(n)
-        unit = _lp({0: rule.value})
-        other = self.q_poly(n).scale(rule.partner_scale)
-        if rule.unit_on == "A":
-            return unit, other
-        return other, unit
-
-    @cached_property
-    def _derived(self) -> Dict[int, Tuple[LaurentPoly, LaurentPoly]]:
-        return {}
-
-    def transition(self, n: int) -> Tuple[LaurentPoly, LaurentPoly]:
-        """(A_n, B_n), derived once per module object and then reused."""
-        t = self._derived.get(n)
-        if t is None:
-            t = self._derived[n] = self.transition_polys(n)
-        return t
+        if rule.unit_on == which:
+            return _lp({0: rule.value})
+        return self.q_poly(n).scale(rule.partner_scale)
 
     @cached_property
     def breaks(self) -> List[int]:
@@ -647,25 +643,6 @@ def _tail_violations(module: HCModuleFamily, window: Window, up: bool) -> List[V
     return out
 
 
-# ---------------------------------------------------------------------------
-# Degrees lemma
-# ---------------------------------------------------------------------------
-
-
-def degrees_lemma_check(module: HCModuleFamily, window: Window = DEFAULT_WINDOW) -> bool:
-    """Descending steps force constant nonzero A_n; ascending force B_n."""
-    _require_valid(module, window)
-    for n in module.weights.transitions_in(window):
-        A, B = module.transition(n)
-        step = module.degrees.step(n)
-        if step == -1 and not (A.degree() == 0 and not A.is_zero()):
-            return False
-        if step == 1 and not (B.degree() == 0 and not B.is_zero()):
-            return False
-    # No tail check: where degrees move, a unit bound of two leaves the partner zero, which validate rejects.
-    return True
-
-
 def _require_valid(module: HCModuleFamily, window: Window):
     report = validate(module, window)
     if not report.ok:
@@ -769,6 +746,10 @@ class FiberVerdict:
         return [(side, n, x) for side, a, b, letters in self.beyond
                 for n in ((None,) if a is None else range(a, b + 1, 2)) for x in letters]
 
+    def count(self) -> int:
+        """The transitions :attr:`tail` lists with their own n, counted on the runs."""
+        return sum((b - a) // 2 + 1 for _, a, b, _ in self.beyond if a is not None)
+
     @cached_property
     def scalars(self) -> Dict[int, Tuple[GaussianRational, GaussianRational]]:
         """The window's transition scalars, as :func:`_fiber_scalars` gives them."""
@@ -787,9 +768,8 @@ def _fiber_verdict(module: HCModuleFamily, p: Point, window: Window) -> FiberVer
     for side, first, last in _beyond(module, window):
         runs = _zeros(module, _runs(module, first, last), p, base)
         if None in (first, last):  # a tail: a run of one keeps its n, the longer runs share one zero pattern
-            found = [(a if a == b else None, x) for a, b, xs in runs for x in xs]
-            own = sorted({e for e in found if e[0] is not None})
-            runs = [(n, n, x) for n, x in own + list(dict.fromkeys(e for e in found if e[0] is None))]
+            shared = dict.fromkeys(x for a, b, xs in runs if a != b for x in xs)
+            runs = sorted(r for r in runs if r[0] == r[1]) + [(None, None, x) for x in shared]
         beyond += [(side, *run) for run in runs]  # a stretch to the end of a lowest or highest set stays as runs
     return FiberVerdict(not (zeros or beyond), zeros, beyond, module, p, window)
 
@@ -822,24 +802,18 @@ class ReducibleLocus:
 
 
 def reducible_locus(module: HCModuleFamily, window: Window = DEFAULT_WINDOW) -> ReducibleLocus:
+    """On a validated module 4 A_n B_n = q_n != 0, so A_n and B_n share the
+    roots of q_n; where q_n is an unsplit quadratic, one side is that
+    quadratic and the other a constant, and the degree-2 side is listed."""
     _require_valid(module, window)
-    points = set()
-    unsplit = []
-    t = module.transitions
+    points, unsplit = set(), []
     for n in module.weights.transitions_in(window):
-        if t.override_for(n) is None:  # the unit has no roots, q_n / (4 * unit) those of q_n
-            rule = t.rule_for(n)
-            polys = [("B" if rule.unit_on == "A" else "A", module.q_poly(n), rule.partner_scale)]
-        else:
-            polys = [(which, poly, QI_ONE) for which, poly in zip("AB", t.override_for(n))]
-        for which, poly, scale in polys:
-            try:
-                points.update(poly_roots(poly))
-            except UnsplitQuadratic:
-                unsplit.append((n, which, poly.scale(scale)))
-    boundary = {
-        bp for bp in (GaussianRational(0), INFINITY) if not _fiber_verdict(module, bp, window)
-    }
+        try:
+            points.update(poly_roots(module.q_poly(n)))
+        except UnsplitQuadratic:
+            which = "A" if module._side(n, "A").degree() == 2 else "B"
+            unsplit.append((n, which, module._side(n, which)))
+    boundary = {bp for bp in (GaussianRational(0), INFINITY) if not _fiber_verdict(module, bp, window)}
     return ReducibleLocus(frozenset(points), frozenset(boundary), tuple(unsplit))
 
 
@@ -866,7 +840,9 @@ def iso_check(
     Isomorphisms rescale the canonical sections, so the test is: equal
     weights, degree profiles, and Casimir triples, and per-transition scalars
     mu_n with A'_n = mu_n A_n and B'_n = mu_n^{-1} B_n.  Scalars are matched
-    greedily from the smallest-magnitude weight upward.
+    greedily from the smallest-magnitude weight upward.  Validated with one
+    Casimir triple, both have 4 A_n B_n = q_n != 0, so one side decides: the
+    side where a tail rule puts its unit, else A.
     """
     _require_valid(m1, window)
     _require_valid(m2, window)
@@ -893,14 +869,12 @@ def iso_check(
                 tail_mu[key] = r2.value / r1.value if r1.unit_on == "A" else r1.value / r2.value
             scalars[n] = tail_mu[key]
             continue
-        A1, B1 = m1.transition(n)
-        A2, B2 = m2.transition(n)
-        bad = rescaling_mismatch(A1, B1, A2, B2)
-        if bad == "A":
+        which = r1.unit_on if t1.override_for(n) is None else r2.unit_on if t2.override_for(n) is None else "A"
+        x1, x2 = m1._side(n, which), m2._side(n, which)
+        if not proportional(x1, x2):
             return IsoResult(False, scalars, f"A_{n} is not a scalar multiple")
-        if bad:
-            return IsoResult(False, scalars, f"B_{n} does not match the scalar of A_{n}")
-        scalars[n] = A2.leading_coeff() / A1.leading_coeff()
+        u1, u2 = x1.leading_coeff(), x2.leading_coeff()
+        scalars[n] = u2 / u1 if which == "A" else u1 / u2
     return IsoResult(True, scalars)
 
 
@@ -915,14 +889,11 @@ def swap_transitions(
 ) -> HCModuleFamily:
     """Exchange A_n with B_n at the given equal-degree transition indices."""
     _require_valid(module, window)
-    t = module.transitions
-    for n in indices:
+    swaps = {}
+    for n in indices:  # step 0 on a validated module bounds both degrees by one
         if module.degrees.step(n) != 0:
             raise DegreeBoundViolated(f"transition {n} does not have equal degrees")
-        A, B = module.transition(n)
-        if A.degree() > 1 or B.degree() > 1:
-            raise DegreeBoundViolated(f"transition {n} polynomials exceed degree one")
-        t = t.with_override(n, B, A)
-    out = replace(module, transitions=t)
+        swaps[n] = module.transition_polys(n)[::-1]
+    out = replace(module, transitions=module.transitions.with_overrides(swaps))
     _require_valid(out, window)
     return out

@@ -303,19 +303,15 @@ def casimir_product_holds(A, B, casimir, m: int) -> bool:
     return not any(a or b for a, b, _ in acc.values())
 
 
-def rescaling_mismatch(A, B, A2, B2) -> Optional[str]:
-    """None when (A2, B2) = (mu A, mu^-1 B) for one scalar mu, else the side
-    that fails: 'A' (also where A or A2 is zero) or 'B'.  Each coefficient is
-    cross-multiplied with the leading ones of A and A2, so mu is not formed."""
-    ac, a2c, bc, b2c = A.coeffs, A2.coeffs, B.coeffs, B2.coeffs
+def proportional(A, A2) -> bool:
+    """Whether A2 = mu A for one nonzero scalar mu (False where A or A2 is
+    zero).  Each coefficient is cross-multiplied with the leading ones of A
+    and A2, so mu is not formed."""
+    ac, a2c = A.coeffs, A2.coeffs
     if not ac or ac.keys() != a2c.keys():
-        return "A"
+        return False
     u, v = ac[max(ac)], a2c[max(ac)]
-    if not all(_cross_equal(a2c[e], u, v, x) for e, x in ac.items()):  # A2[e] lead A = lead A2 A[e]
-        return "A"
-    if bc.keys() != b2c.keys() or not all(_cross_equal(b2c[e], v, u, x) for e, x in bc.items()):
-        return "B"  # B2[e] lead A2 = lead A B[e]
-    return None
+    return all(_cross_equal(a2c[e], u, v, x) for e, x in ac.items())  # A2[e] lead A = lead A2 A[e]
 
 
 def _cross_equal(x, y, u, v) -> bool:

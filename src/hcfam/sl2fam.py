@@ -200,5 +200,5 @@ def _acting_function(module, n, prefer_up):
         return RationalFunction.constant(GaussianRational(n * n + 2 * n))
     # n(n +- 2) + 4 A B z^{-1} as one Laurent polynomial; the constructor
     # clears the negative exponent.
-    A, B = module.transition(m)
+    A, B = module.transition_polys(m)
     return RationalFunction((A * B).scale(4).shift(-1) + c)

@@ -526,9 +526,11 @@ class TestRequestContract:
             lambda doc: {**doc, "transitions": {**doc["transitions"], "pivot": 0.5}},
             lambda doc: {**doc, "degree_rule": []},
             lambda doc: {**doc, "casimir": 7},
+            lambda doc: {**doc, "casimir": "".join(doc["casimir"])},
+            lambda doc: {**doc, "casimir": {"1": "1", "2": "2", "3": "3"}},
         ],
         ids=["list", "string", "two-casimir", "string-anchor", "float-pivot",
-             "list-degree-rule", "scalar-casimir"],
+             "list-degree-rule", "scalar-casimir", "string-casimir", "object-casimir"],
     )
     @pytest.mark.parametrize("action", ["validate", "locus", "twist"])
     def test_malformed_module_document(self, capsys, module_file, tmp_path, mutate, action):
@@ -763,6 +765,8 @@ def _documents(draw):
         target[section] = draw(_json_values)
     if draw(st.integers(0, 7)) == 0 and isinstance(doc.get("casimir"), list) and doc["casimir"]:
         doc["casimir"][draw(st.integers(0, len(doc["casimir"]) - 1))] = draw(st.sampled_from(["1/0", "2/0*i", "1e5000"]))
+    if draw(st.integers(0, 7)) == 0 and "casimir" in doc:  # each iterates like a list of three
+        doc["casimir"] = draw(st.sampled_from(["123", {"1": "1", "2": "2", "3": "3"}]))
     return draw(st.sampled_from([doc, doc, doc, [doc], "module"]))
 
 

@@ -33,7 +33,6 @@ from hcfam.hcmod import (
     WeightNotPresent,
     WeightSet,
     casimir_triple,
-    degrees_lemma_check,
     fiber_irreducible,
     iso_check,
     picard_twist,
@@ -102,11 +101,10 @@ class TestValidation:
             report = validate(module)
             assert report.ok, report.to_json()
             assert validate(module).ok
-            assert degrees_lemma_check(module)
 
     def test_zero_transition_polynomial_flagged(self):
         module = ascending_module()
-        broken = module.transitions.with_override(2, LaurentPoly({}), LaurentPoly.constant(1))
+        broken = module.transitions.with_overrides({2: (LaurentPoly({}), LaurentPoly.constant(1))})
         import dataclasses
 
         bad = dataclasses.replace(module, transitions=broken)
@@ -116,9 +114,7 @@ class TestValidation:
 
     def test_casimir_equation_enforced(self):
         module = ascending_module()
-        broken = module.transitions.with_override(
-            0, LaurentPoly.constant(1), LaurentPoly.constant(1)
-        )
+        broken = module.transitions.with_overrides({0: (LaurentPoly.constant(1), LaurentPoly.constant(1))})
         import dataclasses
 
         bad = dataclasses.replace(module, transitions=broken)
@@ -133,7 +129,7 @@ class TestValidation:
         import dataclasses
 
         half = q.scale(GaussianRational(Fraction(1, 4)))
-        broken = module.transitions.with_override(2, LaurentPoly.constant(1), half)
+        broken = module.transitions.with_overrides({2: (LaurentPoly.constant(1), half)})
         bad = dataclasses.replace(module, transitions=broken)
         report = validate(bad)
         assert any("exceeds bound" in v.message for v in report)
@@ -256,7 +252,7 @@ class TestFibers:
         t = module.transitions
         for n, mu in ((0, QI(2)), (2, QI(0, 1))):
             A, B = module.transition_polys(n)
-            t = t.with_override(n, A.scale(mu), B.scale(mu.inverse()))
+            t = t.with_overrides({n: (A.scale(mu), B.scale(mu.inverse()))})
         module = dataclasses.replace(module, transitions=t)
         # q_n = (1/3 - n(n+2)) z + 1 vanishes at 3/23 for n = 2 (inside every
         # window) and at 3/1319 for n = 20 (beyond the smallest one).
@@ -283,7 +279,7 @@ def class_module_with_overrides(cls):
     t = module.transitions
     for n, mu in ((0, QI(2)), (2, QI(0, 1))):
         A, B = module.transition_polys(n)
-        t = t.with_override(n, A.scale(mu), B.scale(mu.inverse()))
+        t = t.with_overrides({n: (A.scale(mu), B.scale(mu.inverse()))})
     return dataclasses.replace(module, transitions=t)
 
 
@@ -296,7 +292,7 @@ class TestWindowGrowth:
         module = class_module_with_overrides(cls)
         t = module.transitions
         A, B = module.transition_polys(2)
-        corrupted = dataclasses.replace(module, transitions=t.with_override(2, A.scale(2), B))
+        corrupted = dataclasses.replace(module, transitions=t.with_overrides({2: (A.scale(2), B)}))
 
         def flipped(side):
             rule = getattr(t, side)
@@ -364,6 +360,7 @@ class TestWindowGrowth:
         assert [e for e in small.tail if e[0] == "up"] == [("up", 6, "B"), ("up", None, "A")]
         # q_{-6} = 1: both scalars of n = -6 vanish, the unit A on the rest.
         assert [e for e in small.tail if e[0] == "down"] == [("down", -6, "A"), ("down", -6, "B"), ("down", None, "A")]
+        assert small.count() == 2  # n = 6 and n = -6, each once
         large = fiber_irreducible(raised, INFINITY, (-8, 8))
         assert (6, "B") in large.vanishing and (6, "A") not in large.vanishing
         assert {(n, x) for _, n, x in small.tail if n is not None} <= set(large.vanishing)
@@ -376,7 +373,7 @@ class TestIsomorphism:
         mu = QI(3, 2)
         for n in (-2, 0, 2):
             A, B = module.transition_polys(n)
-            t = t.with_override(n, A.scale(mu), B.scale(mu.inverse()))
+            t = t.with_overrides({n: (A.scale(mu), B.scale(mu.inverse()))})
         import dataclasses
 
         other = dataclasses.replace(module, transitions=t)
@@ -393,7 +390,7 @@ class TestIsomorphism:
             t = base.transitions
             for n in (0, 2):
                 A, B = base.transitions.override_for(n) or base.transition_polys(n)
-                t = t.with_override(n, A.scale(mu), B.scale(mu.inverse()))
+                t = t.with_overrides({n: (A.scale(mu), B.scale(mu.inverse()))})
             variants.append(dataclasses.replace(base, transitions=t))
         a, b, c = variants
         # reflexive, symmetric, transitive
@@ -438,6 +435,16 @@ class TestSwap:
         A0, B0 = module.transition_polys(2)
         assert (A, B) == (B0, A0)
 
+    def test_repeated_swap_index_swaps_once(self):
+        module = self.equal_degree_module()
+        A, B = module.transition_polys(2)
+        twice = dataclasses.replace(module.transitions, overrides=((2, A, B), (2, B, A)))
+        for m in (module, dataclasses.replace(module, transitions=twice)):
+            swapped = swap_transitions(m, [2, 4, 2], (-8, 8))
+            assert swapped == swap_transitions(m, [2, 4], (-8, 8))
+            assert [n for n, _, _ in swapped.transitions.overrides] == [2, 4]
+            assert swapped.transition_polys(2) == (B, A)
+
     def test_double_swap_is_identity(self):
         module = self.equal_degree_module()
         back = swap_transitions(swap_transitions(module, [2]), [2])
@@ -462,8 +469,8 @@ class TestSerialization:
 
     def test_overrides_survive_round_trip(self):
         module = ascending_module()
-        swappedless = module.transitions.with_override(
-            0, LaurentPoly.constant(QI(1, 1)), module.q_poly(0).scale((QI(4) * QI(1, 1)).inverse())
+        swappedless = module.transitions.with_overrides(
+            {0: (LaurentPoly.constant(QI(1, 1)), module.q_poly(0).scale((QI(4) * QI(1, 1)).inverse()))}
         )
         import dataclasses
 
@@ -529,21 +536,27 @@ class TestDerivedOnce:
         )
         window = (-8, 8)
         assert validate(module, window).ok and fiber_irreducible(module, QI(1), window)
-        A0, B0 = module.transition(2)
+        A0, B0 = module.transition_polys(2)
         swapped = swap_transitions(module, [2], window)
-        assert swapped.transition(2) == (B0, A0)
         assert swapped.transition_polys(2) == (B0, A0)
-        assert module.transition(2) == (A0, B0)
+        assert module.transition_polys(2) == (A0, B0)
         degrees = [module.degrees.deg(n) for n in range(-10, 11, 2)]
         twisted = picard_twist(module, 3, window)
         assert [twisted.degrees.deg(n) for n in range(-10, 11, 2)] == [d + 3 for d in degrees]
         assert [module.degrees.deg(n) for n in range(-10, 11, 2)] == degrees
 
+    def test_with_overrides_replaces_every_copy_in_one_merge(self):
+        one, two = LaurentPoly.constant(1), LaurentPoly.constant(2)
+        t = TransitionData(0, TailRule("A"), TailRule("A"), overrides=((4, one, one), (2, one, two), (2, two, one)))
+        merged = t.with_overrides({2: (two, two), 0: (one, two)})
+        assert merged.overrides == ((0, one, two), (2, two, two), (4, one, one))
+        assert t.with_overrides({}) is t
+
     def test_first_of_repeated_overrides_wins(self):
         one, two = LaurentPoly.constant(1), LaurentPoly.constant(2)
         t = TransitionData(0, TailRule("A"), TailRule("A"), overrides=((2, one, two), (2, two, one)))
         assert t.override_for(2) == (one, two) and t.override_for(4) is None
-        assert t.with_override(0, two, two).overrides[1:] == t.overrides
+        assert t.with_overrides({0: (two, two)}).overrides[1:] == t.overrides
         d = DegreeProfile(0, 0, 0, 0, overrides=((2, 5), (2, 7)))
         assert d.deg(2) == 5 and d.deg(4) == 0
 
@@ -601,7 +614,6 @@ def reference_derivation():
         for owner, name, fn in (
             (TransitionData, "override_for", _scan_override),
             (DegreeProfile, "deg", _scan_deg),
-            (HCModuleFamily, "transition", _fresh_transition),
             (HCModuleFamily, "transition_polys", _fresh_transition),
             (LaurentPoly, "evaluate", _term_sum),
         ):
@@ -644,9 +656,9 @@ def module_cases(draw):
         A, B = module.transition_polys(n)
         if draw(st.integers(0, 7)):  # a rescaling keeps the module valid
             mu = draw(nonzero_qi)
-            t = t.with_override(n, A.scale(mu), B.scale(mu.inverse()))
+            t = t.with_overrides({n: (A.scale(mu), B.scale(mu.inverse()))})
         else:
-            t = t.with_override(n, draw(small_polys), draw(small_polys))
+            t = t.with_overrides({n: (draw(small_polys), draw(small_polys))})
     if t.overrides and draw(st.integers(0, 3)) == 0:  # a repeated transition override
         n = draw(st.sampled_from(t.overrides))[0]
         t = dataclasses.replace(t, overrides=t.overrides + ((n, draw(small_polys), draw(small_polys)),))
@@ -676,9 +688,9 @@ def verdicts(module, window, points):
     twin, mu = module, QI(2, 1)
     for n in module.weights.transitions_in(window):
         A, B = module.transition_polys(n)
-        rescaled = twin.transitions.with_override(n, A.scale(mu), B.scale(mu.inverse()))
+        rescaled = twin.transitions.with_overrides({n: (A.scale(mu), B.scale(mu.inverse()))})
         twin = dataclasses.replace(twin, transitions=rescaled)
-    out = {"validate": validate(module, window).to_json(), "lemma": _outcome_of(degrees_lemma_check, module, window)}
+    out = {"validate": validate(module, window).to_json()}
     locus = _outcome_of(reducible_locus, module, window)
     if isinstance(locus, tuple):
         out["locus"] = locus
@@ -711,6 +723,59 @@ class TestDifferential:
         assert json.dumps(module.to_json()) == expected_json
 
 
+# c1 != 0 with flat degrees: every q_n = z (z - n(n+2)) has degree 2.  Overrides
+# split it in the window; beyond it a constant unit leaves a partner of degree 2.
+FLAT_TAILS_C1 = HCModuleFamily(
+    WeightSet("even"), DegreeProfile(0, 0, 0, 0),
+    TransitionData(4, TailRule("A"), TailRule("A"), tuple(
+        (n, LaurentPoly({1: 1}), LaurentPoly({1: Fraction(1, 4), 0: Fraction(-n * (n + 2), 4)})) for n in (-2, 0, 2))),
+    casimir_triple(1, 0, 0))
+
+
+class TestValidatedFacts:
+    """What the readers take from validate instead of checking it again,
+    checked by polynomial arithmetic on every validated module of
+    module_cases, in the window and 40 weights beyond it on each side."""
+
+    @given(module_cases())
+    @settings(max_examples=80, deadline=None)
+    def test_casimir_unit_sides_and_equal_degree_bounds(self, case):
+        module, (lo, hi), _ = case
+        assume(validate(module, (lo, hi)).ok)
+        for n in range(lo - 40, hi + 41):
+            if not module.weights.has_transition(n):
+                continue
+            A, B = module.transition_polys(n)
+            q = module.q_poly(n)
+            assert not q.is_zero() and (A * B).scale(4) == q, n  # iso_check compares one side
+            step = module.degrees.step(n)
+            if step == -1:
+                assert A.degree() == 0 and not A.is_zero(), n
+            if step == 1:
+                assert B.degree() == 0 and not B.is_zero(), n
+            if step == 0:  # swap_transitions keeps both within its degree bounds
+                assert A.degree() <= 1 and B.degree() <= 1, n
+
+    def test_flat_tails_beyond_the_window_need_c1_zero(self):
+        # Only the tail check keeps these step-0 transitions within degree one.
+        assert FLAT_TAILS_C1.transition_polys(4)[1].degree() == 2
+        assert [(v.where, v.message) for v in validate(FLAT_TAILS_C1, (-2, 2))] == [
+            (side, "tail degree bound 1 requires the z-coefficient c1 = 0") for side in ("tail-up", "tail-down")]
+
+    def test_unsplit_quadratic_on_an_override_matches_the_loop(self):
+        # q_n = z^2 - n(n+2) z - 1 splits only at n = 0 and n = -2 (roots
+        # +-1); the rescaled overrides at 0 and 2 keep the quadratic on A.
+        module = construct(WeightSet("even"), ClassSpec("III"), casimir_triple(1, 0, -1))
+        t = module.transitions
+        for n, mu in ((0, QI(2)), (2, QI(1, 3))):
+            A, B = module.transition_polys(n)
+            t = t.with_overrides({n: (A.scale(mu), B.scale(mu.inverse()))})
+        module = dataclasses.replace(module, transitions=t)
+        locus = reducible_locus(module, (-6, 6))
+        assert locus == _loop_reducible_locus(module, (-6, 6))
+        assert (2, "A", module.transitions.override_for(2)[0]) in locus.unsplit
+
+
 class TestTransitionRanges:
     def test_transitions_in_is_the_filtered_weight_range(self):
         kinds = [("even", 0), ("odd", 0)]
@@ -741,7 +806,7 @@ class TestTransitionRanges:
         span = module.weights.transition_span(window)
         t = module.transitions
         for n in listed:
-            t = t.with_override(n, *module.transition_polys(n))
+            t = t.with_overrides({n: module.transition_polys(n)})
         full = dataclasses.replace(module, transitions=t)
         assert hcmod._window_runs(full, window) == (hcmod._runs(full, *span) if span else []) == [(n, n) for n in listed]
 
@@ -753,7 +818,7 @@ def _pivot_beyond_window(window=(-24, 23)):
     t = module.transitions
     for n in module.weights.transitions_in(window):
         if n >= t.pivot:
-            t = t.with_override(n, *module.transition_polys(n))
+            t = t.with_overrides({n: module.transition_polys(n)})
     return dataclasses.replace(module, transitions=dataclasses.replace(t, pivot=window[1] + 2))
 
 
@@ -774,7 +839,7 @@ def edge_cases(draw):
         t = module.transitions
         for n in module.weights.transitions_in(window):
             if n >= t.pivot and t.override_for(n) is None:
-                t = t.with_override(n, *module.transition_polys(n))
+                t = t.with_overrides({n: module.transition_polys(n)})
         t = dataclasses.replace(t, pivot=hi + draw(st.sampled_from([1, 2])))
         module = dataclasses.replace(module, transitions=t)
     if draw(st.booleans()):
@@ -896,7 +961,7 @@ def _listed_checked_transitions(module, window):
 
 def _loop_validate(module, window=DEFAULT_WINDOW):
     """validate as it was written before the closed form: every checked
-    transition through module.transition(n) and 4 A_n B_n = q_n."""
+    transition through module.transition_polys(n) and 4 A_n B_n = q_n."""
     v = []
     w = module.weights
     lo, hi = window
@@ -915,7 +980,7 @@ def _loop_validate(module, window=DEFAULT_WINDOW):
     if w.kind != "finite" and not _anchor_in_reach(module, window):
         v.append(hcmod.Violation("structure", "degree anchor outside the checked window"))
     for n in _listed_checked_transitions(module, window):
-        A, B = module.transition(n)
+        A, B = module.transition_polys(n)
         q = module.q_poly(n)
         if q.is_zero():
             v.append(hcmod.Violation(n, "q_n is identically zero (excluded Casimir value)"))
@@ -946,7 +1011,7 @@ def _loop_validate(module, window=DEFAULT_WINDOW):
 def _loop_fiber_scalars(module, p, window):
     out = {}
     for n in module.weights.transitions_in(window):
-        A, B = module.transition(n)
+        A, B = module.transition_polys(n)
         ba, bb = module.degree_bounds(n)
         out[n] = (_loop_scalar_at(A, p, ba), _loop_scalar_at(B, p, bb))
     return out
@@ -956,7 +1021,7 @@ def _loop_reducible_locus(module, window=DEFAULT_WINDOW):
     hcmod._require_valid(module, window)
     points, unsplit = set(), []
     for n in module.weights.transitions_in(window):
-        A, B = module.transition(n)
+        A, B = module.transition_polys(n)
         for which, poly in (("A", A), ("B", B)):
             try:
                 points.update(poly_roots(poly))
@@ -991,8 +1056,8 @@ def _loop_iso_check(m1, m2, window=DEFAULT_WINDOW):
         return hcmod.IsoResult(False, {}, "lower tail rules place units on different sides")
     scalars = {}
     for n in sorted(w.transitions_in(window), key=lambda n: (abs(n), n)):
-        A1, B1 = m1.transition(n)
-        A2, B2 = m2.transition(n)
+        A1, B1 = m1.transition_polys(n)
+        A2, B2 = m2.transition_polys(n)
         mu = _proportionality(A1, A2)
         if mu is None or mu.is_zero():
             return hcmod.IsoResult(False, scalars, f"A_{n} is not a scalar multiple")
@@ -1031,7 +1096,7 @@ def _iso_twins(module, window, lam, kappa):
     partial = module.transitions
     for n in module.weights.transitions_in(window)[::2]:
         A, B = module.transition_polys(n)
-        partial = partial.with_override(n, A.scale(lam), B.scale(lam.inverse()))
+        partial = partial.with_overrides({n: (A.scale(lam), B.scale(lam.inverse()))})
     return twins + [dataclasses.replace(module, transitions=partial)]
 
 
@@ -1086,7 +1151,7 @@ def closed_form_cases(draw):
     for n in draw(st.lists(st.sampled_from(indices), max_size=2)) if indices else []:
         A, B = module.transition_polys(n)
         mu = draw(nonzero_qi)
-        t = t.with_override(n, A.scale(mu), B.scale(mu.inverse()))
+        t = t.with_overrides({n: (A.scale(mu), B.scale(mu.inverse()))})
     degs = [(n, module.degrees.deg(n) + draw(st.sampled_from([0, 0, 1, -1])))
             for n in draw(st.lists(st.one_of(st.sampled_from([lo - 2, window[1] + 2]), st.integers(lo - 2, window[1] + 2)),
                                    max_size=2))]
@@ -1098,7 +1163,7 @@ def closed_form_cases(draw):
 
 
 def _loop_zero_letters(module, n, p):
-    A, B = module.transition(n)
+    A, B = module.transition_polys(n)
     ba, bb = module.degree_bounds(n)
     return [x for x, poly, bound in (("A", A, ba), ("B", B, bb)) if _loop_scalar_at(poly, p, bound).is_zero()]
 
@@ -1143,6 +1208,7 @@ def closed_form_verdicts(module, window, points, twins):
             assert v.vanishing == [(n, x) for n in sorted(loop) for x, c in zip("AB", loop[n]) if c.is_zero()]
             assert_tail_agrees(module, p, window, v.tail)
             assert v.irreducible is not (v.vanishing or v.tail)
+            assert v.count() == len({(s, n) for s, n, _ in v.tail if n is not None})
     for i, twin in enumerate(twins):
         for a, b in ((module, twin), (twin, module)):
             iso = _outcome_of(hcmod.iso_check, a, b, window)
@@ -1263,10 +1329,12 @@ class TestFiniteStretch:
         module = dataclasses.replace(STRETCH_REPRO, casimir=casimir_triple(0, 1, 0))
         verdict = fiber_irreducible(module, QI_ZERO, (11, 21))
         assert verdict.tail == [("up", None, "B")] + [("down", n, "B") for n in range(1, 11, 2)]
+        assert verdict.count() == 5
         highest = HCModuleFamily(WeightSet("highest", -1), DegreeProfile(-11, 0, 0, 0),
                                  TransitionData(-11, TailRule("B"), TailRule("B")), casimir_triple(0, 1, 0))
         verdict = fiber_irreducible(highest, QI_ZERO, (-21, -11))
         assert verdict.tail == [("up", n, "A") for n in range(-9, -2, 2)] + [("down", None, "A")]
+        assert verdict.count() == 4
 
     @example((STRETCH_REPRO, (11, 21), (1, 21), [QI(1)]))
     @given(stretch_cases())
@@ -1283,6 +1351,7 @@ class TestFiniteStretch:
             verdicts = [fiber_irreducible(module, p, window) for p in points]
             for v in verdicts:
                 assert v.irreducible is not bool(v.vanishing or v.tail)
+                assert v.count() == len({(s, n) for s, n, _ in v.tail if n is not None})
             seen.append([(v.irreducible, sorted(v.vanishing + [(n, x) for s, n, x in v.tail if s == stretch_side]),
                           [e for e in v.tail if e[0] != stretch_side]) for v in verdicts])
         assert seen[0] == seen[1]

@@ -186,3 +186,45 @@ def test_triple_slot_detector():
 def test_triple_slots_stay_in_scalars(path):
     """Only ``scalars`` reads the triples, so kernels on them live there."""
     assert triple_slot_reads(path.read_text()) == []
+
+
+def unguarded_module_arguments(source: str) -> list:
+    """(function, parameter) for each public module-level function other than
+    ``validate`` whose parameter annotated ``HCModuleFamily`` the body never
+    passes to ``_require_valid``: the readers trust what validate proves."""
+    found = []
+    for node in ast.parse(source).body:
+        if not isinstance(node, ast.FunctionDef) or node.name.startswith("_") or node.name == "validate":
+            continue
+        guarded = {
+            call.args[0].id
+            for call in ast.walk(node)
+            if isinstance(call, ast.Call) and isinstance(call.func, ast.Name) and call.func.id == "_require_valid"
+            and call.args and isinstance(call.args[0], ast.Name)
+        }
+        params = node.args.posonlyargs + node.args.args + node.args.kwonlyargs
+        found += [(node.name, p.arg) for p in params
+                  if p.annotation is not None and ast.unparse(p.annotation).strip("'\"").split(".")[-1] == "HCModuleFamily"
+                  and p.arg not in guarded]
+    return found
+
+
+def test_unguarded_module_argument_detector():
+    src = (
+        "def validate(module: HCModuleFamily): pass\n"
+        "def good(m1: HCModuleFamily, m2: 'hcmod.HCModuleFamily', w: int):\n"
+        "    _require_valid(m1, w)\n    _require_valid(m2, w)\n"
+        "def half(m1: HCModuleFamily, m2: HCModuleFamily):\n    _require_valid(m1)\n"
+        "def other(m: HCModuleFamily, n: int):\n    validate(m)\n    _require_valid(n)\n"
+        "def _private(m: HCModuleFamily): pass\n"
+        "class C:\n    def method(self, m: HCModuleFamily): pass\n"
+    )
+    assert unguarded_module_arguments(src) == [("half", "m2"), ("other", "m")]
+
+
+def test_public_module_queries_validate_every_module():
+    """``iso_check``, ``reducible_locus`` and ``swap_transitions`` read only
+    what validation proves (4 A_n B_n = q_n != 0 and the degree bounds)."""
+    source = (SRC / "hcmod.py").read_text()
+    assert unguarded_module_arguments(source) == []
+    assert unguarded_module_arguments(source.replace("_require_valid(m2, window)", "pass")) == [("iso_check", "m2")]

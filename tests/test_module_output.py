@@ -42,14 +42,14 @@ def _rescaled(module, mu, lam):
     for n in module.weights.transitions_in(SMALL):
         if t.override_for(n) is None:
             A, B = module.transition_polys(n)
-            t = t.with_override(n, A.scale(mu), B.scale(mu.inverse()))
+            t = t.with_overrides({n: (A.scale(mu), B.scale(mu.inverse()))})
     return dataclasses.replace(module, transitions=t)
 
 
 def _corrupted(module):
     n = module.weights.transitions_in(SMALL)[1]
     A, B = module.transition_polys(n)
-    return dataclasses.replace(module, transitions=module.transitions.with_override(n, A.scale(2), B))
+    return dataclasses.replace(module, transitions=module.transitions.with_overrides({n: (A.scale(2), B)}))
 
 
 def _documents():
