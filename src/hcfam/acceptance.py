@@ -12,18 +12,14 @@ from typing import Callable, List, Tuple
 from .scalars import (
     INFINITY,
     GaussianRational,
-    LaurentPoly,
     QI_I,
     QI_ONE,
     RationalFunction,
-    RF_ONE,
     RF_Z,
     RF_ZERO,
 )
 from . import liefam, hcmod, classify, grassfam
 from .liefam import (
-    FamilyMorphism,
-    base_change,
     check_morphism,
     constant_family,
     contraction_family,
@@ -43,6 +39,7 @@ from .sl2fam import (
     casimir_section,
     gl2_involution,
     sl2_involution,
+    sl2_morphism_presets,
 )
 from .hcmod import (
     DegreeProfile,
@@ -102,16 +99,12 @@ def criterion_2() -> Result:
     normal form; the p-scaling map embeds the deformation into the constant
     family; the identity is not a morphism contraction -> deformation."""
     name = "contraction vs deformation (pullback along z -> z^2)"
-    alg, theta = sl2_algebra(), sl2_involution()
-    con = contraction_family(alg, theta)
-    def_ = deformation_family(alg, theta)
-    pulled = base_change(con, LaurentPoly.monomial(2))
-    ident = FamilyMorphism.identity(3)
-    if check_morphism(ident, def_, pulled) is not None:
+    presets = sl2_morphism_presets()
+    if check_morphism(*presets["pullback-deformation"]) is not None:
         return (name, False, "pullback along z^2 does not match the deformation")
-    scale_p = FamilyMorphism.diagonal([RF_ONE, RF_Z, RF_Z])
-    if check_morphism(scale_p, def_, constant_family(alg)) is not None:
+    if check_morphism(*presets["p-scaling-embedding"]) is not None:
         return (name, False, "p-scaling does not embed the deformation family")
+    ident, con, def_ = presets["identity-contraction-deformation"]
     if check_morphism(ident, con, def_) is None:
         return (name, False, "identity wrongly accepted contraction -> deformation")
     if not (glue_consistent(con) and glue_consistent(def_)):

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Tuple
 
 from .scalars import GaussianRational
 from . import hcmod
@@ -104,31 +104,19 @@ def admissible_casimir(weights: WeightSet, casimir: Casimir) -> AdmissibilityVer
     return AdmissibilityVerdict(True)
 
 
-def _profile_for(cls: ClassSpec, weights: WeightSet) -> DegreeProfile:
-    a = weights.anchor_weight()
-    if cls.kind == "I":
-        return DegreeProfile(cls.k, 0, -1, -1)
-    if cls.kind == "II":
-        return DegreeProfile(cls.k, 0, 1, 1)
-    if cls.kind == "III":
-        # deg F_n = floor(n/2), written with an anchor in the weight set.
-        return DegreeProfile(a, a // 2, 1, -1)
-    if cls.kind == "IV":
-        return DegreeProfile(a, -(a // 2), -1, 1)
-    raise IncompatibleClass("equal-degree profiles lie outside classes I-IV")
-
-
-def _transitions_for(cls: ClassSpec, weights: WeightSet) -> TransitionData:
-    u = GaussianRational(1)
+def _class_data(cls: ClassSpec, weights: WeightSet) -> Tuple[DegreeProfile, TransitionData]:
+    """The degree profile and the tail rules, with unit 1, of a class."""
+    a, u = weights.anchor_weight(), GaussianRational(1)
     if cls.kind == "I":
         # Degrees descend away from k: constant A above, constant B below.
-        return TransitionData(cls.k, TailRule("A", u), TailRule("B", u))
+        return DegreeProfile(cls.k, 0, -1, -1), TransitionData(cls.k, TailRule("A", u), TailRule("B", u))
     if cls.kind == "II":
-        return TransitionData(cls.k, TailRule("B", u), TailRule("A", u))
+        return DegreeProfile(cls.k, 0, 1, 1), TransitionData(cls.k, TailRule("B", u), TailRule("A", u))
     if cls.kind == "III":
-        return TransitionData(weights.anchor_weight(), TailRule("B", u), TailRule("B", u))
+        # deg F_n = floor(n/2), written with an anchor in the weight set.
+        return DegreeProfile(a, a // 2, 1, -1), TransitionData(a, TailRule("B", u), TailRule("B", u))
     if cls.kind == "IV":
-        return TransitionData(weights.anchor_weight(), TailRule("A", u), TailRule("A", u))
+        return DegreeProfile(a, -(a // 2), -1, 1), TransitionData(a, TailRule("A", u), TailRule("A", u))
     raise IncompatibleClass("equal-degree profiles lie outside classes I-IV")
 
 
@@ -148,14 +136,7 @@ def construct(
             raise IncompatibleClass(
                 f"extremal weight {cls.k} lies outside the weight set"
             )
-    if cls.kind == "EQUAL":
-        raise IncompatibleClass("equal-degree profiles lie outside classes I-IV")
-    module = HCModuleFamily(
-        weights,
-        _profile_for(cls, weights),
-        _transitions_for(cls, weights),
-        casimir,
-    )
+    module = HCModuleFamily(weights, *_class_data(cls, weights), casimir)
     report = validate(module, window)
     if not report.ok:
         raise IncompatibleClass(

@@ -18,13 +18,11 @@ from .scalars import (
     GaussianRational,
     LaurentPoly,
     PoleAtPoint,
-    RationalFunction,
     TooManyDigits,
     UnsplitQuadratic,
 )
 from . import acceptance
 from .liefam import (
-    FamilyMorphism,
     NotALieAlgebra,
     base_change,
     check_morphism,
@@ -38,7 +36,7 @@ from .liefam import (
     scaled_bracket_family,
     sl2_algebra,
 )
-from .sl2fam import gl2_involution, sl2_involution
+from .sl2fam import gl2_involution, sl2_involution, sl2_morphism_presets
 from .hcmod import (
     HCModuleFamily,
     NotValidated,
@@ -244,24 +242,7 @@ def cmd_family(args) -> int:
 
 
 def cmd_morphcheck(args) -> int:
-    alg, theta = sl2_algebra(), sl2_involution()
-    con = contraction_family(alg, theta)
-    def_ = deformation_family(alg, theta)
-    presets = {
-        "pullback-deformation": (
-            FamilyMorphism.identity(3),
-            def_,
-            base_change(con, LaurentPoly.monomial(2)),
-        ),
-        "p-scaling-embedding": (
-            FamilyMorphism.diagonal(
-                [RationalFunction.constant(GaussianRational(1)), RationalFunction.z(), RationalFunction.z()]
-            ),
-            def_,
-            constant_family(alg),
-        ),
-        "identity-contraction-deformation": (FamilyMorphism.identity(3), con, def_),
-    }
+    presets = sl2_morphism_presets()
     if args.preset not in presets:
         raise RequestError(f"unknown preset, choose from {sorted(presets)}")
     phi, src, tgt = presets[args.preset]

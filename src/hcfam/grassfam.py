@@ -296,7 +296,8 @@ def real_form_at(pencil: GrassmannPencil, x) -> RealFormReport:
     ]
     constants = _structure_constants_real(real_basis)
     signature = sylvester_signature([[v.re for v in row] for row in _killing_matrix(constants)])
-    algebra = LieAlgebra.from_constants(tuple(f"r{i}" for i in range(len(real_basis))), constants)
+    # The table is read from matrix commutators, so Jacobi holds by construction.
+    algebra = LieAlgebra(tuple(f"r{i}" for i in range(len(real_basis))), constants)
     return RealFormReport(real_basis, signature, fiber_invariants(algebra))
 
 

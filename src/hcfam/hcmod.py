@@ -5,8 +5,8 @@ weight n, raising action X f_n = A_n f_{n+2}, lowering action
 Y f_{n+2} = z^{-1} B_n f_n, with A_n, B_n polynomials in z.  Infinite weight
 sets are handled lazily: explicit polynomial overrides on a finite window of
 transition indices, plus a unit-normalized closed-form rule on each tail.
-The tail rules are checked symbolically in n, so validation genuinely covers
-the whole (infinite) weight set.
+Validation reads the transitions as runs that fail alike, one check per run,
+so it covers the whole (infinite) weight set.
 """
 
 from __future__ import annotations
@@ -107,7 +107,7 @@ class WeightSet:
         """Transition indices to check explicitly.
 
         Finite weight sets list all of their transitions; infinite ones are
-        clipped to the window (tails are handled symbolically elsewhere).
+        clipped to the window (what lies beyond it is read as runs).
         """
         span = self.transition_span(window)
         return list(range(span[0], span[1] + 1, 2)) if span else []
@@ -413,7 +413,7 @@ class HCModuleFamily:
 
 @dataclass
 class Violation:
-    where: object  # transition index, 'tail-up', 'tail-down', or 'structure'
+    where: object  # transition index, 'structure', or 'tail-up' / 'tail-down' for every longer run of that tail
     message: str
 
     def to_json(self) -> dict:
@@ -492,9 +492,9 @@ def _window_runs(module: HCModuleFamily, window: Window) -> List[Tuple[int, int]
 def validate(module: HCModuleFamily, window: Window = DEFAULT_WINDOW) -> ValidationReport:
     """Check every structural invariant of the module family.
 
-    Explicit transitions in the window are checked directly, one per run;
-    infinite tails are checked through the closed-form rules, symbolically
-    in n.  Violations are data, not exceptions.
+    Every transition of the weight set is checked, one per run, in the
+    window and beyond it (see :func:`_read_beyond`).  Violations are data,
+    not exceptions.
     """
     v: list = []
     w = module.weights
@@ -517,21 +517,20 @@ def validate(module: HCModuleFamily, window: Window = DEFAULT_WINDOW) -> Validat
         v.append(Violation("structure", "degree anchor outside the checked window"))
 
     # Per-transition checks, on one transition of each run (all of a run's
-    # transitions fail alike): the window, the finite stretch between it and
-    # the end of a half-infinite set, and the transitions the tails miss.
-    runs = _window_runs(module, window) + [(n, n) for n in _checked_beyond(module, window)]
-    runs += [r for _, a, b in _beyond(module, window) if None not in (a, b) for r in _runs(module, a, b)]
-    for a, b in sorted(runs):
-        messages = _transition_violations(module, a)
-        if messages:
-            v.append((a, b, messages))
+    # transitions fail alike): the window, then everything beyond it.
+    parts, tails = _run_violations(module, _window_runs(module, window)), []
+    for side, a, b, found in _read_beyond(module, window, lambda runs: _run_violations(module, runs)):
+        if a is None:
+            tails.append(Violation(f"tail-{side}", found))
+        else:
+            parts.append((a, b, found))
+    return ValidationReport(v + sorted(parts) + tails)
 
-    # Symbolic tail checks.
-    if w.unbounded_above:
-        v.extend(_tail_violations(module, window, up=True))
-    if w.unbounded_below:
-        v.extend(_tail_violations(module, window, up=False))
-    return ValidationReport(v)
+
+def _run_violations(module: HCModuleFamily, runs) -> List[Tuple]:
+    """(a, b, messages) for each run a..b whose transitions fail, read at one
+    transition of the run: a, or b for a run without a lower end."""
+    return [(a, b, m) for a, b in runs if (m := _transition_violations(module, b if a is None else a))]
 
 
 def _transition_violations(module: HCModuleFamily, n: int) -> Tuple[str, ...]:
@@ -565,18 +564,6 @@ def _transition_violations(module: HCModuleFamily, n: int) -> Tuple[str, ...]:
     return tuple(out)
 
 
-def _checked_beyond(module: HCModuleFamily, window: Window) -> List[int]:
-    """The transitions just beyond the window on an infinite tail that
-    validate checks because the tail checks do not cover them: next to a
-    degree override, or following the other tail's rule."""
-    w, (lo, hi) = module.weights, window
-    degs, pivot = module.degrees._override_map, module.transitions.pivot
-    near = [(n, False) for n in range(lo - 4, lo) if w.unbounded_below]
-    near += [(n, True) for n in (hi + 1, hi + 2) if w.unbounded_above]
-    return [n for n, up in near
-            if w.has_transition(n) and (n in degs or n + 2 in degs or (n >= pivot) != up)]
-
-
 def _beyond(module: HCModuleFamily, window: Window) -> List[Tuple[str, Optional[int], Optional[int]]]:
     """(side, first, last) of the transitions above and below the window, to
     the end of the weight set; None for the end of an infinite tail."""
@@ -602,44 +589,20 @@ def _anchor_outside(module: HCModuleFamily, window: Window) -> bool:
                for _, a, b in _beyond(module, window) if None in (a, b))
 
 
-def _tail_bounds(module: HCModuleFamily, up: bool) -> Tuple[str, int, int, int]:
-    """(unit side, slope, unit bound, partner bound) of the upper or lower tail.
-
-    The slope is deg F_{n+2} - deg F_n for transitions n deep in the tail; the
-    bounds are :meth:`HCModuleFamily.degree_bounds` of the constant unit and
-    of its partner q_n / (4 * unit) there.
-    """
-    rule = module.transitions.rule_up if up else module.transitions.rule_down
-    slope = module.degrees.slope_up if up else -module.degrees.slope_down
-    if rule.unit_on == "A":
-        return rule.unit_on, slope, 1 + slope, 1 - slope
-    return rule.unit_on, slope, 1 - slope, 1 + slope
-
-
-def _tail_violations(module: HCModuleFamily, window: Window, up: bool) -> List[Violation]:
-    where = "tail-up" if up else "tail-down"
-    unit_on, slope, _, partner_bound = _tail_bounds(module, up)
-    if abs(slope) > 1:
-        return [Violation(where, "tail degree slope exceeds one per step")]
-    c1, c0, cm1 = module.casimir
-    out: List[Violation] = []
-    # q_n identically zero somewhere in the tail?
-    if c1.is_zero() and cm1.is_zero():
-        for m in _integer_weight_solutions(c0):
-            if (m > window[1] if up else m < window[0]) and module.weights.has_transition(m):
-                out.append(Violation(where, f"q_n vanishes identically at tail transition n={m}"))
-    if partner_bound <= 0:
-        out.append(
-            Violation(
-                where,
-                f"tail rule puts the unit on {unit_on} but its partner needs "
-                f"degree <= {partner_bound}, impossible for a whole tail",
-            )
-        )
-    elif partner_bound == 1 and not c1.is_zero():
-        out.append(
-            Violation(where, "tail degree bound 1 requires the z-coefficient c1 = 0")
-        )
+def _read_beyond(module: HCModuleFamily, window: Window, read) -> List[Tuple]:
+    """(side, a, b, found) for what ``read`` finds beyond the window; ``read``
+    takes a list of runs and gives (a, b, found) for the runs a..b where it
+    finds something.  On an infinite tail a run of one keeps its n, and the
+    longer runs share their findings: (side, None, None, x) once for each x
+    found on them.  A stretch to the end of a lowest or highest set keeps its
+    runs."""
+    out = []
+    for side, first, last in _beyond(module, window):
+        runs = read(_runs(module, first, last))
+        if None in (first, last):
+            shared = dict.fromkeys(x for a, b, xs in runs if a != b for x in xs)
+            runs = sorted(r for r in runs if r[0] == r[1]) + [(None, None, x) for x in shared]
+        out += [(side, *run) for run in runs]
     return out
 
 
@@ -764,13 +727,7 @@ def _fiber_verdict(module: HCModuleFamily, p: Point, window: Window) -> FiberVer
     the window and every transition beyond it are read run by run."""
     p, base = _at(module, p)
     zeros = _zeros(module, _window_runs(module, window), p, base)
-    beyond = []
-    for side, first, last in _beyond(module, window):
-        runs = _zeros(module, _runs(module, first, last), p, base)
-        if None in (first, last):  # a tail: a run of one keeps its n, the longer runs share one zero pattern
-            shared = dict.fromkeys(x for a, b, xs in runs if a != b for x in xs)
-            runs = sorted(r for r in runs if r[0] == r[1]) + [(None, None, x) for x in shared]
-        beyond += [(side, *run) for run in runs]  # a stretch to the end of a lowest or highest set stays as runs
+    beyond = _read_beyond(module, window, lambda runs: _zeros(module, runs, p, base))
     return FiberVerdict(not (zeros or beyond), zeros, beyond, module, p, window)
 
 
@@ -796,9 +753,6 @@ class ReducibleLocus:
     points: frozenset
     boundary: frozenset
     unsplit: tuple
-
-    def all_points(self) -> frozenset:
-        return self.points | self.boundary
 
 
 def reducible_locus(module: HCModuleFamily, window: Window = DEFAULT_WINDOW) -> ReducibleLocus:

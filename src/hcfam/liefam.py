@@ -243,22 +243,6 @@ class Involution:
         return Involution.from_matrix(algebra, _unit_vectors(algebra.rank, QI_ONE, QI_ZERO))
 
 
-def ad_diag_involution(algebra: LieAlgebra, mats: Sequence, diag: Sequence) -> Involution:
-    """Involution Ad(diag(...)) of a matrix Lie algebra with basis ``mats``,
-    one-block sparse matrices; as g is diagonal, (g m g^-1)_rc = g_r m_rc g_c^-1."""
-    g = [GaussianRational._coerce(x) for x in diag]
-    ginv = [x.inverse() for x in g]
-    vectors, n = _flat_vectors(mats)
-    span = Span(vectors)
-    cols = []
-    for m in mats:
-        coords = span.sparse_coordinates(_flat({(s, r, c): g[r] * x * ginv[c] for (s, r, c), x in m.items()}, n))
-        if coords is None:
-            raise InvalidInvolution("Ad(diag) does not preserve the span")
-        cols.append(dict(coords))
-    return Involution.from_matrix(algebra, [[col.get(i, QI_ZERO) for col in cols] for i in range(algebra.rank)])
-
-
 # ---------------------------------------------------------------------------
 # Families
 # ---------------------------------------------------------------------------

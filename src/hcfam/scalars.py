@@ -454,10 +454,6 @@ class LaurentPoly:
         """Vanishing order at z = 0 (the minimal stored exponent)."""
         return ORDER_OF_ZERO if self.is_zero() else self.min_exp()
 
-    def ord_infinity(self):
-        """Vanishing order at z = infinity (minus the maximal exponent)."""
-        return ORDER_OF_ZERO if self.is_zero() else -self.max_exp()
-
     def degree(self) -> int:
         """Degree as an ordinary polynomial; -1 for the zero polynomial."""
         if self.is_zero():

@@ -19,23 +19,24 @@ from typing import Dict, Optional
 
 from .scalars import (
     GaussianRational,
+    LaurentPoly,
     RationalFunction,
     RF_ONE,
     RF_Z,
 )
 from .liefam import (
+    FamilyMorphism,
     Involution,
     LieFamily,
+    base_change,
     bracket_with,
+    constant_family,
     contraction_family,
+    deformation_family,
     gl2_algebra,
     sl2_algebra,
 )
 from . import hcmod
-
-
-class NotHomogeneous(Exception):
-    pass
 
 
 @dataclass(frozen=True)
@@ -89,6 +90,22 @@ def gl2_involution() -> Involution:
     )
 
 
+def sl2_morphism_presets() -> dict:
+    """name -> (phi, source, target) for three maps between sl(2) families:
+    the identity from the deformation to the contraction pulled back along
+    z -> z^2, the p-scaling diag(1, z, z) from the deformation into the
+    constant family, and the identity from the contraction to the
+    deformation, which is not a morphism."""
+    alg, theta = sl2_algebra(), sl2_involution()
+    con = contraction_family(alg, theta)
+    def_ = deformation_family(alg, theta)
+    return {
+        "pullback-deformation": (FamilyMorphism.identity(3), def_, base_change(con, LaurentPoly.monomial(2))),
+        "p-scaling-embedding": (FamilyMorphism.diagonal([RF_ONE, RF_Z, RF_Z]), def_, constant_family(alg)),
+        "identity-contraction-deformation": (FamilyMorphism.identity(3), con, def_),
+    }
+
+
 def build_sl2_contraction() -> Sl2ContractionPair:
     family = contraction_family(sl2_algebra(), sl2_involution())
     zinv = RF_ONE / RF_Z
@@ -101,19 +118,6 @@ def build_sl2_contraction() -> Sl2ContractionPair:
     if err is not None:
         raise AssertionError(f"canonical sections violate sl(2) relations: {err}")
     return pair
-
-
-# Weights of the regular basis vectors (h, x, y) under the torus action.
-_BASIS_WEIGHTS = (0, 2, -2)
-
-
-def weight_of_section(coords: Dict[int, RationalFunction]) -> int:
-    """Weight of a torus-homogeneous section given by its nonzero coordinates
-    {k: c} in the regular basis."""
-    weights = {_BASIS_WEIGHTS[k] for k in coords}
-    if len(weights) != 1:
-        raise NotHomogeneous(f"section mixes weights {sorted(weights)}")
-    return weights.pop()
 
 
 def _relations_counterexample(pair: Sl2ContractionPair) -> Optional[str]:

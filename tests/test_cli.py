@@ -583,15 +583,16 @@ class TestWindowLimit:
         for window, code in (("-4..4", 2), ("-4..2", 1), ("-3..5", 1)):  # 5, 4 and 4 transitions
             got, doc = invoke_json(capsys, "module", "fiber", "--module", module_file, "--at", "1/8", "--window", window)
             assert got == code and (code == 2) is ("error" in doc), window
-        # Slope 2 breaks the upper tail and each transition from the anchor at
-        # 0 up twice: the step and the bound of the unit B.
+        # Slope 2 breaks each transition from the anchor at 0 up twice: the
+        # step and the bound of the unit B; beyond the window the upper tail
+        # reports both once.
         with open(module_file) as fh:
             doc = json.load(fh)
         doc["degree_rule"]["slope_up"] = 2
         steep = tmp_path / "steep.json"
         steep.write_text(json.dumps(doc))
         code, doc = invoke_json(capsys, "module", "validate", "--module", str(steep), "--window", "-6..0")
-        assert code == 1 and [v["where"] for v in doc["violations"]] == ["0", "0", "tail-up"]
+        assert code == 1 and [v["where"] for v in doc["violations"]] == ["0", "0", "tail-up", "tail-up"]
         code, doc = invoke_json(capsys, "module", "validate", "--module", str(steep), "--window", "-6..2")
         assert code == 2 and doc["error"] == "request"
 

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hcfam.scalars import INFINITY, GaussianRational, QI_I, QI_ONE, QI_ZERO
-from hcfam.liefam import LieAlgebra, fiber, fiber_invariants
+from hcfam.liefam import LieAlgebra, fiber, fiber_invariants, jacobi_witness
 from hcfam.grassfam import (
     GrassmannPencil,
     NoIsomorphismFound,
@@ -263,6 +263,16 @@ class TestRealFormTable:
             assert report.signature == killing_signature(p, q, det_one, x), x
             got[x] = report.signature
         assert got[positive] == got[1] and got[negative] == got[-1] and got[0] == got[INFINITY]
+
+    @pytest.mark.parametrize("det_one", [False, True], ids=["gl", "sl"])
+    @pytest.mark.parametrize("p, q", [(p, q) for p in range(1, 4) for q in range(1, 4) if p + q <= 4])
+    def test_tables_satisfy_jacobi(self, p, q, det_one):
+        """real_form_at builds its algebra without re-checking the table it
+        reads from matrix commutators; check antisymmetry and Jacobi here."""
+        pencil = GrassmannPencil(p, q, det_one=det_one)
+        for x in (1, -1, 0, INFINITY, Fraction(2, 3)):
+            table = _structure_constants_real(real_form_at(pencil, x).basis)
+            assert jacobi_witness(table, QI_ZERO) is None, x
 
 
 def rational_real_form(pencil, x):

@@ -144,7 +144,7 @@ class TestValidation:
             casimir_triple(0, 0, 1),
         )
         report = validate(module)
-        assert any("impossible for a whole tail" in v.message for v in report)
+        assert ("tail-up", "deg B_n = 1 exceeds bound 0") in [(v.where, v.message) for v in report]
 
     def test_identically_zero_q_rejected(self):
         module = HCModuleFamily(
@@ -193,7 +193,6 @@ class TestFibers:
         locus = reducible_locus(module, (1, 9))
         assert locus.points == frozenset({QI_ZERO})
         assert locus.boundary == frozenset({QI_ZERO, INFINITY})
-        assert locus.all_points() == frozenset({QI_ZERO, INFINITY})
 
     def test_unsplit_quadratic_reported(self):
         # q_2 = z^2 - 8z - 1 has discriminant 68, not a square in Q(i).
@@ -305,8 +304,8 @@ class TestWindowGrowth:
         assert [v["where"] for v in reports[0]["violations"]] == ["2"]
         for side, where in (("rule_up", "tail-up"), ("rule_down", "tail-down")):
             bad = flipped(side)
-            # The in-window violations grow with the window; the tail verdict
-            # is decided symbolically and must not.
+            # The in-window violations grow with the window; the tail's, read
+            # on its runs beyond the window, must not.
             tails = []
             for w in GROWING_WINDOWS:
                 report = validate(bad, w)
@@ -757,10 +756,11 @@ class TestValidatedFacts:
                 assert A.degree() <= 1 and B.degree() <= 1, n
 
     def test_flat_tails_beyond_the_window_need_c1_zero(self):
-        # Only the tail check keeps these step-0 transitions within degree one.
+        # Only the check beyond the window keeps these step-0 transitions
+        # within degree one.
         assert FLAT_TAILS_C1.transition_polys(4)[1].degree() == 2
         assert [(v.where, v.message) for v in validate(FLAT_TAILS_C1, (-2, 2))] == [
-            (side, "tail degree bound 1 requires the z-coefficient c1 = 0") for side in ("tail-up", "tail-down")]
+            (side, "deg B_n = 2 exceeds bound 1") for side in ("tail-up", "tail-down")]
 
     def test_unsplit_quadratic_on_an_override_matches_the_loop(self):
         # q_n = z^2 - n(n+2) z - 1 splits only at n = 0 and n = -2 (roots
@@ -866,13 +866,15 @@ def _anchor_in_reach(module, window):
 class TestBeyondWindow:
     def test_anchor_beyond_the_window_is_a_structure_violation(self):
         # Between the window and the anchor the degree step follows the lower
-        # slope; at n = 39 it breaks the bound the upper tail check assumes.
+        # slope; at n = 39 it breaks the bound of the upper tail, and the walk
+        # beyond the window names it.
         B = TailRule("B", QI(1))
         module = HCModuleFamily(WeightSet("odd"), DegreeProfile(40, 20, 1, -1), TransitionData(1, B, B),
                                 casimir_triple(1, 0, 1))
         report = validate(module, (-25, 25))
         assert [v.to_json() for v in report] == [
-            {"where": "structure", "message": "degree anchor outside the checked window"}
+            {"where": "structure", "message": "degree anchor outside the checked window"},
+            {"where": "39", "message": "deg A_n = 2 exceeds bound 1"},
         ]
         assert list(validate(module, (-25, 39)))[0].to_json() == {
             "where": "39", "message": "deg A_n = 2 exceeds bound 1"}
@@ -884,7 +886,7 @@ class TestBeyondWindow:
         module = HCModuleFamily(WeightSet("odd"), DegreeProfile(0, 0, 1, -1), TransitionData(1, B, B),
                                 casimir_triple(1, 0, 1))
         assert not _anchor_in_reach(module, (0, 10)) and _anchor_in_reach(module, (-1, 10))
-        assert [v.where for v in validate(module, (0, 10))] == ["structure"]
+        assert [v.where for v in validate(module, (0, 10))] == ["structure", -1]
         assert [v.where for v in validate(module, (-1, 10))] == [-1]
 
     @pytest.mark.parametrize("kind, param", [("lowest", 5), ("highest", -5)])
@@ -940,28 +942,33 @@ def _loop_scalar_at(poly, p, bound):
     return poly.evaluate(GaussianRational._coerce(p))
 
 
-def _listed_checked_transitions(module, window):
-    """Every transition validate checks, listed from the weight set and the
-    window: the window; those just beyond it that the tail checks miss (next
-    to a degree override, or following the other tail's rule); and the finite
-    stretch between the window and the end of a lowest- or highest-weight set."""
-    w, (lo, hi) = module.weights, window
+def _integer_roots(c):
+    """The integers n with n(n+2) = c, that is (n+1)^2 = c + 1."""
+    if c.im or c.re.denominator != 1 or c.re < -1:
+        return []
+    s = math.isqrt(c.re.numerator + 1)
+    return [s - 1, -s - 1] if s * s == c.re + 1 else []
+
+
+def _walked_transitions(module, window):
+    """Every transition of the weight set from the lowest to the highest of
+    the window, the overrides, the degree overrides, the anchor, the pivot,
+    the end of a lowest or highest set and the integer roots of n(n+2) = c0,
+    and six weights past them on each side.  Beyond that point a tail's
+    transitions follow one rule, one slope and one deg q_n, and the walk has
+    checked some of them."""
+    w, t, d = module.weights, module.transitions, module.degrees
     if w.kind == "finite":
         return w.transitions_in(window)
-    degs, pivot = {n for n, _ in module.degrees.overrides}, module.transitions.pivot
-    near = [(n, False) for n in range(lo - 4, lo)] + [(hi + 1, True), (hi + 2, True)]
-    ns = set(w.transitions_in(window))
-    ns.update(n for n, up in near if n in degs or n + 2 in degs or (n >= pivot) != up)
-    if w.kind == "lowest":
-        ns.update(range(w.param, lo, 2))
-    if w.kind == "highest":
-        ns.update(range(w.param - 2, hi, -2))
-    return sorted(n for n in ns if w.has_transition(n))
+    marks = [*window, d.anchor, t.pivot, w.param, *_integer_roots(module.casimir[1])]
+    marks += [n for n, _, _ in t.overrides] + [n for n, _ in d.overrides]
+    return [n for n in range(min(marks) - 6, max(marks) + 7) if w.has_transition(n)]
 
 
 def _loop_validate(module, window=DEFAULT_WINDOW):
-    """validate as it was written before the closed form: every checked
-    transition through module.transition_polys(n) and 4 A_n B_n = q_n."""
+    """validate as a walk over single transitions: every transition of
+    :func:`_walked_transitions` through module.transition_polys(n) and
+    4 A_n B_n = q_n, each violation listed with its n."""
     v = []
     w = module.weights
     lo, hi = window
@@ -979,7 +986,7 @@ def _loop_validate(module, window=DEFAULT_WINDOW):
         v.append(hcmod.Violation("structure", "tail pivot outside the checked window"))
     if w.kind != "finite" and not _anchor_in_reach(module, window):
         v.append(hcmod.Violation("structure", "degree anchor outside the checked window"))
-    for n in _listed_checked_transitions(module, window):
+    for n in _walked_transitions(module, window):
         A, B = module.transition_polys(n)
         q = module.q_poly(n)
         if q.is_zero():
@@ -1001,11 +1008,21 @@ def _loop_validate(module, window=DEFAULT_WINDOW):
             v.append(hcmod.Violation(n, f"deg A_n = {A.degree()} exceeds bound {ba}"))
         if B.degree() > bb:
             v.append(hcmod.Violation(n, f"deg B_n = {B.degree()} exceeds bound {bb}"))
-    if w.unbounded_above:
-        v.extend(hcmod._tail_violations(module, window, up=True))
-    if w.unbounded_below:
-        v.extend(hcmod._tail_violations(module, window, up=False))
     return hcmod.ValidationReport(v)
+
+
+def _verdict_and_listing(module, window, report):
+    """The ok verdict and the violations a report lists, less those on an
+    infinite tail beyond the window: validate lists a longer run there once
+    per tail, the walk each transition it reached."""
+    w, (lo, hi) = module.weights, window
+
+    def on_a_tail(where):
+        if isinstance(where, str):
+            return where.startswith("tail")
+        return where > hi and w.unbounded_above or where < lo and w.unbounded_below
+
+    return report.ok, [v.to_json() for v in report if not on_a_tail(v.where)]
 
 
 def _loop_fiber_scalars(module, p, window):
@@ -1193,15 +1210,20 @@ def assert_tail_agrees(module, p, window, tail, reach=40):
 
 def closed_form_verdicts(module, window, points, twins):
     """Every verdict the four readers give, looked up on hcmod at call time."""
-    out = {"validate": [hcmod.validate(m, window).to_json() for m in [module, *twins]]}
-    locus = _outcome_of(hcmod.reducible_locus, module, window)
+    out = {"validate": [_verdict_and_listing(m, window, hcmod.validate(m, window)) for m in [module, *twins]]}
+
+    def outcome(fn, *args):  # a refusal quotes validate's listing, compared above
+        got = _outcome_of(fn, *args)
+        return got[:1] if isinstance(got, tuple) and got[0] == "NotValidated" else got
+
+    locus = outcome(hcmod.reducible_locus, module, window)
     if isinstance(locus, tuple):
         out["locus"] = locus
     else:
         out["locus"] = (locus.points, locus.boundary, [(n, w, str(p)) for n, w, p in locus.unsplit])
         points = points + sorted(locus.points, key=str)[:3]
     for p in points:
-        v = _outcome_of(hcmod.fiber_irreducible, module, p, window)
+        v = outcome(hcmod.fiber_irreducible, module, p, window)
         out[f"fiber {p}"] = v if isinstance(v, tuple) else (v.irreducible, v.scalars, v.tail)
         if not isinstance(v, tuple):
             loop = _loop_fiber_scalars(module, p, window)
@@ -1211,7 +1233,7 @@ def closed_form_verdicts(module, window, points, twins):
             assert v.count() == len({(s, n) for s, n, _ in v.tail if n is not None})
     for i, twin in enumerate(twins):
         for a, b in ((module, twin), (twin, module)):
-            iso = _outcome_of(hcmod.iso_check, a, b, window)
+            iso = outcome(hcmod.iso_check, a, b, window)
             out[f"iso {i} {a is module}"] = iso if isinstance(iso, tuple) else (iso.isomorphic, iso.scalars, iso.obstruction)
     return out
 

@@ -2,6 +2,8 @@
 dependency)."""
 
 import ast
+import builtins
+import importlib
 from pathlib import Path
 
 import pytest
@@ -228,3 +230,82 @@ def test_public_module_queries_validate_every_module():
     source = (SRC / "hcmod.py").read_text()
     assert unguarded_module_arguments(source) == []
     assert unguarded_module_arguments(source.replace("_require_valid(m2, window)", "pass")) == [("iso_check", "m2")]
+
+
+#: Unreferenced on purpose: the console entry point, and names the tests and
+#: the planned exhaustive classification oracle use.
+UNREFERENCED_ALLOWED = {"cli.main", "classify.applicable_classes", "liefam.abelian_algebra"}
+
+
+def _inherited_names(cls: ast.ClassDef) -> set:
+    """Attribute names of the class's bases that resolve outside the sources
+    (a builtin, or a dotted name of an importable module such as
+    ``argparse.ArgumentParser``): a method of that name is an override that
+    the base class calls."""
+    names = set()
+    for base in cls.bases:
+        head, *rest = ast.unparse(base).split(".")
+        try:
+            obj = importlib.import_module(head) if rest else getattr(builtins, head)
+            for part in rest:
+                obj = getattr(obj, part)
+        except (ImportError, AttributeError):
+            continue
+        names.update(dir(obj))
+    return names
+
+
+def unreferenced_definitions(sources: dict) -> list:
+    """``module.name`` for each function, method and class defined in the
+    sources ({module: text}) whose name no other place in them reads, as a
+    name or as an attribute: a use inside its own definition does not count.
+    Dunders and overrides of a base class from outside the sources are
+    exempt."""
+    trees = {module: ast.parse(text) for module, text in sources.items()}
+    reads = [
+        (module, node.lineno, node.id if isinstance(node, ast.Name) else node.attr)
+        for module, tree in trees.items()
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute))
+    ]
+    found = []
+    for module, tree in trees.items():
+        inherited = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    inherited[item] = _inherited_names(node)
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                continue
+            name = node.name
+            if name.startswith("__") and name.endswith("__") or name in inherited.get(node, ()):
+                continue
+            if not any(read == name and (where != module or not node.lineno <= line <= node.end_lineno)
+                       for where, line, read in reads):
+                found.append(f"{module}.{name}")
+    return sorted(found)
+
+
+def test_unreferenced_definition_detector():
+    a = (
+        "import argparse\n"
+        "def used(): return 1\n"
+        "def unused(): return used()\n"
+        "def recursive(n): return recursive(n - 1)\n"
+        "class Parser(argparse.ArgumentParser):\n"
+        "    def error(self, message): pass\n"
+        "    def helper(self): return self.helper()\n"
+        "    def __repr__(self): return ''\n"
+        "class Plain(Exception):\n"
+        "    def with_traceback(self, tb): pass\n"
+        "    def extra(self): pass\n"
+    )
+    b = "from .a import Parser, Plain\nParser().extra\n"  # an import alone reads nothing
+    assert unreferenced_definitions({"a": a, "b": b}) == ["a.Plain", "a.helper", "a.recursive", "a.unused"]
+
+
+def test_every_definition_is_used_in_the_library():
+    """Code that only the tests call is removed with its tests."""
+    sources = {path.stem: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    assert [name for name in unreferenced_definitions(sources) if name not in UNREFERENCED_ALLOWED] == []

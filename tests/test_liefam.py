@@ -24,7 +24,6 @@ from hcfam.liefam import (
     LieFamily,
     NotALieAlgebra,
     abelian_algebra,
-    ad_diag_involution,
     base_change,
     check_morphism,
     constant_family,
@@ -213,11 +212,10 @@ class TestMorphisms:
         assert fam.transition_powers == (2 * m, 2 * m, 2 * m)
 
 
-class TestAdDiagInvolution:
+class TestGl2Involution:
     def test_gl2_split(self):
-        units = [{(0, r, c): QI(1)} for r, c in ((0, 0), (0, 1), (1, 0), (1, 1))]
-        theta = ad_diag_involution(gl2_algebra(), units, [QI(1), QI(-1)])
-        assert theta.columns == gl2_involution().columns == ({0: QI(1)}, {1: QI(-1)}, {2: QI(-1)}, {3: QI(1)})
+        theta = gl2_involution()
+        assert theta.columns == ({0: QI(1)}, {1: QI(-1)}, {2: QI(-1)}, {3: QI(1)})
         assert len(theta.k_vectors) == 2
         assert len(theta.p_vectors) == 2
         fam = contraction_family(gl2_algebra(), theta)

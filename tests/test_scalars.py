@@ -196,9 +196,7 @@ class TestLaurentPoly:
     def test_orders(self):
         p = lp({-2: 3, 1: 1})
         assert p.ord_zero() == -2
-        assert p.ord_infinity() == -1
         assert lp({}).ord_zero() == ORDER_OF_ZERO
-        assert lp({}).ord_infinity() == ORDER_OF_ZERO
 
     @given(laurents, laurents)
     def test_ord_zero_additive(self, a, b):
@@ -207,7 +205,6 @@ class TestLaurentPoly:
             assert prod.is_zero()
         else:
             assert prod.ord_zero() == a.ord_zero() + b.ord_zero()
-            assert prod.ord_infinity() == a.ord_infinity() + b.ord_infinity()
 
     @given(laurents, laurents, laurents)
     def test_ring_axioms(self, a, b, c):

@@ -4,14 +4,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hcfam.scalars import RationalFunction, RF_ONE, RF_Z, RF_ZERO
+from hcfam.scalars import RationalFunction, RF_Z, RF_ZERO
 from hcfam.sl2fam import (
-    NotHomogeneous,
     build_sl2_contraction,
     casimir_acting_function,
     casimir_acting_function_reordered,
     casimir_section,
-    weight_of_section,
     WeightMissing,
 )
 from hcfam.hcmod import WeightSet, casimir_triple
@@ -33,13 +31,6 @@ class TestCanonicalSections:
         assert pair.H.degree() == 0
         assert pair.X.degree() == -1
         assert pair.Y.degree() == -1
-
-    def test_weight_of_section(self, pair):
-        assert weight_of_section(pair.X.z_coords) == 2
-        assert weight_of_section(pair.Y.w_coords) == -2
-        assert weight_of_section({0: RF_ONE}) == 0
-        with pytest.raises(NotHomogeneous):
-            weight_of_section({0: RF_ONE, 1: RF_Z})
 
     def test_relations_hold_in_both_charts(self, pair):
         # build_sl2_contraction verifies the relations at construction time;
