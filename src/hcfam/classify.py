@@ -19,7 +19,7 @@ import random
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
-from .scalars import GaussianRational
+from .scalars import DomainError, GaussianRational
 from . import hcmod
 from .hcmod import (
     Casimir,
@@ -36,11 +36,11 @@ from .hcmod import (
 )
 
 
-class InadmissibleCasimir(Exception):
+class InadmissibleCasimir(DomainError):
     pass
 
 
-class IncompatibleClass(Exception):
+class IncompatibleClass(DomainError):
     pass
 
 

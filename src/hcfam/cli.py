@@ -13,35 +13,9 @@ import functools
 import json
 import sys
 
-from .scalars import (
-    INFINITY,
-    GaussianRational,
-    LaurentPoly,
-    PoleAtPoint,
-    TooManyDigits,
-    UnsplitQuadratic,
-)
-from . import acceptance
-from .liefam import (
-    NotALieAlgebra,
-    base_change,
-    check_morphism,
-    constant_family,
-    contraction_family,
-    deformation_family,
-    fiber,
-    fiber_invariants,
-    gl2_algebra,
-    jacobi_check,
-    scaled_bracket_family,
-    sl2_algebra,
-)
-from .sl2fam import gl2_involution, sl2_involution, sl2_morphism_presets
+from .scalars import INFINITY, DomainError, GaussianRational, LaurentPoly, TooManyDigits
 from .hcmod import (
     HCModuleFamily,
-    NotValidated,
-    DegreeBoundViolated,
-    WeightNotPresent,
     WeightSet,
     fiber_irreducible,
     iso_check,
@@ -50,44 +24,14 @@ from .hcmod import (
     swap_transitions,
     validate,
 )
-from .classify import (
-    ClassSpec,
-    InadmissibleCasimir,
-    IncompatibleClass,
-    admissible_casimir,
-    classification_report,
-    construct,
-    uniqueness_probe,
-)
-from .grassfam import (
-    GrassmannPencil,
-    NoIsomorphismFound,
-    RankDropAtLimit,
-    contraction_comparison,
-    fiber_group_closure_check,
-    limit_subspace,
-    pencil_basis,
-    real_form_at,
-    verify_subalgebra,
-)
+
+# The classification, Lie-algebra, Grassmannian and acceptance layers are
+# imported by the handlers that use them, so that a ``module`` request loads
+# and compiles only ``scalars`` and ``hcmod``.
 
 
 class RequestError(Exception):
     """Malformed request (schema level)."""
-
-
-DOMAIN_ERRORS = (
-    InadmissibleCasimir,
-    IncompatibleClass,
-    NotValidated,
-    DegreeBoundViolated,
-    WeightNotPresent,
-    RankDropAtLimit,
-    NoIsomorphismFound,
-    NotALieAlgebra,
-    PoleAtPoint,
-    UnsplitQuadratic,
-)
 
 
 #: The most entries one request may list.  ``module fiber``, ``locus`` and
@@ -141,7 +85,9 @@ def parse_weights(text: str) -> WeightSet:
         raise RequestError(str(e))
 
 
-def parse_class(text: str) -> ClassSpec:
+def parse_class(text: str):
+    from .classify import ClassSpec
+
     kind, _, k = text.partition(":")
     try:
         return ClassSpec(kind, int(k) if k else None)
@@ -161,7 +107,11 @@ def parse_casimir(text: str):
 
 def load_module(path: str) -> HCModuleFamily:
     try:
-        text = sys.stdin.read() if path == "-" else open(path).read()
+        if path == "-":
+            text = sys.stdin.read()
+        else:
+            with open(path) as fh:
+                text = fh.read()
         data = json.loads(text)
         if not isinstance(data, dict):
             raise ValueError("a module document is a JSON object")
@@ -179,6 +129,11 @@ def load_module(path: str) -> HCModuleFamily:
 
 
 def build_family(algebra: str, kind: str, power: int):
+    from .liefam import (
+        constant_family, contraction_family, deformation_family, gl2_algebra, scaled_bracket_family, sl2_algebra,
+    )
+    from .sl2fam import gl2_involution, sl2_involution
+
     try:
         alg = {"sl2": sl2_algebra, "gl2": gl2_algebra}[algebra]()
     except KeyError:
@@ -212,6 +167,8 @@ def pair_json(pair, n: int) -> dict:
 
 
 def cmd_family(args) -> int:
+    from .liefam import base_change, fiber, fiber_invariants, jacobi_check
+
     fam = build_family(args.algebra, args.kind, args.power)
     if args.action == "build":
         emit(fam.to_json())
@@ -242,6 +199,9 @@ def cmd_family(args) -> int:
 
 
 def cmd_morphcheck(args) -> int:
+    from .liefam import check_morphism
+    from .sl2fam import sl2_morphism_presets
+
     presets = sl2_morphism_presets()
     if args.preset not in presets:
         raise RequestError(f"unknown preset, choose from {sorted(presets)}")
@@ -319,6 +279,8 @@ def cmd_module(args) -> int:
 
 
 def cmd_classify(args) -> int:
+    from .classify import admissible_casimir, classification_report, construct, uniqueness_probe
+
     weights = parse_weights(args.weights)
     if args.action == "admissible":
         verdict = admissible_casimir(weights, parse_casimir(args.casimir))
@@ -335,14 +297,10 @@ def cmd_classify(args) -> int:
     if args.action == "probe":
         if args.trials < 1:
             raise RequestError("the probe needs --trials >= 1")
-        _check_listable(weights, parse_window(args.window))
+        window = parse_window(args.window)
+        _check_listable(weights, window)
         probe = uniqueness_probe(
-            weights,
-            cls,
-            parse_casimir(args.casimir),
-            trials=args.trials,
-            seed=args.seed,
-            window=parse_window(args.window),
+            weights, cls, parse_casimir(args.casimir), trials=args.trials, seed=args.seed, window=window
         )
         emit(
             {
@@ -375,6 +333,11 @@ def _pencil_parameter(text: str):
 
 
 def cmd_grassmann(args) -> int:
+    from .grassfam import (
+        GrassmannPencil, contraction_comparison, fiber_group_closure_check, limit_subspace, pencil_basis,
+        real_form_at, verify_subalgebra,
+    )
+
     p, q = _parse_pq(args.pq)
     pencil = GrassmannPencil(p, q, det_one=args.det_one)
     if args.action == "pencil":
@@ -423,7 +386,9 @@ def cmd_grassmann(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    results = acceptance.run_suite(args.profile)
+    from .acceptance import run_suite
+
+    results = run_suite(args.profile)
     for name, ok, details in results:
         sys.stdout.write(f"{'PASS' if ok else 'FAIL'}  {name}: {details}\n")
     failed = [name for name, ok, _ in results if not ok]
@@ -543,7 +508,7 @@ def run(argv=None) -> int:
     except (RequestError, TooManyDigits) as e:
         emit({"error": "request", "message": str(e)})
         return 2
-    except DOMAIN_ERRORS as e:
+    except DomainError as e:
         emit({"error": type(e).__name__, "message": str(e)})
         return 3
 

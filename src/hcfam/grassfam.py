@@ -30,6 +30,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from .scalars import (
     INFINITY,
+    DomainError,
     GaussianRational,
     Point,
     QI_I,
@@ -53,11 +54,11 @@ from .liefam import (
 from .sl2fam import sl2_involution
 
 
-class RankDropAtLimit(Exception):
+class RankDropAtLimit(DomainError):
     pass
 
 
-class NoIsomorphismFound(Exception):
+class NoIsomorphismFound(DomainError):
     pass
 
 

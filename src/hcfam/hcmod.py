@@ -19,6 +19,7 @@ from typing import Dict, List, Optional, Tuple
 
 from .scalars import (
     INFINITY,
+    DomainError,
     GaussianRational,
     LaurentPoly,
     Point,
@@ -33,15 +34,15 @@ from .scalars import (
 )
 
 
-class NotValidated(Exception):
+class NotValidated(DomainError):
     pass
 
 
-class WeightNotPresent(Exception):
+class WeightNotPresent(DomainError):
     pass
 
 
-class DegreeBoundViolated(Exception):
+class DegreeBoundViolated(DomainError):
     pass
 
 

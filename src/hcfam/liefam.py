@@ -24,6 +24,7 @@ from .linalg import ExactMatrix, Span, echelon_basis, kernel, span_rank, structu
 from .linalg import _bracket, _flat, _flat_vectors, _nonzero, _unit_vectors
 from .scalars import (
     INFINITY,
+    DomainError,
     GaussianRational,
     LaurentPoly,
     Point,
@@ -36,7 +37,7 @@ from .scalars import (
 )
 
 
-class NotALieAlgebra(Exception):
+class NotALieAlgebra(DomainError):
     pass
 
 

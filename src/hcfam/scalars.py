@@ -24,7 +24,12 @@ from math import gcd as _gcd, isqrt
 from typing import Mapping, Optional, Tuple, Union
 
 
-class PoleAtPoint(Exception):
+class DomainError(Exception):
+    """An input that reaches a library precondition it does not meet; the
+    command line answers it with exit code 3."""
+
+
+class PoleAtPoint(DomainError):
     """Raised when a rational function is evaluated at one of its poles."""
 
 
@@ -871,7 +876,7 @@ RF_ONE = RationalFunction(LP_ONE)
 RF_Z = RationalFunction.z()
 
 
-class UnsplitQuadratic(Exception):
+class UnsplitQuadratic(DomainError):
     """A quadratic polynomial with no roots in Q(i)."""
 
     def __init__(self, poly: LaurentPoly):

@@ -7,6 +7,9 @@ import hashlib
 import io
 import json
 import os
+import pkgutil
+import subprocess
+import sys
 import tempfile
 from fractions import Fraction
 
@@ -14,10 +17,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hcfam import cli
+import hcfam
+from hcfam import cli, grassfam
 from hcfam.cli import run
 from hcfam.liefam import _sparse_table, contraction_family, sl2_algebra
-from hcfam.scalars import GaussianRational, RationalFunction
+from hcfam.scalars import DomainError, GaussianRational, RationalFunction
 from hcfam.sl2fam import sl2_involution
 
 
@@ -441,7 +445,8 @@ class TestRequestContract:
     @pytest.mark.parametrize("action", ["validate", "fiber"])
     @pytest.mark.parametrize("scalar", ["1/0", "2/0*i"])
     def test_zero_denominator_in_a_document_is_a_request_error(self, module_file, tmp_path, action, scalar):
-        doc = json.loads(open(module_file).read())
+        with open(module_file) as fh:
+            doc = json.load(fh)
         doc["casimir"][0] = scalar
         path = tmp_path / "zero.json"
         path.write_text(json.dumps(doc))
@@ -456,7 +461,8 @@ class TestRequestContract:
     def test_oversized_scalar_in_a_document_is_a_request_error(self, module_file, tmp_path, action, scalar):
         """A scalar with more digits than ``str`` writes back would make
         ``twist`` and ``locus`` fail on output; it is refused on load."""
-        doc = json.loads(open(module_file).read())
+        with open(module_file) as fh:
+            doc = json.load(fh)
         doc["casimir"][0] = scalar
         path = tmp_path / "big.json"
         path.write_text(json.dumps(doc))
@@ -469,7 +475,8 @@ class TestRequestContract:
     def test_result_over_the_digit_limit_is_a_request_error(self, module_file, tmp_path):
         """A 4300-digit denominator loads and validates, but the locus prints
         c1/4, whose denominator has one digit more than ``str`` may write."""
-        doc = json.loads(open(module_file).read())
+        with open(module_file) as fh:
+            doc = json.load(fh)
         doc["casimir"][0] = "1/" + "9" * 4300
         path = tmp_path / "long.json"
         path.write_text(json.dumps(doc))
@@ -625,8 +632,8 @@ class TestSubalgAt:
         from hcfam.grassfam import GrassmannPencil, pencil_basis
 
         seen = []
-        real = cli.verify_subalgebra
-        monkeypatch.setattr(cli, "verify_subalgebra", lambda basis: seen.append(basis) or real(basis))
+        real = grassfam.verify_subalgebra
+        monkeypatch.setattr(grassfam, "verify_subalgebra", lambda basis: seen.append(basis) or real(basis))
         code, doc = invoke_json(capsys, "grassmann", "subalg", "--pq", "2,1", "--det-one", "--at", "-3/2")
         assert code == 0 and doc == {"subalgebra": True}
         assert seen == [pencil_basis(GrassmannPencil(2, 1, det_one=True), GaussianRational(Fraction(-3, 2)))]
@@ -642,7 +649,7 @@ class TestSubalgAt:
             assert t == GaussianRational(2)
             return [{(0, 0, 1): o, (1, 0, 1): o}, {(0, 1, 0): o, (1, 1, 0): o}]
 
-        monkeypatch.setattr(cli, "pencil_basis", broken)
+        monkeypatch.setattr(grassfam, "pencil_basis", broken)
         code, doc = invoke_json(capsys, "grassmann", "subalg", "--pq", "1,1", "--at", "2")
         assert code == 1 and doc == {"subalgebra": False, "witness": [0, 1]}
 
@@ -691,6 +698,88 @@ class TestParserReuse:
         assert len(builds) == 1
         assert reused == fresh
         assert [code for code, _ in reused] == [1, 0, 2, 0, 2, 0, 2, 0, 0, 0, 0, 0, 1]
+
+
+def _fresh_process(script: str, *args: str):
+    """Run ``script`` in a new interpreter with warnings on (``-X dev``) and
+    this checkout's ``hcfam`` on the path; returns (exit code, stdout, stderr)."""
+    src = os.path.dirname(os.path.dirname(hcfam.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-X", "dev", "-c", script, *args],
+                          env=env, capture_output=True, text=True, timeout=120)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+#: One request per ``module`` action, flags after the action.
+_MODULE_ACTIONS = [["validate"], ["fiber", "--at", "1"], ["locus"], ["iso", "--other", "@doc"],
+                   ["twist", "--degree", "2"], ["swap", "--indices", "0,2"]]
+
+_MODULE_REQUESTS = """
+import contextlib, io, json, sys
+from hcfam import cli
+
+def loaded():
+    return sorted(name for name in sys.modules if name.partition(".")[0] == "hcfam")
+
+outcomes = []
+for argv in json.loads(sys.argv[1]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        outcomes.append([cli.run(argv), out.getvalue()])
+    if argv[0] == "module":
+        after_module = loaded()
+print(json.dumps({"outcomes": outcomes, "module": after_module, "classify": loaded()}))
+"""
+
+_FIRST_REQUEST = """
+import sys
+from hcfam import cli
+
+sys.exit(cli.run(sys.argv[1:]))
+"""
+
+
+class TestLayerLoading:
+    def test_module_requests_load_only_scalars_and_hcmod(self, tmp_path):
+        """Every ``module`` action in a fresh process loads ``scalars`` and
+        ``hcmod`` only, answers as in this process, closes what it opens
+        (``-X dev`` warns on stderr otherwise), and one ``classify``
+        request adds ``classify`` alone."""
+        from hcfam.hcmod import DegreeProfile, HCModuleFamily, TailRule, TransitionData, WeightSet, casimir_triple
+
+        rules = TransitionData(0, TailRule("A"), TailRule("A"))
+        module = HCModuleFamily(WeightSet("even"), DegreeProfile(0, 0, 0, 0), rules, casimir_triple(0, 0, 1))
+        doc = tmp_path / "module.json"
+        doc.write_text(json.dumps(module.to_json()))
+        requests = [["module", action, "--module", str(doc), *[str(doc) if a == "@doc" else a for a in flags]]
+                    for action, *flags in _MODULE_ACTIONS]
+        requests.append(["classify", "construct", "--weights", "odd", "--casimir", "1,2,3"])
+        code, out, err = _fresh_process(_MODULE_REQUESTS, json.dumps(requests))
+        assert (code, err) == (0, "")
+        got = json.loads(out)
+        assert [tuple(o) for o in got["outcomes"]] == [_outcome(argv) for argv in requests]
+        assert [c for c, _ in got["outcomes"]] == [0] * 7
+        assert got["module"] == ["hcfam", "hcfam.cli", "hcfam.hcmod", "hcfam.scalars"]
+        assert set(got["classify"]) - set(got["module"]) == {"hcfam.classify"}
+
+    def test_domain_errors_are_the_ten_exit_3_errors(self):
+        for info in pkgutil.iter_modules(hcfam.__path__):
+            __import__(f"hcfam.{info.name}")
+        found, todo = set(), [DomainError]
+        while todo:
+            for sub in todo.pop().__subclasses__():
+                found.add(sub.__name__)
+                todo.append(sub)
+        assert found == {
+            "InadmissibleCasimir", "IncompatibleClass", "NotValidated", "DegreeBoundViolated", "WeightNotPresent",
+            "RankDropAtLimit", "NoIsomorphismFound", "NotALieAlgebra", "PoleAtPoint", "UnsplitQuadratic",
+        }
+
+    def test_domain_error_of_a_layer_loaded_on_demand_exits_3(self):
+        code, out, err = _fresh_process(_FIRST_REQUEST, "classify", "construct", "--weights", "finite:2",
+                                        "--casimir", "0,0,1")
+        assert (code, err) == (3, "")
+        assert json.loads(out)["error"] == "InadmissibleCasimir"
 
 
 # -- fuzzing the request contract ----------------------------------------------
