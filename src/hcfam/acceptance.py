@@ -176,7 +176,7 @@ def criterion_4() -> Result:
             + RationalFunction.constant(cm1) / RF_Z
         )
         for cls in _classes_for(weights):
-            module = construct(weights, cls, cas, window)
+            module = construct(weights, cls, cas)
             for n in weights.weights_in(window):
                 f = casimir_acting_function(module, n)
                 g = casimir_acting_function_reordered(module, n)
@@ -295,21 +295,20 @@ def criterion_8() -> Result:
     """Equal-degree profiles escape the classification: swapping A_n with
     B_n changes the isomorphism class unless the pair is proportional."""
     name = "equal-degree swap (non-)isomorphism"
-    window = (-12, 12)
     module = _equal_degree_module()
-    if not validate(module, window).ok:
+    if not validate(module).ok:
         return (name, False, "equal-degree module fails validation")
-    swapped = swap_transitions(module, [2, 4, 6], window)
+    swapped = swap_transitions(module, [2, 4, 6])
     if module.weights != swapped.weights or module.casimir != swapped.casimir:
         return (name, False, "swap changed weights or Casimir")
-    if not hcmod.profiles_equal(module.degrees, swapped.degrees, module.weights, window):
+    if not hcmod.profiles_equal(module.degrees, swapped.degrees, module.weights):
         return (name, False, "swap changed the degree profile")
-    if iso_check(module, swapped, window):
+    if iso_check(module, swapped):
         return (name, False, "non-proportional swap judged isomorphic")
     # At n = 0 the pair (A_0, B_0) = (1, 1/4) is proportional, so the swap
     # is absorbed by rescaling the weight sections.
-    swapped_prop = swap_transitions(module, [0], window)
-    if not iso_check(module, swapped_prop, window):
+    swapped_prop = swap_transitions(module, [0])
+    if not iso_check(module, swapped_prop):
         return (name, False, "proportional swap judged non-isomorphic")
     return (name, True, "3-index swap non-isomorphic; proportional swap isomorphic")
 

@@ -120,12 +120,7 @@ def _class_data(cls: ClassSpec, weights: WeightSet) -> Tuple[DegreeProfile, Tran
     raise IncompatibleClass("equal-degree profiles lie outside classes I-IV")
 
 
-def construct(
-    weights: WeightSet,
-    cls: ClassSpec,
-    casimir: Casimir,
-    window: Window = DEFAULT_WINDOW,
-) -> HCModuleFamily:
+def construct(weights: WeightSet, cls: ClassSpec, casimir: Casimir) -> HCModuleFamily:
     """The canonical family of the given class, weight set and Casimir."""
     casimir = tuple(GaussianRational._coerce(c) for c in casimir)
     verdict = admissible_casimir(weights, casimir)
@@ -137,22 +132,12 @@ def construct(
                 f"extremal weight {cls.k} lies outside the weight set"
             )
     module = HCModuleFamily(weights, *_class_data(cls, weights), casimir)
-    report = validate(module, window)
+    report = validate(module)
     if not report.ok:
         raise IncompatibleClass(
             f"class {cls} is incompatible with this weight set and Casimir: " + report.summary()
         )
     return module
-
-
-def applicable_classes(weights: WeightSet, window: Window = DEFAULT_WINDOW):
-    """Class specs that admit a valid family on the weight set (extremal
-    weights for I/II are drawn from the window)."""
-    out = [ClassSpec("III"), ClassSpec("IV")]
-    for k in weights.weights_in(window):
-        out.append(ClassSpec("I", k))
-        out.append(ClassSpec("II", k))
-    return out
 
 
 def classification_report(weights: WeightSet, cls: ClassSpec) -> dict:
@@ -215,7 +200,7 @@ def uniqueness_probe(
             "equal-degree profiles admit genuinely non-isomorphic variants; "
             "the probe only applies to classes I-IV",
         )
-    canonical = construct(weights, cls, casimir, window)
+    canonical = construct(weights, cls, casimir)
     rng = random.Random(seed)
     t = canonical.transitions  # canonical: no overrides, so the ascending window's are sorted
     for trial in range(trials):
@@ -226,7 +211,7 @@ def uniqueness_probe(
             pair = (hcmod.LaurentPoly.constant(u), other)
             overrides.append((n, *(pair if t.rule_for(n).unit_on == "A" else pair[::-1])))
         variant = hcmod.replace(canonical, transitions=hcmod.replace(t, overrides=tuple(overrides)))
-        result = iso_check(canonical, variant, window)
+        result = iso_check(canonical, variant)
         if not result:
             return ProbeResult(
                 "fail", trial + 1, f"trial {trial}: {result.obstruction}"

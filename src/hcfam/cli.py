@@ -39,7 +39,7 @@ class RequestError(Exception):
 #: builds one per trial), so they refuse a window with more transitions, and
 #: ``module validate`` refuses a report with more violations, ``module fiber``
 #: a stretch beyond the window with more vanishing transitions.  The other
-#: requests read the window as runs and take any window.
+#: requests take any window: their answers do not depend on it.
 MAX_LISTED = 10**6
 
 
@@ -266,14 +266,14 @@ def cmd_module(args) -> int:
         )
         return 0 if result.isomorphic else 1
     if args.action == "twist":
-        emit(picard_twist(module, args.degree, window).to_json())
+        emit(picard_twist(module, args.degree).to_json())
         return 0
     if args.action == "swap":
         try:
             indices = [int(x) for x in args.indices.split(",")]
         except ValueError:
             raise RequestError("indices must be comma-separated integers")
-        emit(swap_transitions(module, indices, window).to_json())
+        emit(swap_transitions(module, indices).to_json())
         return 0
     raise RequestError(f"unknown module action {args.action!r}")
 
@@ -288,7 +288,8 @@ def cmd_classify(args) -> int:
         return 0 if verdict.ok else 1
     cls = parse_class(getattr(args, "cls"))
     if args.action == "construct":
-        module = construct(weights, cls, parse_casimir(args.casimir), parse_window(args.window))
+        parse_window(args.window)  # checked as in every request; the module needs no window
+        module = construct(weights, cls, parse_casimir(args.casimir))
         emit(module.to_json())
         return 0
     if args.action == "report":

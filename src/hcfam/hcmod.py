@@ -3,10 +3,11 @@
 A module family is stored in the canonical weight basis: one section f_n per
 weight n, raising action X f_n = A_n f_{n+2}, lowering action
 Y f_{n+2} = z^{-1} B_n f_n, with A_n, B_n polynomials in z.  Infinite weight
-sets are handled lazily: explicit polynomial overrides on a finite window of
+sets are handled lazily: explicit polynomial overrides at finitely many
 transition indices, plus a unit-normalized closed-form rule on each tail.
-Validation reads the transitions as runs that fail alike, one check per run,
-so it covers the whole (infinite) weight set.
+Every verdict reads the transitions as runs that behave alike, one transition
+per run, so it covers the whole (infinite) weight set; a window only bounds
+what is listed.
 """
 
 from __future__ import annotations
@@ -104,8 +105,15 @@ class WeightSet:
     def has_transition(self, n: int) -> bool:
         return self.contains(n) and self.contains(n + 2)
 
+    @property
+    def transition_ends(self) -> Tuple[Optional[int], Optional[int]]:
+        """(first, last) of every transition of the set, None for an end the
+        set does not have."""
+        first = -self.param if self.kind == "finite" else self.param if self.kind == "lowest" else None
+        return first, None if self.unbounded_above else self.param - 2
+
     def transitions_in(self, window: Window) -> List[int]:
-        """Transition indices to check explicitly.
+        """Transition indices listed explicitly.
 
         Finite weight sets list all of their transitions; infinite ones are
         clipped to the window (what lies beyond it is read as runs).
@@ -184,12 +192,14 @@ class DegreeProfile:
         """deg F_{n+2} - deg F_n."""
         return self.deg(n + 2) - self.deg(n)
 
+    @property
+    def breaks(self) -> set:
+        """The n where a run of equal degree steps must end: n and n - 2 for
+        an override at n, and the two n below the anchor."""
+        return {m for n, _ in self.overrides for m in (n, n - 2)} | {self.anchor - 1, self.anchor - 2}
+
     def shifted(self, d: int) -> "DegreeProfile":
-        return replace(
-            self,
-            anchor_deg=self.anchor_deg + d,
-            overrides=tuple((n, v + d) for n, v in self.overrides),
-        )
+        return replace(self, anchor_deg=self.anchor_deg + d, overrides=tuple((n, v + d) for n, v in self.overrides))
 
     def to_json(self) -> dict:
         return {
@@ -202,28 +212,17 @@ class DegreeProfile:
 
     @staticmethod
     def from_json(data: dict) -> "DegreeProfile":
-        return DegreeProfile(
-            data["anchor"],
-            data["anchor_deg"],
-            data["slope_up"],
-            data["slope_down"],
-            tuple((n, d) for n, d in data.get("overrides", [])),
-        )
+        overrides = tuple((n, d) for n, d in data.get("overrides", []))
+        return DegreeProfile(data["anchor"], data["anchor_deg"], data["slope_up"], data["slope_down"], overrides)
 
 
-def profiles_equal(a: DegreeProfile, b: DegreeProfile, weights: WeightSet, window: Window) -> bool:
-    """Equality of degree profiles as functions on the weight set: on every
-    weight where validate admits a degree override, lo - 2..hi + 2, and in
-    the slopes of the infinite tails."""
-    lo, hi = window
-    for n in weights.weights_in((lo - 2, hi + 2)):
-        if a.deg(n) != b.deg(n):
-            return False
-    if weights.unbounded_above and a.slope_up != b.slope_up:
-        return False
-    if weights.unbounded_below and a.slope_down != b.slope_down:
-        return False
-    return True
+def profiles_equal(a: DegreeProfile, b: DegreeProfile, weights: WeightSet) -> bool:
+    """Equality of degree profiles as functions on the weight set: at one
+    weight, and in the degree step of every transition, read at one
+    transition of each run between the breaks of both."""
+    x = weights.anchor_weight()
+    runs = _runs(_of_parity(a.breaks | b.breaks, weights.parity), *weights.transition_ends)
+    return a.deg(x) == b.deg(x) and all(a.step(n) == b.step(n) for n in map(_one_of, runs))
 
 
 # ---------------------------------------------------------------------------
@@ -375,14 +374,12 @@ class HCModuleFamily:
         n + 2, the anchor or the pivot in n+1..n+2, and, when c1 = 0,
         n(n+2) = c0.  Between them the unit side, the degree step and
         deg q_n do not change."""
-        d, t = self.degrees, self.transitions
+        t = self.transitions
         c1, c0, _ = self.casimir
-        ns = {n for n, _, _ in t.overrides} | {m for n, _ in d.overrides for m in (n, n - 2)}
-        ns |= {m for x in (d.anchor, t.pivot) for m in (x - 1, x - 2)}
+        ns = self.degrees.breaks | {n for n, _, _ in t.overrides} | {t.pivot - 1, t.pivot - 2}
         if c1.is_zero():
             ns.update(_integer_weight_solutions(c0))
-        parity = self.weights.parity
-        return sorted(n for n in ns if n % 2 == parity)
+        return _of_parity(ns, self.weights.parity)
 
     def degree_bounds(self, n: int) -> Tuple[int, int]:
         """(bound for deg A_n, bound for deg B_n)."""
@@ -414,7 +411,7 @@ class HCModuleFamily:
 
 @dataclass
 class Violation:
-    where: object  # transition index, 'structure', or 'tail-up' / 'tail-down' for every longer run of that tail
+    where: object  # transition index, or 'tail-up' / 'tail-down' for every longer run of that tail
     message: str
 
     def to_json(self) -> dict:
@@ -462,13 +459,18 @@ def _integer_weight_solutions(c0: GaussianRational) -> List[int]:
     return sorted({s.numerator - 1, -s.numerator - 1})
 
 
-def _runs(module: HCModuleFamily, first: Optional[int], last: Optional[int]) -> List[Tuple]:
+def _of_parity(ns, parity: int) -> List[int]:
+    return sorted(n for n in ns if n % 2 == parity)
+
+
+def _runs(breaks: List[int], first: Optional[int], last: Optional[int]) -> List[Tuple]:
     """Split the transitions first, first + 2, ..., last into runs (a, b):
-    each n in :attr:`HCModuleFamily.breaks` is a run of one, the rest are the
-    maximal progressions between them.  None for first or last is a tail
-    without an end, and so is a run's a or b."""
+    each n of the sorted breaks (of the transitions' parity, as
+    :attr:`HCModuleFamily.breaks`) is a run of one, the rest are the maximal
+    progressions between them.  None for first or last is a tail without an
+    end, and so is a run's a or b."""
     out, start = [], first
-    for n in module.breaks:
+    for n in breaks:
         if (first is None or n >= first) and (last is None or n <= last):
             if start is None or n > start:
                 out.append((start, n - 2))
@@ -479,46 +481,31 @@ def _runs(module: HCModuleFamily, first: Optional[int], last: Optional[int]) -> 
     return out
 
 
+def _one_of(run: Tuple) -> int:
+    """A transition of the run (a, b): a, or b for a run without a lower end."""
+    a, b = run[:2]
+    return b if a is None else a
+
+
 def _window_runs(module: HCModuleFamily, window: Window) -> List[Tuple[int, int]]:
     span = module.weights.transition_span(window)
-    if span is None:
-        return []
-    first, last = span
-    ov = module.transitions._override_map
-    if len(ov) > (last - first) // 2 and all(n in ov for n in range(first, last + 1, 2)):
-        return [(n, n) for n in range(first, last + 1, 2)]  # every transition an override: runs of one
-    return _runs(module, first, last)
+    return _runs(module.breaks, *span) if span else []
 
 
 def validate(module: HCModuleFamily, window: Window = DEFAULT_WINDOW) -> ValidationReport:
     """Check every structural invariant of the module family.
 
     Every transition of the weight set is checked, one per run, in the
-    window and beyond it (see :func:`_read_beyond`).  Violations are data,
-    not exceptions.
+    window and beyond it (see :func:`_read_beyond`), so the verdict ``ok``
+    does not depend on the window; the window only decides which violations
+    are listed with their own n.  Violations are data, not exceptions.
     """
-    v: list = []
-    w = module.weights
-    lo, hi = window
-    if lo > hi:
+    if window[0] > window[1]:
         raise ValueError("empty window")
-
-    # Structural coverage requirements.
-    for n, _, _ in module.transitions.overrides:
-        if not w.has_transition(n):
-            v.append(Violation(n, "override at an absent transition"))
-        elif w.kind != "finite" and not (lo <= n <= hi):
-            v.append(Violation(n, "override outside the checked window"))
-    for n, _ in module.degrees.overrides:
-        if w.kind != "finite" and not (lo - 2 <= n <= hi + 2):
-            v.append(Violation(n, "degree override outside the checked window"))
-    if w.kind != "finite" and not (lo <= module.transitions.pivot <= hi + 2):
-        v.append(Violation("structure", "tail pivot outside the checked window"))
-    if _anchor_outside(module, window):
-        v.append(Violation("structure", "degree anchor outside the checked window"))
-
-    # Per-transition checks, on one transition of each run (all of a run's
-    # transitions fail alike): the window, then everything beyond it.
+    v = [Violation(n, "override at an absent transition")
+         for n, _, _ in module.transitions.overrides if not module.weights.has_transition(n)]
+    # One transition of each run (all of a run's transitions fail alike):
+    # the window, then everything beyond it.
     parts, tails = _run_violations(module, _window_runs(module, window)), []
     for side, a, b, found in _read_beyond(module, window, lambda runs: _run_violations(module, runs)):
         if a is None:
@@ -531,7 +518,7 @@ def validate(module: HCModuleFamily, window: Window = DEFAULT_WINDOW) -> Validat
 def _run_violations(module: HCModuleFamily, runs) -> List[Tuple]:
     """(a, b, messages) for each run a..b whose transitions fail, read at one
     transition of the run: a, or b for a run without a lower end."""
-    return [(a, b, m) for a, b in runs if (m := _transition_violations(module, b if a is None else a))]
+    return [(*run, m) for run in runs if (m := _transition_violations(module, _one_of(run)))]
 
 
 def _transition_violations(module: HCModuleFamily, n: int) -> Tuple[str, ...]:
@@ -580,16 +567,6 @@ def _beyond(module: HCModuleFamily, window: Window) -> List[Tuple[str, Optional[
     return [(side, a, b) for side, (a, b) in (("up", up), ("down", down)) if None in (a, b) or a <= b]
 
 
-def _anchor_outside(module: HCModuleFamily, window: Window) -> bool:
-    """Whether a transition beyond the window on an infinite tail lies between
-    the window and the degree anchor, where its degree step is not the tail's
-    slope: above the window every transition must start at or above the
-    anchor, below it every transition must end at or below the anchor."""
-    anchor = module.degrees.anchor
-    return any(anchor > a if b is None else anchor < b + 2
-               for _, a, b in _beyond(module, window) if None in (a, b))
-
-
 def _read_beyond(module: HCModuleFamily, window: Window, read) -> List[Tuple]:
     """(side, a, b, found) for what ``read`` finds beyond the window; ``read``
     takes a list of runs and gives (a, b, found) for the runs a..b where it
@@ -599,7 +576,7 @@ def _read_beyond(module: HCModuleFamily, window: Window, read) -> List[Tuple]:
     runs."""
     out = []
     for side, first, last in _beyond(module, window):
-        runs = read(_runs(module, first, last))
+        runs = read(_runs(module.breaks, first, last))
         if None in (first, last):
             shared = dict.fromkeys(x for a, b, xs in runs if a != b for x in xs)
             runs = sorted(r for r in runs if r[0] == r[1]) + [(None, None, x) for x in shared]
@@ -607,8 +584,8 @@ def _read_beyond(module: HCModuleFamily, window: Window, read) -> List[Tuple]:
     return out
 
 
-def _require_valid(module: HCModuleFamily, window: Window):
-    report = validate(module, window)
+def _require_valid(module: HCModuleFamily):
+    report = validate(module)
     if not report.ok:
         raise NotValidated("module fails validation: " + report.summary())
 
@@ -659,11 +636,9 @@ def _at(module: HCModuleFamily, p: Point):
     return p, module.q_poly(0).evaluate(p)
 
 
-def _fiber_scalars(
-    module: HCModuleFamily, p: Point, window: Window
-) -> Dict[int, Tuple[GaussianRational, GaussianRational]]:
+def _fiber_scalars(module: HCModuleFamily, p: Point, window: Window) -> Dict[int, Tuple]:
     """Transition scalars {n: (a_n, b_n)} of the fiber at p, over the window,
-    for a module already validated on it (see :func:`_scalar_pair`)."""
+    for a validated module (see :func:`_scalar_pair`)."""
     p, base = _at(module, p)
     return {n: _scalar_pair(module, n, p, base) for n in module.weights.transitions_in(window)}
 
@@ -680,7 +655,7 @@ def _zeros(module: HCModuleFamily, runs, p: Point, base) -> List[Tuple]:
                     for m in _integer_weight_solutions(base / p)
                     if (a is None or m >= a) and (b is None or m <= b) and module.weights.has_transition(m)]
             continue
-        pair = _scalar_pair(module, b if a is None else a, p, base)
+        pair = _scalar_pair(module, _one_of((a, b)), p, base)
         letters = "".join(x for x, c in zip("AB", pair) if c.is_zero())
         if letters:
             out.append((a, b, letters))
@@ -724,17 +699,15 @@ class FiberVerdict:
 
 
 def _fiber_verdict(module: HCModuleFamily, p: Point, window: Window) -> FiberVerdict:
-    """:func:`fiber_irreducible` for a module already validated on the window:
-    the window and every transition beyond it are read run by run."""
+    """:func:`fiber_irreducible` for a validated module: the window and every
+    transition beyond it are read run by run."""
     p, base = _at(module, p)
     zeros = _zeros(module, _window_runs(module, window), p, base)
     beyond = _read_beyond(module, window, lambda runs: _zeros(module, runs, p, base))
     return FiberVerdict(not (zeros or beyond), zeros, beyond, module, p, window)
 
 
-def fiber_irreducible(
-    module: HCModuleFamily, p: Point, window: Window = DEFAULT_WINDOW
-) -> FiberVerdict:
+def fiber_irreducible(module: HCModuleFamily, p: Point, window: Window = DEFAULT_WINDOW) -> FiberVerdict:
     """Transition-scalar irreducibility criterion for the fiber at p.
 
     A weight-supported proper invariant subspace exists iff some transition
@@ -742,7 +715,7 @@ def fiber_irreducible(
     verdict covers the whole weight set.  The result is truthy iff the fiber
     is irreducible.
     """
-    _require_valid(module, window)
+    _require_valid(module)
     return _fiber_verdict(module, p, window)
 
 
@@ -760,7 +733,7 @@ def reducible_locus(module: HCModuleFamily, window: Window = DEFAULT_WINDOW) -> 
     """On a validated module 4 A_n B_n = q_n != 0, so A_n and B_n share the
     roots of q_n; where q_n is an unsplit quadratic, one side is that
     quadratic and the other a constant, and the degree-2 side is listed."""
-    _require_valid(module, window)
+    _require_valid(module)
     points, unsplit = set(), []
     for n in module.weights.transitions_in(window):
         try:
@@ -777,78 +750,104 @@ def reducible_locus(module: HCModuleFamily, window: Window = DEFAULT_WINDOW) -> 
 # ---------------------------------------------------------------------------
 
 
+def _size(n: int) -> Tuple[int, int]:
+    return abs(n), n  # the order in which isomorphism scalars are matched
+
+
+def _nearest_zero(run: Tuple, parity: int) -> int:
+    """The transition of the run (a, b) first in the order :func:`_size`."""
+    a, b = run[:2]
+    return a if a is not None and a >= 0 else b if b is not None and b <= 0 else -parity
+
+
 @dataclass
 class IsoResult:
+    """Isomorphism of two module families.  ``runs`` holds (a, b, mu) for the
+    runs of transitions with one scalar mu_n = mu, None where none matches,
+    and ``at`` the transition first by (|n|, n) where none does; ``scalars``
+    lists mu_n on the transitions of ``span`` before ``at``, on demand."""
+
     isomorphic: bool
-    scalars: Dict[int, GaussianRational]
     obstruction: Optional[str] = None
+    runs: list = field(default_factory=list, repr=False, compare=False)
+    span: Optional[Tuple[int, int]] = field(default=None, repr=False, compare=False)
+    at: Optional[int] = None
+
+    @cached_property
+    def scalars(self) -> Dict[int, GaussianRational]:
+        if self.span is None:
+            return {}
+        lo, hi = self.span
+        listed = [(n, mu) for a, b, mu in self.runs
+                  for n in range(lo if a is None else max(a, lo), (hi if b is None else min(b, hi)) + 1, 2)
+                  if self.at is None or _size(n) < _size(self.at)]
+        return dict(sorted(listed, key=lambda item: _size(item[0])))
 
     def __bool__(self):
         return self.isomorphic
 
 
-def iso_check(
-    m1: HCModuleFamily, m2: HCModuleFamily, window: Window = DEFAULT_WINDOW
-) -> IsoResult:
+def _iso_scalar(m1: HCModuleFamily, m2: HCModuleFamily, n: int) -> Optional[GaussianRational]:
+    """mu_n with A'_n = mu_n A_n, or None where there is none.  Validated with
+    one Casimir triple, both have 4 A_n B_n = q_n != 0, so one side decides:
+    the side where a tail rule puts its unit, else A."""
+    t1, t2 = m1.transitions, m2.transitions
+    r1, r2 = t1.rule_for(n), t2.rule_for(n)
+    if t1.override_for(n) is t2.override_for(n) is None and r1.unit_on == r2.unit_on:
+        # (u, q_n / 4u) against (u', q_n / 4u'): mu_n takes u to u' on A, or
+        # q_n / 4u to q_n / 4u' on A, and B then matches identically.
+        return r2.value / r1.value if r1.unit_on == "A" else r1.value / r2.value
+    which = r1.unit_on if t1.override_for(n) is None else r2.unit_on if t2.override_for(n) is None else "A"
+    x1, x2 = m1._side(n, which), m2._side(n, which)
+    if not proportional(x1, x2):
+        return None
+    u1, u2 = x1.leading_coeff(), x2.leading_coeff()
+    return u2 / u1 if which == "A" else u1 / u2
+
+
+def iso_check(m1: HCModuleFamily, m2: HCModuleFamily, window: Window = DEFAULT_WINDOW) -> IsoResult:
     """Isomorphism of validated module families.
 
     Isomorphisms rescale the canonical sections, so the test is: equal
     weights, degree profiles, and Casimir triples, and per-transition scalars
-    mu_n with A'_n = mu_n A_n and B'_n = mu_n^{-1} B_n.  Scalars are matched
-    greedily from the smallest-magnitude weight upward.  Validated with one
-    Casimir triple, both have 4 A_n B_n = q_n != 0, so one side decides: the
-    side where a tail rule puts its unit, else A.
+    mu_n with A'_n = mu_n A_n and B'_n = mu_n^{-1} B_n, read on one
+    transition of each run between the breaks of both modules, where both
+    follow their tail rules.  The window only bounds the scalars listed.
     """
-    _require_valid(m1, window)
-    _require_valid(m2, window)
+    _require_valid(m1)
+    _require_valid(m2)
     if m1.weights != m2.weights:
-        return IsoResult(False, {}, "weight sets differ")
-    if not profiles_equal(m1.degrees, m2.degrees, m1.weights, window):
-        return IsoResult(False, {}, "degree profiles differ")
+        return IsoResult(False, "weight sets differ")
+    if not profiles_equal(m1.degrees, m2.degrees, m1.weights):
+        return IsoResult(False, "degree profiles differ")
     if m1.casimir != m2.casimir:
-        return IsoResult(False, {}, "Casimir triples differ")
+        return IsoResult(False, "Casimir triples differ")
     w, t1, t2 = m1.weights, m1.transitions, m2.transitions
     if w.unbounded_above and t1.rule_up.unit_on != t2.rule_up.unit_on:
-        return IsoResult(False, {}, "upper tail rules place units on different sides")
+        return IsoResult(False, "upper tail rules place units on different sides")
     if w.unbounded_below and t1.rule_down.unit_on != t2.rule_down.unit_on:
-        return IsoResult(False, {}, "lower tail rules place units on different sides")
-    scalars: Dict[int, GaussianRational] = {}
-    tail_mu: Dict[Tuple[bool, bool], GaussianRational] = {}
-    for n in sorted(w.transitions_in(window), key=lambda n: (abs(n), n)):
-        r1, r2 = t1.rule_for(n), t2.rule_for(n)
-        if t1.override_for(n) is t2.override_for(n) is None and r1.unit_on == r2.unit_on:
-            # (u, q_n / 4u) against (u', q_n / 4u'): mu_n takes u to u' on A, or
-            # q_n / 4u to q_n / 4u' on A, and B then matches identically.
-            key = (n >= t1.pivot, n >= t2.pivot)
-            if key not in tail_mu:
-                tail_mu[key] = r2.value / r1.value if r1.unit_on == "A" else r1.value / r2.value
-            scalars[n] = tail_mu[key]
-            continue
-        which = r1.unit_on if t1.override_for(n) is None else r2.unit_on if t2.override_for(n) is None else "A"
-        x1, x2 = m1._side(n, which), m2._side(n, which)
-        if not proportional(x1, x2):
-            return IsoResult(False, scalars, f"A_{n} is not a scalar multiple")
-        u1, u2 = x1.leading_coeff(), x2.leading_coeff()
-        scalars[n] = u2 / u1 if which == "A" else u1 / u2
-    return IsoResult(True, scalars)
+        return IsoResult(False, "lower tail rules place units on different sides")
+    runs = _runs(_of_parity({*m1.breaks, *m2.breaks}, w.parity), *w.transition_ends)
+    runs = [(*run, _iso_scalar(m1, m2, _one_of(run))) for run in runs]
+    at = min((_nearest_zero(run, w.parity) for run in runs if run[2] is None), key=_size, default=None)
+    obstruction = None if at is None else f"A_{at} is not a scalar multiple"
+    return IsoResult(at is None, obstruction, runs, w.transition_span(window), at)
 
 
-def picard_twist(module: HCModuleFamily, d: int, window: Window = DEFAULT_WINDOW) -> HCModuleFamily:
+def picard_twist(module: HCModuleFamily, d: int) -> HCModuleFamily:
     """Tensor by a degree-d line bundle: shift every sheaf degree by d."""
-    _require_valid(module, window)
+    _require_valid(module)
     return replace(module, degrees=module.degrees.shifted(d))
 
 
-def swap_transitions(
-    module: HCModuleFamily, indices, window: Window = DEFAULT_WINDOW
-) -> HCModuleFamily:
+def swap_transitions(module: HCModuleFamily, indices) -> HCModuleFamily:
     """Exchange A_n with B_n at the given equal-degree transition indices."""
-    _require_valid(module, window)
+    _require_valid(module)
     swaps = {}
     for n in indices:  # step 0 on a validated module bounds both degrees by one
         if module.degrees.step(n) != 0:
             raise DegreeBoundViolated(f"transition {n} does not have equal degrees")
         swaps[n] = module.transition_polys(n)[::-1]
     out = replace(module, transitions=module.transitions.with_overrides(swaps))
-    _require_valid(out, window)
+    _require_valid(out)
     return out

@@ -1,5 +1,7 @@
 """Tests for admissibility, canonical constructions, and uniqueness probes."""
 
+from fractions import Fraction
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -11,7 +13,6 @@ from hcfam.classify import (
     InadmissibleCasimir,
     IncompatibleClass,
     admissible_casimir,
-    applicable_classes,
     classification_report,
     construct,
     uniqueness_probe,
@@ -68,10 +69,14 @@ class TestConstruct:
         with pytest.raises(IncompatibleClass):
             construct(WeightSet("even"), ClassSpec("EQUAL"), casimir_triple(0, 0, 1))
 
-    def test_applicable_classes_enumeration(self):
-        classes = applicable_classes(WeightSet("even"), (-4, 4))
-        kinds = {str(c) for c in classes}
-        assert "III" in kinds and "IV" in kinds and "I(0)" in kinds and "II(-4)" in kinds
+    @pytest.mark.parametrize("k", [-60, -4, 0, 4, 40])
+    @pytest.mark.parametrize("kind", ["I", "II"])
+    def test_extremal_weight_beyond_the_window(self, kind, k):
+        # The anchor and the pivot sit at k; validate reads every transition
+        # as runs, so no window has to hold them.
+        module = construct(WeightSet("even"), ClassSpec(kind, k), casimir_triple(0, Fraction(1, 3), 1))
+        assert (module.degrees.anchor, module.transitions.pivot) == (k, k)
+        assert all(validate(module, window).ok for window in ((-2, 2), (-24, 24), (k, k), (-10**20, 10**20)))
 
     def test_classes_give_distinct_profiles(self):
         cas = casimir_triple(1, 0, 1)

@@ -11,6 +11,7 @@ import pkgutil
 import subprocess
 import sys
 import tempfile
+import time
 from fractions import Fraction
 
 import pytest
@@ -170,7 +171,8 @@ class TestModule:
         monkeypatch.setattr(cli, "validate", counting)
         extra = [module_file if a == "@module" else a for a in extra]
         invoke(capsys, "module", action, "--module", module_file, "--window", "-6..6", *extra)
-        assert calls == [(-6, 6)] * documents
+        # Only the listing of validate reads the window; the verdicts do not.
+        assert calls == [(-6, 6) if action == "validate" else hcmod.DEFAULT_WINDOW] * documents
 
     def test_swap_unequal_degrees_is_domain_error(self, capsys, module_file):
         code, doc = invoke_json(
@@ -441,6 +443,26 @@ def _request_error(capsys, *argv):
     assert json.loads(lines[0])["error"] == "request"
 
 
+def _flat_even(pivot=0, overrides=(), down="B"):
+    """The even document with Casimir 0,0,1, flat degrees and the unit A
+    above the pivot, ``down`` below it."""
+    return {
+        "weights": {"kind": "even", "param": 0},
+        "degree_rule": {"anchor": 0, "anchor_deg": 0, "slope_up": 0, "slope_down": 0, "overrides": []},
+        "transitions": {"pivot": pivot, "up": {"unit": "A", "value": "1"}, "down": {"unit": down, "value": "1"},
+                        "overrides": list(overrides)},
+        "casimir": ["0", "0", "1"],
+    }
+
+
+#: Documents that differ from ``_flat_even()`` beyond the window -10..-2: in
+#: the pivot, and in an override at 40 (4 A_40 B_40 = 1 - 1680 z = q_40).
+ISO_BEYOND_WINDOW = {
+    "pivot": _flat_even(pivot=100),
+    "override": _flat_even(overrides=[{"n": 40, "A": {"0": "1/4", "1": "-420"}, "B": {"0": "1"}}]),
+}
+
+
 class TestRequestContract:
     @pytest.mark.parametrize("action", ["validate", "fiber"])
     @pytest.mark.parametrize("scalar", ["1/0", "2/0*i"])
@@ -554,6 +576,81 @@ class TestRequestContract:
     def test_single_weight_window_is_accepted(self, capsys, module_file):
         code, out = invoke(capsys, "module", "validate", "--module", module_file, "--window", "0..0")
         assert code in (0, 1) and "error" not in json.loads(out)
+
+    @pytest.mark.parametrize("window", ["-10..-2", "-24..24", "-200..200"])
+    @pytest.mark.parametrize("pair, n", [("pivot", 2), ("override", 40)])
+    def test_iso_reads_beyond_the_window(self, tmp_path, pair, n, window):
+        """Two even documents (Casimir 0,0,1, flat degrees, the unit A up and
+        B down) that differ at n: in the pivot (0 or 100), or in an override
+        at 40.  Every window finds them non-isomorphic at n."""
+        paths = []
+        for name, doc in (("first", _flat_even()), ("second", ISO_BEYOND_WINDOW[pair])):
+            paths.append(tmp_path / f"{name}.json")
+            paths[-1].write_text(json.dumps(doc))
+        for a, b in (paths, paths[::-1]):
+            code, out = _outcome(["module", "iso", "--module", str(a), "--other", str(b), "--window", window])
+            doc = json.loads(out)
+            assert code == 1 and doc["isomorphic"] is False and doc["obstruction"] == f"A_{n} is not a scalar multiple"
+            lo, hi = (int(x) for x in window.split(".."))
+            assert all(lo <= int(m) <= hi and abs(int(m)) <= n for m in doc["scalars"])
+
+
+class TestWindowOnlyLists:
+    """The verdict of a request is a function of its documents; the window
+    only bounds what it lists."""
+
+    @pytest.fixture()
+    def flat_file(self, tmp_path):
+        path = tmp_path / "flat.json"
+        path.write_text(json.dumps(_flat_even(down="A")))  # anchor and pivot 0, the unit A on both tails
+        return str(path)
+
+    def test_validate_on_a_window_without_the_anchor_and_pivot(self, flat_file):
+        assert _outcome(["module", "validate", "--module", flat_file, "--window", "10..20"]) == (
+            0, '{"ok":true,"violations":[]}\n')
+
+    def test_construct_with_the_extremal_weight_beyond_the_window(self):
+        code, out = _outcome(["classify", "construct", "--weights", "even", "--class", "I:40", "--casimir", "0,1/3,1"])
+        assert code == 0 and json.loads(out)["transitions"]["pivot"] == 40
+
+    def test_swap_beyond_the_window(self, flat_file):
+        code, out = _outcome(["module", "swap", "--module", flat_file, "--indices", "40"])
+        assert code == 0 and [o["n"] for o in json.loads(out)["transitions"]["overrides"]] == [40]
+
+    @pytest.mark.parametrize("argv", [
+        ["classify", "construct", "--weights", "even", "--class", "I:40", "--casimir", "0,1/3,1"],
+        ["module", "twist", "--module", "@flat", "--degree", "3"],
+        ["module", "swap", "--module", "@flat", "--indices", "40,-2"],
+    ], ids=["construct", "twist", "swap"])
+    def test_window_is_accepted_and_changes_nothing(self, flat_file, argv):
+        argv = [flat_file if a == "@flat" else a for a in argv]
+        outcomes = {_outcome([*argv, "--window", w]) for w in ("-6..6", "10..20", "40..40", HUGE_WINDOW)}
+        assert outcomes == {_outcome(argv)} and next(iter(outcomes))[0] == 0
+
+    @pytest.mark.parametrize("argv, code", [
+        (["validate"], 0),
+        (["fiber", "--at", "1/3"], 0),
+        (["fiber", "--at", "0"], 0),
+        (["fiber", "--at", "inf"], 1),
+        (["iso", "--other", "@far"], 0),
+        (["twist", "--degree", "2"], 0),
+        (["swap", "--indices", f"{10**20},-{10**20}"], 0),
+    ], ids=["validate", "fiber", "fiber-0", "fiber-inf", "iso", "twist", "swap"])
+    def test_data_at_ten_to_the_twenty_is_read_as_runs(self, tmp_path, argv, code):
+        """Overrides and degree overrides at +-10^20: each answer reads runs
+        between them, so it comes without walking the weights between."""
+        far = 10**20
+        doc = _flat_even(down="A")
+        doc["degree_rule"]["overrides"] = [[-far, 0], [far, 0]]
+        doc["transitions"]["overrides"] = [
+            {"n": n, "A": {"0": "2"}, "B": {"0": "1/8", "1": str(Fraction(-n * (n + 2), 8))}} for n in (-far, far)]
+        path = tmp_path / "far.json"
+        path.write_text(json.dumps(doc))
+        argv = [str(path) if a == "@far" else a for a in argv]
+        start = time.perf_counter()
+        got, out = _outcome(["module", argv[0], "--module", str(path), *argv[1:]])
+        assert time.perf_counter() - start < 1
+        assert got == code and "error" not in json.loads(out)
 
 
 HUGE_WINDOW = "-99999999999999999999..99999999999999999999"

@@ -5,6 +5,7 @@ import dataclasses
 import io
 import json
 import math
+import types
 from fractions import Fraction
 from unittest import mock
 
@@ -85,9 +86,15 @@ class TestDegreeProfile:
     def test_profiles_equal_is_functional(self):
         a = DegreeProfile(0, 0, 1, -1)
         b = DegreeProfile(2, 1, 1, -1)  # same function, different anchor
-        assert profiles_equal(a, b, WeightSet("even"), (-10, 10))
+        assert profiles_equal(a, b, WeightSet("even"))
         c = DegreeProfile(0, 0, 1, 1)
-        assert not profiles_equal(a, c, WeightSet("even"), (-10, 10))
+        assert not profiles_equal(a, c, WeightSet("even"))
+        # Flat profiles that differ only at a degree override at 10^20.
+        far = 10**20
+        flat = DegreeProfile(0, 0, 0, 0)
+        assert not profiles_equal(flat, DegreeProfile(0, 0, 0, 0, ((far, 1),)), WeightSet("even"))
+        assert profiles_equal(flat, DegreeProfile(0, 0, 0, 0, ((far, 0),)), WeightSet("even"))
+        assert profiles_equal(flat, DegreeProfile(0, 0, 0, 0, ((far + 1, 1),)), WeightSet("even"))
 
 
 def ascending_module():
@@ -439,8 +446,8 @@ class TestSwap:
         A, B = module.transition_polys(2)
         twice = dataclasses.replace(module.transitions, overrides=((2, A, B), (2, B, A)))
         for m in (module, dataclasses.replace(module, transitions=twice)):
-            swapped = swap_transitions(m, [2, 4, 2], (-8, 8))
-            assert swapped == swap_transitions(m, [2, 4], (-8, 8))
+            swapped = swap_transitions(m, [2, 4, 2])
+            assert swapped == swap_transitions(m, [2, 4])
             assert [n for n, _, _ in swapped.transitions.overrides] == [2, 4]
             assert swapped.transition_polys(2) == (B, A)
 
@@ -536,11 +543,11 @@ class TestDerivedOnce:
         window = (-8, 8)
         assert validate(module, window).ok and fiber_irreducible(module, QI(1), window)
         A0, B0 = module.transition_polys(2)
-        swapped = swap_transitions(module, [2], window)
+        swapped = swap_transitions(module, [2])
         assert swapped.transition_polys(2) == (B0, A0)
         assert module.transition_polys(2) == (A0, B0)
         degrees = [module.degrees.deg(n) for n in range(-10, 11, 2)]
-        twisted = picard_twist(module, 3, window)
+        twisted = picard_twist(module, 3)
         assert [twisted.degrees.deg(n) for n in range(-10, 11, 2)] == [d + 3 for d in degrees]
         assert [module.degrees.deg(n) for n in range(-10, 11, 2)] == degrees
 
@@ -625,6 +632,13 @@ nonzero_qi = small_qi.filter(lambda g: not g.is_zero())
 small_polys = st.dictionaries(st.integers(-1, 3), nonzero_qi, max_size=3).map(LaurentPoly)
 
 
+def applicable_classes(weights, window):
+    """Class specs to draw from: III, IV, and I(k) and II(k) for each weight
+    k of the window."""
+    extremal = [ClassSpec(c, k) for k in weights.weights_in(window) for c in ("I", "II")]
+    return [ClassSpec("III"), ClassSpec("IV"), *extremal]
+
+
 @st.composite
 def module_cases(draw):
     """A module (valid or corrupted), a window, and fiber points."""
@@ -635,11 +649,11 @@ def module_cases(draw):
     window = (lo, draw(st.integers(lo, min(30, lo + 40))))
     c1 = draw(st.one_of(st.just(QI_ZERO), small_qi))  # with c1 = 0 every q_n splits
     casimir = classify._forced_casimir(weights) or casimir_triple(c1, draw(small_qi), draw(small_qi))
-    cls = draw(st.sampled_from(classify.applicable_classes(weights, window)[:6]))
+    cls = draw(st.sampled_from(applicable_classes(weights, window)[:6]))
     try:
         if draw(st.integers(0, 5)) == 0:
             raise classify.IncompatibleClass("a module of random data")
-        module = construct(weights, cls, casimir, window)
+        module = construct(weights, cls, casimir)
     except (classify.IncompatibleClass, classify.InadmissibleCasimir):
         slopes = st.integers(-1, 1)
         module = HCModuleFamily(
@@ -682,13 +696,18 @@ def _outcome_of(fn, *args):
         return (type(e).__name__, str(e))
 
 
-def verdicts(module, window, points):
-    """Every verdict the module answers, with a rescaled twin for iso_check."""
-    twin, mu = module, QI(2, 1)
+def _rescaled_twin(module, window, mu=QI(2, 1)):
+    """The module with every transition of the window rescaled by mu."""
+    t = module.transitions
     for n in module.weights.transitions_in(window):
         A, B = module.transition_polys(n)
-        rescaled = twin.transitions.with_overrides({n: (A.scale(mu), B.scale(mu.inverse()))})
-        twin = dataclasses.replace(twin, transitions=rescaled)
+        t = t.with_overrides({n: (A.scale(mu), B.scale(mu.inverse()))})
+    return dataclasses.replace(module, transitions=t)
+
+
+def verdicts(module, window, points):
+    """Every verdict the module answers, with a rescaled twin for iso_check."""
+    twin = _rescaled_twin(module, window)
     out = {"validate": validate(module, window).to_json()}
     locus = _outcome_of(reducible_locus, module, window)
     if isinstance(locus, tuple):
@@ -703,7 +722,7 @@ def verdicts(module, window, points):
     out["iso"] = iso if isinstance(iso, tuple) else (iso.isomorphic, iso.scalars, iso.obstruction)
     for name, fn, arg in (("swap", swap_transitions, module.weights.transitions_in(window)[:2]),
                           ("twist", picard_twist, 1)):
-        r = _outcome_of(fn, module, arg, window)
+        r = _outcome_of(fn, module, arg)
         out[name] = r if isinstance(r, tuple) else r.to_json()
     return out
 
@@ -808,7 +827,7 @@ class TestTransitionRanges:
         for n in listed:
             t = t.with_overrides({n: module.transition_polys(n)})
         full = dataclasses.replace(module, transitions=t)
-        assert hcmod._window_runs(full, window) == (hcmod._runs(full, *span) if span else []) == [(n, n) for n in listed]
+        assert hcmod._window_runs(full, window) == (hcmod._runs(full.breaks, *span) if span else []) == [(n, n) for n in listed]
 
 
 def _pivot_beyond_window(window=(-24, 23)):
@@ -852,32 +871,21 @@ def edge_cases(draw):
     return module, window
 
 
-def _anchor_in_reach(module, window):
-    """Whether every transition beyond the window on an infinite tail lies on
-    the tail's side of the degree anchor, found by walking the weights."""
-    w, anchor, (lo, hi) = module.weights, module.degrees.anchor, window
-    above = [n for n in range(hi + 1, max(hi, anchor) + 3) if w.has_transition(n)]
-    below = [n for n in range(min(lo, anchor) - 3, lo) if w.has_transition(n)]
-    return (not w.unbounded_above or not above or above[0] >= anchor) and (
-        not w.unbounded_below or not below or below[-1] + 2 <= anchor
-    )
+WINDOWS = ((-25, 25), (-25, 39), (0, 10), (-1, 10), (-12, -8), (8, 12), (41, 99), (-10**20, 10**20))
 
 
 class TestBeyondWindow:
-    def test_anchor_beyond_the_window_is_a_structure_violation(self):
+    def test_anchor_beyond_the_window_is_read_as_runs(self):
         # Between the window and the anchor the degree step follows the lower
-        # slope; at n = 39 it breaks the bound of the upper tail, and the walk
-        # beyond the window names it.
+        # slope; at n = 39 it breaks the bound of the upper tail, a run of one
+        # beyond the window that keeps its n.
         B = TailRule("B", QI(1))
         module = HCModuleFamily(WeightSet("odd"), DegreeProfile(40, 20, 1, -1), TransitionData(1, B, B),
                                 casimir_triple(1, 0, 1))
-        report = validate(module, (-25, 25))
-        assert [v.to_json() for v in report] == [
-            {"where": "structure", "message": "degree anchor outside the checked window"},
-            {"where": "39", "message": "deg A_n = 2 exceeds bound 1"},
-        ]
-        assert list(validate(module, (-25, 39)))[0].to_json() == {
-            "where": "39", "message": "deg A_n = 2 exceeds bound 1"}
+        for window in ((-25, 25), (-25, 39)):
+            assert [v.to_json() for v in validate(module, window)] == [
+                {"where": "39", "message": "deg A_n = 2 exceeds bound 1"}]
+        assert {validate(module, window).ok for window in WINDOWS} == {False}
 
     def test_anchor_at_lo_of_the_other_parity(self):
         # With odd weights and the anchor at lo = 0, the transition at -1 just
@@ -885,9 +893,9 @@ class TestBeyondWindow:
         B = TailRule("B", QI(1))
         module = HCModuleFamily(WeightSet("odd"), DegreeProfile(0, 0, 1, -1), TransitionData(1, B, B),
                                 casimir_triple(1, 0, 1))
-        assert not _anchor_in_reach(module, (0, 10)) and _anchor_in_reach(module, (-1, 10))
-        assert [v.where for v in validate(module, (0, 10))] == ["structure", -1]
+        assert [v.where for v in validate(module, (0, 10))] == [-1]
         assert [v.where for v in validate(module, (-1, 10))] == [-1]
+        assert {validate(module, window).ok for window in WINDOWS} == {False}
 
     @pytest.mark.parametrize("kind, param", [("lowest", 5), ("highest", -5)])
     def test_anchor_at_the_end_of_a_half_infinite_set(self, kind, param):
@@ -896,10 +904,7 @@ class TestBeyondWindow:
         B = TailRule("B", QI(1))
         module = HCModuleFamily(WeightSet(kind, param), DegreeProfile(param, 0, 0, 0), TransitionData(param, B, B),
                                 casimir_triple(0, QI(1, 1), 1))
-        window = (-12, -8) if kind == "lowest" else (8, 12)
-        assert _anchor_in_reach(module, window)
-        messages = [v.message for v in validate(module, window)]
-        assert "degree anchor outside the checked window" not in messages
+        assert len({validate(module, window).ok for window in WINDOWS}) == 1
 
     def test_transition_between_window_and_pivot_is_checked(self):
         module = _pivot_beyond_window()
@@ -916,19 +921,8 @@ class TestBeyondWindow:
     @settings(max_examples=40, deadline=None)
     def test_ok_unchanged_when_the_window_grows_by_one(self, side, case):
         module, (lo, hi) = case
-        t, d = module.transitions, module.degrees
-        # Every override and the pivot lie where validation allows them.
-        assume(all(lo <= n <= hi for n, _, _ in t.overrides) or module.weights.kind == "finite")
-        assume(all(lo - 2 <= n <= hi + 2 for n, _ in d.overrides) and lo <= t.pivot <= hi + 2)
         grown = (lo, hi + 1) if side == "hi" else (lo - 1, hi)
-        ok, grown_ok = validate(module, (lo, hi)).ok, validate(module, grown).ok
-        # A module accepted on a window is accepted on every larger one,
-        # wherever its degree anchor lies ...
-        assert grown_ok or not ok
-        # ... and the verdict is the same once no transition beyond the window
-        # lies between it and the anchor.
-        if module.weights.kind == "finite" or _anchor_in_reach(module, (lo, hi)):
-            assert ok == grown_ok
+        assert validate(module, (lo, hi)).ok == validate(module, grown).ok
 
 
 # -- the closed form in n against the per-transition loops it replaces ---------
@@ -969,23 +963,10 @@ def _loop_validate(module, window=DEFAULT_WINDOW):
     """validate as a walk over single transitions: every transition of
     :func:`_walked_transitions` through module.transition_polys(n) and
     4 A_n B_n = q_n, each violation listed with its n."""
-    v = []
-    w = module.weights
-    lo, hi = window
-    if lo > hi:
+    if window[0] > window[1]:
         raise ValueError("empty window")
-    for n, _, _ in module.transitions.overrides:
-        if not w.has_transition(n):
-            v.append(hcmod.Violation(n, "override at an absent transition"))
-        elif w.kind != "finite" and not (lo <= n <= hi):
-            v.append(hcmod.Violation(n, "override outside the checked window"))
-    for n, _ in module.degrees.overrides:
-        if w.kind != "finite" and not (lo - 2 <= n <= hi + 2):
-            v.append(hcmod.Violation(n, "degree override outside the checked window"))
-    if w.kind != "finite" and not (lo <= module.transitions.pivot <= hi + 2):
-        v.append(hcmod.Violation("structure", "tail pivot outside the checked window"))
-    if w.kind != "finite" and not _anchor_in_reach(module, window):
-        v.append(hcmod.Violation("structure", "degree anchor outside the checked window"))
+    v = [hcmod.Violation(n, "override at an absent transition")
+         for n, _, _ in module.transitions.overrides if not module.weights.has_transition(n)]
     for n in _walked_transitions(module, window):
         A, B = module.transition_polys(n)
         q = module.q_poly(n)
@@ -1035,7 +1016,7 @@ def _loop_fiber_scalars(module, p, window):
 
 
 def _loop_reducible_locus(module, window=DEFAULT_WINDOW):
-    hcmod._require_valid(module, window)
+    hcmod._require_valid(module)
     points, unsplit = set(), []
     for n in module.weights.transitions_in(window):
         A, B = module.transition_polys(n)
@@ -1057,31 +1038,43 @@ def _proportionality(a, b):
     return mu if a.scale(mu) == b else None
 
 
+def _iso_result(isomorphic, obstruction=None, scalars=None):
+    return types.SimpleNamespace(isomorphic=isomorphic, obstruction=obstruction, scalars=scalars or {})
+
+
 def _loop_iso_check(m1, m2, window=DEFAULT_WINDOW):
-    hcmod._require_valid(m1, window)
-    hcmod._require_valid(m2, window)
+    """iso_check as a walk over single transitions: the degrees on every
+    weight of the walks of both modules and the tails' slopes, then every
+    walked transition in the order (|n|, n) through transition_polys; the
+    scalars listed are the window's, up to the first transition that fails."""
+    hcmod._require_valid(m1)
+    hcmod._require_valid(m2)
     if m1.weights != m2.weights:
-        return hcmod.IsoResult(False, {}, "weight sets differ")
-    if not profiles_equal(m1.degrees, m2.degrees, m1.weights, window):
-        return hcmod.IsoResult(False, {}, "degree profiles differ")
+        return _iso_result(False, "weight sets differ")
+    w, d1, d2 = m1.weights, m1.degrees, m2.degrees
+    walked = sorted({*_walked_transitions(m1, window), *_walked_transitions(m2, window)}, key=lambda n: (abs(n), n))
+    weights = {m for n in walked for m in (n, n + 2)} or w.weights_in(window)
+    if (any(d1.deg(n) != d2.deg(n) for n in weights) or w.unbounded_above and d1.slope_up != d2.slope_up
+            or w.unbounded_below and d1.slope_down != d2.slope_down):
+        return _iso_result(False, "degree profiles differ")
     if m1.casimir != m2.casimir:
-        return hcmod.IsoResult(False, {}, "Casimir triples differ")
-    w = m1.weights
+        return _iso_result(False, "Casimir triples differ")
     if w.unbounded_above and m1.transitions.rule_up.unit_on != m2.transitions.rule_up.unit_on:
-        return hcmod.IsoResult(False, {}, "upper tail rules place units on different sides")
+        return _iso_result(False, "upper tail rules place units on different sides")
     if w.unbounded_below and m1.transitions.rule_down.unit_on != m2.transitions.rule_down.unit_on:
-        return hcmod.IsoResult(False, {}, "lower tail rules place units on different sides")
-    scalars = {}
-    for n in sorted(w.transitions_in(window), key=lambda n: (abs(n), n)):
+        return _iso_result(False, "lower tail rules place units on different sides")
+    listed, scalars = set(w.transitions_in(window)), {}
+    for n in walked:
         A1, B1 = m1.transition_polys(n)
         A2, B2 = m2.transition_polys(n)
         mu = _proportionality(A1, A2)
         if mu is None or mu.is_zero():
-            return hcmod.IsoResult(False, scalars, f"A_{n} is not a scalar multiple")
+            return _iso_result(False, f"A_{n} is not a scalar multiple", scalars)
         if B1.scale(mu.inverse()) != B2:
-            return hcmod.IsoResult(False, scalars, f"B_{n} does not match the scalar of A_{n}")
-        scalars[n] = mu
-    return hcmod.IsoResult(True, scalars)
+            return _iso_result(False, f"B_{n} does not match the scalar of A_{n}", scalars)
+        if n in listed:
+            scalars[n] = mu
+    return _iso_result(True, None, scalars)
 
 
 @contextlib.contextmanager
@@ -1149,8 +1142,7 @@ def closed_form_cases(draw):
     try:
         if slopes:
             raise classify.IncompatibleClass("a module of random tails")
-        module = construct(weights, draw(st.sampled_from(classify.applicable_classes(weights, window)[:6])),
-                           casimir, window)
+        module = construct(weights, draw(st.sampled_from(applicable_classes(weights, window)[:6])), casimir)
     except (classify.IncompatibleClass, classify.InadmissibleCasimir):
         su, sd = slopes or (0, 0)
         up = "A" if su < 0 else "B" if su > 0 else draw(st.sampled_from("AB"))
@@ -1275,7 +1267,7 @@ class TestClosedForm:
         for name in ("_transition_violations", "_scalar_pair"):
             real = getattr(hcmod, name)
             monkeypatch.setattr(hcmod, name, lambda *args, real=real, name=name: counts.append(name) or real(*args))
-        module = construct(weights, cls, casimir_triple(*casimir), (-10, 10))
+        module = construct(weights, cls, casimir_triple(*casimir))
         seen = []
         for window in ((-10**2, 10**2), (-10**6, 10**6)):
             counts.clear()
@@ -1287,7 +1279,7 @@ class TestClosedForm:
 
     def test_override_free_module_builds_no_transition(self, monkeypatch):
         window = (-200, 200)
-        module = construct(WeightSet("even"), ClassSpec("III"), casimir_triple(1, 0, -1), window)
+        module = construct(WeightSet("even"), ClassSpec("III"), casimir_triple(1, 0, -1))
         twin = _with_rules(module, lambda r: TailRule(r.unit_on, r.value * 3), lambda r: TailRule(r.unit_on, r.value * QI_I))
         calls = []
         derive = HCModuleFamily.transition_polys
@@ -1298,6 +1290,75 @@ class TestClosedForm:
         assert iso_check(module, twin, window)
         reducible_locus(module, window)
         assert calls == []
+
+
+def _flat_even(pivot=0, overrides=()):
+    """Casimir 0,0,1, flat degrees, the unit A above the pivot and B below."""
+    return HCModuleFamily(WeightSet("even"), DegreeProfile(0, 0, 0, 0),
+                          TransitionData(pivot, TailRule("A"), TailRule("B"), tuple(overrides)), casimir_triple(0, 0, 1))
+
+
+#: (document, n): documents that differ from _flat_even() at n only, beyond
+#: the window -10..-2: in the pivot, and in an override at 40
+#: (4 A_40 B_40 = 1 - 1680 z = q_40).
+ISO_BEYOND_WINDOW = {
+    "pivot": (_flat_even(pivot=100), 2),
+    "override": (_flat_even(overrides=[(40, LaurentPoly({0: Fraction(1, 4), 1: -420}), LaurentPoly.constant(1))]), 40),
+}
+
+
+def _support_hull(module):
+    """The window from the lowest to the highest override, degree override,
+    anchor or pivot of the module."""
+    d, t = module.degrees, module.transitions
+    ns = [d.anchor, t.pivot, *(n for n, _ in d.overrides), *(n for n, _, _ in t.overrides)]
+    return min(ns), max(ns)
+
+
+def windowless_verdicts(module, window, points, twin):
+    """The verdicts of validate, of the fiber at each point and of iso_check
+    against the twin, read on the window."""
+    out = [validate(module, window).ok]
+    for p in points:
+        v = _outcome_of(fiber_irreducible, module, p, window)
+        out.append(v if isinstance(v, tuple) else v.irreducible)
+    iso = _outcome_of(iso_check, module, twin, window)
+    return out + [iso if isinstance(iso, tuple) else (iso.isomorphic, iso.obstruction)]
+
+
+class TestWindowlessVerdicts:
+    @pytest.mark.parametrize("window", [(-10, -2), (-24, 24), (-200, 200)])
+    @pytest.mark.parametrize("pair", sorted(ISO_BEYOND_WINDOW))
+    def test_iso_names_a_difference_beyond_the_window(self, pair, window):
+        other, n = ISO_BEYOND_WINDOW[pair]
+        for m1, m2 in ((_flat_even(), other), (other, _flat_even())):
+            result = iso_check(m1, m2, window)
+            assert not result and result.obstruction == f"A_{n} is not a scalar multiple"
+            loop = _loop_iso_check(m1, m2, window)
+            assert (loop.isomorphic, loop.obstruction, loop.scalars) == (False, result.obstruction, result.scalars)
+
+    def test_pivots_that_differ_just_above_the_window(self):
+        # On odd weights the pivots 11 and 12 put n = 11, the first transition
+        # above the window -10..10, on different sides: unit A against unit B.
+        m1, m2 = (dataclasses.replace(_flat_even(pivot), weights=WeightSet("odd")) for pivot in (11, 12))
+        result = iso_check(m1, m2, (-10, 10))
+        assert not result and result.obstruction == "A_11 is not a scalar multiple"
+        assert result.scalars == {n: QI(1) for n in range(-9, 10, 2)}
+
+    @given(module_cases(), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_verdicts_do_not_depend_on_the_window(self, case, data):
+        module, window, points = case
+        twin = _rescaled_twin(module, window)
+        windows = [(-6, 6), (-24, 24), (-96, 96), (-10**20, 10**20), _support_hull(module)]
+        seen = [windowless_verdicts(module, w, points, twin) for w in windows]
+        assert all(s == seen[0] for s in seen)
+        # A window that leaves one override, the anchor or the pivot outside.
+        t, d = module.transitions, module.degrees
+        x = data.draw(st.sampled_from([d.anchor, t.pivot, *(n for n, _, _ in t.overrides)]))
+        gap, width = data.draw(st.integers(1, 30)), data.draw(st.integers(0, 40))
+        moved = (x + gap, x + gap + width) if data.draw(st.booleans()) else (x - gap - width, x - gap)
+        assert validate(module, moved).ok == seen[0][0]
 
 
 # q_3(1) = 15 - 3 * 5 = 0, so B_3(1) = 0: below the window (11, 21), above (1, 21)'s lowest weight.

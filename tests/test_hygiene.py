@@ -229,12 +229,12 @@ def test_public_module_queries_validate_every_module():
     what validation proves (4 A_n B_n = q_n != 0 and the degree bounds)."""
     source = (SRC / "hcmod.py").read_text()
     assert unguarded_module_arguments(source) == []
-    assert unguarded_module_arguments(source.replace("_require_valid(m2, window)", "pass")) == [("iso_check", "m2")]
+    assert unguarded_module_arguments(source.replace("_require_valid(m2)", "pass")) == [("iso_check", "m2")]
 
 
 #: Unreferenced on purpose: the console entry point, and names the tests and
 #: the planned exhaustive classification oracle use.
-UNREFERENCED_ALLOWED = {"cli.main", "classify.applicable_classes", "liefam.abelian_algebra"}
+UNREFERENCED_ALLOWED = {"cli.main", "liefam.abelian_algebra"}
 
 
 def _inherited_names(cls: ast.ClassDef) -> set:

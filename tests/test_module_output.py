@@ -77,7 +77,7 @@ def _documents():
     out = []
     for name, w, cls, casimir in specs:
         try:
-            out.append((name, construct(w, cls, casimir_triple(*casimir), SMALL)))
+            out.append((name, construct(w, cls, casimir_triple(*casimir))))
         except IncompatibleClass:
             continue
     docs = dict(out)

@@ -62,7 +62,7 @@ class TestCasimir:
             cas = casimir_triple(0, 24, 0)
         else:
             cas = casimir_triple(1, 2, 3)
-        module = construct(weights, cls, cas, (-8, 8))
+        module = construct(weights, cls, cas)
         c1, c0, cm1 = cas
         expected = (
             RationalFunction.constant(c1) * RF_Z
@@ -75,7 +75,7 @@ class TestCasimir:
     @given(st.integers(-8, 8))
     @settings(max_examples=17, deadline=None)
     def test_orderings_agree(self, n):
-        module = construct(WeightSet("even"), ClassSpec("III"), casimir_triple(0, 0, 1), (-10, 10))
+        module = construct(WeightSet("even"), ClassSpec("III"), casimir_triple(0, 0, 1))
         m = n * 2  # stay on the even lattice
         if not module.weights.contains(m):
             return
