@@ -106,25 +106,40 @@ def parse_casimir(text: str):
 
 
 def load_module(path: str) -> HCModuleFamily:
+    """The module in the file at path, or on stdin for '-'.  The file is read
+    on every call; its text is parsed once (see :func:`_parse_module`)."""
     try:
         if path == "-":
             text = sys.stdin.read()
         else:
             with open(path) as fh:
                 text = fh.read()
-        data = json.loads(text)
-        if not isinstance(data, dict):
-            raise ValueError("a module document is a JSON object")
-        module = HCModuleFamily.from_json(data)
+        return _parse_module(text)
     except (OSError, ValueError, KeyError, TypeError, AttributeError) as e:
         raise RequestError(f"cannot load module from {path!r}: {e}")
+
+
+#: The most document texts :func:`_parse_module` keeps.
+_DOCUMENTS_KEPT = 8
+
+
+@functools.lru_cache(maxsize=_DOCUMENTS_KEPT)
+def _parse_module(text: str) -> HCModuleFamily:
+    """The module a document text describes.  Keyed on the exact text, so a
+    rewritten file is parsed anew; the same text gives the same object, and
+    with it the validity it has recorded.  A malformed text raises and is
+    not kept."""
+    data = json.loads(text)
+    if not isinstance(data, dict):
+        raise ValueError("a module document is a JSON object")
+    module = HCModuleFamily.from_json(data)
     d, t = module.degrees, module.transitions
     integers = [module.weights.param, d.anchor, d.anchor_deg, d.slope_up, d.slope_down, t.pivot]
     integers += [x for pair in d.overrides for x in pair] + [n for n, _, _ in t.overrides]
     if any(type(x) is not int for x in integers):
-        raise RequestError(f"cannot load module from {path!r}: weights, degrees and indices must be integers")
+        raise ValueError("weights, degrees and indices must be integers")
     if type(data["casimir"]) is not list or len(module.casimir) != 3:  # a string or an object iterates too
-        raise RequestError(f"cannot load module from {path!r}: casimir must be a list of three scalars")
+        raise ValueError("casimir must be a list of three scalars")
     return module
 
 
@@ -255,6 +270,8 @@ def cmd_module(args) -> int:
         )
         return 0
     if args.action == "iso":
+        if args.other is None:
+            raise RequestError("module iso needs --other, the module to compare with")
         other = load_module(args.other)
         result = iso_check(module, other, window)
         emit(

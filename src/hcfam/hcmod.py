@@ -492,18 +492,31 @@ def _window_runs(module: HCModuleFamily, window: Window) -> List[Tuple[int, int]
     return _runs(module.breaks, *span) if span else []
 
 
+#: The key under which a module object records, in its instance dict as
+#: ``cached_property`` stores a value, that :func:`validate` found it ok.  A
+#: module is immutable, so the record holds for the object's life; an object
+#: made by ``dataclasses.replace`` starts without it.
+_VALID = "_validated"
+
+
 def validate(module: HCModuleFamily, window: Window = DEFAULT_WINDOW) -> ValidationReport:
     """Check every structural invariant of the module family.
 
     Every transition of the weight set is checked, one per run, in the
     window and beyond it (see :func:`_read_beyond`), so the verdict ``ok``
     does not depend on the window; the window only decides which violations
-    are listed with their own n.  Violations are data, not exceptions.
+    are listed with their own n.  Violations are data, not exceptions.  A
+    module found ok records it (:data:`_VALID`), and every later call on it
+    returns the empty report at once.
     """
     if window[0] > window[1]:
         raise ValueError("empty window")
+    if _VALID in vars(module):
+        return ValidationReport([])
+    w = module.weights
     v = [Violation(n, "override at an absent transition")
-         for n, _, _ in module.transitions.overrides if not module.weights.has_transition(n)]
+         for n, _, _ in module.transitions.overrides if not w.has_transition(n)]
+    v += [Violation(n, "degree override at an absent weight") for n, _ in module.degrees.overrides if not w.contains(n)]
     # One transition of each run (all of a run's transitions fail alike):
     # the window, then everything beyond it.
     parts, tails = _run_violations(module, _window_runs(module, window)), []
@@ -512,7 +525,10 @@ def validate(module: HCModuleFamily, window: Window = DEFAULT_WINDOW) -> Validat
             tails.append(Violation(f"tail-{side}", found))
         else:
             parts.append((a, b, found))
-    return ValidationReport(v + sorted(parts) + tails)
+    report = ValidationReport(v + sorted(parts) + tails)
+    if report.ok:  # exact for every window, as ok does not depend on it
+        vars(module)[_VALID] = True
+    return report
 
 
 def _run_violations(module: HCModuleFamily, runs) -> List[Tuple]:
@@ -585,6 +601,8 @@ def _read_beyond(module: HCModuleFamily, window: Window, read) -> List[Tuple]:
 
 
 def _require_valid(module: HCModuleFamily):
+    if _VALID in vars(module):
+        return
     report = validate(module)
     if not report.ok:
         raise NotValidated("module fails validation: " + report.summary())

@@ -151,28 +151,41 @@ class TestModule:
             ("fiber", ["--at", "inf"], 1),
             ("locus", [], 1),
             ("twist", [], 1),
-            ("iso", ["--other", "@module"], 2),
+            ("iso", ["--other", "@module"], 1),
+            ("iso", ["--other", "@copy"], 2),
         ],
-        ids=["validate", "fiber", "fiber-inf", "locus", "twist", "iso"],
+        ids=["validate", "fiber", "fiber-inf", "locus", "twist", "iso", "iso-copy"],
     )
     def test_one_validation_per_document(
-        self, capsys, monkeypatch, module_file, action, extra, documents
+        self, capsys, monkeypatch, tmp_path, module_file, action, extra, documents
     ):
+        """One validation per distinct document text: ``iso`` of a file
+        against itself validates once, against the same document written
+        differently twice, and a repeated request validates nothing."""
         from hcfam import hcmod
 
         calls = []
         real = hcmod.validate
 
         def counting(module, window=hcmod.DEFAULT_WINDOW):
-            calls.append(window)
+            calls.append((window, hcmod._VALID in vars(module)))
             return real(module, window)
 
         monkeypatch.setattr(hcmod, "validate", counting)
         monkeypatch.setattr(cli, "validate", counting)
-        extra = [module_file if a == "@module" else a for a in extra]
-        invoke(capsys, "module", action, "--module", module_file, "--window", "-6..6", *extra)
+        copy = tmp_path / "copy.json"
+        with open(module_file) as fh:
+            copy.write_text(json.dumps(json.load(fh), indent=1))
+        extra = [{"@module": module_file, "@copy": str(copy)}.get(a, a) for a in extra]
+        argv = ["module", action, "--module", module_file, "--window", "-6..6", *extra]
+        cli._parse_module.cache_clear()
+        invoke(capsys, *argv)
         # Only the listing of validate reads the window; the verdicts do not.
-        assert calls == [(-6, 6) if action == "validate" else hcmod.DEFAULT_WINDOW] * documents
+        window = (-6, 6) if action == "validate" else hcmod.DEFAULT_WINDOW
+        assert calls == [(window, False)] * documents
+        calls.clear()
+        invoke(capsys, *argv)
+        assert calls == ([(window, True)] if action == "validate" else [])
 
     def test_swap_unequal_degrees_is_domain_error(self, capsys, module_file):
         code, doc = invoke_json(
@@ -593,6 +606,73 @@ class TestRequestContract:
             assert code == 1 and doc["isomorphic"] is False and doc["obstruction"] == f"A_{n} is not a scalar multiple"
             lo, hi = (int(x) for x in window.split(".."))
             assert all(lo <= int(m) <= hi and abs(int(m)) <= n for m in doc["scalars"])
+
+
+    def test_iso_without_other_names_the_flag(self, capsys, module_file):
+        code, out = invoke(capsys, "module", "iso", "--module", module_file)
+        assert code == 2 and json.loads(out) == {
+            "error": "request",
+            "message": "module iso needs --other, the module to compare with",
+        }
+
+    @pytest.mark.parametrize("weights, n", [("even", 1), ("lowest:3", -5)])
+    def test_degree_override_at_an_absent_weight(self, capsys, tmp_path, weights, n):
+        """A degree override at an n outside the weight set is a violation at
+        n, as an override at an absent transition is."""
+        code, out = invoke(capsys, "classify", "construct", "--weights", weights, "--class", "III",
+                           "--casimir", "0,0,1" if weights == "even" else "0,3,0")
+        assert code == 0
+        doc = json.loads(out)
+        doc["degree_rule"]["overrides"] = [[n, 7]]
+        path = tmp_path / "absent.json"
+        path.write_text(json.dumps(doc))
+        code, report = invoke_json(capsys, "module", "validate", "--module", str(path))
+        assert code == 1 and report == {
+            "ok": False,
+            "violations": [{"where": str(n), "message": "degree override at an absent weight"}],
+        }
+        code, out = invoke_json(capsys, "module", "fiber", "--module", str(path), "--at", "1")
+        assert code == 3 and out["error"] == "NotValidated"
+
+
+class TestDocumentMemo:
+    """Each distinct document text is parsed once per process, by content:
+    a rewritten file is read anew, and a malformed text is never kept."""
+
+    def test_a_rewritten_file_is_read_anew(self, capsys, module_file):
+        with open(module_file) as fh:
+            good = fh.read()
+        doc = json.loads(good)
+        doc["transitions"]["overrides"] = [{"n": 2, "A": {"0": "2"}, "B": {"0": "1"}}]  # 4 A_2 B_2 != q_2
+        codes = []
+        for text in (good, json.dumps(doc), good):
+            with open(module_file, "w") as fh:
+                fh.write(text)
+            codes.append(invoke(capsys, "module", "validate", "--module", module_file)[0])
+        assert codes == [0, 1, 0]
+
+    def test_at_most_eight_documents_are_kept(self, capsys, module_file, tmp_path):
+        with open(module_file) as fh:
+            doc = json.load(fh)
+        cli._parse_module.cache_clear()
+        for d in range(20):
+            path = tmp_path / f"twist{d}.json"
+            path.write_text(json.dumps({**doc, "degree_rule": {**doc["degree_rule"], "anchor_deg": d}}))
+            assert invoke(capsys, "module", "validate", "--module", str(path))[0] == 0
+        assert cli._parse_module.cache_info().currsize == 8
+
+    def test_a_malformed_document_is_never_kept(self, capsys, module_file, tmp_path):
+        with open(module_file) as fh:
+            doc = json.load(fh)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({**doc, "transitions": {**doc["transitions"], "pivot": 0.5}}))
+        cli._parse_module.cache_clear()
+        outs = [invoke(capsys, "module", "validate", "--module", str(bad)) for _ in range(3)]
+        assert outs == [(2, json.dumps({
+            "error": "request",
+            "message": f"cannot load module from {str(bad)!r}: weights, degrees and indices must be integers",
+        }, separators=(",", ":")) + "\n")] * 3
+        assert cli._parse_module.cache_info().currsize == 0
 
 
 class TestWindowOnlyLists:

@@ -164,6 +164,27 @@ class TestValidation:
         assert not report.ok
 
 
+    def test_a_passing_verdict_is_recorded_on_the_object(self):
+        """construct validates what it builds; the record holds on every
+        window and leaves equality, hashing and the document unchanged."""
+        module = ascending_module()
+        assert hcmod._VALID in vars(module)
+        for window in ((-6, 6), DEFAULT_WINDOW, (-10**20, 10**20)):
+            assert validate(module, window).to_json() == {"ok": True, "violations": []}
+        twin = dataclasses.replace(module)
+        assert hcmod._VALID not in vars(twin)
+        assert twin == module and hash(twin) == hash(module) and twin.to_json() == module.to_json()
+
+    def test_a_failing_verdict_is_never_recorded(self):
+        module = ascending_module()
+        broken = module.transitions.with_overrides({2: (LaurentPoly.constant(2), LaurentPoly.constant(1))})
+        bad = dataclasses.replace(module, transitions=broken)  # made from a recorded module
+        for _ in range(2):
+            with pytest.raises(NotValidated):
+                fiber_irreducible(bad, QI(1))
+            assert [v.message for v in validate(bad)] == ["Casimir equation 4 A_n B_n = q_n fails"]
+
+
 class TestFibers:
     def test_interior_scalars_are_evaluations(self):
         module = ascending_module()
@@ -237,7 +258,7 @@ class TestFibers:
             return validate(module, window)
 
         monkeypatch.setattr(hcmod, "validate", counting)
-        query(ascending_module())
+        query(dataclasses.replace(ascending_module()))  # a new object, without the record construct left
         assert calls == [DEFAULT_WINDOW]
 
     def test_verdict_carries_fiber_scalars(self):
@@ -967,6 +988,8 @@ def _loop_validate(module, window=DEFAULT_WINDOW):
         raise ValueError("empty window")
     v = [hcmod.Violation(n, "override at an absent transition")
          for n, _, _ in module.transitions.overrides if not module.weights.has_transition(n)]
+    v += [hcmod.Violation(n, "degree override at an absent weight")
+          for n, _ in module.degrees.overrides if not module.weights.contains(n)]
     for n in _walked_transitions(module, window):
         A, B = module.transition_polys(n)
         q = module.q_poly(n)

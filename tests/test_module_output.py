@@ -17,6 +17,7 @@ from fractions import Fraction
 import pytest
 
 from hcfam.classify import ClassSpec, IncompatibleClass, construct
+from hcfam import cli
 from hcfam.cli import run
 from hcfam.hcmod import (
     DegreeProfile,
@@ -143,9 +144,21 @@ def _outcome(argv):
 
 
 @functools.lru_cache(maxsize=None)
-def _outcomes():
+def _cold_and_warm():
+    """The outcomes of every request with the document memo cleared before
+    each, then of every request again in reverse order, the memo warm."""
     with tempfile.TemporaryDirectory() as tmp:
-        return {rid: _outcome(argv) for rid, argv in _requests(tmp)}
+        requests = _requests(tmp)
+        cold = {}
+        for rid, argv in requests:
+            cli._parse_module.cache_clear()
+            cold[rid] = _outcome(argv)
+        warm = {rid: _outcome(argv) for rid, argv in reversed(requests)}
+    return cold, warm
+
+
+def _outcomes():
+    return _cold_and_warm()[0]
 
 
 #: request id -> [exit code, sha256 of stdout], recorded before module
@@ -168,6 +181,13 @@ def test_corpus_covers_every_request():
 @pytest.mark.parametrize("rid", sorted(MODULE_OUTPUT_CORPUS))
 def test_stdout_and_exit_code_unchanged(rid):
     assert _outcomes()[rid] == MODULE_OUTPUT_CORPUS[rid]
+
+
+def test_documents_parsed_once_answer_alike():
+    """Requests answered from the document memo and the validity records
+    print what cold requests print."""
+    warm = _cold_and_warm()[1]
+    assert {rid: warm[rid] for rid in MODULE_OUTPUT_CORPUS} == MODULE_OUTPUT_CORPUS
 
 
 if __name__ == "__main__":  # print the corpus of the hcfam on sys.path as JSON
