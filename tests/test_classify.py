@@ -1,5 +1,6 @@
 """Tests for admissibility, canonical constructions, and uniqueness probes."""
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -49,7 +50,7 @@ class TestConstruct:
     def test_all_classes_validate(self, weights, kind):
         cls = ClassSpec(kind, weights.anchor_weight()) if kind in ("I", "II") else ClassSpec(kind)
         module = construct(weights, cls, casimir_triple(1, 2, 3))
-        assert validate(module).ok
+        assert validate(dataclasses.replace(module)).ok  # a copy without construct's record: every check runs
 
     def test_unit_normalization(self):
         module = construct(WeightSet("even"), ClassSpec("III"), casimir_triple(0, 0, 1))
@@ -76,7 +77,8 @@ class TestConstruct:
         # as runs, so no window has to hold them.
         module = construct(WeightSet("even"), ClassSpec(kind, k), casimir_triple(0, Fraction(1, 3), 1))
         assert (module.degrees.anchor, module.transitions.pivot) == (k, k)
-        assert all(validate(module, window).ok for window in ((-2, 2), (-24, 24), (k, k), (-10**20, 10**20)))
+        windows = ((-2, 2), (-24, 24), (k, k), (-10**20, 10**20))
+        assert all(validate(dataclasses.replace(module), window).ok for window in windows)  # unrecorded copies
 
     def test_classes_give_distinct_profiles(self):
         cas = casimir_triple(1, 0, 1)
@@ -129,4 +131,4 @@ class TestProbes:
         module = construct(WeightSet("even"), ClassSpec("III"), casimir_triple(0, 0, 1))
         twisted = picard_twist(module, 1)
         assert not iso_check(module, twisted)
-        assert validate(twisted).ok
+        assert validate(dataclasses.replace(twisted)).ok

@@ -101,11 +101,17 @@ def ascending_module():
     return construct(WeightSet("even"), ClassSpec("III"), casimir_triple(0, 0, 1))
 
 
+def fresh_validate(module, window=DEFAULT_WINDOW):
+    """validate on an unrecorded copy of the module, so that every call runs
+    every check: a module found ok once answers later calls from its record."""
+    return validate(dataclasses.replace(module), window)
+
+
 class TestValidation:
     def test_canonical_modules_validate(self):
         for cls in (ClassSpec("III"), ClassSpec("IV"), ClassSpec("I", 0), ClassSpec("II", 0)):
             module = construct(WeightSet("even"), cls, casimir_triple(1, 0, 1))
-            report = validate(module)
+            report = fresh_validate(module)
             assert report.ok, report.to_json()
             assert validate(module).ok
 
@@ -326,8 +332,8 @@ class TestWindowGrowth:
             other = TailRule("B" if rule.unit_on == "A" else "A", rule.value)
             return dataclasses.replace(module, transitions=dataclasses.replace(t, **{side: other}))
 
-        assert all(validate(module, w).ok for w in GROWING_WINDOWS)
-        reports = [validate(corrupted, w).to_json() for w in GROWING_WINDOWS]
+        assert all(fresh_validate(module, w).ok for w in GROWING_WINDOWS)
+        reports = [fresh_validate(corrupted, w).to_json() for w in GROWING_WINDOWS]
         assert reports == [reports[0]] * len(reports)
         assert [v["where"] for v in reports[0]["violations"]] == ["2"]
         for side, where in (("rule_up", "tail-up"), ("rule_down", "tail-down")):
@@ -336,7 +342,7 @@ class TestWindowGrowth:
             # on its runs beyond the window, must not.
             tails = []
             for w in GROWING_WINDOWS:
-                report = validate(bad, w)
+                report = fresh_validate(bad, w)
                 assert not report.ok
                 tails.append([v.to_json() for v in report if str(v.where).startswith("tail")])
             assert [[v["where"] for v in tv] for tv in tails] == [[where]] * len(tails)
@@ -375,7 +381,7 @@ class TestWindowGrowth:
     def test_iso_compares_degrees_validate_admits_beyond_the_window(self):
         flat, raised = self.degree_override_pair()
         for w in ((-4, 4), (-8, 8)):
-            assert validate(flat, w).ok and validate(raised, w).ok
+            assert fresh_validate(flat, w).ok and fresh_validate(raised, w).ok
             result = iso_check(flat, raised, w)
             assert (result.isomorphic, result.obstruction) == (False, "degree profiles differ"), w
 
@@ -457,7 +463,7 @@ class TestSwap:
     def test_swap_preserves_validity(self):
         module = self.equal_degree_module()
         swapped = swap_transitions(module, [2, 4])
-        assert validate(swapped, (-8, 8)).ok
+        assert fresh_validate(swapped, (-8, 8)).ok
         A, B = swapped.transition_polys(2)
         A0, B0 = module.transition_polys(2)
         assert (A, B) == (B0, A0)
@@ -660,6 +666,15 @@ def applicable_classes(weights, window):
     return [ClassSpec("III"), ClassSpec("IV"), *extremal]
 
 
+def degree_override_at(weights, lo, hi):
+    """Where a drawn degree override goes: a weight of lo - 2..hi + 2 (the end
+    of a lowest or highest set when none lies there), and one time in eight
+    any integer of that range, so that "degree override at an absent weight"
+    is drawn too without making most cases invalid."""
+    present = weights.weights_in((lo - 2, hi + 2)) or [weights.param]
+    return st.integers(0, 7).flatmap(lambda k: st.sampled_from(present) if k else st.integers(lo - 2, hi + 2))
+
+
 @st.composite
 def module_cases(draw):
     """A module (valid or corrupted), a window, and fiber points."""
@@ -697,7 +712,7 @@ def module_cases(draw):
         n = draw(st.sampled_from(t.overrides))[0]
         t = dataclasses.replace(t, overrides=t.overrides + ((n, draw(small_polys), draw(small_polys)),))
     overrides = [(n, d.deg(n) + draw(st.sampled_from([0] * 8 + [1, -2])))
-                 for n in draw(st.lists(st.integers(window[0] - 2, window[1] + 2), max_size=3))]
+                 for n in draw(st.lists(degree_override_at(weights, *window), max_size=3))]
     d = dataclasses.replace(d, overrides=tuple(overrides))
     module = dataclasses.replace(module, transitions=t, degrees=d)
     points = [QI_ZERO, INFINITY, draw(small_qi), QI(Fraction(draw(st.integers(-9, 9)), draw(st.integers(1, 999))))]
@@ -871,8 +886,9 @@ def _with_degree(module, n, deg):
 def edge_cases(draw):
     """A case of module_cases; now and then its in-window transitions at and
     above the pivot become overrides and the pivot moves to hi + 1 or hi + 2,
-    or a degree override lands just beyond the window, or the degree anchor
-    moves."""
+    or a degree override lands just beyond the window (at a weight, or at the
+    end of the set when none lies there, but for one time in eight), or the
+    degree anchor moves."""
     module, window, _ = draw(module_cases())
     lo, hi = window
     if draw(st.booleans()):
@@ -883,7 +899,9 @@ def edge_cases(draw):
         t = dataclasses.replace(t, pivot=hi + draw(st.sampled_from([1, 2])))
         module = dataclasses.replace(module, transitions=t)
     if draw(st.booleans()):
-        n = draw(st.sampled_from([lo - 2, lo - 1, hi + 1, hi + 2]))
+        beyond = [lo - 2, lo - 1, hi + 1, hi + 2]
+        present = [n for n in beyond if module.weights.contains(n)]
+        n = draw(st.sampled_from((present or [module.weights.param]) if draw(st.integers(0, 7)) else beyond))
         module = _with_degree(module, n, module.degrees.deg(n) + draw(st.sampled_from([1, -1])))
     if draw(st.integers(0, 2)) == 0:  # the degree anchor moves, now and then beyond the window
         edges = st.sampled_from([lo - 2, lo - 1, lo, lo + 1, hi - 1, hi, hi + 1, hi + 2, hi + 3])
@@ -904,9 +922,9 @@ class TestBeyondWindow:
         module = HCModuleFamily(WeightSet("odd"), DegreeProfile(40, 20, 1, -1), TransitionData(1, B, B),
                                 casimir_triple(1, 0, 1))
         for window in ((-25, 25), (-25, 39)):
-            assert [v.to_json() for v in validate(module, window)] == [
+            assert [v.to_json() for v in fresh_validate(module, window)] == [
                 {"where": "39", "message": "deg A_n = 2 exceeds bound 1"}]
-        assert {validate(module, window).ok for window in WINDOWS} == {False}
+        assert {fresh_validate(module, window).ok for window in WINDOWS} == {False}
 
     def test_anchor_at_lo_of_the_other_parity(self):
         # With odd weights and the anchor at lo = 0, the transition at -1 just
@@ -914,9 +932,9 @@ class TestBeyondWindow:
         B = TailRule("B", QI(1))
         module = HCModuleFamily(WeightSet("odd"), DegreeProfile(0, 0, 1, -1), TransitionData(1, B, B),
                                 casimir_triple(1, 0, 1))
-        assert [v.where for v in validate(module, (0, 10))] == [-1]
-        assert [v.where for v in validate(module, (-1, 10))] == [-1]
-        assert {validate(module, window).ok for window in WINDOWS} == {False}
+        assert [v.where for v in fresh_validate(module, (0, 10))] == [-1]
+        assert [v.where for v in fresh_validate(module, (-1, 10))] == [-1]
+        assert {fresh_validate(module, window).ok for window in WINDOWS} == {False}
 
     @pytest.mark.parametrize("kind, param", [("lowest", 5), ("highest", -5)])
     def test_anchor_at_the_end_of_a_half_infinite_set(self, kind, param):
@@ -925,15 +943,15 @@ class TestBeyondWindow:
         B = TailRule("B", QI(1))
         module = HCModuleFamily(WeightSet(kind, param), DegreeProfile(param, 0, 0, 0), TransitionData(param, B, B),
                                 casimir_triple(0, QI(1, 1), 1))
-        assert len({validate(module, window).ok for window in WINDOWS}) == 1
+        assert len({fresh_validate(module, window).ok for window in WINDOWS}) == 1
 
     def test_transition_between_window_and_pivot_is_checked(self):
         module = _pivot_beyond_window()
-        report = validate(module, (-24, 23))
+        report = fresh_validate(module, (-24, 23))
         assert not report.ok
         assert list(report)[0].where == 24
         assert list(report)[0].message == "deg A_n = 1 exceeds bound 0"
-        assert list(validate(module, (-24, 25)))[0].to_json() == list(report)[0].to_json()
+        assert list(fresh_validate(module, (-24, 25)))[0].to_json() == list(report)[0].to_json()
 
     @pytest.mark.parametrize("side", ["hi", "lo"])
     @example(case=(_with_degree(ascending_module(), -8, -2), (-7, 6)))  # steps 3 and -1 below lo
@@ -943,7 +961,7 @@ class TestBeyondWindow:
     def test_ok_unchanged_when_the_window_grows_by_one(self, side, case):
         module, (lo, hi) = case
         grown = (lo, hi + 1) if side == "hi" else (lo - 1, hi)
-        assert validate(module, (lo, hi)).ok == validate(module, grown).ok
+        assert fresh_validate(module, (lo, hi)).ok == fresh_validate(module, grown).ok
 
 
 # -- the closed form in n against the per-transition loops it replaces ---------
@@ -1184,9 +1202,10 @@ def closed_form_cases(draw):
         A, B = module.transition_polys(n)
         mu = draw(nonzero_qi)
         t = t.with_overrides({n: (A.scale(mu), B.scale(mu.inverse()))})
+    ends = [n for n in (lo - 2, window[1] + 2) if weights.contains(n)]
+    at = degree_override_at(weights, *window)
     degs = [(n, module.degrees.deg(n) + draw(st.sampled_from([0, 0, 1, -1])))
-            for n in draw(st.lists(st.one_of(st.sampled_from([lo - 2, window[1] + 2]), st.integers(lo - 2, window[1] + 2)),
-                                   max_size=2))]
+            for n in draw(st.lists(st.one_of(st.sampled_from(ends), at) if ends else at, max_size=2))]
     module = dataclasses.replace(module, transitions=t,
                                  degrees=dataclasses.replace(module.degrees, overrides=tuple(degs)))
     twins = _iso_twins(module, window, draw(nonzero_qi), draw(nonzero_qi))
@@ -1225,7 +1244,8 @@ def assert_tail_agrees(module, p, window, tail, reach=40):
 
 def closed_form_verdicts(module, window, points, twins):
     """Every verdict the four readers give, looked up on hcmod at call time."""
-    out = {"validate": [_verdict_and_listing(m, window, hcmod.validate(m, window)) for m in [module, *twins]]}
+    out = {"validate": [_verdict_and_listing(m, window, hcmod.validate(dataclasses.replace(m), window))
+                        for m in [module, *twins]]}
 
     def outcome(fn, *args):  # a refusal quotes validate's listing, compared above
         got = _outcome_of(fn, *args)
@@ -1294,7 +1314,7 @@ class TestClosedForm:
         seen = []
         for window in ((-10**2, 10**2), (-10**6, 10**6)):
             counts.clear()
-            report = validate(module, window).to_json()
+            report = fresh_validate(module, window).to_json()
             verdicts = [fiber_irreducible(module, p, window) for p in (QI_ZERO, INFINITY, QI(Fraction(1, 3)))]
             seen.append((sorted(counts), report, [(v.irreducible, v.tail, len(v.zeros)) for v in verdicts]))
         assert seen[0] == seen[1]
@@ -1307,7 +1327,7 @@ class TestClosedForm:
         calls = []
         derive = HCModuleFamily.transition_polys
         monkeypatch.setattr(HCModuleFamily, "transition_polys", lambda self, n: calls.append(n) or derive(self, n))
-        assert validate(module, window).ok
+        assert fresh_validate(module, window).ok
         for p in (QI_ZERO, INFINITY, QI(Fraction(1, 3))):
             fiber_irreducible(module, p, window)
         assert iso_check(module, twin, window)
@@ -1341,7 +1361,7 @@ def _support_hull(module):
 def windowless_verdicts(module, window, points, twin):
     """The verdicts of validate, of the fiber at each point and of iso_check
     against the twin, read on the window."""
-    out = [validate(module, window).ok]
+    out = [fresh_validate(module, window).ok]
     for p in points:
         v = _outcome_of(fiber_irreducible, module, p, window)
         out.append(v if isinstance(v, tuple) else v.irreducible)
@@ -1381,7 +1401,7 @@ class TestWindowlessVerdicts:
         x = data.draw(st.sampled_from([d.anchor, t.pivot, *(n for n, _, _ in t.overrides)]))
         gap, width = data.draw(st.integers(1, 30)), data.draw(st.integers(0, 40))
         moved = (x + gap, x + gap + width) if data.draw(st.booleans()) else (x - gap - width, x - gap)
-        assert validate(module, moved).ok == seen[0][0]
+        assert fresh_validate(module, moved).ok == seen[0][0]
 
 
 # q_3(1) = 15 - 3 * 5 = 0, so B_3(1) = 0: below the window (11, 21), above (1, 21)'s lowest weight.
@@ -1447,8 +1467,8 @@ class TestFiniteStretch:
     @settings(max_examples=80, deadline=None)
     def test_verdicts_do_not_move_with_the_window(self, case):
         module, far, moved, points = case
-        report = validate(module, far)
-        assert report.to_json() == validate(module, moved).to_json()
+        report = fresh_validate(module, far)
+        assert report.to_json() == fresh_validate(module, moved).to_json()
         if not report.ok:
             return
         stretch_side = "down" if module.weights.kind == "lowest" else "up"
