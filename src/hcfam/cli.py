@@ -49,8 +49,16 @@ def _check_listable(weights: WeightSet, window) -> None:
         raise RequestError(f"the window holds more than {MAX_LISTED} transitions, the most a listing request takes")
 
 
-def emit(obj) -> None:
-    sys.stdout.write(json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n")
+def emit(obj) -> str:
+    text = json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
+    sys.stdout.write(text)
+    return text
+
+
+def emit_module(module: HCModuleFamily) -> None:
+    """Print a module document; the text, newline included, enters the memo
+    (see :func:`_parse_module`) with the module and its validity record."""
+    _keep(emit(module.to_json()), module)
 
 
 # ---------------------------------------------------------------------------
@@ -115,20 +123,30 @@ def load_module(path: str) -> HCModuleFamily:
             with open(path) as fh:
                 text = fh.read()
         return _parse_module(text)
-    except (OSError, ValueError, KeyError, TypeError, AttributeError) as e:
+    except (OSError, ValueError, KeyError, TypeError, AttributeError, RecursionError) as e:
         raise RequestError(f"cannot load module from {path!r}: {e}")
 
 
-#: The most document texts :func:`_parse_module` keeps.
+#: The document memo: text -> module for at most _DOCUMENTS_KEPT texts, in
+#: the order they were first kept; the oldest goes first.
 _DOCUMENTS_KEPT = 8
+_documents: dict = {}
 
 
-@functools.lru_cache(maxsize=_DOCUMENTS_KEPT)
+def _keep(text: str, module: HCModuleFamily) -> HCModuleFamily:
+    _documents[text] = module
+    if len(_documents) > _DOCUMENTS_KEPT:
+        del _documents[next(iter(_documents))]
+    return module
+
+
 def _parse_module(text: str) -> HCModuleFamily:
     """The module a document text describes.  Keyed on the exact text, so a
     rewritten file is parsed anew; the same text gives the same object, and
     with it the validity it has recorded.  A malformed text raises and is
-    not kept."""
+    not kept; a text a request printed is kept as printed (:func:`emit_module`)."""
+    if text in _documents:
+        return _documents[text]
     data = json.loads(text)
     if not isinstance(data, dict):
         raise ValueError("a module document is a JSON object")
@@ -140,7 +158,7 @@ def _parse_module(text: str) -> HCModuleFamily:
         raise ValueError("weights, degrees and indices must be integers")
     if type(data["casimir"]) is not list or len(module.casimir) != 3:  # a string or an object iterates too
         raise ValueError("casimir must be a list of three scalars")
-    return module
+    return _keep(text, module)
 
 
 def build_family(algebra: str, kind: str, power: int):
@@ -226,13 +244,8 @@ def cmd_morphcheck(args) -> int:
         emit({"morphism": True, "preset": args.preset})
         return 0
     i, j, residual = witness
-    emit(
-        {
-            "morphism": False,
-            "preset": args.preset,
-            "witness": {"i": i, "j": j, "residual": [str(x) for x in residual]},
-        }
-    )
+    residual = [str(x) for x in residual]
+    emit({"morphism": False, "preset": args.preset, "witness": {"i": i, "j": j, "residual": residual}})
     return 1
 
 
@@ -258,16 +271,9 @@ def cmd_module(args) -> int:
         return 0 if verdict else 1
     if args.action == "locus":
         locus = reducible_locus(module, window)
-        emit(
-            {
-                "points": sorted(str(p) for p in locus.points),
-                "boundary": sorted(str(p) for p in locus.boundary),
-                "unsplit": [
-                    {"n": n, "poly": which, "quadratic": str(poly)}
-                    for n, which, poly in locus.unsplit
-                ],
-            }
-        )
+        points, boundary = sorted(str(p) for p in locus.points), sorted(str(p) for p in locus.boundary)
+        unsplit = [{"n": n, "poly": which, "quadratic": str(poly)} for n, which, poly in locus.unsplit]
+        emit({"points": points, "boundary": boundary, "unsplit": unsplit})
         return 0
     if args.action == "iso":
         if args.other is None:
@@ -283,14 +289,14 @@ def cmd_module(args) -> int:
         )
         return 0 if result.isomorphic else 1
     if args.action == "twist":
-        emit(picard_twist(module, args.degree).to_json())
+        emit_module(picard_twist(module, args.degree))
         return 0
     if args.action == "swap":
         try:
             indices = [int(x) for x in args.indices.split(",")]
         except ValueError:
             raise RequestError("indices must be comma-separated integers")
-        emit(swap_transitions(module, indices).to_json())
+        emit_module(swap_transitions(module, indices))
         return 0
     raise RequestError(f"unknown module action {args.action!r}")
 
@@ -306,8 +312,7 @@ def cmd_classify(args) -> int:
     cls = parse_class(getattr(args, "cls"))
     if args.action == "construct":
         parse_window(args.window)  # checked as in every request; the module needs no window
-        module = construct(weights, cls, parse_casimir(args.casimir))
-        emit(module.to_json())
+        emit_module(construct(weights, cls, parse_casimir(args.casimir)))
         return 0
     if args.action == "report":
         emit(classification_report(weights, cls))
@@ -320,14 +325,7 @@ def cmd_classify(args) -> int:
         probe = uniqueness_probe(
             weights, cls, parse_casimir(args.casimir), trials=args.trials, seed=args.seed, window=window
         )
-        emit(
-            {
-                "status": probe.status,
-                "trials": probe.trials,
-                "seed": args.seed,
-                "detail": probe.detail,
-            }
-        )
+        emit({"status": probe.status, "trials": probe.trials, "seed": args.seed, "detail": probe.detail})
         return 0 if probe.status in ("pass", "inapplicable") else 1
     raise RequestError(f"unknown classify action {args.action!r}")
 
@@ -370,7 +368,8 @@ def cmd_grassmann(args) -> int:
         if witness is None:
             emit({"subalgebra": True})
             return 0
-        emit({"subalgebra": False, "witness": list(witness)})
+        i, j, residual = witness
+        emit({"subalgebra": False, "witness": [i, j], "residual": pair_json(residual, pencil.n)})
         return 1
     if args.action == "closure":
         failure = fiber_group_closure_check(pencil, parse_point(args.boundary))

@@ -159,12 +159,16 @@ def _span_of(basis: Sequence[SparsePair]):
 
 
 def verify_subalgebra(basis: Sequence[SparsePair]):
-    """None when every pairwise bracket lies in the span; else (i, j)."""
+    """None when every pairwise bracket lies in the span; else (i, j, residual)
+    for the first bracket outside it, the residual being the pair of its
+    entries off the span's pivot columns once reduced by the span."""
     span, n = _span_of(basis)
     for i in range(len(basis)):
         for j in range(i + 1, len(basis)):
-            if not span.sparse_contains(_flat(pair_bracket(basis[i], basis[j]), n)):
-                return (i, j)
+            bracket = _flat(pair_bracket(basis[i], basis[j]), n)
+            if not span.sparse_contains(bracket):
+                residual = {(k // (n * n), k // n % n, k % n): x for k, x in span.sparse_residual(bracket)}
+                return i, j, residual
     return None
 
 

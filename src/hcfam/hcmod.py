@@ -322,11 +322,7 @@ Casimir = Tuple[GaussianRational, GaussianRational, GaussianRational]
 
 
 def casimir_triple(c1, c0, cm1) -> Casimir:
-    return (
-        GaussianRational._coerce(c1),
-        GaussianRational._coerce(c0),
-        GaussianRational._coerce(cm1),
-    )
+    return tuple(GaussianRational._coerce(c) for c in (c1, c0, cm1))
 
 
 @dataclass(frozen=True)
@@ -493,9 +489,10 @@ def _window_runs(module: HCModuleFamily, window: Window) -> List[Tuple[int, int]
 
 
 #: The key under which a module object records, in its instance dict as
-#: ``cached_property`` stores a value, that :func:`validate` found it ok.  A
-#: module is immutable, so the record holds for the object's life; an object
-#: made by ``dataclasses.replace`` starts without it.
+#: ``cached_property`` stores a value, that it is valid: :func:`validate` found
+#: it ok, or :func:`picard_twist` or :func:`swap_transitions` made it from a
+#: valid module.  A module is immutable, so the record holds for the object's
+#: life; an object made by ``dataclasses.replace`` starts without it.
 _VALID = "_validated"
 
 
@@ -858,17 +855,19 @@ def iso_check(m1: HCModuleFamily, m2: HCModuleFamily, window: Window = DEFAULT_W
 def picard_twist(module: HCModuleFamily, d: int) -> HCModuleFamily:
     """Tensor by a degree-d line bundle: shift every sheaf degree by d."""
     _require_valid(module)
-    return replace(module, degrees=module.degrees.shifted(d))
+    out = replace(module, degrees=module.degrees.shifted(d))
+    vars(out)[_VALID] = True  # every degree step stays
+    return out
 
 
 def swap_transitions(module: HCModuleFamily, indices) -> HCModuleFamily:
     """Exchange A_n with B_n at the given equal-degree transition indices."""
     _require_valid(module)
     swaps = {}
-    for n in indices:  # step 0 on a validated module bounds both degrees by one
+    for n in indices:
         if module.degrees.step(n) != 0:
             raise DegreeBoundViolated(f"transition {n} does not have equal degrees")
         swaps[n] = module.transition_polys(n)[::-1]
     out = replace(module, transitions=module.transitions.with_overrides(swaps))
-    _require_valid(out)
+    vars(out)[_VALID] = True  # 4 B_n A_n = q_n, and step 0 bounds both degrees by one
     return out

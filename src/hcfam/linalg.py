@@ -162,11 +162,11 @@ class Span:
     def rank(self) -> int:
         return len(self.pivots)
 
-    def _weights(self, w) -> Optional[list]:
-        """(r, w[p_r]) for the pivots where w is nonzero, or None when the
-        residual of w is nonzero, that is when w is outside the span.  ``w``
-        holds the (index, entry) pairs of the nonzero entries: a list, or the
-        items of a sparse vector {k: c}."""
+    def _reduce(self, w) -> Tuple[list, dict]:
+        """(r, w[p_r]) for the pivots where w is nonzero, and the residual
+        {j: entry} of w off the pivot columns, zero iff w is in the span.
+        ``w`` holds the (index, entry) pairs of the nonzero entries: a list,
+        or the items of a sparse vector {k: c}."""
         pivots = self.pivots
         weights = [(pivots[j], x) for j, x in w if j in pivots]
         residual = {j: x for j, x in w if j not in pivots}
@@ -174,17 +174,22 @@ class Span:
             for j, x in self.rows[r]:
                 t = c * x
                 residual[j] = residual[j] - t if j in residual else -t
-        return None if any(residual.values()) else weights
+        return weights, residual
+
+    def sparse_residual(self, w) -> list:
+        """The nonzero entries (j, x) of w less its combination of the pivot
+        rows: none in a pivot column, and none iff w lies in the span."""
+        return [(j, x) for j, x in self._reduce(w)[1].items() if x]
 
     def sparse_contains(self, w) -> bool:
         """Whether the vector with nonzero entries w lies in the span."""
-        return self._weights(w) is not None
+        return not any(self._reduce(w)[1].values())
 
     def sparse_coordinates(self, w) -> Optional[list]:
         """The nonzero coordinates (k, c_k), in increasing k, of the vector
         with nonzero entries w, or None when it is outside the span."""
-        weights = self._weights(w)
-        if weights is None:
+        weights, residual = self._reduce(w)
+        if any(residual.values()):
             return None
         acc = {}
         for r, c in weights:

@@ -606,9 +606,8 @@ class LaurentPoly:
 
     @staticmethod
     def from_json(data: Mapping[str, str]) -> "LaurentPoly":
-        return LaurentPoly(
-            {int(e): GaussianRational.parse(c) for e, c in data.items()}
-        )
+        parsed = {int(e): GaussianRational.parse(c) for e, c in data.items()}  # the last of equal exponents wins
+        return _lp({e: c for e, c in parsed.items() if c})
 
 
 def _lp(coeffs: dict) -> LaurentPoly:

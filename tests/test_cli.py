@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hcfam
-from hcfam import cli, grassfam
+from hcfam import classify, cli, grassfam
 from hcfam.cli import run
 from hcfam.liefam import _sparse_table, contraction_family, sl2_algebra
 from hcfam.scalars import DomainError, GaussianRational, RationalFunction
@@ -153,16 +153,22 @@ class TestModule:
             ("twist", [], 1),
             ("iso", ["--other", "@module"], 1),
             ("iso", ["--other", "@copy"], 2),
+            ("swap", ["--indices", "0,2"], 1),
         ],
-        ids=["validate", "fiber", "fiber-inf", "locus", "twist", "iso", "iso-copy"],
+        ids=["validate", "fiber", "fiber-inf", "locus", "twist", "iso", "iso-copy", "swap"],
     )
     def test_one_validation_per_document(
         self, capsys, monkeypatch, tmp_path, module_file, action, extra, documents
     ):
         """One validation per distinct document text: ``iso`` of a file
         against itself validates once, against the same document written
-        differently twice, and a repeated request validates nothing."""
+        differently twice, and a repeated request validates nothing.  ``twist``
+        and ``swap`` prove their result valid instead of validating it."""
         from hcfam import hcmod
+
+        if action == "swap":  # a document with transitions of degree step 0
+            with open(module_file, "w") as fh:
+                json.dump(_flat_even(), fh)
 
         calls = []
         real = hcmod.validate
@@ -178,7 +184,7 @@ class TestModule:
             copy.write_text(json.dumps(json.load(fh), indent=1))
         extra = [{"@module": module_file, "@copy": str(copy)}.get(a, a) for a in extra]
         argv = ["module", action, "--module", module_file, "--window", "-6..6", *extra]
-        cli._parse_module.cache_clear()
+        cli._documents.clear()
         invoke(capsys, *argv)
         # Only the listing of validate reads the window; the verdicts do not.
         window = (-6, 6) if action == "validate" else hcmod.DEFAULT_WINDOW
@@ -507,6 +513,21 @@ class TestRequestContract:
         lines = out.splitlines()
         assert len(lines) == 1 and json.loads(lines[0])["error"] == "request"
 
+    @pytest.mark.parametrize("where", ["stdin", "file", "other"])
+    def test_deeply_nested_json_is_a_request_error(self, module_file, tmp_path, monkeypatch, where):
+        text = "[" * 100000 + "]" * 100000
+        path = tmp_path / "deep.json"
+        path.write_text(text)
+        monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+        argv = {"stdin": ["module", "validate", "--module", "-"],
+                "file": ["module", "locus", "--module", str(path)],
+                "other": ["module", "iso", "--module", module_file, "--other", str(path)]}[where]
+        code, out = _outcome(argv)
+        assert code == 2
+        lines = out.splitlines()
+        assert len(lines) == 1 and json.loads(lines[0])["error"] == "request"
+        assert text not in cli._documents
+
     def test_result_over_the_digit_limit_is_a_request_error(self, module_file, tmp_path):
         """A 4300-digit denominator loads and validates, but the locus prints
         c1/4, whose denominator has one digit more than ``str`` may write."""
@@ -652,27 +673,78 @@ class TestDocumentMemo:
         assert codes == [0, 1, 0]
 
     def test_at_most_eight_documents_are_kept(self, capsys, module_file, tmp_path):
+        """The oldest text goes first."""
         with open(module_file) as fh:
             doc = json.load(fh)
-        cli._parse_module.cache_clear()
+        cli._documents.clear()
+        texts = []
         for d in range(20):
             path = tmp_path / f"twist{d}.json"
-            path.write_text(json.dumps({**doc, "degree_rule": {**doc["degree_rule"], "anchor_deg": d}}))
+            texts.append(json.dumps({**doc, "degree_rule": {**doc["degree_rule"], "anchor_deg": d}}))
+            path.write_text(texts[-1])
             assert invoke(capsys, "module", "validate", "--module", str(path))[0] == 0
-        assert cli._parse_module.cache_info().currsize == 8
+        assert list(cli._documents) == texts[12:]
 
     def test_a_malformed_document_is_never_kept(self, capsys, module_file, tmp_path):
         with open(module_file) as fh:
             doc = json.load(fh)
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({**doc, "transitions": {**doc["transitions"], "pivot": 0.5}}))
-        cli._parse_module.cache_clear()
+        cli._documents.clear()
         outs = [invoke(capsys, "module", "validate", "--module", str(bad)) for _ in range(3)]
         assert outs == [(2, json.dumps({
             "error": "request",
             "message": f"cannot load module from {str(bad)!r}: weights, degrees and indices must be integers",
         }, separators=(",", ":")) + "\n")] * 3
-        assert cli._parse_module.cache_info().currsize == 0
+        assert len(cli._documents) == 0
+
+    def test_printed_documents_are_read_back_from_the_memo(self, module_file, tmp_path, monkeypatch):
+        """``swap | iso --other -``, ``twist | validate --module -`` and
+        ``construct | validate --module -`` in one process answer as with the
+        memo cleared before every request, and validate each distinct
+        document once: the printed text, newline included, is kept with the
+        module that proved it valid."""
+        from hcfam import hcmod
+
+        flat = tmp_path / "flat.json"
+        flat.write_text(json.dumps(_flat_even()))
+        pipelines = [
+            (["module", "swap", "--module", str(flat), "--indices", "0,2"],
+             ["module", "iso", "--module", str(flat), "--other", "-"]),
+            (["module", "swap", "--module", str(flat), "--indices", "0"],
+             ["module", "iso", "--module", str(flat), "--other", "-"]),
+            (["module", "twist", "--module", module_file, "--degree", "-2"],
+             ["module", "validate", "--module", "-", "--window", "-4..4"]),
+            (["classify", "construct", "--weights", "lowest:2", "--class", "I:2", "--casimir", "0,0,0"],
+             ["module", "validate", "--module", "-"]),
+        ]
+        validated = []
+        real = hcmod.validate
+
+        def counting(module, window=hcmod.DEFAULT_WINDOW):
+            if hcmod._VALID not in vars(module):
+                validated.append(json.dumps(module.to_json(), sort_keys=True))
+            return real(module, window)
+
+        for owner in (hcmod, cli, classify):
+            monkeypatch.setattr(owner, "validate", counting)
+
+        def outcomes(cold):
+            cli._documents.clear()
+            out = []
+            for first, second in pipelines:
+                for argv in (first, second):
+                    if cold:
+                        cli._documents.clear()
+                    monkeypatch.setattr(sys, "stdin", io.StringIO(out[-1][1] if argv is second else ""))
+                    out.append(_outcome(argv))
+            return out
+
+        cold = outcomes(cold=True)
+        assert [code for code, _ in cold] == [0, 1, 0, 0, 0, 0, 0, 0]
+        validated.clear()
+        assert outcomes(cold=False) == cold
+        assert len(validated) == len(set(validated)) == 3  # flat, the module file and the constructed module
 
 
 class TestWindowOnlyLists:
@@ -828,7 +900,8 @@ class TestSubalgAt:
 
         monkeypatch.setattr(grassfam, "pencil_basis", broken)
         code, doc = invoke_json(capsys, "grassmann", "subalg", "--pq", "1,1", "--at", "2")
-        assert code == 1 and doc == {"subalgebra": False, "witness": [0, 1]}
+        h = [["1", "0"], ["0", "-1"]]  # the bracket (H, H) meets no pivot column of the span
+        assert code == 1 and doc == {"subalgebra": False, "witness": [0, 1], "residual": {"first": h, "second": h}}
 
     @pytest.mark.parametrize("at", ["inf", "infinity", "1/0", "x", "2+"])
     def test_infinite_or_malformed_t_is_request_error(self, capsys, at):

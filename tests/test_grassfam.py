@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hcfam.scalars import INFINITY, GaussianRational, QI_I, QI_ONE, QI_ZERO
+from hcfam.scalars import INFINITY, GaussianRational, QI_I, QI_ONE, QI_ZERO, RF_ONE
 from hcfam.liefam import LieAlgebra, fiber, fiber_invariants, jacobi_witness
 from hcfam.grassfam import (
     GrassmannPencil,
@@ -56,6 +56,28 @@ class TestPencilBases:
         # pencil: a strictly upper-triangular first component only.
         basis[1] = {(0, 0, 1): QI_ONE}
         assert verify_subalgebra(basis) is not None
+
+    @pytest.mark.parametrize("pq, t, k, bad", [
+        ((1, 1), QI(2), 1, {(0, 0, 1): QI_ONE}),
+        ((2, 1), QI(-1, 1), 4, {(0, 0, 2): QI_ONE, (1, 2, 0): QI_I}),
+        ((2, 1), None, 6, {(0, 1, 2): RF_ONE}),
+    ], ids=["1,1", "2,1", "2,1-symbolic"])
+    def test_witness_residual_is_the_bracket_off_the_span(self, pq, t, k, bad):
+        """The residual of the failing bracket is nonzero, zero at every pivot
+        column, and the bracket less the residual lies in the span."""
+        basis = pencil_basis(GrassmannPencil(*pq, det_one=True), t)
+        basis[k] = bad
+        i, j, residual = verify_subalgebra(basis)
+        span, n = _span_of(basis)
+        bracket = pair_bracket(basis[i], basis[j])
+        assert residual and not span.sparse_contains(_flat(bracket, n))
+        assert all(x and key not in span.pivots for key, x in _flat(residual, n))
+        rest = dict(bracket)
+        for key, x in residual.items():
+            rest[key] = rest[key] - x if key in rest else -x
+        assert span.sparse_contains(_flat({key: x for key, x in rest.items() if x}, n))
+        assert all(span.sparse_contains(_flat(pair_bracket(basis[a], basis[b]), n))
+                   for a in range(len(basis)) for b in range(a + 1, len(basis)) if (a, b) < (i, j))
 
     def test_generic_fiber_has_full_derived_algebra(self):
         pen = GrassmannPencil(1, 1, det_one=True)

@@ -5,6 +5,7 @@ import dataclasses
 import io
 import json
 import math
+import sys
 import types
 from fractions import Fraction
 from unittest import mock
@@ -829,6 +830,76 @@ class TestValidatedFacts:
         locus = reducible_locus(module, (-6, 6))
         assert locus == _loop_reducible_locus(module, (-6, 6))
         assert (2, "A", module.transitions.override_for(2)[0]) in locus.unsplit
+
+
+def _printed(argv, module):
+    """The stdout of one ``hcfam module`` request on the module, given on stdin."""
+    from hcfam import cli
+
+    out, stdin = io.StringIO(), sys.stdin
+    sys.stdin = io.StringIO(json.dumps(module.to_json()))
+    try:
+        with contextlib.redirect_stdout(out):
+            assert cli.run(["module", *argv, "--module", "-"]) == 0
+    finally:
+        sys.stdin = stdin
+    return out.getvalue()
+
+
+@st.composite
+def flat_cases(draw):
+    """A module with degree step 0 on every transition (c1 = 0 keeps each q_n
+    of degree at most one), rescaled or swapped at a few transitions of a
+    window, and the window: valid unless c0 = n(n+2) with c_{-1} = 0."""
+    kind = draw(st.sampled_from(["even", "odd", "lowest", "highest", "finite"]))
+    param = {"lowest": st.integers(1, 7), "highest": st.integers(-7, -1), "finite": st.integers(0, 7)}
+    weights = WeightSet(kind, draw(param[kind]) if kind in param else 0)
+    lo = draw(st.integers(-30, 30))
+    window = (lo, draw(st.integers(lo, min(30, lo + 40))))
+    rules = [TailRule(draw(st.sampled_from("AB")), draw(nonzero_qi)) for _ in range(2)]
+    module = HCModuleFamily(weights, DegreeProfile(draw(st.integers(-4, 4)), draw(st.integers(-2, 2)), 0, 0),
+                            TransitionData(draw(st.integers(*window)), *rules),
+                            casimir_triple(0, draw(small_qi), draw(small_qi)))
+    indices = weights.transitions_in(window)
+    t = module.transitions
+    for n in draw(st.lists(st.sampled_from(indices), max_size=4)) if indices else []:
+        A, B = module.transition_polys(n)
+        mu = draw(nonzero_qi)
+        t = t.with_overrides({n: draw(st.sampled_from([(A.scale(mu), B.scale(mu.inverse())), (B, A)]))})
+    return dataclasses.replace(module, transitions=t), window, []
+
+
+class TestProvenResults:
+    """``picard_twist`` and ``swap_transitions`` record their result as valid
+    without validating it; the record must be what validate finds, and the
+    document the command line prints and keeps must read back as the object
+    it keeps."""
+
+    @given(st.one_of(module_cases(), flat_cases()), st.integers(-3, 3), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_twist_and_swap_results_are_valid(self, case, d, data):
+        from hcfam import cli
+
+        module, (lo, hi), _ = case
+        assume(fresh_validate(module).ok)
+        # Step-0 transitions in the window and 40 weights beyond it, rule
+        # governed or overridden (drawn from on their own too), with repeats.
+        step0 = [n for n in range(lo - 40, hi + 41) if module.weights.has_transition(n) and module.degrees.step(n) == 0]
+        overridden = [n for n, _, _ in module.transitions.overrides if n in step0]
+        requests = [(picard_twist(module, d), ["twist", "--degree", str(d)])]
+        if step0:
+            pool = st.sampled_from(step0) | (st.sampled_from(overridden) if overridden else st.nothing())
+            indices = data.draw(st.lists(pool, min_size=1, max_size=4))
+            requests.append((swap_transitions(module, indices), ["swap", "--indices", ",".join(map(str, indices))]))
+        for out, argv in requests:
+            assert hcmod._VALID in vars(out)
+            assert fresh_validate(out).ok
+            text = _printed(argv, module)
+            kept = cli._documents[text]
+            assert kept == out and hcmod._VALID in vars(kept)
+            del cli._documents[text]
+            cold = cli._parse_module(text)
+            assert cold is not kept and cold == kept and cold.to_json() == kept.to_json()
 
 
 class TestTransitionRanges:

@@ -136,25 +136,37 @@ def _requests(tmp):
     return out
 
 
+DOCUMENT_KEYS = {"weights", "degree_rule", "transitions", "casimir"}
+
+
 def _outcome(argv):
+    """(exit code, sha256 of stdout) of one request, and the module documents
+    among its stdout lines that the document memo does not keep after it."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = run(list(argv))
-    return code, hashlib.sha256(out.getvalue().encode()).hexdigest()
+    text = out.getvalue()
+    documents = [line for line in text.splitlines(keepends=True) if set(json.loads(line)) == DOCUMENT_KEYS]
+    unkept = [d for d in documents if d not in cli._documents]
+    return (code, hashlib.sha256(text.encode()).hexdigest()), documents, unkept
 
 
 @functools.lru_cache(maxsize=None)
 def _cold_and_warm():
     """The outcomes of every request with the document memo cleared before
-    each, then of every request again in reverse order, the memo warm."""
+    each, then of every request again in reverse order, the memo warm; and
+    the number of module documents printed and those the memo did not keep."""
     with tempfile.TemporaryDirectory() as tmp:
         requests = _requests(tmp)
-        cold = {}
-        for rid, argv in requests:
-            cli._parse_module.cache_clear()
-            cold[rid] = _outcome(argv)
-        warm = {rid: _outcome(argv) for rid, argv in reversed(requests)}
-    return cold, warm
+        cold, warm, printed, unkept = {}, {}, 0, []
+        for outcomes, order in ((cold, requests), (warm, requests[::-1])):
+            for rid, argv in order:
+                if outcomes is cold:
+                    cli._documents.clear()
+                outcomes[rid], documents, missing = _outcome(argv)
+                printed += len(documents)
+                unkept += [(rid, d) for d in missing]
+    return cold, warm, printed, unkept
 
 
 def _outcomes():
@@ -188,6 +200,14 @@ def test_documents_parsed_once_answer_alike():
     print what cold requests print."""
     warm = _cold_and_warm()[1]
     assert {rid: warm[rid] for rid in MODULE_OUTPUT_CORPUS} == MODULE_OUTPUT_CORPUS
+
+
+def test_printed_documents_are_kept():
+    """After each request, every module document it printed is a key of the
+    document memo, so a request in the same process that reads it back gets
+    the printed object."""
+    printed, unkept = _cold_and_warm()[2:]
+    assert printed > 0 and unkept == []
 
 
 if __name__ == "__main__":  # print the corpus of the hcfam on sys.path as JSON

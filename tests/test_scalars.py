@@ -230,6 +230,15 @@ class TestLaurentPoly:
     def test_json_round_trip(self, p):
         assert LaurentPoly.from_json(p.to_json()) == p
 
+    def test_from_json_drops_zeros_after_equal_exponents(self):
+        """Zero coefficients are not stored, and of two keys naming one
+        exponent the last wins, as in the public constructor."""
+        for data, coeffs in (({"0": "0", "1": "0*i"}, {}), ({"0": "1", "00": "0"}, {}),
+                             ({"00": "0", "0": "2", "-1": "1/2-1*i"}, {0: 2, -1: GaussianRational(Fraction(1, 2), -1)})):
+            p = LaurentPoly.from_json(data)
+            assert p.coeffs == coeffs and p.coeffs == LaurentPoly({int(e): GaussianRational.parse(c)
+                                                                  for e, c in data.items()}).coeffs
+
     def test_evaluate(self):
         p = lp({2: 1, 0: -4})
         assert p.evaluate(GaussianRational(3)) == GaussianRational(5)
