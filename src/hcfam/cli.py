@@ -444,6 +444,7 @@ def build_parser() -> argparse.ArgumentParser:
         "and Harish-Chandra modules over the projective line.",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
+    parser.commands = sub.choices  # subcommand -> its parser, for _parse
 
     fam = sub.add_parser("family", help="Lie algebra families over the line")
     fam.add_argument("action", choices=["build", "jacobi", "fiber", "basechange", "morphcheck"])
@@ -496,15 +497,11 @@ def _merge_dash_values(argv):
     """Join flag/value pairs whose value starts with '-', which argparse
     would otherwise mistake for an option."""
     out = []
-    i = 0
-    while i < len(argv):
-        tok = argv[i]
-        if tok in _DASH_VALUE_FLAGS and i + 1 < len(argv) and argv[i + 1].startswith("-"):
-            out.append(f"{tok}={argv[i + 1]}")
-            i += 2
+    for tok in argv:
+        if out and out[-1] in _DASH_VALUE_FLAGS and tok.startswith("-"):
+            out[-1] += "=" + tok
         else:
             out.append(tok)
-            i += 1
     return out
 
 
@@ -513,11 +510,23 @@ def _parser() -> argparse.ArgumentParser:  # built on the first request, then re
     return build_parser()
 
 
+def _parse(argv) -> argparse.Namespace:
+    """The parsed argv; one that starts with a subcommand goes to its parser alone."""
+    parser = _parser()
+    sub = parser.commands.get(argv[0]) if argv else None
+    if sub is None:
+        return parser.parse_args(argv)
+    args, extra = sub.parse_known_args(argv[1:], argparse.Namespace(subcommand=argv[0]))
+    if extra:
+        parser.error(f"unrecognized arguments: {' '.join(extra)}")
+    return args
+
+
 def run(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     try:
-        args = _parser().parse_args(_merge_dash_values(list(argv)))
+        args = _parse(_merge_dash_values(list(argv)))
         return args.handler(args)
     except HelpShown as e:
         emit({"help": str(e)})

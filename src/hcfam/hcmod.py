@@ -5,9 +5,9 @@ weight n, raising action X f_n = A_n f_{n+2}, lowering action
 Y f_{n+2} = z^{-1} B_n f_n, with A_n, B_n polynomials in z.  Infinite weight
 sets are handled lazily: explicit polynomial overrides at finitely many
 transition indices, plus a unit-normalized closed-form rule on each tail.
-Every verdict reads the transitions as runs that behave alike, one transition
-per run, so it covers the whole (infinite) weight set; a window only bounds
-what is listed.
+Every verdict reads one transition per run of transitions that behave alike
+(a fiber off 0 and infinity only the n where the Casimir value is n(n+2)), so
+it covers the whole (infinite) weight set; a window only bounds the listing.
 """
 
 from __future__ import annotations
@@ -662,22 +662,13 @@ def _fiber_scalars(module: HCModuleFamily, p: Point, window: Window) -> Dict[int
 
 
 def _zeros(module: HCModuleFamily, runs, p: Point, base) -> List[Tuple]:
-    """(a, b, letters): the scalars named by letters ('A', 'B' or 'AB')
-    vanish at p on every transition of the run a..b.  At 0 and infinity a
-    run's zero pattern is that of any one of its transitions; at any other p
-    a rule-governed partner vanishes only where n(n+2) = q_0(p) / p."""
-    out = []
-    for a, b in runs:
-        if a != b and p is not INFINITY and not p.is_zero():
-            out += [(m, m, "BA"[module.transitions.rule_for(m).unit_on == "B"])
-                    for m in _integer_weight_solutions(base / p)
-                    if (a is None or m >= a) and (b is None or m <= b) and module.weights.has_transition(m)]
-            continue
-        pair = _scalar_pair(module, _one_of((a, b)), p, base)
-        letters = "".join(x for x, c in zip("AB", pair) if c.is_zero())
-        if letters:
-            out.append((a, b, letters))
-    return out
+    """(a, b, letters): the scalars named by letters ('A', 'B' or 'AB') vanish
+    at p on every transition of the run a..b, read at one of them.  At 0 and
+    infinity a run's transitions vanish alike.  Elsewhere 4 A_n(p) B_n(p) =
+    q_n(p) = p (c(p) - n(n+2)), c(p) = q_0(p) / p the Casimir value, so runs of
+    one at the (at most two) n with n(n+2) = c(p) suffice; either side may vanish."""
+    pairs = [(run, _scalar_pair(module, _one_of(run), p, base)) for run in runs]
+    return [(*run, "".join(x for x, c in zip("AB", pair) if c.is_zero())) for run, pair in pairs if not all(pair)]
 
 
 @dataclass
@@ -688,7 +679,7 @@ class FiberVerdict:
     its own n; the stretch to the end of a lowest or highest set lists each."""
 
     irreducible: bool
-    zeros: list  # the window's runs as _zeros gives them
+    zeros: list  # (a, b, letters) for the window's runs a..b where letters vanish
     beyond: list  # (side, a, b, letters): a run a..b, or a == b == None for the rest of a tail
     module: HCModuleFamily = field(repr=False, compare=False)
     p: Point = field(repr=False, compare=False)
@@ -717,11 +708,18 @@ class FiberVerdict:
 
 
 def _fiber_verdict(module: HCModuleFamily, p: Point, window: Window) -> FiberVerdict:
-    """:func:`fiber_irreducible` for a validated module: the window and every
-    transition beyond it are read run by run."""
+    """:func:`fiber_irreducible` for a validated module; see :func:`_zeros`."""
     p, base = _at(module, p)
-    zeros = _zeros(module, _window_runs(module, window), p, base)
-    beyond = _read_beyond(module, window, lambda runs: _zeros(module, runs, p, base))
+    if p is INFINITY or p.is_zero():
+        zeros = _zeros(module, _window_runs(module, window), p, base)
+        beyond = _read_beyond(module, window, lambda runs: _zeros(module, runs, p, base))
+    else:
+        span = module.weights.transition_span(window)
+        ns = [n for n in _integer_weight_solutions(base / p) if module.weights.has_transition(n)]
+        found = _zeros(module, [(n, n) for n in ns], p, base)
+        zeros = [z for z in found if span and span[0] <= z[0] <= span[1]]
+        beyond = [(side, *z) for side in ("up", "down") for z in found
+                  if z not in zeros and (z[0] > window[1]) == (side == "up")]
     return FiberVerdict(not (zeros or beyond), zeros, beyond, module, p, window)
 
 
@@ -729,9 +727,9 @@ def fiber_irreducible(module: HCModuleFamily, p: Point, window: Window = DEFAULT
     """Transition-scalar irreducibility criterion for the fiber at p.
 
     A weight-supported proper invariant subspace exists iff some transition
-    scalar vanishes; the window and all beyond it are read run by run, so the
-    verdict covers the whole weight set.  The result is truthy iff the fiber
-    is irreducible.
+    scalar vanishes: off 0 and infinity, only at the (at most two) n with
+    n(n+2) = c(p) = c1 p + c0 + c_{-1} / p, the Casimir value.  The verdict
+    covers the whole weight set; it is truthy iff the fiber is irreducible.
     """
     _require_valid(module)
     return _fiber_verdict(module, p, window)
@@ -749,16 +747,19 @@ class ReducibleLocus:
 
 def reducible_locus(module: HCModuleFamily, window: Window = DEFAULT_WINDOW) -> ReducibleLocus:
     """On a validated module 4 A_n B_n = q_n != 0, so A_n and B_n share the
-    roots of q_n; where q_n is an unsplit quadratic, one side is that
-    quadratic and the other a constant, and the degree-2 side is listed."""
+    roots of q_n (where the Casimir value is n(n+2)), found once for n and
+    -2 - n.  Where q_n is an unsplit quadratic, one side is that quadratic and
+    the other a constant; the degree-2 side is listed for each n, in order."""
     _require_valid(module)
-    points, unsplit = set(), []
-    for n in module.weights.transitions_in(window):
+    ns = module.weights.transitions_in(window)
+    points, unsplit_at = set(), set()
+    for m, n in {n * (n + 2): n for n in ns}.items():
         try:
             points.update(poly_roots(module.q_poly(n)))
         except UnsplitQuadratic:
-            which = "A" if module._side(n, "A").degree() == 2 else "B"
-            unsplit.append((n, which, module._side(n, which)))
+            unsplit_at.add(m)
+    unsplit = [(n, x, module._side(n, x)) for n in ns if n * (n + 2) in unsplit_at
+               for x in "AB" if module._side(n, x).degree() == 2]
     boundary = {bp for bp in (GaussianRational(0), INFINITY) if not _fiber_verdict(module, bp, window)}
     return ReducibleLocus(frozenset(points), frozenset(boundary), tuple(unsplit))
 

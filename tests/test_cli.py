@@ -13,6 +13,7 @@ import sys
 import tempfile
 import time
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -1136,18 +1137,97 @@ def _requests(draw):
     return argv, draw(_documents()), draw(_documents())
 
 
+def _with_documents(argv, doc, other, tmp):
+    """argv with @doc and @other replaced by files in tmp holding doc and other."""
+    paths = {"@doc": os.path.join(tmp, "doc.json"), "@other": os.path.join(tmp, "other.json")}
+    for name, content in (("@doc", doc), ("@other", other)):
+        with open(paths[name], "w") as fh:
+            json.dump(content, fh)
+    return [paths.get(a, a) for a in argv]
+
+
 class TestRequestFuzz:
     @given(_requests())
     @settings(max_examples=150, deadline=None)
     def test_exit_code_and_one_json_line(self, request_case):
-        argv, doc, other = request_case
         with tempfile.TemporaryDirectory() as tmp:
-            paths = {"@doc": os.path.join(tmp, "doc.json"), "@other": os.path.join(tmp, "other.json")}
-            for name, content in (("@doc", doc), ("@other", other)):
-                with open(paths[name], "w") as fh:
-                    json.dump(content, fh)
-            code, out = _outcome([paths.get(a, a) for a in argv])
+            code, out = _outcome(_with_documents(*request_case, tmp))
         assert code in (0, 1, 2, 3)
         lines = out.splitlines()
         assert len(lines) == 1 and out.endswith("\n")
         json.loads(lines[0])
+
+
+def _merge_dash_values_by_index(argv):
+    """``cli._merge_dash_values`` as an index walk, the form it had before."""
+    out, i = [], 0
+    while i < len(argv):
+        if argv[i] in cli._DASH_VALUE_FLAGS and i + 1 < len(argv) and argv[i + 1].startswith("-"):
+            out.append(f"{argv[i]}={argv[i + 1]}")
+            i += 2
+        else:
+            out.append(argv[i])
+            i += 1
+    return out
+
+
+@contextlib.contextmanager
+def _through_the_top_parser():
+    """Every request parsed by the top parser, which hands what follows the
+    subcommand to the subcommand's parser: the parse before requests went to
+    the subcommand's parser directly."""
+    with mock.patch.object(cli, "_parse", lambda argv: cli._parser().parse_args(argv)), \
+            mock.patch.object(cli, "_merge_dash_values", _merge_dash_values_by_index):
+        yield
+
+
+def _malformed_forms(doc):
+    """One request of each malformed form the fuzzer draws: no or an unknown
+    subcommand, an unknown or foreign action, a foreign flag, a missing
+    required flag, a flag without its value or with a bad one, a stray token,
+    and -h, --help or --he in front, after the subcommand or at the end."""
+    m = ["module", "validate", "--module", doc]
+    return [
+        [], ["bogus"], ["bogus", "validate"], ["-x"], ["-h"], ["--help"], ["--he"], ["-h", "module"], ["module"],
+        ["module", "x", "--module", doc], ["module", "build", "--module", doc], [*m, "--pq", "1,1"],
+        ["module", "validate"], ["classify", "admissible"], [*m, "--window"], [*m, "--window", "5..-5"],
+        [*m, "--window", "-6..6", "--at"], [*m, "--at", "-1"], [*m, "--at", "1/0"], [*m, "--window", "--at", "-1"],
+        ["module", "twist", "--module", doc, "--degree", "1.5"], [*m, "abc"], ["abc", *m], ["module", "abc", *m[1:]],
+        [*m, "-h"], [*m, "--he"], ["module", "--help"], ["classify", "--he"], ["module", "-h", "validate"],
+        ["grassmann", "limit", "--pq", "0,1", "--help"], ["grassmann", "subalg", "--det-one", "x"],
+        ["verify", "--profile", "x"], ["verify", "extra"], ["family", "fiber", "--kind"], [*m, "--", "x"],
+        ["module", "validate", f"--module={doc}", "--windo", "-6..6"], [*m, "--module", doc, "-1"],
+    ]
+
+
+class TestDirectDispatch:
+    """A request that names a subcommand goes to that subcommand's parser
+    alone; every request answers as through the top parser."""
+
+    def test_corpus_requests_answer_alike(self, tmp_path):
+        from test_module_output import _requests as module_corpus
+
+        argvs = [argv.split() for argv, _, _ in PAIR_OUTPUT_CORPUS] + [argv for _, argv in module_corpus(str(tmp_path))]
+        direct = [_outcome(argv) for argv in argvs]
+        with _through_the_top_parser():
+            assert [_outcome(argv) for argv in argvs] == direct
+
+    def test_malformed_requests_answer_alike(self, module_file):
+        forms = _malformed_forms(module_file)
+        direct = [_outcome(argv) for argv in forms]
+        with _through_the_top_parser():
+            assert [_outcome(argv) for argv in forms] == direct
+        assert {code for code, _ in direct} == {0, 2}
+
+    @given(_requests())
+    @settings(max_examples=100, deadline=None)
+    def test_fuzzed_requests_answer_alike(self, request_case):
+        with tempfile.TemporaryDirectory() as tmp:
+            argv = _with_documents(*request_case, tmp)
+            direct = _outcome(argv)
+            with _through_the_top_parser():
+                assert _outcome(argv) == direct
+
+    def test_leftover_arguments_name_the_program(self, module_file):
+        code, out = _outcome(["module", "validate", "--module", module_file, "abc", "--bogus"])
+        assert code == 2 and json.loads(out)["message"] == "hcfam: unrecognized arguments: abc --bogus"

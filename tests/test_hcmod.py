@@ -757,16 +757,40 @@ def verdicts(module, window, points):
         out[f"fiber {p}"] = v if isinstance(v, tuple) else (v.irreducible, v.scalars, v.tail)
     iso = _outcome_of(iso_check, module, twin, window)
     out["iso"] = iso if isinstance(iso, tuple) else (iso.isomorphic, iso.scalars, iso.obstruction)
-    for name, fn, arg in (("swap", swap_transitions, module.weights.transitions_in(window)[:2]),
-                          ("twist", picard_twist, 1)):
+    indices = module.weights.transitions_in(window)
+    flat = [n for n in indices if module.degrees.step(n) == 0]  # swap_transitions refuses the others
+    for name, fn, arg in (("swap", swap_transitions, (flat or indices)[:2]), ("twist", picard_twist, 1)):
         r = _outcome_of(fn, module, arg)
         out[name] = r if isinstance(r, tuple) else r.to_json()
     return out
 
 
+@st.composite
+def flat_cases(draw):
+    """A module with degree step 0 on every transition (c1 = 0 keeps each q_n
+    of degree at most one), rescaled or swapped at a few transitions of a
+    window, and the window: valid unless c0 = n(n+2) with c_{-1} = 0."""
+    kind = draw(st.sampled_from(["even", "odd", "lowest", "highest", "finite"]))
+    param = {"lowest": st.integers(1, 7), "highest": st.integers(-7, -1), "finite": st.integers(0, 7)}
+    weights = WeightSet(kind, draw(param[kind]) if kind in param else 0)
+    lo = draw(st.integers(-30, 30))
+    window = (lo, draw(st.integers(lo, min(30, lo + 40))))
+    rules = [TailRule(draw(st.sampled_from("AB")), draw(nonzero_qi)) for _ in range(2)]
+    module = HCModuleFamily(weights, DegreeProfile(draw(st.integers(-4, 4)), draw(st.integers(-2, 2)), 0, 0),
+                            TransitionData(draw(st.integers(*window)), *rules),
+                            casimir_triple(0, draw(small_qi), draw(small_qi)))
+    indices = weights.transitions_in(window)
+    t = module.transitions
+    for n in draw(st.lists(st.sampled_from(indices), max_size=4)) if indices else []:
+        A, B = module.transition_polys(n)
+        mu = draw(nonzero_qi)
+        t = t.with_overrides({n: draw(st.sampled_from([(A.scale(mu), B.scale(mu.inverse())), (B, A)]))})
+    return dataclasses.replace(module, transitions=t), window, []
+
+
 class TestDifferential:
-    @given(module_cases())
-    @settings(max_examples=60, deadline=None)
+    @given(st.one_of(module_cases(), flat_cases()))
+    @settings(max_examples=100, deadline=None)
     def test_derive_once_path_matches_fresh_derivation(self, case):
         module, window, points = case
         fresh = HCModuleFamily.from_json(module.to_json())
@@ -844,29 +868,6 @@ def _printed(argv, module):
     finally:
         sys.stdin = stdin
     return out.getvalue()
-
-
-@st.composite
-def flat_cases(draw):
-    """A module with degree step 0 on every transition (c1 = 0 keeps each q_n
-    of degree at most one), rescaled or swapped at a few transitions of a
-    window, and the window: valid unless c0 = n(n+2) with c_{-1} = 0."""
-    kind = draw(st.sampled_from(["even", "odd", "lowest", "highest", "finite"]))
-    param = {"lowest": st.integers(1, 7), "highest": st.integers(-7, -1), "finite": st.integers(0, 7)}
-    weights = WeightSet(kind, draw(param[kind]) if kind in param else 0)
-    lo = draw(st.integers(-30, 30))
-    window = (lo, draw(st.integers(lo, min(30, lo + 40))))
-    rules = [TailRule(draw(st.sampled_from("AB")), draw(nonzero_qi)) for _ in range(2)]
-    module = HCModuleFamily(weights, DegreeProfile(draw(st.integers(-4, 4)), draw(st.integers(-2, 2)), 0, 0),
-                            TransitionData(draw(st.integers(*window)), *rules),
-                            casimir_triple(0, draw(small_qi), draw(small_qi)))
-    indices = weights.transitions_in(window)
-    t = module.transitions
-    for n in draw(st.lists(st.sampled_from(indices), max_size=4)) if indices else []:
-        A, B = module.transition_polys(n)
-        mu = draw(nonzero_qi)
-        t = t.with_overrides({n: draw(st.sampled_from([(A.scale(mu), B.scale(mu.inverse())), (B, A)]))})
-    return dataclasses.replace(module, transitions=t), window, []
 
 
 class TestProvenResults:
@@ -1575,3 +1576,104 @@ class TestFiniteStretch:
         assert code == 2 and doc["error"] == "request"
         assert request("fiber", "--at", "0", "--window", "5..11")[0] == 1
         assert request("locus", "--window", "11..17")[0] == 0
+
+
+def _lowest_split(A, B, casimir):
+    """The lowest-weight-1 module with A_1, B_1 given: degree step 0 at the
+    transition 1 and -1 above it, where the unit A sits beside q_n / 4."""
+    return HCModuleFamily(WeightSet("lowest", 1), DegreeProfile(3, 0, -1, 0),
+                          TransitionData(1, TailRule("A"), TailRule("A"), ((1, LaurentPoly(A), LaurentPoly(B)),)),
+                          casimir_triple(*casimir))
+
+
+#: q_1 = c1 z^2 + (c0 - 3) z + c_{-1} split over the override at 1: (z - 2)(z + 3)
+#: with A_1 = z - 2, then (z - 2)^2 (both sides vanish at 2), then z (z - 2),
+#: where c_{-1} = 0 puts 0 into every q_n.  n(n+2) = 3 also at n = -3, below
+#: the weight set.
+LOWEST_SPLITS = {
+    "distinct": _lowest_split({1: 1, 0: -2}, {1: Fraction(1, 4), 0: Fraction(3, 4)}, (1, 4, -6)),
+    "double": _lowest_split({1: 1, 0: -2}, {1: Fraction(1, 4), 0: Fraction(-1, 2)}, (1, -1, 4)),
+    "c-1 zero": _lowest_split({1: 1}, {1: Fraction(1, 4), 0: Fraction(-1, 2)}, (1, 1, 0)),
+}
+
+
+def _even_pair():
+    """Even weights, flat degrees, the unit A on both sides and Casimir
+    (0, 1/3, 1), so q_n = (1/3 - n(n+2)) z + 1 vanishes at 3 / (3 n(n+2) - 1),
+    at n and -2 - n alike.  At 4 the sides are swapped (A_4 = q_4 / 4, B_4 = 1),
+    at -6 rescaled by 2."""
+    module = HCModuleFamily(WeightSet("even"), DegreeProfile(0, 0, 0, 0),
+                            TransitionData(0, TailRule("A"), TailRule("A")), casimir_triple(0, Fraction(1, 3), 1))
+    A, B = module.transition_polys(-6)
+    return dataclasses.replace(module, transitions=module.transitions.with_overrides(
+        {4: module.transition_polys(4)[::-1], -6: (A.scale(QI(2)), B.scale(QI(Fraction(1, 2))))}))
+
+
+def assert_fiber_matches_loop(module, p, window):
+    """The fiber verdict against evaluation of every transition pair in the
+    window and 40 weights beyond each end; returns the verdict."""
+    v = fiber_irreducible(module, p, window)
+    loop = _loop_fiber_scalars(module, p, window)
+    assert v.vanishing == [(n, x) for n in sorted(loop) for x, c in zip("AB", loop[n]) if c.is_zero()]
+    assert_tail_agrees(module, p, window, v.tail)
+    assert v.irreducible is not bool(v.vanishing or v.tail)
+    return v
+
+
+class TestCasimirCriterion:
+    """Off 0 and infinity a fiber reads only the transitions with n(n+2) equal
+    to the Casimir value c(p) = q_0(p) / p, both sides of each, and the locus
+    finds the roots of q_n once per value of n(n+2)."""
+
+    @pytest.mark.parametrize("window", [(1, 9), (5, 11), (-9, 3)])
+    @pytest.mark.parametrize("case, p, letters", [
+        ("distinct", QI(2), "A"), ("distinct", QI(-3), "B"), ("double", QI(2), "AB"), ("c-1 zero", QI(2), "B"),
+        ("c-1 zero", QI_ZERO, "A"), ("double", QI(1, 1), ""), ("distinct", QI(Fraction(1, 2)), ""),
+    ])
+    def test_lowest_weight_override(self, case, p, letters, window):
+        module = LOWEST_SPLITS[case]
+        assert fresh_validate(module, window).ok
+        v = assert_fiber_matches_loop(module, p, window)
+        assert [(n, x) for n, x in v.vanishing + [e[1:] for e in v.tail] if n == 1] == [(1, x) for x in letters]
+        assert reducible_locus(module, window) == _loop_reducible_locus(module, window)
+
+    @pytest.mark.parametrize("window", [(-8, 8), (-4, 10), (-10, 2), (-2, 2), (-200, 200)])
+    def test_both_of_n_and_its_mirror(self, window):
+        module = _even_pair()
+        assert fresh_validate(module, window).ok
+        v = assert_fiber_matches_loop(module, QI(Fraction(3, 71)), window)  # 3 n(n+2) - 1 = 71 at 4 and -6
+        assert sorted(v.vanishing + [(n, x) for _, n, x in v.tail]) == [(-6, "B"), (4, "A")]
+        for p in (QI(1, 1), QI(Fraction(3, 23)), QI(Fraction(3, 1319)), QI(7)):
+            assert_fiber_matches_loop(module, p, window)
+        assert reducible_locus(module, window) == _loop_reducible_locus(module, window)
+
+    def test_unsplit_quadratic_listed_for_n_and_its_mirror(self):
+        # q_n = z^2 - n(n+2) z - 1 splits only where n(n+2) = 0.
+        module = construct(WeightSet("even"), ClassSpec("III"), casimir_triple(1, 0, -1))
+        locus = reducible_locus(module, (-6, 6))
+        assert [(n, which) for n, which, _ in locus.unsplit] == [(n, "A") for n in (-6, -4, 2, 4, 6)]
+        assert locus == _loop_reducible_locus(module, (-6, 6))
+
+    def test_fiber_reads_at_most_two_transitions(self, monkeypatch):
+        window = (-8, 8)
+        module = _rescaled_twin(_even_pair(), window)
+        assert len(module.transitions.overrides) == len(module.weights.transitions_in(window))
+        read, evaluated = [], []
+        real_pair, real_eval = hcmod._scalar_pair, LaurentPoly.evaluate
+        monkeypatch.setattr(hcmod, "_scalar_pair", lambda m, n, *a: read.append(n) or real_pair(m, n, *a))
+        monkeypatch.setattr(LaurentPoly, "evaluate", lambda *a: evaluated.append(1) or real_eval(*a))
+        assert not fiber_irreducible(module, QI(Fraction(3, 71)), window)
+        assert sorted(read) == [-6, 4] and len(evaluated) == 5  # q_0(p), then A_n(p) and B_n(p) twice
+        read.clear()
+        assert fiber_irreducible(module, QI(Fraction(1, 2)), window)
+        assert read == []
+
+    @pytest.mark.parametrize("window", [(-10, 6), (-6, 6), (0, 30), (-1, -1)])
+    def test_locus_finds_roots_once_per_value(self, monkeypatch, window):
+        module = _rescaled_twin(_even_pair(), (-4, 4))
+        calls = []
+        real = hcmod.poly_roots
+        monkeypatch.setattr(hcmod, "poly_roots", lambda q: calls.append(q) or real(q))
+        locus = reducible_locus(module, window)
+        assert len(calls) == len({n * (n + 2) for n in module.weights.transitions_in(window)})
+        assert locus == _loop_reducible_locus(module, window)
