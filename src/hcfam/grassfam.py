@@ -40,8 +40,8 @@ from .scalars import (
     RF_ONE,
     RF_Z,
 )
-from .linalg import ExactMatrix, Span, kernel, span_rank, structure_constants
-from .linalg import _bracket, _cleaned, _flat, _flat_vectors, _product
+from .linalg import ExactMatrix, Span, kernel, matrix_constants, span_rank
+from .linalg import _apply, _bracket, _cleaned, _flat, _flat_vectors, _nonzero, _product
 from .liefam import (
     FamilyMorphism,
     LieAlgebra,
@@ -207,12 +207,7 @@ def fiber_group_closure_check(
 
 def family_from_pairs(labels: Sequence[str], basis: Sequence[SparsePair]) -> LieFamily:
     """Structure constants of a pencil basis over the function field."""
-    span, n = _span_of(basis)
-    tbl = structure_constants(
-        span,
-        lambda i, j: _flat(pair_bracket(basis[i], basis[j]), n),
-        lambda i, j: NoIsomorphismFound("pencil basis is not bracket-closed"),
-    )
+    tbl = matrix_constants(basis, lambda i, j: NoIsomorphismFound("pencil basis is not bracket-closed"))
     return LieFamily(labels=tuple(labels), constants=tbl)
 
 
@@ -296,7 +291,7 @@ def real_form_at(pencil: GrassmannPencil, x) -> RealFormReport:
     # A fixed vector with rational coordinates c in that basis is the complex
     # combination sum_j (c_2j + i c_2j+1) b_j.
     real_basis = [
-        _combination([a + QI_I * b for a, b in zip(c[::2], c[1::2])], fiber)
+        _apply(fiber, _nonzero(a + QI_I * b for a, b in zip(c[::2], c[1::2])))
         for c in kernel(fixed_system, QI_ONE, QI_ZERO)
     ]
     constants = _structure_constants_real(real_basis)
@@ -306,26 +301,11 @@ def real_form_at(pencil: GrassmannPencil, x) -> RealFormReport:
     return RealFormReport(real_basis, signature, fiber_invariants(algebra))
 
 
-def _combination(coeffs: Sequence[GaussianRational], pairs: Sequence[SparsePair]) -> SparsePair:
-    """The sum of c * v over the nonzero coefficients c."""
-    acc = {}
-    for c, v in zip(coeffs, pairs):
-        if c:
-            for key, e in v.items():
-                acc[key] = acc[key] + c * e if key in acc else c * e
-    return _cleaned(acc)
-
-
 def _structure_constants_real(basis: Sequence[SparsePair]) -> tuple:
     """The structure constants of a real form.  Its basis is also a complex
     basis of its span, so a bracket lies in the rational span of the basis
     iff its complex coordinates exist and are all real."""
-    span, n = _span_of(basis)
-    table = structure_constants(
-        span,
-        lambda i, j: _flat(pair_bracket(basis[i], basis[j]), n),
-        lambda i, j: ValueError("real form is not bracket-closed"),
-    )
+    table = matrix_constants(basis, lambda i, j: ValueError("real form is not bracket-closed"))
     if not all(c.is_real() for row in table for cell in row for _, c in cell):
         raise ValueError("real form is not bracket-closed")
     return table

@@ -392,12 +392,21 @@ class HCModuleFamily:
 
     @staticmethod
     def from_json(data: dict) -> "HCModuleFamily":
-        return HCModuleFamily(
+        """The module a document describes; ValueError on a malformed one."""
+        module = HCModuleFamily(
             WeightSet.from_json(data["weights"]),
             DegreeProfile.from_json(data["degree_rule"]),
             TransitionData.from_json(data["transitions"]),
             tuple(GaussianRational.parse(c) for c in data["casimir"]),
         )
+        d, t = module.degrees, module.transitions
+        integers = [module.weights.param, d.anchor, d.anchor_deg, d.slope_up, d.slope_down, t.pivot]
+        integers += [x for pair in d.overrides for x in pair] + [n for n, _, _ in t.overrides]
+        if any(type(x) is not int for x in integers):
+            raise ValueError("weights, degrees and indices must be integers")
+        if type(data["casimir"]) is not list or len(module.casimir) != 3:  # a string or an object iterates too
+            raise ValueError("casimir must be a list of three scalars")
+        return module
 
 
 # ---------------------------------------------------------------------------
@@ -569,14 +578,12 @@ def _beyond(module: HCModuleFamily, window: Window) -> List[Tuple[str, Optional[
     """(side, first, last) of the transitions above and below the window, to
     the end of the weight set; None for the end of an infinite tail."""
     w, (lo, hi) = module.weights, window
-    if w.kind == "finite":
+    first, last = w.transition_ends
+    if None not in (first, last):  # a finite set lists all its transitions
         return []
-    up = (hi + 1 + (hi + 1 - w.parity) % 2, None)
-    down = (None, lo - 1 - (lo - 1 - w.parity) % 2)
-    if w.kind == "lowest":
-        up, down = (max(up[0], w.param), None), (w.param, down[1])
-    if w.kind == "highest":
-        up, down = (up[0], w.param - 2), (None, min(down[1], w.param - 2))
+    above, below = hi + 1 + (hi + 1 - w.parity) % 2, lo - 1 - (lo - 1 - w.parity) % 2
+    up = (above if first is None else max(above, first), last)
+    down = (first, below if last is None else min(below, last))
     return [(side, a, b) for side, (a, b) in (("up", up), ("down", down)) if None in (a, b) or a <= b]
 
 

@@ -10,9 +10,10 @@ Structure constants are stored sparse: ``constants[i][j]`` is a tuple of the
 (k, c) pairs with c the nonzero coordinate of [e_i, e_j] along e_k, in
 increasing k.  Every loop over a table runs over these nonzero entries only.
 An element of an algebra or family is sparse too: the dict {k: c} of its
-nonzero coordinates.  Brackets, involutions and morphisms act on that form;
-dense coordinate lists appear only as rows for ``linalg``'s elimination, as
-the vectors of its kernels and in the residual of a failed check.
+nonzero coordinates.  ``bracket_with`` is the one bracket, ``linalg._apply``
+the one linear map and ``homomorphism_witness`` the one bracket check on it.
+Dense coordinate lists appear only as rows for ``linalg``'s elimination, as
+its kernel vectors and in a failed check's residual.
 """
 
 from __future__ import annotations
@@ -20,8 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .linalg import ExactMatrix, Span, echelon_basis, kernel, span_rank, structure_constants
-from .linalg import _bracket, _flat, _flat_vectors, _nonzero, _unit_vectors
+from .linalg import ExactMatrix, Span, echelon_basis, kernel, matrix_constants, span_rank, structure_constants
+from .linalg import _apply, _nonzero
 from .scalars import (
     INFINITY,
     DomainError,
@@ -80,9 +81,6 @@ class LieAlgebra:
             raise NotALieAlgebra(f"Jacobi fails on basis triple {(i, j, k)}")
         return LieAlgebra(tuple(labels), tbl)
 
-    def bracket(self, u: dict, v: dict) -> dict:
-        return bracket_with(self.constants, u, v)
-
 
 def _sparse_table(cells, f=lambda c: c) -> tuple:
     """The sparse table of ``cells`` (each a sequence of (k, c) pairs or a
@@ -109,15 +107,17 @@ def bracket_with(constants, u: dict, v: dict) -> dict:
     return {k: c for k, c in out.items() if c}
 
 
-def _apply(images, w) -> dict:
-    """The image of the vector with nonzero coordinates w, (j, c) pairs, under
-    the linear map that sends e_j to the sparse vector ``images[j]``."""
-    out = {}
-    for j, x in w:
-        for k, c in images[j].items():
-            t = x * c
-            out[k] = out[k] + t if k in out else t
-    return {k: c for k, c in out.items() if c}
+def homomorphism_witness(images, source, target, zero):
+    """None when the map phi: e_j -> ``images[j]`` sends the brackets of the
+    antisymmetric ``source`` table to those of ``target``; the pairs i < j
+    decide.  Else (i, j, the dense phi[e_i, e_j] - [phi e_i, phi e_j])."""
+    for i, row in enumerate(source):
+        for j in range(i + 1, len(source)):
+            lhs = _apply(images, row[j])
+            rhs = bracket_with(target, images[i], images[j])
+            if lhs != rhs:
+                return i, j, [lhs.get(k, zero) - rhs.get(k, zero) for k in range(len(target))]
+    return None
 
 
 def jacobi_witness(constants, zero):
@@ -166,24 +166,14 @@ def sl2_algebra() -> LieAlgebra:
     return LieAlgebra.from_constants(("H", "X", "Y"), c)
 
 
-def abelian_algebra(d: int) -> LieAlgebra:
-    return LieAlgebra.from_constants(tuple(f"e{i}" for i in range(d)), [[()] * d] * d)
-
-
 def matrix_algebra(labels: Sequence[str], mats: Sequence) -> LieAlgebra:
     """Lie algebra of a linearly independent family of square matrices.
 
     ``mats`` are one-block sparse matrices {(0, r, c): x} of GaussianRational;
     the commutator of any two must lie in their span.
     """
-    vectors, n = _flat_vectors(mats)
-    span = Span(vectors)
-    if span.rank != len(mats):
-        raise ValueError("matrix basis is linearly dependent")
-    constants = structure_constants(
-        span,
-        lambda i, j: _flat(_bracket(mats[i], mats[j]), n),
-        lambda i, j: NotASubalgebra(f"commutator of basis elements {i},{j} escapes the span"),
+    constants = matrix_constants(
+        mats, lambda i, j: NotASubalgebra(f"commutator of basis elements {i},{j} escapes the span")
     )
     return LieAlgebra.from_constants(labels, constants)
 
@@ -223,13 +213,9 @@ class Involution:
         columns = tuple({i: row[j] for i, row in enumerate(rows) if row[j]} for j in range(d))
         if any(_apply(columns, col.items()) != {j: QI_ONE} for j, col in enumerate(columns)):
             raise InvalidInvolution("matrix squared is not the identity")
-        # The table is antisymmetric (from_constants checked it), so the pairs
-        # i < j decide whether theta preserves every bracket.
-        tbl = algebra.constants
-        for i in range(d):
-            for j in range(i + 1, d):
-                if _apply(columns, tbl[i][j]) != algebra.bracket(columns[i], columns[j]):
-                    raise InvalidInvolution("matrix is not a Lie automorphism")
+        # The table is antisymmetric: from_constants checked it.
+        if homomorphism_witness(columns, algebra.constants, algebra.constants, QI_ZERO) is not None:
+            raise InvalidInvolution("matrix is not a Lie automorphism")
         shifted = [
             ExactMatrix([[x + s if i == j else x for j, x in enumerate(row)] for i, row in enumerate(rows)])
             for s in (-QI_ONE, QI_ONE)
@@ -238,10 +224,6 @@ class Involution:
         if len(k_vecs) + len(p_vecs) != d:
             raise InvalidInvolution("eigenspaces do not span")
         return Involution(algebra, columns, tuple(map(tuple, k_vecs)), tuple(map(tuple, p_vecs)))
-
-    @staticmethod
-    def identity(algebra: LieAlgebra) -> "Involution":
-        return Involution.from_matrix(algebra, _unit_vectors(algebra.rank, QI_ONE, QI_ZERO))
 
 
 # ---------------------------------------------------------------------------
@@ -259,17 +241,13 @@ class LieFamily:
     """
 
     labels: tuple
-    constants: tuple  # d x d tuples of (k, RationalFunction), chart coordinate
-    chart: str = "affine-z"
+    constants: tuple  # d x d tuples of (k, RationalFunction), coordinate z
     w_constants: Optional[tuple] = None
     transition_powers: Optional[tuple] = None  # z^a_i scaling basis vector i
 
     @property
     def rank(self) -> int:
         return len(self.labels)
-
-    def bracket(self, u: dict, v: dict) -> dict:
-        return bracket_with(self.constants, u, v)
 
     # -- serialization ------------------------------------------------------
 
@@ -283,21 +261,9 @@ class LieFamily:
         return {
             "rank": self.rank,
             "labels": list(self.labels),
-            "chart": self.chart,
+            "chart": "affine-z",
             "constants": triples,
         }
-
-    @staticmethod
-    def from_json(data: dict) -> "LieFamily":
-        d = data["rank"]
-        cells = [[{} for _ in range(d)] for _ in range(d)]
-        for t in data["constants"]:
-            cells[t["i"]][t["j"]][t["k"]] = RationalFunction.from_json(t["c"])
-        return LieFamily(
-            labels=tuple(data["labels"]),
-            constants=_sparse_table(cells),
-            chart=data.get("chart", "affine-z"),
-        )
 
 
 def _adapted_constants(theta: Involution):
@@ -307,7 +273,7 @@ def _adapted_constants(theta: Involution):
     vectors = [dict(_nonzero(v)) for v in basis]
     tbl = structure_constants(
         Span(basis),
-        lambda i, j: alg.bracket(vectors[i], vectors[j]).items(),
+        lambda i, j: bracket_with(alg.constants, vectors[i], vectors[j]).items(),
         lambda i, j: InvalidInvolution("bracket escapes the adapted basis span"),
     )
     labels = tuple(f"k{i}" for i in range(len(theta.k_vectors))) + tuple(
@@ -337,7 +303,6 @@ def _scaled_family(theta: Involution, power: int) -> LieFamily:
     return LieFamily(
         labels=labels,
         constants=scaled,
-        chart="affine-z",
         w_constants=scaled,
         transition_powers=powers,
     )
@@ -349,7 +314,6 @@ def constant_family(algebra: LieAlgebra) -> LieFamily:
     return LieFamily(
         labels=algebra.labels,
         constants=frozen,
-        chart="affine-z",
         w_constants=frozen,
         transition_powers=tuple(0 for _ in range(d)),
     )
@@ -367,7 +331,6 @@ def scaled_bracket_family(algebra: LieAlgebra, m: int = 1) -> LieFamily:
     return LieFamily(
         labels=algebra.labels,
         constants=frozen,
-        chart="affine-z",
         w_constants=frozen,
         transition_powers=tuple(2 * m for _ in range(d)),
     )
@@ -406,7 +369,6 @@ def base_change(family: LieFamily, psi: LaurentPoly) -> LieFamily:
     return LieFamily(
         labels=family.labels,
         constants=_sparse_table(family.constants, lambda c: c.compose(rf_psi)),
-        chart=family.chart,
     )
 
 
@@ -494,15 +456,7 @@ def check_morphism(phi: FamilyMorphism, source: LieFamily, target: LieFamily):
     """None when phi commutes with brackets symbolically; else a witness."""
     if source.rank != target.rank:
         raise ValueError("rank mismatch")
-    d = source.rank
-    images = phi.images
-    for i in range(d):
-        for j in range(i + 1, d):
-            lhs = _apply(images, source.constants[i][j])
-            rhs = target.bracket(images[i], images[j])
-            if lhs != rhs:
-                return (i, j, [lhs.get(k, RF_ZERO) - rhs.get(k, RF_ZERO) for k in range(d)])
-    return None
+    return homomorphism_witness(phi.images, source.constants, target.constants, RF_ZERO)
 
 
 def glue_consistent(family: LieFamily) -> bool:

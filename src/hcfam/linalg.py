@@ -8,7 +8,9 @@ there are no pivoting concerns beyond avoiding zero pivots.
 ``Span`` is the one path to coordinates and membership: it puts a list of
 vectors in echelon form once and then reduces any number of vectors, given by
 their nonzero entries, against it.  ``structure_constants`` uses it to express
-every bracket of a basis in the coordinates of that basis, as a sparse table.
+every bracket of a basis in the coordinates of that basis, as a sparse table;
+``matrix_constants`` is the one path to that table from a basis of sparse
+matrices.  ``_apply`` is the one sparse linear combination.
 
 An element of a matrix Lie algebra is a sparse matrix: the dict
 ``{(block, r, c): entry}`` of its nonzero entries, one block for gl(n) and two
@@ -42,6 +44,17 @@ class ExactMatrix:
 def _nonzero(seq) -> list:
     """(index, entry) for the nonzero entries of seq."""
     return [(j, x) for j, x in enumerate(seq) if x]
+
+
+def _apply(images, w) -> dict:
+    """The image of the vector with nonzero coordinates w, (j, c) pairs, under
+    the linear map that sends e_j to the sparse vector ``images[j]``."""
+    out = {}
+    for j, x in w:
+        for k, c in images[j].items():
+            t = x * c
+            out[k] = out[k] + t if k in out else t
+    return {k: c for k, c in out.items() if c}
 
 
 SparseMatrix = dict  # the nonzero entries {(block, r, c): x}
@@ -253,3 +266,13 @@ def structure_constants(
             table[i][j] = tuple(coords)
             table[j][i] = tuple((k, -c) for k, c in coords)
     return tuple(map(tuple, table))
+
+
+def matrix_constants(mats: Sequence[SparseMatrix], escape: Callable[[int, int], Exception]) -> tuple:
+    """:func:`structure_constants` of a linearly independent list of sparse
+    matrices under the commutator; ``escape(i, j)`` as there."""
+    vectors, n = _flat_vectors(mats)
+    span = Span(vectors)
+    if span.rank != len(mats):
+        raise ValueError("matrix basis is linearly dependent")
+    return structure_constants(span, lambda i, j: _flat(_bracket(mats[i], mats[j]), n), escape)

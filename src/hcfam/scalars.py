@@ -855,12 +855,6 @@ class RationalFunction:
     def to_json(self) -> dict:
         return {"num": self.num.to_json(), "den": self.den.to_json()}
 
-    @staticmethod
-    def from_json(data: Mapping) -> "RationalFunction":
-        return RationalFunction(
-            LaurentPoly.from_json(data["num"]), LaurentPoly.from_json(data["den"])
-        )
-
 
 def _rf(num: LaurentPoly, den: LaurentPoly) -> RationalFunction:
     """Trusted constructor for a pair already in canonical form."""

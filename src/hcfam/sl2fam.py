@@ -23,17 +23,18 @@ from .scalars import (
     RationalFunction,
     RF_ONE,
     RF_Z,
+    RF_ZERO,
 )
 from .liefam import (
     FamilyMorphism,
     Involution,
     LieFamily,
     base_change,
-    bracket_with,
     constant_family,
     contraction_family,
     deformation_family,
     gl2_algebra,
+    homomorphism_witness,
     sl2_algebra,
 )
 from . import hcmod
@@ -120,26 +121,18 @@ def build_sl2_contraction() -> Sl2ContractionPair:
     return pair
 
 
+_RELATIONS = {(0, 1): "[H,X]=2X", (0, 2): "[H,Y]=-2Y", (1, 2): "[X,Y]=H"}
+
+
 def _relations_counterexample(pair: Sl2ContractionPair) -> Optional[str]:
-    """Check [H,X]=2X, [H,Y]=-2Y, [X,Y]=H in both charts."""
-    fam = pair.family
-    two = RationalFunction.constant(GaussianRational(2))
-    cases = [
-        ("[H,X]=2X", pair.H, pair.X, lambda s: {k: two * c for k, c in s.items()}),
-        ("[H,Y]=-2Y", pair.H, pair.Y, lambda s: {k: -(two * c) for k, c in s.items()}),
-        ("[X,Y]=H", pair.X, pair.Y, None),
-    ]
+    """Check [H,X]=2X, [H,Y]=-2Y, [X,Y]=H in both charts: that the map from
+    sl(2) sending (H, X, Y) to the sections is a homomorphism in each chart."""
+    sl2, fam, sections = constant_family(sl2_algebra()).constants, pair.family, (pair.H, pair.X, pair.Y)
     for chart, constants in (("z", fam.constants), ("w", fam.w_constants)):
-        for name, a, b, scale in cases:
-            u = a.z_coords if chart == "z" else a.w_coords
-            v = b.z_coords if chart == "z" else b.w_coords
-            got = bracket_with(constants, u, v)
-            if scale is None:
-                want = pair.H.z_coords if chart == "z" else pair.H.w_coords
-            else:
-                want = scale(v)
-            if got != want:
-                return f"{name} in {chart}-chart"
+        images = [s.z_coords if chart == "z" else s.w_coords for s in sections]
+        bad = homomorphism_witness(images, sl2, constants, RF_ZERO)
+        if bad is not None:
+            return f"{_RELATIONS[bad[:2]]} in {chart}-chart"
     return None
 
 

@@ -814,9 +814,10 @@ FLAT_TAILS_C1 = HCModuleFamily(
 class TestValidatedFacts:
     """What the readers take from validate instead of checking it again,
     checked by polynomial arithmetic on every validated module of
-    module_cases, in the window and 40 weights beyond it on each side."""
+    module_cases and flat_cases, in the window and 40 weights beyond it on
+    each side."""
 
-    @given(module_cases())
+    @given(st.one_of(module_cases(), flat_cases()))
     @settings(max_examples=80, deadline=None)
     def test_casimir_unit_sides_and_equal_degree_bounds(self, case):
         module, (lo, hi), _ = case

@@ -232,9 +232,8 @@ def test_public_module_queries_validate_every_module():
     assert unguarded_module_arguments(source.replace("_require_valid(m2)", "pass")) == [("iso_check", "m2")]
 
 
-#: Unreferenced on purpose: the console entry point, and names the tests and
-#: the planned exhaustive classification oracle use.
-UNREFERENCED_ALLOWED = {"cli.main", "liefam.abelian_algebra"}
+#: Unreferenced on purpose: the console entry point.
+UNREFERENCED_ALLOWED = {"cli.main"}
 
 
 def _inherited_names(cls: ast.ClassDef) -> set:
@@ -255,34 +254,46 @@ def _inherited_names(cls: ast.ClassDef) -> set:
     return names
 
 
+def _inside(node, where, line, module) -> bool:
+    return where == module and node.lineno <= line <= node.end_lineno
+
+
 def unreferenced_definitions(sources: dict) -> list:
     """``module.name`` for each function, method and class defined in the
     sources ({module: text}) whose name no other place in them reads, as a
     name or as an attribute: a use inside its own definition does not count.
-    Dunders and overrides of a base class from outside the sources are
-    exempt."""
+    A static method counts as read only as ``Owner.name``, or as
+    ``self.name`` or ``cls.name`` inside its class ``Owner``, so a method of
+    the same name on another class does not hide it.  Dunders and overrides
+    of a base class from outside the sources are exempt."""
     trees = {module: ast.parse(text) for module, text in sources.items()}
     reads = [
-        (module, node.lineno, node.id if isinstance(node, ast.Name) else node.attr)
+        (module, node.lineno, node.id, None) if isinstance(node, ast.Name)
+        else (module, node.lineno, node.attr, node.value.id if isinstance(node.value, ast.Name) else None)
         for module, tree in trees.items()
         for node in ast.walk(tree)
         if isinstance(node, (ast.Name, ast.Attribute))
     ]
     found = []
     for module, tree in trees.items():
-        inherited = {}
+        inherited, owners = {}, {}
         for node in ast.walk(tree):
             if isinstance(node, ast.ClassDef):
                 for item in node.body:
                     inherited[item] = _inherited_names(node)
+                    if any(ast.unparse(d) == "staticmethod" for d in getattr(item, "decorator_list", ())):
+                        owners[item] = node
         for node in ast.walk(tree):
             if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 continue
-            name = node.name
+            name, cls = node.name, owners.get(node)
             if name.startswith("__") and name.endswith("__") or name in inherited.get(node, ()):
                 continue
-            if not any(read == name and (where != module or not node.lineno <= line <= node.end_lineno)
-                       for where, line, read in reads):
+            if not any(
+                read == name and not _inside(node, where, line, module)
+                and (cls is None or on == cls.name or on in ("self", "cls") and _inside(cls, where, line, module))
+                for where, line, read, on in reads
+            ):
                 found.append(f"{module}.{name}")
     return sorted(found)
 
@@ -300,9 +311,22 @@ def test_unreferenced_definition_detector():
         "class Plain(Exception):\n"
         "    def with_traceback(self, tb): pass\n"
         "    def extra(self): pass\n"
+        "class Maker:\n"
+        "    @staticmethod\n    def make(): return Maker.build()\n"
+        "    @staticmethod\n    def build(): return 1\n"
+        "    @staticmethod\n    def inner(): return 2\n"
+        "    @staticmethod\n    def shadowed(): return 3\n"
+        "    @staticmethod\n    def elsewhere(): return 4\n"
+        "    def method(self): return self.inner()\n"
+        "class Other:\n"
+        "    @staticmethod\n    def shadowed(): return 5\n"
+        "    def outer(self): return self.elsewhere()\n"
     )
-    b = "from .a import Parser, Plain\nParser().extra\n"  # an import alone reads nothing
-    assert unreferenced_definitions({"a": a, "b": b}) == ["a.Plain", "a.helper", "a.recursive", "a.unused"]
+    # An import alone reads nothing.  Other.shadowed reads only Other's, and
+    # self.elsewhere inside Other does not read Maker's.
+    b = "from .a import Parser, Plain, Maker, Other\nParser().extra\nMaker.make\nMaker().method\nOther.shadowed\nOther().outer\n"
+    assert unreferenced_definitions({"a": a, "b": b}) == [
+        "a.Plain", "a.elsewhere", "a.helper", "a.recursive", "a.shadowed", "a.unused"]
 
 
 def test_every_definition_is_used_in_the_library():

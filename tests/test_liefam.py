@@ -21,9 +21,8 @@ from hcfam.liefam import (
     Involution,
     InvalidInvolution,
     LieAlgebra,
-    LieFamily,
     NotALieAlgebra,
-    abelian_algebra,
+    NotASubalgebra,
     base_change,
     check_morphism,
     constant_family,
@@ -47,14 +46,18 @@ from hcfam.linalg import span_rank
 QI = GaussianRational
 
 
+def abelian_algebra(d: int) -> LieAlgebra:
+    return LieAlgebra.from_constants(tuple(f"e{i}" for i in range(d)), [[()] * d] * d)
+
+
 class TestLieAlgebra:
     def test_sl2_relations(self):
-        g = sl2_algebra()
+        c = sl2_algebra().constants
         h, x, y = ({j: QI(1)} for j in range(3))
-        assert g.bracket(h, x) == {1: QI(2)}
-        assert g.bracket(h, y) == {2: QI(-2)}
-        assert g.bracket(x, y) == {0: QI(1)}
-        assert g.bracket(x, x) == {} and g.bracket({}, y) == {}
+        assert bracket_with(c, h, x) == {1: QI(2)}
+        assert bracket_with(c, h, y) == {2: QI(-2)}
+        assert bracket_with(c, x, y) == {0: QI(1)}
+        assert bracket_with(c, x, x) == {} and bracket_with(c, {}, y) == {}
 
     def test_jacobi_rejects_corruption(self):
         g = sl2_algebra()
@@ -85,6 +88,16 @@ class TestLieAlgebra:
         g = matrix_algebra(("H", "X", "Y"), [h, x, y])
         assert g.constants == sl2_algebra().constants
 
+    def test_matrix_algebra_rejects_a_dependent_basis(self):
+        h = {(0, 0, 0): QI(1), (0, 1, 1): QI(-1)}
+        with pytest.raises(ValueError, match="matrix basis is linearly dependent"):
+            matrix_algebra(("H", "X", "2H"), [h, {(0, 0, 1): QI(1)}, {k: QI(2) * c for k, c in h.items()}])
+
+    def test_matrix_algebra_rejects_a_commutator_outside_the_span(self):
+        # [E12, E21] = E11 - E22 is not in the span of E12 and E21.
+        with pytest.raises(NotASubalgebra, match="commutator of basis elements 0,1 escapes the span"):
+            matrix_algebra(("X", "Y"), [{(0, 0, 1): QI(1)}, {(0, 1, 0): QI(1)}])
+
     def test_gl2_dimension_and_jacobi(self):
         g = gl2_algebra()
         assert g.rank == 4
@@ -97,13 +110,19 @@ class TestInvolution:
         assert len(theta.k_vectors) == 1
         assert len(theta.p_vectors) == 2
 
+    def test_non_diagonal_involution_accepted(self):
+        # Conjugation by J = [[1, 1], [0, -1]] (J^2 = 1): H -> H + 2X,
+        # X -> -X, Y -> H + X - Y.  theta^2 and theta of brackets cancel terms.
+        theta = Involution.from_matrix(sl2_algebra(), [[1, 0, 1], [2, -1, 1], [0, 0, -1]])
+        assert (len(theta.k_vectors), len(theta.p_vectors)) == (1, 2)
+
     def test_non_involution_rejected(self):
-        with pytest.raises(InvalidInvolution):
+        with pytest.raises(InvalidInvolution, match="matrix squared is not the identity"):
             Involution.from_matrix(sl2_algebra(), [[2, 0, 0], [0, 1, 0], [0, 0, 1]])
 
     def test_non_automorphism_rejected(self):
         # Negating only X respects theta^2 = 1 but not the bracket.
-        with pytest.raises(InvalidInvolution):
+        with pytest.raises(InvalidInvolution, match="matrix is not a Lie automorphism"):
             Involution.from_matrix(sl2_algebra(), [[1, 0, 0], [0, -1, 0], [0, 0, 1]])
 
 
@@ -161,9 +180,9 @@ class TestFamilies:
         assert inv["dim_derived"] == 0 and inv["solvable"]
 
     def test_fiber_at_infinity_needs_second_chart(self):
-        # Serialization keeps only the z-chart, so the point at infinity is
-        # out of reach afterwards.
-        fam = LieFamily.from_json(constant_family(abelian_algebra(2)).to_json())
+        # A family with only its z-chart, as serialization writes it, has no
+        # point at infinity.
+        fam = dataclasses.replace(constant_family(abelian_algebra(2)), w_constants=None)
         with pytest.raises(PoleAtPoint):
             fiber(fam, INFINITY)
 
@@ -175,9 +194,14 @@ class TestFamilies:
 
     def test_json_round_trip(self):
         fam = contraction_family(sl2_algebra(), sl2_involution())
-        back = LieFamily.from_json(fam.to_json())
-        assert back.constants == fam.constants
-        assert back.labels == fam.labels
+        data = fam.to_json()
+        cells = [[{} for _ in range(data["rank"])] for _ in range(data["rank"])]
+        for t in data["constants"]:
+            c = t["c"]
+            num, den = (LaurentPoly.from_json(c[part]) for part in ("num", "den"))
+            cells[t["i"]][t["j"]][t["k"]] = RationalFunction(num, den)
+        assert _sparse_table(cells) == fam.constants
+        assert tuple(data["labels"]) == fam.labels and data["chart"] == "affine-z"
 
 
 class TestMorphisms:

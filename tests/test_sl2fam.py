@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hcfam.scalars import RationalFunction, RF_Z, RF_ZERO
+from hcfam.scalars import RationalFunction, RF_ONE, RF_Z, RF_ZERO
 from hcfam.sl2fam import (
     build_sl2_contraction,
     casimir_acting_function,
@@ -34,12 +34,18 @@ class TestCanonicalSections:
 
     def test_relations_hold_in_both_charts(self, pair):
         # build_sl2_contraction verifies the relations at construction time;
-        # a doctored section must be caught by the same check.
+        # a doctored section must be caught by the same check, in its chart.
         from hcfam.sl2fam import _relations_counterexample
         import dataclasses
 
-        broken = dataclasses.replace(pair, X=dataclasses.replace(pair.X, z_coords={1: RF_Z}))
-        assert _relations_counterexample(broken) is not None
+        for name, chart, coords, expected in [
+            ("X", "z_coords", {1: RF_Z}, "[X,Y]=H in z-chart"),
+            ("X", "z_coords", {0: RF_ONE, 1: RF_ONE}, "[H,X]=2X in z-chart"),
+            ("Y", "w_coords", {2: RF_Z}, "[X,Y]=H in w-chart"),
+            ("Y", "w_coords", {0: RF_ONE, 2: RF_ONE}, "[H,Y]=-2Y in w-chart"),
+        ]:
+            section = dataclasses.replace(getattr(pair, name), **{chart: coords})
+            assert _relations_counterexample(dataclasses.replace(pair, **{name: section})) == expected
         assert _relations_counterexample(pair) is None
 
 
