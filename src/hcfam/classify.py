@@ -16,10 +16,10 @@ isomorphic to the canonical construction.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Tuple
 
-from .scalars import DomainError, GaussianRational
+from .scalars import DomainError, GaussianRational, LaurentPoly
 from . import hcmod
 from .hcmod import (
     Casimir,
@@ -82,7 +82,7 @@ def _forced_casimir(weights: WeightSet) -> Optional[Casimir]:
 def admissible_casimir(weights: WeightSet, casimir: Casimir) -> AdmissibilityVerdict:
     """Whether the Casimir triple admits a generically irreducible family on
     the given weight set."""
-    casimir = tuple(GaussianRational._coerce(c) for c in casimir)
+    casimir = casimir_triple(*casimir)
     forced = _forced_casimir(weights)
     if forced is not None:
         if casimir == forced:
@@ -122,7 +122,7 @@ def _class_data(cls: ClassSpec, weights: WeightSet) -> Tuple[DegreeProfile, Tran
 
 def construct(weights: WeightSet, cls: ClassSpec, casimir: Casimir) -> HCModuleFamily:
     """The canonical family of the given class, weight set and Casimir."""
-    casimir = tuple(GaussianRational._coerce(c) for c in casimir)
+    casimir = casimir_triple(*casimir)
     verdict = admissible_casimir(weights, casimir)
     if not verdict:
         raise InadmissibleCasimir(verdict.reason)
@@ -208,9 +208,9 @@ def uniqueness_probe(
         for n in canonical.weights.transitions_in(window):
             u = _random_unit(rng)
             other = canonical.q_poly(n).scale((GaussianRational(4) * u).inverse())
-            pair = (hcmod.LaurentPoly.constant(u), other)
+            pair = (LaurentPoly.constant(u), other)
             overrides.append((n, *(pair if t.rule_for(n).unit_on == "A" else pair[::-1])))
-        variant = hcmod.replace(canonical, transitions=hcmod.replace(t, overrides=tuple(overrides)))
+        variant = replace(canonical, transitions=replace(t, overrides=tuple(overrides)))
         result = iso_check(canonical, variant)
         if not result:
             return ProbeResult(

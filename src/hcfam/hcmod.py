@@ -5,9 +5,9 @@ weight n, raising action X f_n = A_n f_{n+2}, lowering action
 Y f_{n+2} = z^{-1} B_n f_n, with A_n, B_n polynomials in z.  Infinite weight
 sets are handled lazily: explicit polynomial overrides at finitely many
 transition indices, plus a unit-normalized closed-form rule on each tail.
-Every verdict reads one transition per run of transitions that behave alike
-(a fiber off 0 and infinity only the n where the Casimir value is n(n+2)), so
-it covers the whole (infinite) weight set; a window only bounds the listing.
+Every verdict reads the whole (infinite) weight set once, one transition per
+run of transitions that behave alike (a fiber off 0 and infinity only the n
+where the Casimir value is n(n+2)); a window then only splits what was found.
 """
 
 from __future__ import annotations
@@ -492,9 +492,33 @@ def _one_of(run: Tuple) -> int:
     return b if a is None else a
 
 
-def _window_runs(module: HCModuleFamily, window: Window) -> List[Tuple[int, int]]:
-    span = module.weights.transition_span(window)
-    return _runs(module.breaks, *span) if span else []
+def _clip(run: Tuple, lo: Optional[int], hi: Optional[int]) -> Optional[Tuple]:
+    """The run (a, b, ...) cut to lo..hi (None: no bound), or None if empty."""
+    a, b = run[:2]
+    a = lo if a is None else a if lo is None else max(a, lo)
+    b = hi if b is None else b if hi is None else min(b, hi)
+    return (a, b, *run[2:]) if a is None or b is None or a <= b else None
+
+
+def _split(module: HCModuleFamily, window: Window, found: List[Tuple]) -> Tuple[List[Tuple], List[Tuple]]:
+    """One reading's findings (a, b, x), in run order, split at the window for
+    listing: (the parts in it, (side, a, b, x) up then down beyond it); a
+    finite set lies in it.  On an infinite side a part of one transition keeps
+    its n and the longer ones give (side, None, None, y) once per y of their
+    x; the finite stretch of a lowest or highest set keeps its parts."""
+    first, last = module.weights.transition_ends
+    if not found or None not in (first, last):
+        return found, []
+    (lo, hi), parity = window, module.weights.parity
+    below, above = lo - 1 - (lo - 1 - parity) % 2, hi + 1 + (hi + 1 - parity) % 2
+    beyond = []
+    for side, start, end in (("up", above, last), ("down", first, below)):
+        parts = [c for run in found if (c := _clip(run, start, end))]
+        if None in (start, end):
+            shared = dict.fromkeys(y for a, b, x in parts if a != b for y in x)
+            parts = [r for r in parts if r[0] == r[1]] + [(None, None, y) for y in shared]
+        beyond += [(side, *part) for part in parts]
+    return [c for run in found if (c := _clip(run, below + 2, above - 2))], beyond
 
 
 #: The key under which a module object records, in its instance dict as
@@ -508,12 +532,12 @@ _VALID = "_validated"
 def validate(module: HCModuleFamily, window: Window = DEFAULT_WINDOW) -> ValidationReport:
     """Check every structural invariant of the module family.
 
-    Every transition of the weight set is checked, one per run, in the
-    window and beyond it (see :func:`_read_beyond`), so the verdict ``ok``
-    does not depend on the window; the window only decides which violations
-    are listed with their own n.  Violations are data, not exceptions.  A
-    module found ok records it (:data:`_VALID`), and every later call on it
-    returns the empty report at once.
+    Every transition of the weight set is checked in one reading, one
+    transition per run, so the verdict ``ok`` does not depend on the window;
+    the window only splits what was found (:func:`_split`) into violations
+    listed with their own n and the ``tail-*`` ones.  Violations are data,
+    not exceptions.  A module found ok records it (:data:`_VALID`), and
+    every later call on it returns the empty report at once.
     """
     if window[0] > window[1]:
         raise ValueError("empty window")
@@ -523,14 +547,11 @@ def validate(module: HCModuleFamily, window: Window = DEFAULT_WINDOW) -> Validat
     v = [Violation(n, "override at an absent transition")
          for n, _, _ in module.transitions.overrides if not w.has_transition(n)]
     v += [Violation(n, "degree override at an absent weight") for n, _ in module.degrees.overrides if not w.contains(n)]
-    # One transition of each run (all of a run's transitions fail alike):
-    # the window, then everything beyond it.
-    parts, tails = _run_violations(module, _window_runs(module, window)), []
-    for side, a, b, found in _read_beyond(module, window, lambda runs: _run_violations(module, runs)):
-        if a is None:
-            tails.append(Violation(f"tail-{side}", found))
-        else:
-            parts.append((a, b, found))
+    # One transition of each run (all of a run's transitions fail alike).
+    found = _run_violations(module, _runs(module.breaks, *w.transition_ends))
+    listed, beyond = _split(module, window, found)
+    parts = listed + [(a, b, x) for _, a, b, x in beyond if a is not None]
+    tails = [Violation(f"tail-{side}", x) for side, a, _, x in beyond if a is None]
     report = ValidationReport(v + sorted(parts) + tails)
     if report.ok:  # exact for every window, as ok does not depend on it
         vars(module)[_VALID] = True
@@ -572,36 +593,6 @@ def _transition_violations(module: HCModuleFamily, n: int) -> Tuple[str, ...]:
     if db > bb:
         out.append(f"deg B_n = {db} exceeds bound {bb}")
     return tuple(out)
-
-
-def _beyond(module: HCModuleFamily, window: Window) -> List[Tuple[str, Optional[int], Optional[int]]]:
-    """(side, first, last) of the transitions above and below the window, to
-    the end of the weight set; None for the end of an infinite tail."""
-    w, (lo, hi) = module.weights, window
-    first, last = w.transition_ends
-    if None not in (first, last):  # a finite set lists all its transitions
-        return []
-    above, below = hi + 1 + (hi + 1 - w.parity) % 2, lo - 1 - (lo - 1 - w.parity) % 2
-    up = (above if first is None else max(above, first), last)
-    down = (first, below if last is None else min(below, last))
-    return [(side, a, b) for side, (a, b) in (("up", up), ("down", down)) if None in (a, b) or a <= b]
-
-
-def _read_beyond(module: HCModuleFamily, window: Window, read) -> List[Tuple]:
-    """(side, a, b, found) for what ``read`` finds beyond the window; ``read``
-    takes a list of runs and gives (a, b, found) for the runs a..b where it
-    finds something.  On an infinite tail a run of one keeps its n, and the
-    longer runs share their findings: (side, None, None, x) once for each x
-    found on them.  A stretch to the end of a lowest or highest set keeps its
-    runs."""
-    out = []
-    for side, first, last in _beyond(module, window):
-        runs = read(_runs(module.breaks, first, last))
-        if None in (first, last):
-            shared = dict.fromkeys(x for a, b, xs in runs if a != b for x in xs)
-            runs = sorted(r for r in runs if r[0] == r[1]) + [(None, None, x) for x in shared]
-        out += [(side, *run) for run in runs]
-    return out
 
 
 def _require_valid(module: HCModuleFamily):
@@ -669,21 +660,22 @@ def _fiber_scalars(module: HCModuleFamily, p: Point, window: Window) -> Dict[int
 
 
 def _zeros(module: HCModuleFamily, runs, p: Point, base) -> List[Tuple]:
-    """(a, b, letters): the scalars named by letters ('A', 'B' or 'AB') vanish
-    at p on every transition of the run a..b, read at one of them.  At 0 and
-    infinity a run's transitions vanish alike.  Elsewhere 4 A_n(p) B_n(p) =
-    q_n(p) = p (c(p) - n(n+2)), c(p) = q_0(p) / p the Casimir value, so runs of
-    one at the (at most two) n with n(n+2) = c(p) suffice; either side may vanish."""
+    """(a, b, letters) for each run a..b of one reading of the whole set where
+    the scalars named by letters ('A', 'B' or 'AB') vanish at p, read at one
+    transition.  At 0 and infinity a run's transitions vanish alike.  Elsewhere
+    4 A_n(p) B_n(p) = q_n(p) = p (c(p) - n(n+2)), c(p) = q_0(p) / p the Casimir
+    value, so runs of one at the (at most two) n with n(n+2) = c(p) suffice;
+    either side may vanish.  :func:`_split` then splits them at the window."""
     pairs = [(run, _scalar_pair(module, _one_of(run), p, base)) for run in runs]
     return [(*run, "".join(x for x, c in zip("AB", pair) if c.is_zero())) for run, pair in pairs if not all(pair)]
 
 
 @dataclass
 class FiberVerdict:
-    """Irreducibility of the fiber at a point, with its vanishing transition
-    scalars: in the window as (n, 'A' or 'B'), beyond it as (side, n, 'A' or
-    'B').  n is None for every transition of an infinite tail not listed with
-    its own n; the stretch to the end of a lowest or highest set lists each."""
+    """Irreducibility of the fiber at a point, from one reading of the whole
+    weight set, with its vanishing scalars split once at the window: in it as
+    (n, 'A' or 'B'), beyond it as (side, n, 'A' or 'B'), n None for every
+    transition of an infinite tail not listed with its own n."""
 
     irreducible: bool
     zeros: list  # (a, b, letters) for the window's runs a..b where letters vanish
@@ -717,16 +709,12 @@ class FiberVerdict:
 def _fiber_verdict(module: HCModuleFamily, p: Point, window: Window) -> FiberVerdict:
     """:func:`fiber_irreducible` for a validated module; see :func:`_zeros`."""
     p, base = _at(module, p)
+    w = module.weights
     if p is INFINITY or p.is_zero():
-        zeros = _zeros(module, _window_runs(module, window), p, base)
-        beyond = _read_beyond(module, window, lambda runs: _zeros(module, runs, p, base))
+        runs = _runs(module.breaks, *w.transition_ends)
     else:
-        span = module.weights.transition_span(window)
-        ns = [n for n in _integer_weight_solutions(base / p) if module.weights.has_transition(n)]
-        found = _zeros(module, [(n, n) for n in ns], p, base)
-        zeros = [z for z in found if span and span[0] <= z[0] <= span[1]]
-        beyond = [(side, *z) for side in ("up", "down") for z in found
-                  if z not in zeros and (z[0] > window[1]) == (side == "up")]
+        runs = [(n, n) for n in _integer_weight_solutions(base / p) if w.has_transition(n)]
+    zeros, beyond = _split(module, window, _zeros(module, runs, p, base))
     return FiberVerdict(not (zeros or beyond), zeros, beyond, module, p, window)
 
 

@@ -921,22 +921,56 @@ class TestTransitionRanges:
     @settings(max_examples=40, deadline=None)
     def test_runs_partition_the_window_at_the_breaks(self, case):
         module, window, _ = case
-        runs = hcmod._window_runs(module, window)
-        listed = [n for a, b in runs for n in range(a, b + 1, 2)]
-        assert listed == module.weights.transitions_in(window)
-        assert [a for a, b in runs if a == b and a in module.breaks] == [n for n in listed if n in module.breaks]
+        w, (lo, hi) = module.weights, window
+        first, last = w.transition_ends
+        below = max(n for n in (lo - 1, lo - 2) if n % 2 == w.parity)
+        above = min(n for n in (hi + 1, hi + 2) if n % 2 == w.parity)
+
+        def clipped(m, start, end):  # the runs of the whole set cut to start..end
+            return [c for run in hcmod._runs(m.breaks, first, last) if (c := hcmod._clip(run, start, end))]
+
+        def listed(parts, start, end):  # their transitions in start..end
+            return [n for part in parts if (c := hcmod._clip(part, start, end)) for n in range(c[0], c[1] + 1, 2)]
+
+        inside = (first, last) if w.kind == "finite" else (below + 2, above - 2)
+        runs = clipped(module, *inside)
+        ns = listed(runs, *inside)
+        assert ns == module.weights.transitions_in(window)
+        assert [a for a, b in runs if a == b and a in module.breaks] == [n for n in ns if n in module.breaks]
         for a, b in runs:  # on a run, the unit side, the degree step and deg q_n are those of its first n
             assert all((module.transitions.rule_for(n), module.degrees.step(n), module.q_lead(n)[0])
                        == (module.transitions.rule_for(a), module.degrees.step(a), module.q_lead(a)[0])
                        and module.transitions.override_for(n) is None for n in range(a + 2, b + 1, 2))
+        # Beyond the window the "up" and "down" parts partition what lies
+        # above and below it, read here 40 weights deep; on an infinite side
+        # _split keeps the n of each part of one and shares the longer
+        # parts' findings, and a finite stretch keeps its parts.
+        whole = [(*run, (f"run {i}",)) for i, run in enumerate(hcmod._runs(module.breaks, first, last))]
+        split_in, split_beyond = hcmod._split(module, window, whole)
+        if w.kind == "finite":
+            assert (split_in, split_beyond) == (whole, [])
+        else:
+            assert [run[:2] for run in split_in] == runs
+        for side, start, end in (("up", above, last), ("down", first, below)):
+            parts = [c for run in whole if (c := hcmod._clip(run, start, end))]
+            deep = (below - 40, above + 40)
+            assert listed(parts, *deep) == [n for n in range(deep[0], deep[1] + 1) if w.has_transition(n)
+                                            and (n >= above if side == "up" else n <= below)]
+            if w.kind == "finite":
+                continue
+            got = [entry[1:] for entry in split_beyond if entry[0] == side]
+            if None in (start, end):
+                assert [g for g in got if g[0] is not None] == [c for c in parts if c[0] == c[1]]
+                assert [g[2] for g in got if g[0] is None] == [c[2][0] for c in parts if c[0] != c[1]]
+            else:
+                assert got == parts
         # Overriding every transition of the window leaves the same runs as
         # the split at the breaks: one per transition.
-        span = module.weights.transition_span(window)
         t = module.transitions
-        for n in listed:
+        for n in ns:
             t = t.with_overrides({n: module.transition_polys(n)})
         full = dataclasses.replace(module, transitions=t)
-        assert hcmod._window_runs(full, window) == (hcmod._runs(full.breaks, *span) if span else []) == [(n, n) for n in listed]
+        assert clipped(full, *inside) == [(n, n) for n in ns]
 
 
 def _pivot_beyond_window(window=(-24, 23)):
@@ -986,6 +1020,23 @@ def edge_cases(draw):
 WINDOWS = ((-25, 25), (-25, 39), (0, 10), (-1, 10), (-12, -8), (8, 12), (41, 99), (-10**20, 10**20))
 
 
+def _rescaled_on(module, lo=-6, hi=6):
+    """The module with each of its transitions in lo..hi an override: its
+    pair rescaled by 2 and 1/2, so still valid."""
+    t = module.transitions
+    for n in module.weights.transitions_in((lo, hi)):
+        A, B = module.transition_polys(n)
+        t = t.with_overrides({n: (A.scale(QI(2)), B.scale(QI(Fraction(1, 2))))})
+    return dataclasses.replace(module, transitions=t)
+
+
+def _calls(name, call):
+    """How often ``call()`` calls the hcmod function of that name."""
+    with mock.patch.object(hcmod, name, wraps=getattr(hcmod, name)) as spy:
+        call()
+    return spy.call_count
+
+
 class TestBeyondWindow:
     def test_anchor_beyond_the_window_is_read_as_runs(self):
         # Between the window and the anchor the degree step follows the lower
@@ -998,6 +1049,22 @@ class TestBeyondWindow:
             assert [v.to_json() for v in fresh_validate(module, window)] == [
                 {"where": "39", "message": "deg A_n = 2 exceeds bound 1"}]
         assert {fresh_validate(module, window).ok for window in WINDOWS} == {False}
+
+    @pytest.mark.parametrize("weights, cls, casimir", [
+        (WeightSet("even"), ClassSpec("I", 0), (0, 1, 1)),
+        (WeightSet("lowest", 1), ClassSpec("III"), (0, -1, 0)),
+        (WeightSet("odd"), ClassSpec("III"), (1, 0, 1)),
+    ], ids=["even", "lowest", "odd"])
+    def test_reads_do_not_depend_on_the_window(self, weights, cls, casimir):
+        # validate and the fiber verdicts at 0 and infinity read the runs of
+        # the whole weight set; the window only splits what they find.
+        module = _rescaled_on(construct(weights, cls, casimir_triple(*casimir)))
+        assert module.transitions.overrides and fresh_validate(module).ok
+        reads = {window: _calls("_transition_violations", lambda: fresh_validate(module, window)) for window in WINDOWS}
+        assert len(set(reads.values())) == 1, reads
+        for p in (QI_ZERO, INFINITY):
+            reads = {window: _calls("_scalar_pair", lambda: fiber_irreducible(module, p, window)) for window in WINDOWS}
+            assert len(set(reads.values())) == 1, (p, reads)
 
     def test_anchor_at_lo_of_the_other_parity(self):
         # With odd weights and the anchor at lo = 0, the transition at -1 just
