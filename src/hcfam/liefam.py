@@ -282,58 +282,38 @@ def _adapted_constants(theta: Involution):
     return labels, tbl, len(theta.k_vectors)
 
 
-def _scaled_family(theta: Involution, power: int) -> LieFamily:
-    """Family with bracket scaled by z^power exactly on the p x p part."""
+def _family(labels, table, exponent, powers) -> LieFamily:
+    """The family with [e_i, e_j] = z^exponent(i, j) times the Q(i) cell
+    (i, j) of ``table``, the same constants in w, and the charts glued by
+    z^powers[i] on basis vector i."""
+    constants = tuple(
+        tuple(tuple((k, RationalFunction.monomial(exponent(i, j), c)) for k, c in cell) for j, cell in enumerate(row))
+        for i, row in enumerate(table)
+    )
+    return LieFamily(labels=labels, constants=constants, w_constants=constants, transition_powers=tuple(powers))
+
+
+def _scaled_family(algebra: LieAlgebra, theta: Involution, power: int) -> LieFamily:
+    """Family with bracket scaled by z^power exactly on the p x p part; the
+    constant family when p = 0."""
+    if not theta.p_vectors:
+        return constant_family(algebra)
     labels, tbl, nk = _adapted_constants(theta)
-    d = len(labels)
-    z_pow = RationalFunction.monomial(power)  # the same monomial in w
-
-    def entry(on_pp, c):
-        base = RationalFunction.constant(c)
-        return base * z_pow if on_pp else base
-
-    scaled = tuple(
-        tuple(
-            tuple((k, entry(i >= nk and j >= nk, c)) for k, c in cell)
-            for j, cell in enumerate(row)
-        )
-        for i, row in enumerate(tbl)
-    )
-    powers = tuple(0 if i < nk else power for i in range(d))
-    return LieFamily(
-        labels=labels,
-        constants=scaled,
-        w_constants=scaled,
-        transition_powers=powers,
-    )
+    powers = (0 if i < nk else power for i in range(len(labels)))
+    return _family(labels, tbl, lambda i, j: power if min(i, j) >= nk else 0, powers)
 
 
 def constant_family(algebra: LieAlgebra) -> LieFamily:
-    d = algebra.rank
-    frozen = _sparse_table(algebra.constants, RationalFunction.constant)
-    return LieFamily(
-        labels=algebra.labels,
-        constants=frozen,
-        w_constants=frozen,
-        transition_powers=tuple(0 for _ in range(d)),
-    )
+    return _family(algebra.labels, algebra.constants, lambda i, j: 0, (0,) * algebra.rank)
 
 
 def scaled_bracket_family(algebra: LieAlgebra, m: int = 1) -> LieFamily:
     """All brackets multiplied by z^m; the fiber at 0 is abelian."""
     if m <= 0:
         raise ValueError("exponent must be positive")
-    d = algebra.rank
-    z_pow = RationalFunction.monomial(m)
-    frozen = _sparse_table(algebra.constants, lambda c: RationalFunction.constant(c) * z_pow)
     # w-chart bracket is w^m[,]; the gluing rescales every basis vector by
     # z^{2m} so that c_w(1/z) = c_z * z^{-2m}.
-    return LieFamily(
-        labels=algebra.labels,
-        constants=frozen,
-        w_constants=frozen,
-        transition_powers=tuple(2 * m for _ in range(d)),
-    )
+    return _family(algebra.labels, algebra.constants, lambda i, j: m, (2 * m,) * algebra.rank)
 
 
 def contraction_family(algebra: LieAlgebra, theta: Involution) -> LieFamily:
@@ -343,9 +323,7 @@ def contraction_family(algebra: LieAlgebra, theta: Involution) -> LieFamily:
     """
     if theta.algebra is not algebra and theta.algebra != algebra:
         raise InvalidInvolution("involution belongs to a different algebra")
-    if not theta.p_vectors:
-        return constant_family(algebra)
-    return _scaled_family(theta, 1)
+    return _scaled_family(algebra, theta, 1)
 
 
 def deformation_family(algebra: LieAlgebra, theta: Involution) -> LieFamily:
@@ -354,9 +332,7 @@ def deformation_family(algebra: LieAlgebra, theta: Involution) -> LieFamily:
     The subalgebra k is the fixed space of ``theta``; its complement p is the
     -1 eigenspace.
     """
-    if not theta.p_vectors:
-        return constant_family(algebra)
-    return _scaled_family(theta, 2)
+    return _scaled_family(algebra, theta, 2)
 
 
 def base_change(family: LieFamily, psi: LaurentPoly) -> LieFamily:

@@ -1,9 +1,9 @@
 """Exact scalar tower: Gaussian rationals, Laurent polynomials in z, and
 rational functions on the projective line.
 
-Everything here is immutable and all arithmetic is exact.  A "point" of the
-projective line is either a :class:`GaussianRational` or the :data:`INFINITY`
-sentinel.
+Values here are never changed after construction, and all arithmetic is
+exact.  A "point" of the projective line is either a
+:class:`GaussianRational` or the :data:`INFINITY` sentinel.
 
 A Gaussian rational is held as an integer triple, so its arithmetic is plain
 int arithmetic; ``Fraction`` appears only at the edges (the ``re``/``im``
@@ -166,16 +166,7 @@ class GaussianRational:
         return GaussianRational._coerce(other) / self
 
     def __pow__(self, k: int):
-        if k < 0:
-            return self.inverse() ** (-k)
-        out = QI_ONE
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
+        return _power(self, k, QI_ONE)
 
     def conjugate(self) -> "GaussianRational":
         return _qi(self._a, -self._b, self._d)
@@ -278,6 +269,20 @@ def _parse_ratio(text: str) -> Tuple[int, int]:
     return f.numerator, f.denominator
 
 
+def _power(x, k: int, one):
+    """x**k by repeated squaring, for an element x of a field with unit
+    ``one``; a negative k takes the power of ``one / x``."""
+    if k < 0:
+        x, k = one / x, -k
+    out = one
+    while k:
+        if k & 1:
+            out = out * x
+        x = x * x
+        k >>= 1
+    return out
+
+
 def _qi(a: int, b: int, d: int) -> GaussianRational:
     """Trusted constructor: the normal form of (a + b*i)/d, for ints, d > 0."""
     if d != 1:
@@ -349,18 +354,6 @@ INFINITY = _Infinity()
 
 Point = Union[GaussianRational, _Infinity]
 
-class _OrderOfZero:
-    """The order of the zero function at any point: above every integer."""
-
-    def __lt__(self, other):
-        return False
-
-    def __gt__(self, other):
-        return other is not self
-
-
-ORDER_OF_ZERO = _OrderOfZero()
-
 
 def _sqrt_fraction(f: Fraction) -> Optional[Fraction]:
     if f < 0:
@@ -414,10 +407,7 @@ class LaurentPoly:
                     c = GaussianRational._coerce(c)
                 if c:
                     clean[int(e)] = c
-        object.__setattr__(self, "coeffs", clean)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("LaurentPoly is immutable")
+        self.coeffs = clean
 
     # -- constructors -------------------------------------------------------
 
@@ -428,10 +418,6 @@ class LaurentPoly:
     @staticmethod
     def monomial(exp: int, c=1) -> "LaurentPoly":
         return LaurentPoly({exp: GaussianRational._coerce(c)})
-
-    @staticmethod
-    def z() -> "LaurentPoly":
-        return LaurentPoly.monomial(1)
 
     # -- structure ----------------------------------------------------------
 
@@ -445,19 +431,10 @@ class LaurentPoly:
         """True when no negative exponents occur."""
         return all(e >= 0 for e in self.coeffs)
 
-    def min_exp(self) -> int:
-        if self.is_zero():
-            raise ValueError("zero polynomial has no minimal exponent")
-        return min(self.coeffs)
-
     def max_exp(self) -> int:
         if self.is_zero():
             raise ValueError("zero polynomial has no maximal exponent")
         return max(self.coeffs)
-
-    def ord_zero(self):
-        """Vanishing order at z = 0 (the minimal stored exponent)."""
-        return ORDER_OF_ZERO if self.is_zero() else self.min_exp()
 
     def degree(self) -> int:
         """Degree as an ordinary polynomial; -1 for the zero polynomial."""
@@ -492,12 +469,6 @@ class LaurentPoly:
 
     def __neg__(self):
         return _lp({e: -c for e, c in self.coeffs.items()})
-
-    def __sub__(self, other):
-        return self + (-self._coerce(other))
-
-    def __rsub__(self, other):
-        return self._coerce(other) - self
 
     def __mul__(self, other):
         o = other if other.__class__ is LaurentPoly else self._coerce(other)
@@ -614,7 +585,7 @@ def _lp(coeffs: dict) -> LaurentPoly:
     """Trusted constructor: ``coeffs`` maps ints to nonzero GaussianRationals
     and is owned by the result."""
     p = _new(LaurentPoly)
-    object.__setattr__(p, "coeffs", coeffs)
+    p.coeffs = coeffs
     return p
 
 
@@ -671,11 +642,8 @@ class RationalFunction:
                 inv = lead.inverse()
                 num = num.scale(inv)
                 den = den.scale(inv)
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("RationalFunction is immutable")
+        self.num = num
+        self.den = den
 
     # -- constructors -------------------------------------------------------
 
@@ -692,10 +660,6 @@ class RationalFunction:
         return RationalFunction(LaurentPoly.constant(c))
 
     @staticmethod
-    def z() -> "RationalFunction":
-        return RationalFunction(LaurentPoly.z())
-
-    @staticmethod
     def monomial(exp: int, c=1) -> "RationalFunction":
         return RationalFunction(LaurentPoly.monomial(exp, c))
 
@@ -706,9 +670,6 @@ class RationalFunction:
 
     def __bool__(self):
         return not self.is_zero()
-
-    def is_polynomial(self) -> bool:
-        return self.den.degree() == 0
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -726,9 +687,6 @@ class RationalFunction:
     def __sub__(self, other):
         return self + (-self._coerce(other))
 
-    def __rsub__(self, other):
-        return self._coerce(other) - self
-
     def __mul__(self, other):
         o = self._coerce(other)
         return RationalFunction(self.num * o.num, self.den * o.den)
@@ -741,20 +699,8 @@ class RationalFunction:
             raise ZeroDivisionError("division by the zero rational function")
         return RationalFunction(self.num * o.den, self.den * o.num)
 
-    def __rtruediv__(self, other):
-        return self._coerce(other) / self
-
     def __pow__(self, k: int):
-        if k < 0:
-            return (RationalFunction.constant(1) / self) ** (-k)
-        out = RationalFunction.constant(1)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
+        return _power(self, k, RF_ONE)
 
     def __eq__(self, other):
         try:
@@ -775,18 +721,12 @@ class RationalFunction:
             raise PoleAtPoint(f"pole at {z0}")
         return self.num.evaluate(z0) / dv
 
-    def evaluate_at_infinity(self) -> GaussianRational:
-        o = self.ord_at(INFINITY)
-        if o < 0:
-            raise PoleAtPoint("pole at infinity")
-        if o > 0:
-            return QI_ZERO
-        return self.num.leading_coeff()
-
     def evaluate_point(self, p: Point) -> GaussianRational:
-        if p is INFINITY:
-            return self.evaluate_at_infinity()
-        return self.evaluate(p)
+        if p is not INFINITY:
+            return self.evaluate(p)
+        if self.num.degree() > self.den.degree():
+            raise PoleAtPoint("pole at infinity")
+        return self.num.coeff(self.den.degree())  # the denominator is monic
 
     @staticmethod
     def _root_multiplicity(poly: LaurentPoly, z0: GaussianRational) -> int:
@@ -804,16 +744,16 @@ class RationalFunction:
     def ord_at(self, p: Point):
         """Vanishing order at a point of the projective line.
 
-        Negative values are pole orders; the zero function returns the
-        plus-infinity sentinel :data:`ORDER_OF_ZERO`.
+        Negative values are pole orders; the zero function has no order and
+        raises ``ValueError``.
         """
         if self.is_zero():
-            return ORDER_OF_ZERO
+            raise ValueError("the zero function has no order")
         if p is INFINITY:
             return self.den.degree() - self.num.degree()
         p = GaussianRational._coerce(p)
         if p.is_zero():
-            return self.num.ord_zero() - self.den.ord_zero()
+            return min(self.num.coeffs) - min(self.den.coeffs)
         return self._root_multiplicity(self.num, p) - self._root_multiplicity(
             self.den, p
         )
@@ -821,32 +761,27 @@ class RationalFunction:
     # -- substitution -------------------------------------------------------
 
     def compose(self, psi: "RationalFunction") -> "RationalFunction":
-        """The composition f(psi(z)) for a rational map psi."""
+        """The composition f(psi(z)) for a rational map psi: the numerator
+        and the denominator at psi by Horner's rule in the field, then one
+        division."""
         psi = RationalFunction._coerce(psi)
 
-        def homog(poly: LaurentPoly, deg: int) -> LaurentPoly:
-            # poly(p/q) * q^deg for ordinary poly of degree <= deg
-            out = LP_ZERO
-            for e, c in poly.coeffs.items():
-                term = LaurentPoly.constant(c)
-                for _ in range(e):
-                    term = term * psi.num
-                for _ in range(deg - e):
-                    term = term * psi.den
-                out = out + term
+        def at_psi(poly: LaurentPoly) -> "RationalFunction":
+            c, out = poly.coeffs, RF_ZERO
+            for e in range(poly.degree(), -1, -1):
+                out = out * psi + c[e] if e in c else out * psi
             return out
 
-        d = max(self.num.degree(), self.den.degree(), 0)
-        return RationalFunction(homog(self.num, d), homog(self.den, d))
+        return at_psi(self.num) / at_psi(self.den)
 
     def substitute_reciprocal(self) -> "RationalFunction":
         """The function f(1/w), expressed in the coordinate w."""
-        return self.compose(RationalFunction(LP_ONE, LaurentPoly.z()))
+        return self.compose(RationalFunction.monomial(-1))
 
     # -- roots ---------------------------------------------------------------
 
     def __str__(self):
-        if self.is_polynomial():
+        if self.den.degree() == 0:
             return str(self.num)
         return f"({self.num}) / ({self.den})"
 
@@ -859,14 +794,14 @@ class RationalFunction:
 def _rf(num: LaurentPoly, den: LaurentPoly) -> RationalFunction:
     """Trusted constructor for a pair already in canonical form."""
     f = _new(RationalFunction)
-    object.__setattr__(f, "num", num)
-    object.__setattr__(f, "den", den)
+    f.num = num
+    f.den = den
     return f
 
 
 RF_ZERO = RationalFunction(LP_ZERO)
 RF_ONE = RationalFunction(LP_ONE)
-RF_Z = RationalFunction.z()
+RF_Z = RationalFunction.monomial(1)
 
 
 class UnsplitQuadratic(DomainError):

@@ -431,6 +431,28 @@ PAIR_OUTPUT_CORPUS = (
     ("family fiber --algebra gl2 --kind contraction --at i", 0, "7c3fe526a10b4de36dae49936cfbfb92e0faffec5a48f2873650019df97d866a"),
     ("family fiber --algebra gl2 --kind deformation --at 2", 0, "020594651e8bbaf7763794b4e119676725221133f800e926778088bdc28dae0b"),
     ("family fiber --algebra gl2 --kind deformation --at i", 0, "7c3fe526a10b4de36dae49936cfbfb92e0faffec5a48f2873650019df97d866a"),
+    ("family build --algebra sl2 --kind constant", 0, "e78edc54a5f32377a44664726313f10542103f349b98a9c7ca69676c0a079379"),
+    ("family build --algebra sl2 --kind scaled", 0, "f6193a92c8291495035927ee6525e2fc45f70cf2ff65ea78b6d580dbeb9c1d27"),
+    ("family build --algebra sl2 --kind contraction", 0, "6a6de4fa401cbd263f493e591cab17da4789bfc5162b72227f2f0bd0da2a9ff1"),
+    ("family build --algebra sl2 --kind deformation", 0, "9bb7ba0c86d596145ef2e9706d5ccca35b022c6710aaeb4a4c40ffdd7264fbec"),
+    ("family build --algebra sl2 --kind scaled --power 3", 0, "a225aecd31522544c4bed33693200d5b224d628de0f7ab094249e51f7334b826"),
+    ("family build --algebra gl2 --kind scaled --power 3", 0, "62bbb036c066694536d93dbcfc5d87e4a3c8e8d80a1772ba2bbc219e684e73fb"),
+    ("family basechange --algebra sl2 --kind constant --exponent 2", 0, "e78edc54a5f32377a44664726313f10542103f349b98a9c7ca69676c0a079379"),
+    ("family basechange --algebra sl2 --kind constant --exponent 3", 0, "e78edc54a5f32377a44664726313f10542103f349b98a9c7ca69676c0a079379"),
+    ("family basechange --algebra sl2 --kind scaled --exponent 2", 0, "058b9d6eb54e54fb18fc1da315dcc906aed544aca83b07cc336460f26a8d2808"),
+    ("family basechange --algebra sl2 --kind scaled --exponent 3", 0, "a225aecd31522544c4bed33693200d5b224d628de0f7ab094249e51f7334b826"),
+    ("family basechange --algebra sl2 --kind contraction --exponent 2", 0, "9bb7ba0c86d596145ef2e9706d5ccca35b022c6710aaeb4a4c40ffdd7264fbec"),
+    ("family basechange --algebra sl2 --kind contraction --exponent 3", 0, "a4697ca193d0e83449340a4ce4f7b1ebac276a28bda7fec32ec164f2167975ce"),
+    ("family basechange --algebra sl2 --kind deformation --exponent 2", 0, "2f977ca22ff4f520f699c80661c4b9c15b288d4f0aa74dc3ee629d4882579cf4"),
+    ("family basechange --algebra sl2 --kind deformation --exponent 3", 0, "b38e1d44089e81d64bee01c27ed705ce95e41d9c05020df1592d6373a73d492f"),
+    ("family basechange --algebra gl2 --kind constant --exponent 2", 0, "90c61170be6181749a2287417e91bd2dcf189877c77fd1abecc8a8ba3604d2cb"),
+    ("family basechange --algebra gl2 --kind constant --exponent 3", 0, "90c61170be6181749a2287417e91bd2dcf189877c77fd1abecc8a8ba3604d2cb"),
+    ("family basechange --algebra gl2 --kind scaled --exponent 2", 0, "8bfd2c587040360750f1d8c6d0bf917fdbef5111882f6f914c0cea2aacc03e0a"),
+    ("family basechange --algebra gl2 --kind scaled --exponent 3", 0, "62bbb036c066694536d93dbcfc5d87e4a3c8e8d80a1772ba2bbc219e684e73fb"),
+    ("family basechange --algebra gl2 --kind contraction --exponent 2", 0, "b80f144c2df5453cc594d2dc9748c2d08ba68f1ebee8107fb7c8c1e5fad51e40"),
+    ("family basechange --algebra gl2 --kind contraction --exponent 3", 0, "7ef92479396591ec30175e14f30278e08c62cc583e026384a9d467e12071c4ef"),
+    ("family basechange --algebra gl2 --kind deformation --exponent 2", 0, "afdd2909197415f44b302468f07f2692cf35689535b7b69e7ccdbe510a047745"),
+    ("family basechange --algebra gl2 --kind deformation --exponent 3", 0, "5f7b7e2f226680c4dab5041cf91aaa320afb860b1a48e6571759c95f1d3afa45"),
     ("grassmann realform --pq 2,2 --at 1", 0, "077b2d1c0701969a5e640a9af2be03c786a848af62e47fd1606015828c8de463"),
     ("grassmann realform --pq 2,2 --at -1", 0, "741a62eea1de9954697d029521d58590b5e1782e1eac67fb4e5fd477486cbadc"),
     ("grassmann realform --pq 2,2 --det-one --at 1", 0, "960cdb6a8697b32277f0ae08dced198a17250e6d2aa396ab6d8a9f688df4fcb1"),

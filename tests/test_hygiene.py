@@ -190,6 +190,39 @@ def test_triple_slots_stay_in_scalars(path):
     assert triple_slot_reads(path.read_text()) == []
 
 
+def setattr_overrides(source: str) -> list:
+    """Lines that define ``__setattr__`` or call ``object.__setattr__``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name == "__setattr__":
+            found.append(node.lineno)
+        elif (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "__setattr__"
+            and isinstance(node.func.value, ast.Name)
+            and node.func.value.id == "object"
+        ):
+            found.append(node.lineno)
+    return sorted(found)
+
+
+def test_setattr_detector():
+    src = (
+        "class A:\n    def __setattr__(self, n, v):\n        raise AttributeError\n"
+        "object.__setattr__(a, 'x', 1)\nsetattr(a, 'x', 1)\na.x = 1\nsuper().__setattr__('x', 1)\n"
+    )
+    assert setattr_overrides(src) == [2, 4]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_one_immutability_policy(path):
+    """Library values are never changed after construction by convention,
+    the convention ``GaussianRational`` keeps: constructors assign the slots
+    once and no class guards them with ``__setattr__``."""
+    assert setattr_overrides(path.read_text()) == []
+
+
 def unguarded_module_arguments(source: str) -> list:
     """(function, parameter) for each public module-level function other than
     ``validate`` whose parameter annotated ``HCModuleFamily`` the body never

@@ -236,6 +236,41 @@ class TestMorphisms:
         assert fam.transition_powers == (2 * m, 2 * m, 2 * m)
 
 
+def _kind_cases():
+    """(id, family, exponent(i, j), transition powers) for every kind and
+    algebra and for the scaled family at m = 1..3: the closed forms of the
+    bracket scaling and of the gluing."""
+    cases = []
+    for name, algebra, involution in (("sl2", sl2_algebra, sl2_involution), ("gl2", gl2_algebra, gl2_involution)):
+        alg = algebra()
+        d = alg.rank
+        cases.append((f"{name}-constant", constant_family(alg), lambda i, j: 0, (0,) * d))
+        for m in (1, 2, 3):
+            cases.append((f"{name}-scaled-{m}", scaled_bracket_family(alg, m), lambda i, j, m=m: m, (2 * m,) * d))
+        nk = len(involution().k_vectors)
+        for kind, build, power in (("contraction", contraction_family, 1), ("deformation", deformation_family, 2)):
+            exponent = lambda i, j, power=power, nk=nk: power if min(i, j) >= nk else 0  # noqa: E731
+            powers = (0,) * nk + (power,) * (d - nk)
+            cases.append((f"{name}-{kind}", build(alg, involution()), exponent, powers))
+    return cases
+
+
+KIND_CASES = _kind_cases()
+
+
+class TestFamilyBuilder:
+    @pytest.mark.parametrize("fam, exponent, powers", [c[1:] for c in KIND_CASES], ids=[c[0] for c in KIND_CASES])
+    def test_closed_forms(self, fam, exponent, powers):
+        assert jacobi_check(fam) is None
+        assert glue_consistent(fam)
+        assert fam.transition_powers == powers
+        assert fam.w_constants == fam.constants
+        for i, row in enumerate(fam.constants):
+            for j, cell in enumerate(row):
+                for _, c in cell:
+                    assert c == RationalFunction.monomial(exponent(i, j), c.evaluate(1))
+
+
 class TestGl2Involution:
     def test_gl2_split(self):
         theta = gl2_involution()
