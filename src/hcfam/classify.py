@@ -203,13 +203,13 @@ def uniqueness_probe(
     canonical = construct(weights, cls, casimir)
     rng = random.Random(seed)
     t = canonical.transitions  # canonical: no overrides, so the ascending window's are sorted
+    qs = [(n, canonical.q_poly(n), t.rule_for(n).unit_on == "A") for n in canonical.weights.transitions_in(window)]
     for trial in range(trials):
         overrides = []
-        for n in canonical.weights.transitions_in(window):
+        for n, q, unit_on_a in qs:
             u = _random_unit(rng)
-            other = canonical.q_poly(n).scale((GaussianRational(4) * u).inverse())
-            pair = (LaurentPoly.constant(u), other)
-            overrides.append((n, *(pair if t.rule_for(n).unit_on == "A" else pair[::-1])))
+            pair = (LaurentPoly.constant(u), q.scale((GaussianRational(4) * u).inverse()))
+            overrides.append((n, *(pair if unit_on_a else pair[::-1])))
         variant = replace(canonical, transitions=replace(t, overrides=tuple(overrides)))
         result = iso_check(canonical, variant)
         if not result:

@@ -341,10 +341,12 @@ class HCModuleFamily:
         """(deg q_n, leading coefficient of q_n) in closed form in n, without
         building q_n; (-1, 0) where q_n is identically zero."""
         c1, c0, cm1 = self.casimir
-        for d, c in ((2, c1), (1, c0 - n * (n + 2)), (0, cm1)):
-            if c:
-                return d, c
-        return -1, QI_ZERO
+        if c1:
+            return 2, c1
+        m = n * (n + 2)
+        if c0 != m:
+            return 1, c0 - m
+        return (0, cm1) if cm1 else (-1, QI_ZERO)
 
     def transition_polys(self, n: int) -> Tuple[LaurentPoly, LaurentPoly]:
         """Derive (A_n, B_n): the override at n, else the tail rule of n's side."""
@@ -573,10 +575,10 @@ def _transition_violations(module: HCModuleFamily, n: int) -> Tuple[str, ...]:
     if dq < 0:
         return ("q_n is identically zero (excluded Casimir value)",)
     out = []
-    if t.override_for(n) is None:
+    if (ov := t.override_for(n)) is None:
         da, db = (0, dq) if t.rule_for(n).unit_on == "A" else (dq, 0)
     else:
-        A, B = t.override_for(n)
+        A, B = ov
         if min(A.coeffs, default=0) < 0 or min(B.coeffs, default=0) < 0:
             return ("transition data is not polynomial",)
         if not (A.coeffs and B.coeffs):
@@ -806,16 +808,23 @@ def _iso_scalar(m1: HCModuleFamily, m2: HCModuleFamily, n: int) -> Optional[Gaus
     one Casimir triple, both have 4 A_n B_n = q_n != 0, so one side decides:
     the side where a tail rule puts its unit, else A."""
     t1, t2 = m1.transitions, m2.transitions
+    o1, o2 = t1.override_for(n), t2.override_for(n)
     r1, r2 = t1.rule_for(n), t2.rule_for(n)
-    if t1.override_for(n) is t2.override_for(n) is None and r1.unit_on == r2.unit_on:
+    if o1 is o2 is None and r1.unit_on == r2.unit_on:
         # (u, q_n / 4u) against (u', q_n / 4u'): mu_n takes u to u' on A, or
         # q_n / 4u to q_n / 4u' on A, and B then matches identically.
         return r2.value / r1.value if r1.unit_on == "A" else r1.value / r2.value
-    which = r1.unit_on if t1.override_for(n) is None else r2.unit_on if t2.override_for(n) is None else "A"
-    x1, x2 = m1._side(n, which), m2._side(n, which)
-    if not proportional(x1, x2):
-        return None
-    u1, u2 = x1.leading_coeff(), x2.leading_coeff()
+    which = r1.unit_on if o1 is None else r2.unit_on if o2 is None else "A"
+    if (o1 is None) != (o2 is None):  # one side is a rule's unit r.value: the override's must be constant
+        x = (o2 if o1 is None else o1)[which == "B"].coeffs
+        if x.keys() != {0}:
+            return None
+        u1, u2 = (r1.value, x[0]) if o1 is None else (x[0], r2.value)
+    else:
+        x1, x2 = m1._side(n, which), m2._side(n, which)
+        if not proportional(x1, x2):
+            return None
+        u1, u2 = x1.leading_coeff(), x2.leading_coeff()
     return u2 / u1 if which == "A" else u1 / u2
 
 

@@ -296,6 +296,8 @@ def _family(labels, table, exponent, powers) -> LieFamily:
 def _scaled_family(algebra: LieAlgebra, theta: Involution, power: int) -> LieFamily:
     """Family with bracket scaled by z^power exactly on the p x p part; the
     constant family when p = 0."""
+    if theta.algebra is not algebra and theta.algebra != algebra:
+        raise InvalidInvolution("involution belongs to a different algebra")
     if not theta.p_vectors:
         return constant_family(algebra)
     labels, tbl, nk = _adapted_constants(theta)
@@ -321,8 +323,6 @@ def contraction_family(algebra: LieAlgebra, theta: Involution) -> LieFamily:
 
     With the degenerate involution (p = 0) this is the constant family.
     """
-    if theta.algebra is not algebra and theta.algebra != algebra:
-        raise InvalidInvolution("involution belongs to a different algebra")
     return _scaled_family(algebra, theta, 1)
 
 

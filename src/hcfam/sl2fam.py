@@ -169,33 +169,22 @@ class WeightMissing(Exception):
 def casimir_acting_function(module: "hcmod.HCModuleFamily", n: int) -> RationalFunction:
     """The rational function by which the Casimir acts on the weight-n line.
 
-    Computed with the ordering H^2 + 2H + 4YX when the transition above n
-    exists, and with the reordered H^2 - 2H + 4XY otherwise; the two agree
-    wherever both apply.
+    Computed with the ordering H^2 + 2H + 4YX through the transition above n
+    when it exists, else with the reordered H^2 - 2H + 4XY through the one
+    below.  Both read a transition m as m(m+2) + 4 A_m B_m z^{-1}: at n = m
+    through H^2 + 2H = n(n+2), at n = m + 2 through H^2 - 2H = n(n-2).
     """
-    return _acting_function(module, n, prefer_up=True)
-
-
-def casimir_acting_function_reordered(
-    module: "hcmod.HCModuleFamily", n: int
-) -> RationalFunction:
-    return _acting_function(module, n, prefer_up=False)
-
-
-def _acting_function(module, n, prefer_up):
     w = module.weights
     if not w.contains(n):
         raise WeightMissing(f"weight {n} is not in the module")
-    has_up = w.has_transition(n)
-    has_down = w.has_transition(n - 2)
-    if has_up and (prefer_up or not has_down):
-        m, c = n, n * n + 2 * n
-    elif has_down:
-        m, c = n - 2, n * n - 2 * n
+    if w.has_transition(n):
+        m = n
+    elif w.has_transition(n - 2):
+        m = n - 2
     else:
         # Isolated weight: both X and Y act by zero.
         return RationalFunction.constant(GaussianRational(n * n + 2 * n))
-    # n(n +- 2) + 4 A B z^{-1} as one Laurent polynomial; the constructor
+    # m(m+2) + 4 A_m B_m z^{-1} as one Laurent polynomial; the constructor
     # clears the negative exponent.
     A, B = module.transition_polys(m)
-    return RationalFunction((A * B).scale(4).shift(-1) + c)
+    return RationalFunction((A * B).scale(4).shift(-1) + m * (m + 2))

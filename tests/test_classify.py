@@ -1,12 +1,15 @@
 """Tests for admissibility, canonical constructions, and uniqueness probes."""
 
 import dataclasses
+import hashlib
+import json
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from hcfam import classify
 from hcfam.scalars import GaussianRational
 from hcfam.hcmod import WeightSet, casimir_triple, iso_check, picard_twist, validate
 from hcfam.classify import (
@@ -116,6 +119,18 @@ class TestProbes:
         a = uniqueness_probe(*args, trials=3, seed=5, window=(-7, 7))
         b = uniqueness_probe(*args, trials=3, seed=5, window=(-7, 7))
         assert (a.status, a.trials, a.detail) == (b.status, b.trials, b.detail)
+
+    def test_probe_draws_pinned(self, monkeypatch):
+        """The variants themselves, not only the verdict: each trial draws its
+        units in the order of the window's transitions."""
+        variants, real = [], classify.iso_check
+        monkeypatch.setattr(classify, "iso_check", lambda a, b, *rest: variants.append(b.to_json()) or real(a, b, *rest))
+        probe = uniqueness_probe(
+            WeightSet("even"), ClassSpec("III"), casimir_triple(1, 2, 3), trials=3, seed=5, window=(-7, 7)
+        )
+        assert probe.status == "pass" and len(variants) == 3
+        digest = hashlib.sha256(json.dumps(variants, sort_keys=True).encode()).hexdigest()
+        assert digest == "92b14c34d6bafe875ba9b15f73b90810aab685a7e167124e0a636122a4701fe4"
 
     @pytest.mark.parametrize("trials", [0, -1, -25])
     @pytest.mark.parametrize("kind", ["III", "EQUAL"])

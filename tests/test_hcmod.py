@@ -23,6 +23,7 @@ from hcfam.scalars import (
     QI_ZERO,
     UnsplitQuadratic,
     poly_roots,
+    proportional,
 )
 from hcfam.hcmod import (
     DEFAULT_WINDOW,
@@ -1745,3 +1746,83 @@ class TestCasimirCriterion:
         locus = reducible_locus(module, window)
         assert len(calls) == len({n * (n + 2) for n in module.weights.transitions_in(window)})
         assert locus == _loop_reducible_locus(module, window)
+
+
+def _flat_module(casimir, weights=WeightSet("even"), up="A", down="A"):
+    """Flat degrees (every step 0) and unit 1 on the given sides of pivot 0."""
+    return HCModuleFamily(weights, DegreeProfile(0, 0, 0, 0),
+                          TransitionData(0, TailRule(up), TailRule(down)), casimir_triple(*casimir))
+
+
+def _overridden(module, pairs):
+    return dataclasses.replace(module, transitions=module.transitions.with_overrides(pairs))
+
+
+def _reference_iso_scalar(m1, m2, n):
+    """mu_n from ``proportional`` on both modules' sides, on the unit side of
+    m1's tail rule, else of m2's, else A: iso_check's reading before the
+    one-sided case read the rule's constant directly."""
+    t1, t2 = m1.transitions, m2.transitions
+    which = (t1.rule_for(n).unit_on if t1.override_for(n) is None
+             else t2.rule_for(n).unit_on if t2.override_for(n) is None else "A")
+    x1, x2 = m1._side(n, which), m2._side(n, which)
+    if not proportional(x1, x2):
+        return None
+    u1, u2 = x1.leading_coeff(), x2.leading_coeff()
+    return u2 / u1 if which == "A" else u1 / u2
+
+
+def _iso_groups():
+    """Valid modules sharing weights, degrees and Casimir, in groups: copies
+    of a rule-governed module overridden on the unit side by a nonzero
+    constant, by a degree-1 polynomial (the sides swapped) or by the rule's
+    own pair, and a finite set whose rules put the unit on different sides."""
+    c, z = QI(3, -1), LaurentPoly.monomial(1)
+    flat = _flat_module((0, 0, 1))  # q_n = 1 - n(n+2) z; q_0 = q_{-2} = 1
+    q = flat.q_poly
+    const = lambda n, u: (LaurentPoly.constant(u), q(n).scale((4 * u).inverse()))  # noqa: E731
+    flat_group = [flat] + [_overridden(flat, pairs) for pairs in (
+        {2: const(2, c)}, {0: const(0, c)}, {-6: const(-6, QI(2))}, {4: const(4, QI(1))},
+        {2: flat.transition_polys(2)[::-1]}, {0: flat.transition_polys(0)[::-1]},
+        {-6: flat.transition_polys(-6)[::-1]}, {2: const(2, c), -6: flat.transition_polys(-6)[::-1]},
+    )]
+    asc = construct(WeightSet("even"), ClassSpec("III"), casimir_triple(1, 2, 3))  # unit B, deg q_n = 2
+    on_b = lambda n, u: (asc.q_poly(n).scale((4 * u).inverse()), LaurentPoly.constant(u))  # noqa: E731
+    asc_group = [asc, _with_rules(asc, lambda r: TailRule("B", QI(2)), lambda r: r)] + [
+        _overridden(asc, pairs) for pairs in ({2: on_b(2, c)}, {-4: on_b(-4, QI(0, 1))}, {0: on_b(0, c), 6: on_b(6, QI(5))})]
+    fin = _flat_module((0, 8, 0), WeightSet("finite", 2), "A", "B")  # q_n = 8z at -2 and 0
+    fin_group = [fin, _flat_module((0, 8, 0), WeightSet("finite", 2)),
+                 _overridden(fin, {-2: (LaurentPoly.constant(QI(2)), z)}), _overridden(fin, {0: (z, LaurentPoly.constant(QI(2)))})]
+    return [flat_group, asc_group, fin_group]
+
+
+class TestTightenedKernels:
+    """The closed forms of q_lead and of iso_check's one-sided case against
+    the polynomials they avoid building."""
+
+    @pytest.mark.parametrize("casimir", [
+        (1, 2, 3), (QI(0, 1), 0, 0),  # c1 != 0
+        (0, QI(1, 2), 1), (0, QI(-3, 1), 0),  # Gaussian c0
+        (0, Fraction(9, 2), 3), (0, Fraction(9, 2), 0),
+        (0, 8, 1), (0, 8, 0), (0, 0, QI(0, -1)), (0, 0, 0), (0, -1, 0),  # c0 = n(n+2) at some n
+    ])
+    def test_q_lead_matches_q_poly(self, casimir):
+        module = _flat_module(casimir)
+        for n in range(-12, 13):
+            q = module.q_poly(n)
+            assert module.q_lead(n) == ((-1, QI_ZERO) if q.is_zero() else (q.degree(), q.leading_coeff()))
+
+    def test_iso_check_matches_proportional_reference(self, monkeypatch):
+        verdicts = []
+        for group in _iso_groups():
+            assert all(fresh_validate(m).ok for m in group)
+            for m1 in group:
+                for m2 in group:
+                    fast = iso_check(m1, m2)
+                    with monkeypatch.context() as patch:
+                        patch.setattr(hcmod, "_iso_scalar", _reference_iso_scalar)
+                        slow = iso_check(m1, m2)
+                    assert (fast.isomorphic, fast.at, fast.obstruction, fast.scalars) == (
+                        slow.isomorphic, slow.at, slow.obstruction, slow.scalars)
+                    verdicts.append(fast.isomorphic)
+        assert 40 < verdicts.count(True) and 40 < verdicts.count(False)

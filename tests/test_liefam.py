@@ -125,6 +125,17 @@ class TestInvolution:
         with pytest.raises(InvalidInvolution, match="matrix is not a Lie automorphism"):
             Involution.from_matrix(sl2_algebra(), [[1, 0, 0], [0, -1, 0], [0, 0, 1]])
 
+    @pytest.mark.parametrize("build", [contraction_family, deformation_family])
+    @pytest.mark.parametrize("algebra,theta", [
+        (gl2_algebra, sl2_involution),
+        (sl2_algebra, gl2_involution),
+        # p = 0: the check comes before the constant-family shortcut
+        (sl2_algebra, lambda: Involution.from_matrix(gl2_algebra(), [[int(i == j) for j in range(4)] for i in range(4)])),
+    ])
+    def test_foreign_involution_rejected(self, build, algebra, theta):
+        with pytest.raises(InvalidInvolution, match="involution belongs to a different algebra"):
+            build(algebra(), theta())
+
 
 FAMILY_BUILDERS = [
     lambda: constant_family(sl2_algebra()),

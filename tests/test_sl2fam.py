@@ -1,18 +1,15 @@
 """Tests for the sl(2) contraction pair and its Casimir."""
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from hcfam.scalars import RationalFunction, RF_ONE, RF_Z, RF_ZERO
 from hcfam.sl2fam import (
     build_sl2_contraction,
     casimir_acting_function,
-    casimir_acting_function_reordered,
     casimir_section,
     WeightMissing,
 )
-from hcfam.hcmod import WeightSet, casimir_triple
+from hcfam.hcmod import HCModuleFamily, WeightSet, casimir_triple
 from hcfam.classify import ClassSpec, construct
 
 
@@ -78,14 +75,28 @@ class TestCasimir:
         for n in weights.weights_in((-8, 8)):
             assert casimir_acting_function(module, n) == expected
 
-    @given(st.integers(-8, 8))
-    @settings(max_examples=17, deadline=None)
-    def test_orderings_agree(self, n):
-        module = construct(WeightSet("even"), ClassSpec("III"), casimir_triple(0, 0, 1))
-        m = n * 2  # stay on the even lattice
-        if not module.weights.contains(m):
-            return
-        assert casimir_acting_function(module, m) == casimir_acting_function_reordered(module, m)
+    @pytest.mark.parametrize(
+        "weights,cls,cas",
+        [
+            (WeightSet("even"), ClassSpec("III"), casimir_triple(0, 0, 1)),
+            (WeightSet("lowest", 3), ClassSpec("I", 3), casimir_triple(0, 3, 0)),
+            (WeightSet("finite", 4), ClassSpec("III"), casimir_triple(0, 24, 0)),
+        ],
+    )
+    def test_neighbouring_weights_agree(self, weights, cls, cas, monkeypatch):
+        """The weight m reads the transition m from above and the weight
+        m + 2 reads its own; the top weight of a finite set reads the one
+        below it (H^2 - 2H + 4XY).  The functions agree across each step."""
+        module = construct(weights, cls, cas)
+        ms = [m for m in weights.weights_in((-16, 16)) if weights.has_transition(m)]
+        assert len(ms) >= 4
+        read = []
+        real = HCModuleFamily.transition_polys
+        monkeypatch.setattr(HCModuleFamily, "transition_polys", lambda self, n: read.append(n) or real(self, n))
+        for m in ms:
+            read.clear()
+            assert casimir_acting_function(module, m) == casimir_acting_function(module, m + 2)
+            assert read == [m, m + 2 if weights.has_transition(m + 2) else m]
 
     def test_missing_weight_rejected(self):
         module = construct(WeightSet("even"), ClassSpec("III"), casimir_triple(0, 0, 1))
