@@ -377,6 +377,8 @@ def cmd_grassmann(args) -> int:
         )
         return 0
     if args.action == "realform":
+        if not args.at:
+            raise RequestError("realform needs --at: a real point or inf")
         x = parse_point(args.at)
         if x is not INFINITY and not x.is_real():
             raise RequestError(f"real forms live over real points, not {args.at!r}")

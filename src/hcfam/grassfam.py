@@ -15,11 +15,15 @@ of the nonzero entries of its two matrices, s = 0, 1.  Bases, limits and real
 forms are built and returned in this form; brackets and products reach
 ``Span`` as their nonzero flat coordinates.
 
-Real forms are computed in complex coordinates: one Q(i) span of the fiber
-gives the matrix of the involution, and the fixed-point kernel, the real
-basis, its structure constants and its Killing form are all over Q(i).
-Rational numbers appear only for the Sylvester step, which reads the real
-parts of the Killing matrix.
+Real forms are read off the real structure sigma without elimination.  Over
+a real point, and at 0 and infinity, sigma sends each fiber basis vector b_j
+to e_j b_pi(j), with e_j = +1 or -1 and pi an involution of the indices, so
+the fixed points have a basis in closed form.  The one Q(i) span of the fiber
+gives the complex coordinates of every bracket of that basis: the bracket is
+in the real form iff they are fixed by sigma, and its real coordinates are
+their real and imaginary parts.  Everything is over Q(i); rational numbers
+appear only for the Sylvester step, which reads the real parts of the
+Killing matrix.
 """
 
 from __future__ import annotations
@@ -40,8 +44,8 @@ from .scalars import (
     RF_ONE,
     RF_Z,
 )
-from .linalg import ExactMatrix, Span, kernel, matrix_constants, span_rank
-from .linalg import _apply, _bracket, _cleaned, _flat, _flat_vectors, _nonzero, _product
+from .linalg import Span, coordinate_table, matrix_constants, span_rank
+from .linalg import _apply, _bracket, _cleaned, _flat, _flat_vectors, _product
 from .liefam import (
     FamilyMorphism,
     LieAlgebra,
@@ -252,6 +256,7 @@ class RealStructureSpec:
 @dataclass
 class RealFormReport:
     basis: List[SparsePair]
+    constants: tuple  # the sparse structure constants of the basis
     signature: Tuple[int, int, int]  # (n_plus, n_zero, n_minus)
     invariants: dict
 
@@ -271,44 +276,76 @@ def real_form_at(pencil: GrassmannPencil, x) -> RealFormReport:
         if not x.is_real():
             raise ValueError("real forms live over real points")
         fiber = k_basis(pencil) + p_basis(pencil, x)
-    sigma = RealStructureSpec(pencil.p, pencil.q)
-    # sigma is antilinear: with sigma(b_j) = sum_k (P_kj + i Q_kj) b_k over
-    # the complex basis b of the fiber, its matrix in the rational basis
-    # (b_0, i*b_0, b_1, ...) has the column (P, Q) at b_j and (Q, -P) at i*b_j.
-    span, n = _span_of(fiber)
-    columns = []
-    for b in fiber:
-        coords = span.sparse_coordinates(_flat(sigma.apply(b), n))
-        if coords is None:
-            raise ValueError("real structure does not preserve this fiber")
-        col = [QI_ZERO] * (2 * len(fiber))
-        for k, c in coords:
-            col[2 * k], col[2 * k + 1] = c.parts()
-        columns += [col, [v for k in range(0, len(col), 2) for v in (col[k + 1], -col[k])]]
-    fixed_system = ExactMatrix(
-        [[c - QI_ONE if i == j else c for j, c in enumerate(row)] for i, row in enumerate(zip(*columns))]
-    )
-    # A fixed vector with rational coordinates c in that basis is the complex
-    # combination sum_j (c_2j + i c_2j+1) b_j.
-    real_basis = [
-        _apply(fiber, _nonzero(a + QI_I * b for a, b in zip(c[::2], c[1::2])))
-        for c in kernel(fixed_system, QI_ONE, QI_ZERO)
-    ]
-    constants = _structure_constants_real(real_basis)
+    orbits = _sigma_orbits(fiber, RealStructureSpec(pencil.p, pencil.q))
+    basis = _real_basis(fiber, orbits)
+    constants = _real_constants(_span_of(fiber), basis, orbits)
     signature = sylvester_signature([[v.re for v in row] for row in _killing_matrix(constants)])
     # The table is read from matrix commutators, so Jacobi holds by construction.
-    algebra = LieAlgebra(tuple(f"r{i}" for i in range(len(real_basis))), constants)
-    return RealFormReport(real_basis, signature, fiber_invariants(algebra))
+    algebra = LieAlgebra(tuple(f"r{i}" for i in range(len(basis))), constants)
+    return RealFormReport(basis, constants, signature, fiber_invariants(algebra))
 
 
-def _structure_constants_real(basis: Sequence[SparsePair]) -> tuple:
-    """The structure constants of a real form.  Its basis is also a complex
-    basis of its span, so a bracket lies in the rational span of the basis
-    iff its complex coordinates exist and are all real."""
-    table = matrix_constants(basis, lambda i, j: ValueError("real form is not bracket-closed"))
-    if not all(c.is_real() for row in table for cell in row for _, c in cell):
-        raise ValueError("real form is not bracket-closed")
-    return table
+def _sigma_orbits(fiber: Sequence[SparsePair], sigma: RealStructureSpec) -> List[tuple]:
+    """The orbits (j, k, e), j <= k, in increasing k, of sigma on the fiber
+    basis b: sigma(b_j) = e b_k and sigma(b_k) = e b_j with e = +1 or -1,
+    read by exact lookup.  Any other image raises ``ValueError``."""
+    index = {frozenset(b.items()): j for j, b in enumerate(fiber)}
+    orbits = []
+    for j, b in enumerate(fiber):
+        image = sigma.apply(b)
+        k, e = index.get(frozenset(image.items())), QI_ONE
+        if k is None:
+            k, e = index.get(frozenset((key, -v) for key, v in image.items())), -QI_ONE
+        if k is None:
+            raise ValueError("real structure does not permute this fiber basis up to sign")
+        if j <= k:
+            orbits.append((j, k, e))
+    return sorted(orbits, key=lambda orbit: orbit[1])
+
+
+def _real_basis(fiber: Sequence[SparsePair], orbits: Sequence[tuple]) -> List[SparsePair]:
+    """The fixed points of sigma in closed form: e b_j + b_k and
+    -i e b_j + i b_k for an orbit j < k, b_j or, when e = -1, i b_j for
+    j = k.  This is the kernel basis of sigma - 1 over the rational basis
+    (b_0, i b_0, b_1, ...), in the order of its free columns."""
+    basis = []
+    for j, k, e in orbits:
+        if j == k:
+            basis.append(_apply(fiber, [(j, QI_ONE if e == QI_ONE else QI_I)]))
+        else:
+            basis += [_apply(fiber, [(j, e), (k, QI_ONE)]), _apply(fiber, [(j, -QI_I * e), (k, QI_I)])]
+    return basis
+
+
+def _real_constants(fiber_span, basis: Sequence[SparsePair], orbits: Sequence[tuple]) -> tuple:
+    """The structure constants of the real ``basis`` built on ``orbits``.
+    ``fiber_span`` (a Span and its flat n) gives the complex coordinates c
+    of a bracket in the fiber basis.  The bracket is in the real form iff
+    c_k = e conj(c_j) on every orbit (j, k, e) and c is zero off the orbits;
+    its coordinates are then the real and imaginary parts of c_k."""
+    span, n = fiber_span
+    partner, reads, t = {}, {}, 0
+    for j, k, e in orbits:
+        partner[j], partner[k] = (k, e), (j, e)
+        parts = (0, 1) if j < k else (0,) if e == QI_ONE else (1,)
+        reads[k] = [(t + a, part) for a, part in enumerate(parts)]
+        t += len(parts)
+
+    def coordinates(a, b):
+        coords = span.sparse_coordinates(_flat(_bracket(basis[a], basis[b]), n))
+        if coords is None:
+            return None
+        c = dict(coords)
+        if any(j not in partner or c.get(partner[j][0], QI_ZERO) != partner[j][1] * x.conjugate() for j, x in coords):
+            return None
+        out = []
+        for k, x in coords:
+            if k in reads:
+                parts = x.parts()
+                out += [(r, parts[part]) for r, part in reads[k] if parts[part]]
+        return out
+
+    return coordinate_table(len(basis), coordinates, lambda i, j: ValueError("real form is not bracket-closed"))
 
 
 def _killing_matrix(constants) -> List[List[GaussianRational]]:

@@ -590,17 +590,25 @@ class TestRequestContract:
             ["grassmann", "pencil", "--pq", "-1,2"],
             ["grassmann", "realform", "--pq", "1,1", "--det-one", "--at", "1/2*i"],
             ["grassmann", "realform", "--pq", "1,1", "--at", "1+i"],
+            ["grassmann", "realform", "--pq", "1,1"],
             ["family", "fiber", "--kind", "scaled", "--power", "0"],
             ["family", "build", "--kind", "scaled", "--power", "-2"],
             ["classify", "probe", "--weights", "even", "--trials", "-1"],
             ["classify", "probe", "--weights", "even", "--trials", "0"],
         ],
         ids=["limit-p0", "subalg-q0", "pencil-negative", "realform-imaginary",
-             "realform-complex", "fiber-power0", "build-negative-power",
+             "realform-complex", "realform-no-point", "fiber-power0", "build-negative-power",
              "probe-negative-trials", "probe-zero-trials"],
     )
     def test_bad_arguments(self, capsys, argv):
         _request_error(capsys, *argv)
+
+    def test_realform_names_the_missing_point(self, capsys):
+        code, out = invoke(capsys, "grassmann", "realform", "--pq", "2,1")
+        assert code == 2 and json.loads(out) == {
+            "error": "request",
+            "message": "realform needs --at: a real point or inf",
+        }
 
     @pytest.mark.parametrize(
         "mutate",

@@ -24,8 +24,10 @@ from hcfam.grassfam import (
     real_form_at,
     sylvester_signature,
     verify_subalgebra,
+    _real_basis,
+    _real_constants,
+    _sigma_orbits,
     _span_of,
-    _structure_constants_real,
 )
 from hcfam.linalg import ExactMatrix, Span, _flat, kernel, structure_constants
 
@@ -293,7 +295,7 @@ class TestRealFormTable:
         reads from matrix commutators; check antisymmetry and Jacobi here."""
         pencil = GrassmannPencil(p, q, det_one=det_one)
         for x in (1, -1, 0, INFINITY, Fraction(2, 3)):
-            table = _structure_constants_real(real_form_at(pencil, x).basis)
+            table = real_form_at(pencil, x).constants
             assert jacobi_witness(table, QI_ZERO) is None, x
 
 
@@ -360,21 +362,72 @@ class TestRealFormAgainstRationalPath:
             basis, constants, signature, invariants = rational_real_form(pencil, x)
             report = real_form_at(pencil, x)
             assert report.basis == basis, x
-            assert _structure_constants_real(report.basis) == constants, x
+            assert report.constants == constants, x
             assert (report.signature, report.invariants) == (signature, invariants), x
 
     def test_basis_not_closed_under_the_bracket(self):
-        basis = real_form_at(GrassmannPencil(1, 1, det_one=True), 1).basis
+        # The p part of su(1,1) is sigma-stable, but its bracket lies in k,
+        # off the orbits of its basis.
+        pencil = GrassmannPencil(1, 1, det_one=True)
+        fiber = k_basis(pencil) + p_basis(pencil, 1)
+        orbits = _sigma_orbits(fiber, RealStructureSpec(1, 1))
+        assert orbits == [(0, 0, -QI_ONE), (1, 2, QI_ONE)]
+        assert _real_constants(_span_of(fiber), _real_basis(fiber, orbits), orbits)
         with pytest.raises(ValueError, match="real form is not bracket-closed"):
-            _structure_constants_real(basis[:2])
+            _real_constants(_span_of(fiber), _real_basis(fiber, orbits[1:]), orbits[1:])
 
     def test_basis_vector_times_i_has_non_real_coordinates(self):
         # i * r0 with the other real basis vectors is still a complex basis of
-        # the fiber, so every bracket has coordinates, but some are not real.
-        basis = real_form_at(GrassmannPencil(2, 1, det_one=True), -1).basis
-        assert _structure_constants_real(basis)
+        # the fiber, so every bracket has coordinates, but some are not fixed
+        # by sigma.
+        pencil = GrassmannPencil(2, 1, det_one=True)
+        fiber = k_basis(pencil) + p_basis(pencil, -1)
+        orbits = _sigma_orbits(fiber, RealStructureSpec(2, 1))
+        basis = _real_basis(fiber, orbits)
+        assert _real_constants(_span_of(fiber), basis, orbits)
         with pytest.raises(ValueError, match="real form is not bracket-closed"):
-            _structure_constants_real([{k: QI_I * e for k, e in basis[0].items()}] + basis[1:])
+            _real_constants(_span_of(fiber), [{k: QI_I * e for k, e in basis[0].items()}] + basis[1:], orbits)
+
+
+def signed_permutation(fiber, sigma):
+    """[(k, e)] with sigma(b_j) = e * b_k, e = 1 or -1, found by comparing
+    sigma(b_j) with every +-b_k; None when some sigma(b_j) is none of them."""
+    perm = []
+    for b in fiber:
+        image = sigma.apply(b)
+        found = [(k, e) for k, c in enumerate(fiber) for e in (1, -1) if image == {key: e * v for key, v in c.items()}]
+        if len(found) != 1:
+            return None
+        perm.append(found[0])
+    return perm
+
+
+class TestSigmaPermutesTheFiber:
+    @pytest.mark.parametrize("det_one", [False, True], ids=["gl", "sl"])
+    @pytest.mark.parametrize("p, q", [(p, q) for p in range(1, 6) for q in range(1, 6) if p + q <= 6])
+    def test_signed_involutive_permutation(self, p, q, det_one):
+        """Over a real point, 0 and inf, sigma sends each fiber basis vector
+        to plus or minus one fiber basis vector, as an involution; the orbits
+        real_form_at reads are those.  Over a non-real point sigma maps the
+        fiber onto the conjugate fiber, so it permutes no basis."""
+        rng = random.Random(f"sigma-orbits:{p},{q},{det_one}")
+        positive = Fraction(rng.randint(1, 40), rng.randint(1, 40))
+        negative = -Fraction(rng.randint(1, 40), rng.randint(1, 40))
+        non_real = QI(Fraction(rng.randint(-9, 9), rng.randint(1, 9)), Fraction(rng.randint(1, 9), rng.randint(1, 9)))
+        pencil, sigma = GrassmannPencil(p, q, det_one=det_one), RealStructureSpec(p, q)
+        fibers = [k_basis(pencil) + p_basis(pencil, x) for x in (1, -1, positive, negative)]
+        fibers += [k_basis(pencil) + limit_subspace(pencil, boundary) for boundary in (QI_ZERO, INFINITY)]
+        for fiber in fibers:
+            perm = signed_permutation(fiber, sigma)
+            assert perm is not None
+            assert all(perm[k] == (j, e) for j, (k, e) in enumerate(perm))
+            assert _sigma_orbits(fiber, sigma) == sorted(
+                ((j, k, QI(e)) for j, (k, e) in enumerate(perm) if j <= k), key=lambda orbit: orbit[1]
+            )
+        fiber = k_basis(pencil) + p_basis(pencil, non_real)
+        assert signed_permutation(fiber, sigma) is None
+        with pytest.raises(ValueError, match="does not permute this fiber basis"):
+            _sigma_orbits(fiber, sigma)
 
 
 sparse_pairs = st.dictionaries(
