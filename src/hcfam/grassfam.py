@@ -18,12 +18,13 @@ forms are built and returned in this form; brackets and products reach
 Real forms are read off the real structure sigma without elimination.  Over
 a real point, and at 0 and infinity, sigma sends each fiber basis vector b_j
 to e_j b_pi(j), with e_j = +1 or -1 and pi an involution of the indices, so
-the fixed points have a basis in closed form.  The one Q(i) span of the fiber
-gives the complex coordinates of every bracket of that basis: the bracket is
-in the real form iff they are fixed by sigma, and its real coordinates are
-their real and imaginary parts.  Everything is over Q(i); rational numbers
-appear only for the Sylvester step, which reads the real parts of the
-Killing matrix.
+the fixed points have a basis in closed form, checked fixed by sigma.  The
+one structure-constant table is the fiber's.  The Killing form of a real
+form is the complex one restricted to it, so its matrix is the fiber's
+Killing matrix by congruence with the real basis; the derived algebra, the
+center and solvability do not change under complexification, so they are
+the fiber's.  Everything is over Q(i); rational numbers appear only for the
+Sylvester step, which reads the real parts of the Killing matrix.
 """
 
 from __future__ import annotations
@@ -44,8 +45,8 @@ from .scalars import (
     RF_ONE,
     RF_Z,
 )
-from .linalg import Span, coordinate_table, matrix_constants, span_rank
-from .linalg import _apply, _bracket, _cleaned, _flat, _flat_vectors, _product
+from .linalg import Span, matrix_constants, span_rank
+from .linalg import _apply, _bracket, _cleaned, _flat, _flat_vectors, _nonzero, _product
 from .liefam import (
     FamilyMorphism,
     LieAlgebra,
@@ -156,17 +157,12 @@ def limit_subspace(pencil: GrassmannPencil, boundary: Point) -> List[SparsePair]
 # ---------------------------------------------------------------------------
 
 
-def _span_of(basis: Sequence[SparsePair]):
-    """The Span of the pairs as flat vectors, and the n of their flat index."""
-    vectors, n = _flat_vectors(basis)
-    return Span(vectors), n
-
-
 def verify_subalgebra(basis: Sequence[SparsePair]):
     """None when every pairwise bracket lies in the span; else (i, j, residual)
     for the first bracket outside it, the residual being the pair of its
     entries off the span's pivot columns once reduced by the span."""
-    span, n = _span_of(basis)
+    vectors, n = _flat_vectors(basis)
+    span = Span(vectors)
     for i in range(len(basis)):
         for j in range(i + 1, len(basis)):
             bracket = _flat(pair_bracket(basis[i], basis[j]), n)
@@ -256,7 +252,6 @@ class RealStructureSpec:
 @dataclass
 class RealFormReport:
     basis: List[SparsePair]
-    constants: tuple  # the sparse structure constants of the basis
     signature: Tuple[int, int, int]  # (n_plus, n_zero, n_minus)
     invariants: dict
 
@@ -276,13 +271,25 @@ def real_form_at(pencil: GrassmannPencil, x) -> RealFormReport:
         if not x.is_real():
             raise ValueError("real forms live over real points")
         fiber = k_basis(pencil) + p_basis(pencil, x)
-    orbits = _sigma_orbits(fiber, RealStructureSpec(pencil.p, pencil.q))
-    basis = _real_basis(fiber, orbits)
-    constants = _real_constants(_span_of(fiber), basis, orbits)
-    signature = sylvester_signature([[v.re for v in row] for row in _killing_matrix(constants)])
-    # The table is read from matrix commutators, so Jacobi holds by construction.
-    algebra = LieAlgebra(tuple(f"r{i}" for i in range(len(basis))), constants)
-    return RealFormReport(basis, constants, signature, fiber_invariants(algebra))
+    sigma = RealStructureSpec(pencil.p, pencil.q)
+    coordinates = _real_coordinates(_sigma_orbits(fiber, sigma))
+    basis = [_apply(fiber, c.items()) for c in coordinates]
+    if any(sigma.apply(r) != r for r in basis):
+        raise ValueError("real basis is not fixed by the real structure")
+    constants = matrix_constants(fiber, lambda i, j: ValueError("fiber is not bracket-closed"))
+    # The Killing form of the real form is the complex one restricted to it,
+    # by congruence: B(r_a, r_b) = sum of u_j v_k K_jk over the coordinates
+    # u of r_a and v of r_b, read as v . (K u) with K u sparse.
+    killing = [dict(_nonzero(row)) for row in _killing_matrix(constants)]
+    images = [_apply(killing, u.items()) for u in coordinates]
+    restricted = [
+        [sum((v * image[k] for k, v in b.items() if k in image), QI_ZERO).re for b in coordinates] for image in images
+    ]
+    # The table is read from matrix commutators, so Jacobi holds by
+    # construction; derived algebra, center and solvability are those of the
+    # real form, as complexification leaves them unchanged.
+    algebra = LieAlgebra(tuple(f"b{j}" for j in range(len(fiber))), constants)
+    return RealFormReport(basis, sylvester_signature(restricted), fiber_invariants(algebra))
 
 
 def _sigma_orbits(fiber: Sequence[SparsePair], sigma: RealStructureSpec) -> List[tuple]:
@@ -303,49 +310,18 @@ def _sigma_orbits(fiber: Sequence[SparsePair], sigma: RealStructureSpec) -> List
     return sorted(orbits, key=lambda orbit: orbit[1])
 
 
-def _real_basis(fiber: Sequence[SparsePair], orbits: Sequence[tuple]) -> List[SparsePair]:
-    """The fixed points of sigma in closed form: e b_j + b_k and
-    -i e b_j + i b_k for an orbit j < k, b_j or, when e = -1, i b_j for
-    j = k.  This is the kernel basis of sigma - 1 over the rational basis
-    (b_0, i b_0, b_1, ...), in the order of its free columns."""
-    basis = []
+def _real_coordinates(orbits: Sequence[tuple]) -> List[dict]:
+    """The fixed points of sigma in closed form, as sparse fiber coordinates
+    {j: c}: e b_j + b_k and -i e b_j + i b_k for an orbit j < k, b_j or, when
+    e = -1, i b_j for j = k.  This is the kernel basis of sigma - 1 over the
+    rational basis (b_0, i b_0, b_1, ...), in the order of its free columns."""
+    coordinates = []
     for j, k, e in orbits:
         if j == k:
-            basis.append(_apply(fiber, [(j, QI_ONE if e == QI_ONE else QI_I)]))
+            coordinates.append({j: QI_ONE if e == QI_ONE else QI_I})
         else:
-            basis += [_apply(fiber, [(j, e), (k, QI_ONE)]), _apply(fiber, [(j, -QI_I * e), (k, QI_I)])]
-    return basis
-
-
-def _real_constants(fiber_span, basis: Sequence[SparsePair], orbits: Sequence[tuple]) -> tuple:
-    """The structure constants of the real ``basis`` built on ``orbits``.
-    ``fiber_span`` (a Span and its flat n) gives the complex coordinates c
-    of a bracket in the fiber basis.  The bracket is in the real form iff
-    c_k = e conj(c_j) on every orbit (j, k, e) and c is zero off the orbits;
-    its coordinates are then the real and imaginary parts of c_k."""
-    span, n = fiber_span
-    partner, reads, t = {}, {}, 0
-    for j, k, e in orbits:
-        partner[j], partner[k] = (k, e), (j, e)
-        parts = (0, 1) if j < k else (0,) if e == QI_ONE else (1,)
-        reads[k] = [(t + a, part) for a, part in enumerate(parts)]
-        t += len(parts)
-
-    def coordinates(a, b):
-        coords = span.sparse_coordinates(_flat(_bracket(basis[a], basis[b]), n))
-        if coords is None:
-            return None
-        c = dict(coords)
-        if any(j not in partner or c.get(partner[j][0], QI_ZERO) != partner[j][1] * x.conjugate() for j, x in coords):
-            return None
-        out = []
-        for k, x in coords:
-            if k in reads:
-                parts = x.parts()
-                out += [(r, parts[part]) for r, part in reads[k] if parts[part]]
-        return out
-
-    return coordinate_table(len(basis), coordinates, lambda i, j: ValueError("real form is not bracket-closed"))
+            coordinates += [{j: e, k: QI_ONE}, {j: -QI_I * e, k: QI_I}]
+    return coordinates
 
 
 def _killing_matrix(constants) -> List[List[GaussianRational]]:

@@ -7,11 +7,11 @@ there are no pivoting concerns beyond avoiding zero pivots.
 
 ``Span`` is the one path to coordinates and membership: it puts a list of
 vectors in echelon form once and then reduces any number of vectors, given by
-their nonzero entries, against it.  ``coordinate_table`` is the one loop that
-fills the sparse table of the brackets of a basis from a reading of their
-coordinates; ``structure_constants`` reads them with a ``Span`` of the basis,
-and ``matrix_constants`` is the one path to that table from a basis of sparse
-matrices.  ``_apply`` is the one sparse linear combination.
+their nonzero entries, against it.  ``structure_constants`` is the one loop
+that fills the sparse table of the brackets of a basis, reading their
+coordinates with a ``Span`` of the basis, and ``matrix_constants`` is the one
+path to that table from a basis of sparse matrices.  ``_apply`` is the one
+sparse linear combination.
 
 An element of a matrix Lie algebra is a sparse matrix: the dict
 ``{(block, r, c): entry}`` of its nonzero entries, one block for gl(n) and two
@@ -242,38 +242,29 @@ def span_rank(vectors: Sequence[Sequence]) -> int:
     return len(echelon_basis(vectors))
 
 
-def coordinate_table(
-    d: int,
-    coordinates: Callable[[int, int], Optional[Sequence]],
-    escape: Callable[[int, int], Exception],
-) -> tuple:
-    """The sparse table of the brackets of a basis b_0 .. b_{d-1}: entry
-    [i][j] holds ``coordinates(i, j)``, the nonzero coordinates (k, c) of
-    [b_i, b_j] in increasing k, or None when the bracket is outside the
-    span.  The bracket must be antisymmetric: only the pairs i < j are read,
-    [b_j, b_i] is their negation and the diagonal is empty.  The first
-    bracket outside, in row-major order, raises ``escape(i, j)``.
-    """
-    table = [[()] * d for _ in range(d)]
-    for i in range(d):
-        for j in range(i + 1, d):
-            coords = coordinates(i, j)
-            if coords is None:
-                raise escape(i, j)
-            table[i][j] = tuple(coords)
-            table[j][i] = tuple((k, -c) for k, c in coords)
-    return tuple(map(tuple, table))
-
-
 def structure_constants(
     span: Span,
     bracket: Callable[[int, int], Sequence],
     escape: Callable[[int, int], Exception],
 ) -> tuple:
-    """:func:`coordinate_table` of the basis that ``span`` holds as flat
-    vectors; ``bracket(i, j)`` gives the nonzero entries (index, entry) of
-    [b_i, b_j] in the same flat coordinates."""
-    return coordinate_table(span.count, lambda i, j: span.sparse_coordinates(bracket(i, j)), escape)
+    """The sparse table of the brackets of the basis b_0 .. b_{d-1} that
+    ``span`` holds as flat vectors: entry [i][j] holds the nonzero
+    coordinates (k, c) of [b_i, b_j] in increasing k, where ``bracket(i, j)``
+    gives its nonzero entries (index, entry) in the same flat coordinates.
+    The bracket must be antisymmetric: only the pairs i < j are read,
+    [b_j, b_i] is their negation and the diagonal is empty.  The first
+    bracket outside the span, in row-major order, raises ``escape(i, j)``.
+    """
+    d = span.count
+    table = [[()] * d for _ in range(d)]
+    for i in range(d):
+        for j in range(i + 1, d):
+            coords = span.sparse_coordinates(bracket(i, j))
+            if coords is None:
+                raise escape(i, j)
+            table[i][j] = tuple(coords)
+            table[j][i] = tuple((k, -c) for k, c in coords)
+    return tuple(map(tuple, table))
 
 
 def matrix_constants(mats: Sequence[SparseMatrix], escape: Callable[[int, int], Exception]) -> tuple:

@@ -288,6 +288,18 @@ class TestGrassmann:
         code, _ = invoke(capsys, "grassmann", "pencil", "--pq", "1")
         assert code == 2
 
+    def test_pq_beyond_the_entry_bound_is_refused_before_building(self, capsys, monkeypatch):
+        from hcfam import grassfam
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("a pencil basis was built")
+
+        monkeypatch.setattr(grassfam, "k_basis", unreachable)
+        for pq in ("1000,1000", "14,13", "1,26"):
+            code, doc = invoke_json(capsys, "grassmann", "pencil", "--pq", pq)
+            assert code == 2 and doc["error"] == "request", pq
+            assert "p+q must be at most 26" in doc["message"], pq
+
 
 class TestVerify:
     def test_quick_profile_passes(self, capsys):

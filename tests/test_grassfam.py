@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hcfam.scalars import INFINITY, GaussianRational, QI_I, QI_ONE, QI_ZERO, RF_ONE
+from hcfam import grassfam
 from hcfam.liefam import LieAlgebra, fiber, fiber_invariants, jacobi_witness
 from hcfam.grassfam import (
     GrassmannPencil,
@@ -24,14 +25,23 @@ from hcfam.grassfam import (
     real_form_at,
     sylvester_signature,
     verify_subalgebra,
-    _real_basis,
-    _real_constants,
+    _killing_matrix,
     _sigma_orbits,
-    _span_of,
 )
-from hcfam.linalg import ExactMatrix, Span, _flat, kernel, structure_constants
+from hcfam.linalg import ExactMatrix, Span, _flat, _flat_vectors, kernel, matrix_constants, structure_constants
 
 QI = GaussianRational
+
+
+def span_of(basis):
+    """The Span of the pairs as flat vectors, and the n of their flat index."""
+    vectors, n = _flat_vectors(basis)
+    return Span(vectors), n
+
+
+def table_of(basis):
+    """The structure constants of a basis of pairs, read by ``matrix_constants``."""
+    return matrix_constants(basis, lambda i, j: ValueError(f"bracket {i},{j} leaves the span"))
 
 
 class TestPencilBases:
@@ -70,7 +80,7 @@ class TestPencilBases:
         basis = pencil_basis(GrassmannPencil(*pq, det_one=True), t)
         basis[k] = bad
         i, j, residual = verify_subalgebra(basis)
-        span, n = _span_of(basis)
+        span, n = span_of(basis)
         bracket = pair_bracket(basis[i], basis[j])
         assert residual and not span.sparse_contains(_flat(bracket, n))
         assert all(x and key not in span.pivots for key, x in _flat(residual, n))
@@ -108,7 +118,7 @@ class TestLimits:
     def test_limit_independent_of_basis_order(self):
         pen = GrassmannPencil(2, 1, det_one=True)
         limited = limit_subspace(pen, QI_ZERO)
-        span, n = _span_of(limited)
+        span, n = span_of(limited)
         rng = random.Random(4)
         shuffled = list(limited)
         rng.shuffle(shuffled)
@@ -159,7 +169,7 @@ class TestRealStructure:
         pen = GrassmannPencil(1, 1, det_one=True)
         sigma = RealStructureSpec(1, 1)
         x = QI(1, 2)  # 1 + 2i
-        target, n = _span_of(pencil_basis(pen, x.conjugate()))
+        target, n = span_of(pencil_basis(pen, x.conjugate()))
         for v in pencil_basis(pen, x):
             assert target.sparse_contains(_flat(sigma.apply(v), n))
 
@@ -292,10 +302,11 @@ class TestRealFormTable:
     @pytest.mark.parametrize("p, q", [(p, q) for p in range(1, 4) for q in range(1, 4) if p + q <= 4])
     def test_tables_satisfy_jacobi(self, p, q, det_one):
         """real_form_at builds its algebra without re-checking the table it
-        reads from matrix commutators; check antisymmetry and Jacobi here."""
+        reads from matrix commutators; check antisymmetry and Jacobi here, on
+        the table of the real basis it returns."""
         pencil = GrassmannPencil(p, q, det_one=det_one)
         for x in (1, -1, 0, INFINITY, Fraction(2, 3)):
-            table = real_form_at(pencil, x).constants
+            table = table_of(real_form_at(pencil, x).basis)
             assert jacobi_witness(table, QI_ZERO) is None, x
 
 
@@ -351,9 +362,9 @@ class TestRealFormAgainstRationalPath:
     @pytest.mark.parametrize("det_one", [False, True], ids=["gl", "sl"])
     @pytest.mark.parametrize("p, q", [(p, q) for p in range(1, 4) for q in range(1, 4) if p + q <= 4])
     def test_same_real_form(self, p, q, det_one):
-        """The Q(i) path gives the rational path's basis, structure constants,
-        signature and invariants, at 1, -1, 0, inf and a seeded rational of
-        each sign."""
+        """The Q(i) path gives the rational path's basis, signature and
+        invariants, at 1, -1, 0, inf and a seeded rational of each sign; the
+        structure constants of its basis, read here, are the rational path's."""
         rng = random.Random(f"rational-path:{p},{q},{det_one}")
         positive = Fraction(rng.randint(1, 40), rng.randint(1, 40))
         negative = -Fraction(rng.randint(1, 40), rng.randint(1, 40))
@@ -362,31 +373,69 @@ class TestRealFormAgainstRationalPath:
             basis, constants, signature, invariants = rational_real_form(pencil, x)
             report = real_form_at(pencil, x)
             assert report.basis == basis, x
-            assert report.constants == constants, x
+            assert table_of(report.basis) == constants, x
             assert (report.signature, report.invariants) == (signature, invariants), x
 
-    def test_basis_not_closed_under_the_bracket(self):
-        # The p part of su(1,1) is sigma-stable, but its bracket lies in k,
-        # off the orbits of its basis.
+    def test_flipped_sign_on_an_orbit_is_not_fixed(self, monkeypatch):
+        # With e negated on the orbit {b_1, b_2} of the p vectors, the vector
+        # e b_1 + b_2 goes to its negative.
         pencil = GrassmannPencil(1, 1, det_one=True)
-        fiber = k_basis(pencil) + p_basis(pencil, 1)
-        orbits = _sigma_orbits(fiber, RealStructureSpec(1, 1))
+        orbits = _sigma_orbits(k_basis(pencil) + p_basis(pencil, 1), RealStructureSpec(1, 1))
         assert orbits == [(0, 0, -QI_ONE), (1, 2, QI_ONE)]
-        assert _real_constants(_span_of(fiber), _real_basis(fiber, orbits), orbits)
-        with pytest.raises(ValueError, match="real form is not bracket-closed"):
-            _real_constants(_span_of(fiber), _real_basis(fiber, orbits[1:]), orbits[1:])
+        monkeypatch.setattr(grassfam, "_sigma_orbits", lambda fiber, sigma: [orbits[0], (1, 2, -QI_ONE)])
+        with pytest.raises(ValueError, match="real basis is not fixed"):
+            real_form_at(pencil, 1)
 
-    def test_basis_vector_times_i_has_non_real_coordinates(self):
-        # i * r0 with the other real basis vectors is still a complex basis of
-        # the fiber, so every bracket has coordinates, but some are not fixed
-        # by sigma.
+    def test_basis_vector_times_i_is_not_fixed(self, monkeypatch):
+        # The closed-form basis is Killing-orthogonal, so i * r0 keeps the
+        # restricted Killing matrix real and flips one sign of the signature:
+        # only the sigma check tells it apart.
         pencil = GrassmannPencil(2, 1, det_one=True)
         fiber = k_basis(pencil) + p_basis(pencil, -1)
-        orbits = _sigma_orbits(fiber, RealStructureSpec(2, 1))
-        basis = _real_basis(fiber, orbits)
-        assert _real_constants(_span_of(fiber), basis, orbits)
-        with pytest.raises(ValueError, match="real form is not bracket-closed"):
-            _real_constants(_span_of(fiber), [{k: QI_I * e for k, e in basis[0].items()}] + basis[1:], orbits)
+        real_coordinates = grassfam._real_coordinates
+        r0 = {j: QI_I * c for j, c in real_coordinates(_sigma_orbits(fiber, RealStructureSpec(2, 1)))[0].items()}
+        killing = _killing_matrix(table_of(fiber))
+        b00 = sum((u * v * killing[j][k] for j, u in r0.items() for k, v in r0.items()), QI_ZERO)
+        assert b00.is_real() and b00.re > 0
+        assert real_form_at(pencil, -1).signature == (0, 0, 8)
+        monkeypatch.setattr(grassfam, "_real_coordinates", lambda orbits: [r0] + real_coordinates(orbits)[1:])
+        with pytest.raises(ValueError, match="real basis is not fixed"):
+            real_form_at(pencil, -1)
+
+
+def first_trace(x, y):
+    """tr(XY) and tr X tr Y of the first matrices X, Y of two pairs."""
+    xs, ys = ({(r, c): v for (s, r, c), v in pair.items() if s == 0} for pair in (x, y))
+    txy = sum((v * ys[c, r] for (r, c), v in xs.items() if (c, r) in ys), QI_ZERO)
+    tx, ty = (sum((v for (r, c), v in m.items() if r == c), QI_ZERO) for m in (xs, ys))
+    return txy, tx * ty
+
+
+class TestFiberKillingMatrix:
+    @pytest.mark.parametrize("det_one", [False, True], ids=["gl", "sl"])
+    @pytest.mark.parametrize("p, q", [(p, q) for p in range(1, 5) for q in range(1, 5) if p + q <= 5])
+    def test_killing_in_the_pencil_basis(self, p, q, det_one):
+        """The Killing matrix of the fiber's table in the basis of k then p
+        has no k-p terms, the same k block at every x, x times the p block at
+        1 over x and a zero p block at 0 and inf; at 1 it is the Killing form
+        2N tr(XY) - 2 tr X tr Y of gl(N), or 2N tr(XY) of sl(N), on the first
+        matrices."""
+        pencil = GrassmannPencil(p, q, det_one=det_one)
+        n, ks = pencil.n, len(k_basis(pencil))
+        at_one = k_basis(pencil) + p_basis(pencil, 1)
+        one = _killing_matrix(table_of(at_one))
+        for a, x in enumerate(at_one):
+            for b, y in enumerate(at_one):
+                txy, txty = first_trace(x, y)
+                assert one[a][b] == 2 * n * txy - (0 if det_one else 2 * txty), (a, b)
+        for x in (QI(3), QI(-2), QI(Fraction(1, 5)), QI_ZERO, INFINITY):
+            boundary = x is INFINITY or x == 0
+            fiber = k_basis(pencil) + (limit_subspace(pencil, x) if boundary else p_basis(pencil, x))
+            killing = _killing_matrix(table_of(fiber))
+            assert all(killing[a][b] == 0 == killing[b][a] for a in range(ks) for b in range(ks, len(fiber))), x
+            assert [row[:ks] for row in killing[:ks]] == [row[:ks] for row in one[:ks]], x
+            scale = QI_ZERO if boundary else x
+            assert [row[ks:] for row in killing[ks:]] == [[scale * c for c in row[ks:]] for row in one[ks:]], x
 
 
 def signed_permutation(fiber, sigma):
