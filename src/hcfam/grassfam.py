@@ -45,7 +45,7 @@ from .scalars import (
     RF_ONE,
     RF_Z,
 )
-from .linalg import Span, matrix_constants, span_rank
+from .linalg import DependentBasis, Span, matrix_constants, span_rank
 from .linalg import _apply, _bracket, _cleaned, _flat, _flat_vectors, _nonzero, _product
 from .liefam import (
     FamilyMorphism,
@@ -265,18 +265,26 @@ def real_form_at(pencil: GrassmannPencil, x) -> RealFormReport:
     (0 and infinity use the Grassmannian limit), with exact Killing data."""
     if x is INFINITY or GaussianRational._coerce(x).is_zero():
         boundary = x if x is INFINITY else GaussianRational(0)
-        fiber = k_basis(pencil) + limit_subspace(pencil, boundary)
+        # The limit vectors are eliminated once, in matrix_constants: the k
+        # vectors lie in the diagonal blocks and the limits off them, so the
+        # fiber is dependent exactly when the limit drops rank.  Over a
+        # nonzero point the fiber is independent by construction.
+        p_pairs = [_limit_vector(v, boundary) for v in p_basis(pencil)]
     else:
         x = GaussianRational._coerce(x)
         if not x.is_real():
             raise ValueError("real forms live over real points")
-        fiber = k_basis(pencil) + p_basis(pencil, x)
+        p_pairs = p_basis(pencil, x)
+    fiber = k_basis(pencil) + p_pairs
+    try:
+        constants = matrix_constants(fiber, lambda i, j: ValueError("fiber is not bracket-closed"))
+    except DependentBasis:
+        raise RankDropAtLimit(f"limit at {x} spans less than dimension {len(p_pairs)}") from None
     sigma = RealStructureSpec(pencil.p, pencil.q)
     coordinates = _real_coordinates(_sigma_orbits(fiber, sigma))
     basis = [_apply(fiber, c.items()) for c in coordinates]
     if any(sigma.apply(r) != r for r in basis):
         raise ValueError("real basis is not fixed by the real structure")
-    constants = matrix_constants(fiber, lambda i, j: ValueError("fiber is not bracket-closed"))
     # The Killing form of the real form is the complex one restricted to it,
     # by congruence: B(r_a, r_b) = sum of u_j v_k K_jk over the coordinates
     # u of r_a and v of r_b, read as v . (K u) with K u sparse.

@@ -15,10 +15,12 @@ sparse linear combination.
 
 An element of a matrix Lie algebra is a sparse matrix: the dict
 ``{(block, r, c): entry}`` of its nonzero entries, one block for gl(n) and two
-for the pairs of the Grassmannian pencil.  ``_product`` and ``_bracket``
-multiply such matrices blockwise from products of nonzero entries only;
-``_flat`` and ``_flat_vectors`` give their coordinates, block-major and then
-row-major.
+for the pairs of the Grassmannian pencil.  ``_product`` multiplies such
+matrices blockwise from products of nonzero entries only, through a row index
+of its right factor; it serves ``pair_product``.  ``_bracket`` forms the
+commutator in one pass over the pairs of nonzero entries of its operands,
+with no product and no index.  ``_flat`` and ``_flat_vectors`` give their
+coordinates, block-major and then row-major.
 """
 
 from __future__ import annotations
@@ -80,10 +82,27 @@ def _cleaned(x: dict) -> SparseMatrix:
 
 
 def _bracket(x: SparseMatrix, y: SparseMatrix) -> SparseMatrix:
-    """The commutator x y - y x."""
-    out = _product(x, y)
-    for key, v in _product(y, x).items():
-        out[key] = out[key] - v if key in out else -v
+    """The commutator x y - y x, in one pass over the pairs of nonzero
+    entries: x_rk meeting y_kc adds to (s, r, c), and y_rk meeting x_kc
+    subtracts from it; zero sums are dropped at the end.
+
+    The pass costs |x| |y| steps, where a row index of each factor would
+    cost about |x| + |y| plus the products, so it rests on operands with few
+    nonzero entries.  A pencil basis vector has 2, or 4 for a det-one
+    diagonal difference, at every (p, q); the brackets of the benchmark's
+    pencil sweep and of ``hcfam verify --profile full`` have at most 4 per
+    operand, and |x| |y| is 5.3 on average over their 715 brackets."""
+    out = {}
+    for (s, r, k), a in x.items():
+        for (t, m, c), b in y.items():
+            if s != t:
+                continue
+            if k == m:
+                key = (s, r, c)
+                out[key] = out[key] + a * b if key in out else a * b
+            if c == r:
+                key = (s, m, k)
+                out[key] = out[key] - b * a if key in out else -(b * a)
     return _cleaned(out)
 
 
@@ -267,11 +286,16 @@ def structure_constants(
     return tuple(map(tuple, table))
 
 
+class DependentBasis(ValueError):
+    """A list of vectors given as a basis is linearly dependent."""
+
+
 def matrix_constants(mats: Sequence[SparseMatrix], escape: Callable[[int, int], Exception]) -> tuple:
     """:func:`structure_constants` of a linearly independent list of sparse
-    matrices under the commutator; ``escape(i, j)`` as there."""
+    matrices under the commutator; ``escape(i, j)`` as there.  A dependent
+    list raises :class:`DependentBasis`."""
     vectors, n = _flat_vectors(mats)
     span = Span(vectors)
     if span.rank != len(mats):
-        raise ValueError("matrix basis is linearly dependent")
+        raise DependentBasis("matrix basis is linearly dependent")
     return structure_constants(span, lambda i, j: _flat(_bracket(mats[i], mats[j]), n), escape)

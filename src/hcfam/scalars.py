@@ -12,7 +12,11 @@ are built by trusted constructors that skip the coercion and cleaning of the
 public ones: :func:`_qi` (which still reduces by one gcd), :func:`_lp`, and
 :func:`_rf` for pairs already in canonical form.  A rational function that
 needs reducing goes through its constructor, which skips the Euclidean gcd
-when the denominator is a monomial.
+when the denominator is a monomial.  Polynomial operands skip it altogether:
+every denominator 1 is the object ``LP_ONE``, and the sum, difference and
+product of two polynomials, or a polynomial over a nonzero constant, is
+already canonical over it (Henrici; Knuth, TAOCP Vol. 2, 4.5.1), so ``_rf``
+builds it.
 """
 
 from __future__ import annotations
@@ -115,7 +119,10 @@ class GaussianRational:
 
     def __add__(self, other):
         if other.__class__ is not GaussianRational:
-            other = GaussianRational._coerce(other)
+            try:
+                other = GaussianRational._coerce(other)
+            except TypeError:
+                return NotImplemented
         d, od = self._d, other._d
         if d == od:
             return _qi(self._a + other._a, self._b + other._b, d)
@@ -125,21 +132,30 @@ class GaussianRational:
 
     def __sub__(self, other):
         if other.__class__ is not GaussianRational:
-            other = GaussianRational._coerce(other)
+            try:
+                other = GaussianRational._coerce(other)
+            except TypeError:
+                return NotImplemented
         d, od = self._d, other._d
         if d == od:
             return _qi(self._a - other._a, self._b - other._b, d)
         return _qi(self._a * od - other._a * d, self._b * od - other._b * d, d * od)
 
     def __rsub__(self, other):
-        return GaussianRational._coerce(other) - self
+        try:
+            return GaussianRational._coerce(other) - self
+        except TypeError:
+            return NotImplemented
 
     def __neg__(self):
         return _qi(-self._a, -self._b, self._d)
 
     def __mul__(self, other):
         if other.__class__ is not GaussianRational:
-            other = GaussianRational._coerce(other)
+            try:
+                other = GaussianRational._coerce(other)
+            except TypeError:
+                return NotImplemented
         a, b, c, e = self._a, self._b, other._a, other._b
         return _qi(a * c - b * e, a * e + b * c, self._d * other._d)
 
@@ -154,7 +170,10 @@ class GaussianRational:
 
     def __truediv__(self, other):
         if other.__class__ is not GaussianRational:
-            other = GaussianRational._coerce(other)
+            try:
+                other = GaussianRational._coerce(other)
+            except TypeError:
+                return NotImplemented
         # (a + b i)/d / ((c + e i)/f) = f (a + b i)(c - e i) / (d (c^2 + e^2))
         a, b, c, e, f = self._a, self._b, other._a, other._b, other._d
         n = c * c + e * e
@@ -163,7 +182,10 @@ class GaussianRational:
         return _qi((a * c + b * e) * f, (b * c - a * e) * f, self._d * n)
 
     def __rtruediv__(self, other):
-        return GaussianRational._coerce(other) / self
+        try:
+            return GaussianRational._coerce(other) / self
+        except TypeError:
+            return NotImplemented
 
     def __pow__(self, k: int):
         return _power(self, k, QI_ONE)
@@ -459,22 +481,47 @@ class LaurentPoly:
         raise TypeError(f"cannot coerce {x!r} to LaurentPoly")
 
     def __add__(self, other):
-        o = other if other.__class__ is LaurentPoly else self._coerce(other)
+        if other.__class__ is not LaurentPoly:
+            try:
+                other = LaurentPoly._coerce(other)
+            except TypeError:
+                return NotImplemented
         out = dict(self.coeffs)
-        for e, c in o.coeffs.items():
+        for e, c in other.coeffs.items():
             out[e] = out[e] + c if e in out else c
         return _lp({e: c for e, c in out.items() if c})
 
     __radd__ = __add__
 
+    def __sub__(self, other):
+        if other.__class__ is not LaurentPoly:
+            try:
+                other = LaurentPoly._coerce(other)
+            except TypeError:
+                return NotImplemented
+        out = dict(self.coeffs)
+        for e, c in other.coeffs.items():
+            out[e] = out[e] - c if e in out else -c
+        return _lp({e: c for e, c in out.items() if c})
+
+    def __rsub__(self, other):
+        try:
+            return LaurentPoly._coerce(other) - self
+        except TypeError:
+            return NotImplemented
+
     def __neg__(self):
         return _lp({e: -c for e, c in self.coeffs.items()})
 
     def __mul__(self, other):
-        o = other if other.__class__ is LaurentPoly else self._coerce(other)
+        if other.__class__ is not LaurentPoly:
+            try:
+                other = LaurentPoly._coerce(other)
+            except TypeError:
+                return NotImplemented
         out: dict = {}
         for e1, c1 in self.coeffs.items():
-            for e2, c2 in o.coeffs.items():
+            for e2, c2 in other.coeffs.items():
                 e = e1 + e2
                 out[e] = out[e] + c1 * c2 if e in out else c1 * c2
         return _lp({e: c for e, c in out.items() if c})
@@ -602,7 +649,8 @@ class RationalFunction:
     """A rational function on the projective line, in canonical form.
 
     Canonical form: numerator and denominator are ordinary polynomials in z,
-    the denominator is monic and coprime to the numerator.
+    the denominator is monic and coprime to the numerator.  A denominator 1
+    is always ``LP_ONE`` itself, so the arithmetic tests it by identity.
     """
 
     __slots__ = ("num", "den")
@@ -642,6 +690,8 @@ class RationalFunction:
                 inv = lead.inverse()
                 num = num.scale(inv)
                 den = den.scale(inv)
+            if den.degree() == 0:
+                den = LP_ONE
         self.num = num
         self.den = den
 
@@ -674,10 +724,10 @@ class RationalFunction:
     # -- arithmetic ---------------------------------------------------------
 
     def __add__(self, other):
-        o = self._coerce(other)
-        return RationalFunction(
-            self.num * o.den + o.num * self.den, self.den * o.den
-        )
+        o = other if other.__class__ is RationalFunction else self._coerce(other)
+        if self.den is LP_ONE and o.den is LP_ONE:
+            return _rf(self.num + o.num, LP_ONE)
+        return RationalFunction(self.num * o.den + o.num * self.den, self.den * o.den)
 
     __radd__ = __add__
 
@@ -685,19 +735,33 @@ class RationalFunction:
         return _rf(-self.num, self.den)
 
     def __sub__(self, other):
-        return self + (-self._coerce(other))
+        o = other if other.__class__ is RationalFunction else self._coerce(other)
+        if self.den is LP_ONE and o.den is LP_ONE:
+            return _rf(self.num - o.num, LP_ONE)
+        return RationalFunction(self.num * o.den - o.num * self.den, self.den * o.den)
+
+    def __rsub__(self, other):
+        return self._coerce(other) - self
 
     def __mul__(self, other):
-        o = self._coerce(other)
+        o = other if other.__class__ is RationalFunction else self._coerce(other)
+        if self.den is LP_ONE and o.den is LP_ONE:
+            return _rf(self.num * o.num, LP_ONE)
         return RationalFunction(self.num * o.num, self.den * o.den)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        o = self._coerce(other)
-        if o.is_zero():
+        o = other if other.__class__ is RationalFunction else self._coerce(other)
+        oc = o.num.coeffs
+        if not oc:
             raise ZeroDivisionError("division by the zero rational function")
+        if self.den is LP_ONE and o.den is LP_ONE and len(oc) == 1 and 0 in oc:
+            return _rf(self.num.scale(oc[0].inverse()), LP_ONE)
         return RationalFunction(self.num * o.den, self.den * o.num)
+
+    def __rtruediv__(self, other):
+        return self._coerce(other) / self
 
     def __pow__(self, k: int):
         return _power(self, k, RF_ONE)

@@ -284,6 +284,18 @@ class TestGrassmann:
         )
         assert code == 0 and doc["signature"] == [0, 0, 3]
 
+    @pytest.mark.parametrize("at", ["0", "inf"])
+    def test_realform_at_a_dependent_limit_exits_3(self, capsys, monkeypatch, at):
+        limit_vector, first = grassfam._limit_vector, []
+
+        def repeating(pair, boundary):
+            first.append(limit_vector(pair, boundary))
+            return first[0]
+
+        monkeypatch.setattr(grassfam, "_limit_vector", repeating)
+        code, doc = invoke_json(capsys, "grassmann", "realform", "--pq", "1,1", "--det-one", "--at", at)
+        assert code == 3 and doc["error"] == "RankDropAtLimit"
+
     def test_bad_pq_is_request_error(self, capsys):
         code, _ = invoke(capsys, "grassmann", "pencil", "--pq", "1")
         assert code == 2

@@ -13,6 +13,7 @@ from hcfam.liefam import LieAlgebra, fiber, fiber_invariants, jacobi_witness
 from hcfam.grassfam import (
     GrassmannPencil,
     NoIsomorphismFound,
+    RankDropAtLimit,
     RealStructureSpec,
     contraction_comparison,
     family_from_pairs,
@@ -125,6 +126,42 @@ class TestLimits:
         for v in shuffled:
             assert span.sparse_contains(_flat(v, n))
         assert span.rank == len(limited)
+
+
+def repeat_first_limit(monkeypatch):
+    """Make every limit vector the first one, so that a limit drops rank."""
+    limit_vector, first = grassfam._limit_vector, []
+
+    def repeating(pair, boundary):
+        first.append(limit_vector(pair, boundary))
+        return first[0]
+
+    monkeypatch.setattr(grassfam, "_limit_vector", repeating)
+
+
+class TestRankDropAtLimit:
+    @pytest.mark.parametrize("boundary", [0, QI_ZERO, INFINITY], ids=["int 0", "0", "inf"])
+    def test_real_form_refuses_a_dependent_limit(self, boundary, monkeypatch):
+        repeat_first_limit(monkeypatch)
+        with pytest.raises(RankDropAtLimit, match=f"limit at {boundary} spans less than dimension 4"):
+            real_form_at(GrassmannPencil(2, 1, det_one=True), boundary)
+
+    def test_limit_and_closure_keep_their_check(self, monkeypatch):
+        repeat_first_limit(monkeypatch)
+        pen = GrassmannPencil(1, 1, det_one=True)
+        with pytest.raises(RankDropAtLimit):
+            limit_subspace(pen, QI_ZERO)
+        with pytest.raises(RankDropAtLimit):
+            fiber_group_closure_check(pen, INFINITY)
+
+    def test_one_elimination_per_boundary_real_form(self, monkeypatch):
+        """At 0 and infinity the limit vectors are eliminated only in the
+        fiber's Span, not first by span_rank."""
+        ranks = []
+        monkeypatch.setattr(grassfam, "span_rank", lambda vectors: ranks.append(vectors))
+        for boundary in (QI_ZERO, INFINITY):
+            assert real_form_at(GrassmannPencil(2, 1, det_one=True), boundary).dimension == 8
+        assert ranks == []
 
 
 class TestClosure:

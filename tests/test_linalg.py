@@ -6,7 +6,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from hcfam.linalg import ExactMatrix, Span, _cleaned, _product, _rref, kernel, span_rank, structure_constants
+import random
+
+from hcfam.linalg import (
+    ExactMatrix, Span, _bracket, _cleaned, _product, _rref, kernel, span_rank, structure_constants,
+)
 from hcfam.scalars import GaussianRational, LaurentPoly, RationalFunction, RF_ONE, RF_Z, RF_ZERO
 
 fr = st.fractions(min_value=-9, max_value=9, max_denominator=5)
@@ -230,6 +234,58 @@ class TestSparseMatMul:
         (a0, b0), (a1, b1) = first, second
         got = _cleaned(_product({**sparse(a0), **sparse(a1, 1)}, {**sparse(b0), **sparse(b1, 1)}))
         assert got == {**sparse(dense_mat_mul(a0, b0)), **sparse(dense_mat_mul(a1, b1), 1)}
+
+
+def reference_bracket(x, y):
+    """x y - y x from two products and a merge."""
+    out = _product(x, y)
+    for key, v in _product(y, x).items():
+        out[key] = out[key] - v if key in out else -v
+    return _cleaned(out)
+
+
+QI = GaussianRational
+I = QI(0, 1)
+Z = RF_Z
+
+
+def _bracket_cases():
+    """Explicit pairs (one and two blocks, Q(i) and Q(i)(z) entries, sums
+    that cancel, x = y), then seeded random ones."""
+    pairs = [
+        ({(0, 0, 1): QI(1)}, {(0, 1, 0): QI(1)}),
+        ({(0, 0, 0): QI(1), (0, 0, 1): I}, {(0, 1, 0): QI(2), (0, 1, 1): QI(3, -1)}),
+        ({(0, 0, 0): QI(1), (0, 1, 1): QI(2)}, {(0, 0, 0): QI(3), (0, 1, 1): QI(4)}),  # x y = y x cancel
+        ({(0, 0, 1): QI(1), (0, 1, 2): QI(1)}, {(0, 0, 2): QI(5)}),  # every product vanishes
+        ({(0, 0, 1): QI(1), (1, 1, 0): QI(1)}, {(0, 1, 0): QI(1), (1, 0, 1): QI(-1)}),
+        ({(0, 0, 1): QI(1), (1, 0, 1): QI(1)}, {(0, 1, 0): QI(1), (1, 1, 0): QI(1)}),
+        ({(0, 0, 0): QI(1)}, {(1, 0, 1): QI(1)}),  # different blocks
+        ({(0, 0, 1): Z, (1, 0, 1): RF_ONE}, {(0, 1, 0): RF_ONE, (1, 1, 0): Z}),
+        ({(0, 0, 0): RF_ONE, (0, 1, 1): -RF_ONE, (1, 0, 0): RF_ONE, (1, 1, 1): -RF_ONE},
+         {(0, 0, 1): Z, (1, 0, 1): RF_ONE}),
+        ({(0, 0, 1): Z / (Z + RF_ONE), (0, 1, 0): RF_ONE}, {(0, 1, 0): Z + RF_ONE, (0, 0, 0): RF_ONE}),
+    ]
+    pairs += [(x, x) for x, _ in pairs]
+    rng = random.Random(28)
+    for entries in ([QI(1), QI(-1), I, QI(2, 1)], [RF_ONE, -RF_ONE, Z, Z * Z + Z * I]):
+        for _ in range(20):
+            def draw():
+                keys = {(rng.randrange(2), rng.randrange(3), rng.randrange(3)) for _ in range(rng.randint(1, 5))}
+                return {key: rng.choice(entries) for key in keys}
+            pairs.append((draw(), draw()))
+    return pairs
+
+
+class TestBracket:
+    @pytest.mark.parametrize("x, y", _bracket_cases())
+    def test_equals_the_difference_of_products(self, x, y):
+        got = _bracket(x, y)
+        assert got == reference_bracket(x, y)
+        assert all(got.values())
+
+    def test_equal_operands_commute(self):
+        for x, _ in _bracket_cases():
+            assert _bracket(x, x) == {}
 
 
 def dense_rref(rows, ncols):

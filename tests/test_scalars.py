@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from hcfam.scalars import (
     INFINITY,
+    LP_ONE,
     GaussianRational,
     LaurentPoly,
     PoleAtPoint,
@@ -536,6 +537,119 @@ class TestMonomialDenominator:
         assert calls == []
         RationalFunction(lp({1: 1}), lp({1: 1, 0: 1}))
         assert len(calls) == 1
+
+
+def poly(coeffs):
+    """The rational function of a polynomial, built by the normalising constructor."""
+    return RationalFunction(LaurentPoly(coeffs))
+
+
+#: zero, Gaussian constants, z, z^2 + i z and its negation (the two cancel).
+POLYNOMIALS = [poly({}), poly({0: 2}), poly({0: QI_I}), poly({0: GaussianRational(Fraction(-1, 3), 2)}),
+               poly({1: 1}), poly({2: 1, 1: QI_I}), poly({2: -1, 1: -QI_I})]
+CONSTANTS = POLYNOMIALS[1:4]
+
+#: Each operation and the normalising constructor applied to the same operands.
+NORMALISED = {
+    "+": (lambda a, b: a + b, lambda a, b: RationalFunction(a.num * b.den + b.num * a.den, a.den * b.den)),
+    "-": (lambda a, b: a - b, lambda a, b: RationalFunction(a.num * b.den + (-b.num) * a.den, a.den * b.den)),
+    "*": (lambda a, b: a * b, lambda a, b: RationalFunction(a.num * b.num, a.den * b.den)),
+    "/": (lambda a, b: a / b, lambda a, b: RationalFunction(a.num * b.den, a.den * b.num)),
+}
+
+
+def _polynomial_cases():
+    for name in "+-*":
+        for a in POLYNOMIALS:
+            for b in POLYNOMIALS:
+                yield name, a, b
+    for a in POLYNOMIALS:
+        for b in CONSTANTS:
+            yield "/", a, b
+
+
+class TestPolynomialOperands:
+    @pytest.mark.parametrize("name, a, b", list(_polynomial_cases()))
+    def test_fast_path_equals_the_constructor(self, name, a, b, monkeypatch):
+        op, normalised = NORMALISED[name]
+        want = normalised(a, b)
+        built = []
+        init = RationalFunction.__init__
+        monkeypatch.setattr(RationalFunction, "__init__", lambda f, *args: built.append(args) or init(f, *args))
+        got = op(a, b)
+        assert built == []
+        assert (got.num, got.den) == (want.num, want.den)
+        assert got.den is LP_ONE
+        assert (str(got), got.to_json()) == (str(want), want.to_json())
+
+    def test_cancelling_sum_is_zero(self):
+        f = POLYNOMIALS[5] + POLYNOMIALS[6]
+        assert f == RF_ZERO and f.num.coeffs == {} and f.den is LP_ONE
+
+    def test_division_by_z_normalises(self):
+        f = POLYNOMIALS[5] / RF_Z
+        assert (f.num, f.den) == (lp({1: 1}) + QI_I, LP_ONE)
+        assert f.den is LP_ONE
+
+    def test_mixed_denominators_normalise(self):
+        inverse_z = RationalFunction(LP_ONE, LaurentPoly.monomial(1))
+        assert inverse_z.den == LaurentPoly.monomial(1)
+        for product in (inverse_z * RF_Z, RF_Z * inverse_z):
+            assert product == RF_ONE and product.den is LP_ONE
+        z_plus_1 = poly({1: 1, 0: 1})
+        total = RF_Z / z_plus_1 + RF_ONE / z_plus_1
+        assert total == RF_ONE and total.den is LP_ONE
+
+    def test_every_denominator_one_is_lp_one(self):
+        """The constructor's zero, monomial and Euclidean branches all hold
+        the one LP_ONE when the denominator is 1."""
+        for num, den in [(lp({}), lp({1: 3})), (lp({2: 3, 0: 1}), lp({0: 5})), (lp({3: 1, 1: 1}), lp({1: 2})),
+                         (lp({2: 1, 0: -1}), lp({1: 2, 0: 2})), (lp({1: 1, 0: 1}), lp({1: 1, 0: 1}))]:
+            assert RationalFunction(num, den).den is LP_ONE
+
+
+#: One value of each type of the scalar tower, lowest first.
+TOWER = [
+    3,
+    Fraction(-2, 5),
+    GaussianRational(Fraction(1, 2), -1),
+    LaurentPoly({-1: QI_I, 2: GaussianRational(3)}),
+    RationalFunction(lp({1: 1}), lp({1: 1, 0: 2})),
+]
+
+
+def lift(x, rank):
+    """x coerced to the type of TOWER[rank]."""
+    cls = type(TOWER[rank])
+    return x if cls is int else Fraction(x) if cls is Fraction else cls._coerce(x)
+
+
+def _mixed_cases():
+    for i in range(len(TOWER)):
+        for j in range(len(TOWER)):
+            for name in "+-*":
+                yield name, i, j
+            if type(TOWER[j]) is not LaurentPoly and type(TOWER[max(i, j)]) not in (int, LaurentPoly):
+                yield "/", i, j
+
+
+class TestMixedTypes:
+    @pytest.mark.parametrize("name, i, j", list(_mixed_cases()))
+    def test_operation_equals_the_coerced_one(self, name, i, j):
+        """Every order of operands gives what the operation gives on both
+        coerced to the larger type, and of that type."""
+        op = NORMALISED[name][0]
+        top = max(i, j)
+        want = op(lift(TOWER[i], top), lift(TOWER[j], top))
+        got = op(TOWER[i], TOWER[j])
+        assert type(got) is type(want) is type(TOWER[top])
+        assert got == want
+
+    @pytest.mark.parametrize("x", TOWER[2:], ids=lambda x: type(x).__name__)
+    def test_unknown_operand_raises_type_error(self, x):
+        for op in (lambda a, b: a + b, lambda a, b: b - a, lambda a, b: a * b):
+            with pytest.raises(TypeError):
+                op(x, "1")
 
 
 # ---------------------------------------------------------------------------
