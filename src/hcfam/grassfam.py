@@ -19,11 +19,11 @@ Real forms are read off the real structure sigma without elimination.  Over
 a real point, and at 0 and infinity, sigma sends each fiber basis vector b_j
 to e_j b_pi(j), with e_j = +1 or -1 and pi an involution of the indices, so
 the fixed points have a basis in closed form, checked fixed by sigma.  The
-one structure-constant table is the fiber's.  The Killing form of a real
-form is the complex one restricted to it, so its matrix is the fiber's
-Killing matrix by congruence with the real basis; the derived algebra, the
-center and solvability do not change under complexification, so they are
-the fiber's.  Everything is over Q(i); rational numbers appear only for the
+Killing form of a real form is the complex one restricted to it, read off
+the first matrices X of its basis as 2N tr(XY) - 2 tr X tr Y, N = p + q;
+the derived algebra, the center and solvability do not change under
+complexification, so they are read from the fiber's one structure-constant
+table.  Everything is over Q(i); rational numbers appear only for the
 Sylvester step, which reads the real parts of the Killing matrix.
 """
 
@@ -46,7 +46,7 @@ from .scalars import (
     RF_Z,
 )
 from .linalg import DependentBasis, Span, matrix_constants, span_rank
-from .linalg import _apply, _bracket, _cleaned, _flat, _flat_vectors, _nonzero, _product
+from .linalg import _apply, _bracket, _cleaned, _flat, _flat_vectors, _product
 from .liefam import (
     FamilyMorphism,
     LieAlgebra,
@@ -141,14 +141,22 @@ def _limit_vector(pair: SparsePair, boundary: Point) -> SparsePair:
     return _cleaned({key: (norm * f).evaluate_point(boundary) for key, f in pair.items()})
 
 
-def limit_subspace(pencil: GrassmannPencil, boundary: Point) -> List[SparsePair]:
-    """The limit of p_t in the Grassmannian as t approaches the boundary."""
+def _limits(pencil: GrassmannPencil, boundary: Point) -> List[SparsePair]:
+    """The limits of the p basis vectors at the boundary, one by one."""
     if boundary is not INFINITY:
         boundary = GaussianRational._coerce(boundary)
-    limited = [_limit_vector(v, boundary) for v in p_basis(pencil)]
-    expected = 2 * pencil.p * pencil.q
-    if span_rank(_flat_vectors(limited)[0]) != expected:
-        raise RankDropAtLimit(f"limit at {boundary} spans less than dimension {expected}")
+    return [_limit_vector(v, boundary) for v in p_basis(pencil)]
+
+
+def _rank_drop(boundary: Point, expected: int) -> RankDropAtLimit:
+    return RankDropAtLimit(f"limit at {boundary} spans less than dimension {expected}")
+
+
+def limit_subspace(pencil: GrassmannPencil, boundary: Point) -> List[SparsePair]:
+    """The limit of p_t in the Grassmannian as t approaches the boundary."""
+    limited = _limits(pencil, boundary)
+    if span_rank(_flat_vectors(limited)[0]) != len(limited):
+        raise _rank_drop(boundary, len(limited))
     return limited
 
 
@@ -179,15 +187,20 @@ def fiber_group_closure_check(
     multiply within the same shape.  Needs X X' = 0 (both orders) and the
     limit space stable under left/right multiplication by k.
 
-    Returns None on success, else a description of the failure.
+    Returns None on success, else a description of the failure.  When the
+    check takes the limit itself, a limit that drops rank raises
+    ``RankDropAtLimit``, read off the rank of the span it checks against.
     """
-    if p_pairs is None:
-        p_pairs = limit_subspace(pencil, boundary)
+    limit = p_pairs is None
+    if limit:
+        p_pairs = _limits(pencil, boundary)
     # n covers the k vectors too, so that their products with p_pairs index
     # into the same flat vectors whatever rows and columns p_pairs use
     k_pairs = k_basis(pencil)
     vectors, n = _flat_vectors(p_pairs + k_pairs)
     span = Span(vectors[: len(p_pairs)])
+    if limit and span.rank != len(p_pairs):
+        raise _rank_drop(boundary, len(p_pairs))
     for i, x in enumerate(p_pairs):
         for j, y in enumerate(p_pairs):
             if pair_product(x, y):
@@ -264,12 +277,11 @@ def real_form_at(pencil: GrassmannPencil, x) -> RealFormReport:
     """Fixed points of the real structure on the fiber over a real point x
     (0 and infinity use the Grassmannian limit), with exact Killing data."""
     if x is INFINITY or GaussianRational._coerce(x).is_zero():
-        boundary = x if x is INFINITY else GaussianRational(0)
         # The limit vectors are eliminated once, in matrix_constants: the k
         # vectors lie in the diagonal blocks and the limits off them, so the
         # fiber is dependent exactly when the limit drops rank.  Over a
         # nonzero point the fiber is independent by construction.
-        p_pairs = [_limit_vector(v, boundary) for v in p_basis(pencil)]
+        p_pairs = _limits(pencil, x)
     else:
         x = GaussianRational._coerce(x)
         if not x.is_real():
@@ -279,25 +291,49 @@ def real_form_at(pencil: GrassmannPencil, x) -> RealFormReport:
     try:
         constants = matrix_constants(fiber, lambda i, j: ValueError("fiber is not bracket-closed"))
     except DependentBasis:
-        raise RankDropAtLimit(f"limit at {x} spans less than dimension {len(p_pairs)}") from None
+        raise _rank_drop(x, len(p_pairs)) from None
     sigma = RealStructureSpec(pencil.p, pencil.q)
-    coordinates = _real_coordinates(_sigma_orbits(fiber, sigma))
-    basis = [_apply(fiber, c.items()) for c in coordinates]
+    basis = [_apply(fiber, c.items()) for c in _real_coordinates(_sigma_orbits(fiber, sigma))]
     if any(sigma.apply(r) != r for r in basis):
         raise ValueError("real basis is not fixed by the real structure")
-    # The Killing form of the real form is the complex one restricted to it,
-    # by congruence: B(r_a, r_b) = sum of u_j v_k K_jk over the coordinates
-    # u of r_a and v of r_b, read as v . (K u) with K u sparse.
-    killing = [dict(_nonzero(row)) for row in _killing_matrix(constants)]
-    images = [_apply(killing, u.items()) for u in coordinates]
-    restricted = [
-        [sum((v * image[k] for k, v in b.items() if k in image), QI_ZERO).re for b in coordinates] for image in images
-    ]
+    # The Killing form of the real form is the complex one restricted to it.
+    # The first projection (X, Y) -> X is a Lie map.  Off 0 and infinity it
+    # maps the fiber isomorphically onto gl(N), or sl(N), so there
+    # B = 2N tr(XY) - 2 tr X tr Y on first matrices.  At 0 and infinity the
+    # fiber is k + V with V the abelian ideal of limit vectors: ad v maps the
+    # fiber into V and V to 0, so B vanishes on V; k acts on V as on the
+    # off-diagonal blocks of gl(N), so B on k is that of gl(N).  A limit
+    # vector's first matrix is zero or off the diagonal blocks, and a k
+    # vector's is its own, so the formula gives B there too.
+    restricted = [[c.re for c in row] for row in _trace_form(basis, pencil.n)]
     # The table is read from matrix commutators, so Jacobi holds by
     # construction; derived algebra, center and solvability are those of the
     # real form, as complexification leaves them unchanged.
     algebra = LieAlgebra(tuple(f"b{j}" for j in range(len(fiber))), constants)
     return RealFormReport(basis, sylvester_signature(restricted), fiber_invariants(algebra))
+
+
+def _trace_form(pairs: Sequence[SparsePair], n: int) -> List[List[GaussianRational]]:
+    """The matrix 2n tr(X_a X_b) - 2 tr X_a tr X_b over the first matrices X
+    of the pairs.  2n tr(X_a X_b) sums 2n X_a[r, c] X_b[c, r], so row a
+    applies X_a to the entries 2n X_b indexed by their transposed position;
+    only nonzero traces correct it."""
+    firsts = [{(r, c): v for (s, r, c), v in pair.items() if s == 0} for pair in pairs]
+    transposed, traces = {}, {}
+    for b, first in enumerate(firsts):
+        for (r, c), v in first.items():
+            transposed.setdefault((c, r), {})[b] = 2 * n * v
+            if r == c:
+                traces[b] = traces[b] + v if b in traces else v
+    traces = {b: t for b, t in traces.items() if t}
+    out = []
+    for a, first in enumerate(firsts):
+        row = _apply(transposed, [(key, v) for key, v in first.items() if key in transposed])
+        if a in traces:
+            for b, tb in traces.items():
+                row[b] = row.get(b, QI_ZERO) - 2 * traces[a] * tb
+        out.append([row.get(b, QI_ZERO) for b in range(len(pairs))])
+    return out
 
 
 def _sigma_orbits(fiber: Sequence[SparsePair], sigma: RealStructureSpec) -> List[tuple]:
@@ -330,16 +366,6 @@ def _real_coordinates(orbits: Sequence[tuple]) -> List[dict]:
         else:
             coordinates += [{j: e, k: QI_ONE}, {j: -QI_I * e, k: QI_I}]
     return coordinates
-
-
-def _killing_matrix(constants) -> List[List[GaussianRational]]:
-    """B(e_a, e_b) = tr(ad e_a ad e_b) = sum over j, k of c_aj^k c_bk^j,
-    summed over the nonzero constants of the sparse table only."""
-    ad = [{(j, k): c for j, cell in enumerate(row) for k, c in cell} for row in constants]
-    return [
-        [sum((c * ad_b[k, j] for (j, k), c in ad_a.items() if (k, j) in ad_b), QI_ZERO) for ad_b in ad]
-        for ad_a in ad
-    ]
 
 
 def sylvester_signature(sym: Sequence[Sequence[Fraction]]) -> Tuple[int, int, int]:

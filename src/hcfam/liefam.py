@@ -13,7 +13,7 @@ An element of an algebra or family is sparse too: the dict {k: c} of its
 nonzero coordinates.  ``bracket_with`` is the one bracket, ``linalg._apply``
 the one linear map and ``homomorphism_witness`` the one bracket check on it.
 Dense coordinate lists appear only as rows for ``linalg``'s elimination, as
-its kernel vectors and in a failed check's residual.
+the echelon bases it returns and in a failed check's residual.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .linalg import ExactMatrix, Span, echelon_basis, kernel, matrix_constants, span_rank, structure_constants
+from .linalg import Span, echelon_basis, matrix_constants, span_rank, structure_constants
 from .linalg import _apply, _nonzero
 from .scalars import (
     INFINITY,
@@ -194,8 +194,8 @@ class Involution:
     """An involutive automorphism of a constant-fiber Lie algebra.
 
     ``columns[j]`` is the image of e_j as a sparse vector {k: c}.  Carries the
-    eigenspace decomposition g = k + p, with the indices of an adapted basis
-    (fixed vectors first is not required; order follows the eigenvector solve).
+    eigenspace decomposition g = k + p as echelon bases of the images of
+    1 + theta and 1 - theta.
     """
 
     algebra: LieAlgebra
@@ -216,13 +216,12 @@ class Involution:
         # The table is antisymmetric: from_constants checked it.
         if homomorphism_witness(columns, algebra.constants, algebra.constants, QI_ZERO) is not None:
             raise InvalidInvolution("matrix is not a Lie automorphism")
-        shifted = [
-            ExactMatrix([[x + s if i == j else x for j, x in enumerate(row)] for i, row in enumerate(rows)])
-            for s in (-QI_ONE, QI_ONE)
-        ]
-        k_vecs, p_vecs = (kernel(m, QI_ONE, QI_ZERO) for m in shifted)
-        if len(k_vecs) + len(p_vecs) != d:
-            raise InvalidInvolution("eigenspaces do not span")
+        # theta^2 = 1, so k = im(1 + theta) and p = im(1 - theta): each is
+        # read off the columns e_j +- theta(e_j), and together they span.
+        k_vecs, p_vecs = (
+            echelon_basis([[s * row[j] + int(i == j) for i, row in enumerate(rows)] for j in range(d)])
+            for s in (QI_ONE, -QI_ONE)
+        )
         return Involution(algebra, columns, tuple(map(tuple, k_vecs)), tuple(map(tuple, p_vecs)))
 
 

@@ -28,22 +28,6 @@ from __future__ import annotations
 from typing import Callable, List, Optional, Sequence, Tuple
 
 
-class ExactMatrix:
-    """A dense matrix with exact field entries: the input of ``kernel``."""
-
-    __slots__ = ("rows", "cols", "entries")
-
-    def __init__(self, entries: Sequence[Sequence]):
-        entries = [list(row) for row in entries]
-        ncols = len(entries[0]) if entries else 0
-        for row in entries:
-            if len(row) != ncols:
-                raise ValueError("ragged matrix")
-        self.rows = len(entries)
-        self.cols = ncols
-        self.entries = entries
-
-
 def _nonzero(seq) -> list:
     """(index, entry) for the nonzero entries of seq."""
     return [(j, x) for j, x in enumerate(seq) if x]
@@ -236,25 +220,6 @@ def echelon_basis(vectors: Sequence[Sequence]) -> List[list]:
     """A basis of the span: the nonzero rows of the reduced row echelon form."""
     rows = [list(v) for v in vectors]
     return rows[: len(_rref(rows, len(rows[0])))] if rows else []
-
-
-def kernel(m: ExactMatrix, one, zero) -> List[list]:
-    """Basis of the right kernel of m.
-
-    ``one`` and ``zero`` are the field constants used to build basis vectors.
-    Empty list iff m is injective; rank + nullity = cols by construction.
-    """
-    rows = [list(r) for r in m.entries]
-    pivots = _rref(rows, m.cols)
-    free = [c for c in range(m.cols) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [zero] * m.cols
-        v[fc] = one
-        for r_idx, pc in enumerate(pivots):
-            v[pc] = zero - rows[r_idx][fc]
-        basis.append(v)
-    return basis
 
 
 def span_rank(vectors: Sequence[Sequence]) -> int:

@@ -26,10 +26,12 @@ from hcfam.grassfam import (
     real_form_at,
     sylvester_signature,
     verify_subalgebra,
-    _killing_matrix,
+    _real_coordinates,
     _sigma_orbits,
+    _trace_form,
 )
-from hcfam.linalg import ExactMatrix, Span, _flat, _flat_vectors, kernel, matrix_constants, structure_constants
+from hcfam import cli
+from hcfam.linalg import Span, _flat, _flat_vectors, _rref, matrix_constants, span_rank, structure_constants
 
 QI = GaussianRational
 
@@ -43,6 +45,51 @@ def span_of(basis):
 def table_of(basis):
     """The structure constants of a basis of pairs, read by ``matrix_constants``."""
     return matrix_constants(basis, lambda i, j: ValueError(f"bracket {i},{j} leaves the span"))
+
+
+def kernel(rows, one, zero):
+    """A basis of the right kernel of a dense matrix given by its rows: one
+    vector per free column of the reduced echelon form."""
+    rows = [list(row) for row in rows]
+    ncols = len(rows[0])
+    pivots = _rref(rows, ncols)
+    basis = []
+    for free in (c for c in range(ncols) if c not in pivots):
+        v = [zero] * ncols
+        v[free] = one
+        for r, pc in enumerate(pivots):
+            v[pc] = zero - rows[r][free]
+        basis.append(v)
+    return basis
+
+
+def killing_matrix(constants):
+    """B(e_a, e_b) = tr(ad e_a ad e_b) = sum over j, k of c_aj^k c_bk^j,
+    summed over the nonzero constants of the sparse table only."""
+    ad = [{(j, k): c for j, cell in enumerate(row) for k, c in cell} for row in constants]
+    return [
+        [sum((c * ad_b[k, j] for (j, k), c in ad_a.items() if (k, j) in ad_b), QI_ZERO) for ad_b in ad]
+        for ad_a in ad
+    ]
+
+
+rational_matrices = st.lists(
+    st.lists(st.fractions(min_value=-9, max_value=9, max_denominator=5), min_size=4, max_size=4),
+    min_size=3, max_size=3,
+)
+
+
+class TestKernel:
+    """The kernel that ``rational_real_form`` reads its real basis from."""
+
+    @given(rational_matrices)
+    def test_rank_nullity(self, m):
+        assert span_rank(m) + len(kernel(m, Fraction(1), Fraction(0))) == 4
+
+    @given(rational_matrices)
+    def test_kernel_vectors_annihilate(self, m):
+        for v in kernel(m, Fraction(1), Fraction(0)):
+            assert all(sum((x * y for x, y in zip(row, v)), Fraction(0)) == 0 for row in m)
 
 
 class TestPencilBases:
@@ -146,13 +193,28 @@ class TestRankDropAtLimit:
         with pytest.raises(RankDropAtLimit, match=f"limit at {boundary} spans less than dimension 4"):
             real_form_at(GrassmannPencil(2, 1, det_one=True), boundary)
 
-    def test_limit_and_closure_keep_their_check(self, monkeypatch):
+    def test_limit_and_closure_keep_their_check(self, monkeypatch, capsys):
+        """limit and closure refuse a dependent limit with the same error, in
+        the library and as the CLI's exit 3."""
         repeat_first_limit(monkeypatch)
-        pen = GrassmannPencil(1, 1, det_one=True)
-        with pytest.raises(RankDropAtLimit):
-            limit_subspace(pen, QI_ZERO)
-        with pytest.raises(RankDropAtLimit):
-            fiber_group_closure_check(pen, INFINITY)
+        pen = GrassmannPencil(2, 1)
+        for boundary in (QI_ZERO, INFINITY):
+            message = f"limit at {boundary} spans less than dimension 4"
+            for check in (limit_subspace, fiber_group_closure_check):
+                with pytest.raises(RankDropAtLimit, match=message):
+                    check(pen, boundary)
+            capsys.readouterr()
+            assert cli.run(["grassmann", "closure", "--pq", "2,1", "--boundary", str(boundary)]) == 3
+            assert capsys.readouterr().out == '{"error":"RankDropAtLimit","message":"%s"}\n' % message
+
+    def test_one_elimination_per_closure(self, monkeypatch):
+        """When closure takes the limit itself, the limit vectors are
+        eliminated only in the Span it checks against."""
+        ranks = []
+        monkeypatch.setattr(grassfam, "span_rank", lambda vectors: ranks.append(vectors))
+        for boundary in (QI_ZERO, INFINITY):
+            assert fiber_group_closure_check(GrassmannPencil(2, 1), boundary) is None
+        assert ranks == []
 
     def test_one_elimination_per_boundary_real_form(self, monkeypatch):
         """At 0 and infinity the limit vectors are eliminated only in the
@@ -371,7 +433,7 @@ def rational_real_form(pencil, x):
     span = Span([real_coords(v) for v in rb])
     columns = [dict(span.sparse_coordinates(real_flat(sigma.apply(v)))) for v in rb]
     m = len(rb)
-    fixed = ExactMatrix([[columns[j].get(i, 0) - (1 if i == j else 0) for j in range(m)] for i in range(m)])
+    fixed = [[columns[j].get(i, 0) - (1 if i == j else 0) for j in range(m)] for i in range(m)]
     real_basis = []
     for coeffs in kernel(fixed, Fraction(1), Fraction(0)):
         acc = {}
@@ -431,7 +493,7 @@ class TestRealFormAgainstRationalPath:
         fiber = k_basis(pencil) + p_basis(pencil, -1)
         real_coordinates = grassfam._real_coordinates
         r0 = {j: QI_I * c for j, c in real_coordinates(_sigma_orbits(fiber, RealStructureSpec(2, 1)))[0].items()}
-        killing = _killing_matrix(table_of(fiber))
+        killing = killing_matrix(table_of(fiber))
         b00 = sum((u * v * killing[j][k] for j, u in r0.items() for k, v in r0.items()), QI_ZERO)
         assert b00.is_real() and b00.re > 0
         assert real_form_at(pencil, -1).signature == (0, 0, 8)
@@ -460,7 +522,7 @@ class TestFiberKillingMatrix:
         pencil = GrassmannPencil(p, q, det_one=det_one)
         n, ks = pencil.n, len(k_basis(pencil))
         at_one = k_basis(pencil) + p_basis(pencil, 1)
-        one = _killing_matrix(table_of(at_one))
+        one = killing_matrix(table_of(at_one))
         for a, x in enumerate(at_one):
             for b, y in enumerate(at_one):
                 txy, txty = first_trace(x, y)
@@ -468,11 +530,36 @@ class TestFiberKillingMatrix:
         for x in (QI(3), QI(-2), QI(Fraction(1, 5)), QI_ZERO, INFINITY):
             boundary = x is INFINITY or x == 0
             fiber = k_basis(pencil) + (limit_subspace(pencil, x) if boundary else p_basis(pencil, x))
-            killing = _killing_matrix(table_of(fiber))
+            killing = killing_matrix(table_of(fiber))
             assert all(killing[a][b] == 0 == killing[b][a] for a in range(ks) for b in range(ks, len(fiber))), x
             assert [row[:ks] for row in killing[:ks]] == [row[:ks] for row in one[:ks]], x
             scale = QI_ZERO if boundary else x
             assert [row[ks:] for row in killing[ks:]] == [[scale * c for c in row[ks:]] for row in one[ks:]], x
+
+
+class TestTraceFormAgainstOracle:
+    @pytest.mark.parametrize("det_one", [False, True], ids=["gl", "sl"])
+    @pytest.mark.parametrize("p, q", [(p, q) for p in range(1, 5) for q in range(1, 5) if p + q <= 5])
+    def test_real_killing_matrix_is_the_congruence(self, p, q, det_one, monkeypatch):
+        """The trace form of real_form_at's basis is, entry by entry over
+        Q(i), the fiber's Killing matrix by congruence with the real
+        coordinates, and its real part is the matrix the signature is read
+        from.  A signature alone cannot tell 2N from N; this can."""
+        pencil, sigma = GrassmannPencil(p, q, det_one=det_one), RealStructureSpec(p, q)
+        seen, signature = [], grassfam.sylvester_signature
+        monkeypatch.setattr(grassfam, "sylvester_signature", lambda m: seen.append(m) or signature(m))
+        for x in (QI(1), QI(-1), QI(3), QI(Fraction(-2, 5)), QI_ZERO, INFINITY):
+            boundary = x is INFINITY or x == 0
+            fiber = k_basis(pencil) + (limit_subspace(pencil, x) if boundary else p_basis(pencil, x))
+            killing = killing_matrix(table_of(fiber))
+            coordinates = _real_coordinates(_sigma_orbits(fiber, sigma))
+            congruence = [
+                [sum((u * v * killing[j][k] for j, u in a.items() for k, v in b.items()), QI_ZERO) for b in coordinates]
+                for a in coordinates
+            ]
+            report = real_form_at(pencil, x)
+            assert _trace_form(report.basis, pencil.n) == congruence, x
+            assert seen.pop() == [[c.re for c in row] for row in congruence], x
 
 
 def signed_permutation(fiber, sigma):

@@ -104,17 +104,41 @@ class TestLieAlgebra:
         assert jacobi_witness(g.constants, QI(0)) is None
 
 
-class TestInvolution:
-    def test_eigenspace_split(self):
-        theta = sl2_involution()
-        assert len(theta.k_vectors) == 1
-        assert len(theta.p_vectors) == 2
+def non_diagonal_involution():
+    # Conjugation by J = [[1, 1], [0, -1]] (J^2 = 1): H -> H + 2X,
+    # X -> -X, Y -> H + X - Y.  theta^2 and theta of brackets cancel terms.
+    return Involution.from_matrix(sl2_algebra(), [[1, 0, 1], [2, -1, 1], [0, 0, -1]])
 
-    def test_non_diagonal_involution_accepted(self):
-        # Conjugation by J = [[1, 1], [0, -1]] (J^2 = 1): H -> H + 2X,
-        # X -> -X, Y -> H + X - Y.  theta^2 and theta of brackets cancel terms.
-        theta = Involution.from_matrix(sl2_algebra(), [[1, 0, 1], [2, -1, 1], [0, 0, -1]])
-        assert (len(theta.k_vectors), len(theta.p_vectors)) == (1, 2)
+
+def gl2_identity():
+    return Involution.from_matrix(gl2_algebra(), [[int(i == j) for j in range(4)] for i in range(4)])
+
+
+class TestInvolution:
+    @pytest.mark.parametrize("build", [sl2_involution, gl2_involution, non_diagonal_involution, gl2_identity])
+    def test_eigenspace_split(self, build):
+        """theta fixes every k vector and negates every p vector, and
+        together they are a basis of the algebra."""
+        theta = build()
+        d = theta.algebra.rank
+        for vectors, sign in ((theta.k_vectors, 1), (theta.p_vectors, -1)):
+            for v in vectors:
+                image = [sum((theta.columns[j].get(i, QI(0)) * x for j, x in enumerate(v)), QI(0)) for i in range(d)]
+                assert image == [sign * x for x in v]
+        assert len(theta.k_vectors) + len(theta.p_vectors) == d
+        assert span_rank([list(v) for v in theta.k_vectors + theta.p_vectors]) == d
+
+    @pytest.mark.parametrize("build, k, p", [
+        (sl2_involution, [[1, 0, 0]], [[0, 1, 0], [0, 0, 1]]),
+        (gl2_involution, [[1, 0, 0, 0], [0, 0, 0, 1]], [[0, 1, 0, 0], [0, 0, 1, 0]]),
+        (non_diagonal_involution, [[1, 1, 0]], [[1, 0, -2], [0, 1, 0]]),
+        (gl2_identity, [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]], []),
+    ], ids=["sl2", "gl2", "non-diagonal", "gl2-identity"])
+    def test_eigenspace_bases(self, build, k, p):
+        """The echelon bases of the images of 1 + theta and 1 - theta."""
+        theta = build()
+        assert theta.k_vectors == tuple(tuple(QI(x) for x in v) for v in k)
+        assert theta.p_vectors == tuple(tuple(QI(x) for x in v) for v in p)
 
     def test_non_involution_rejected(self):
         with pytest.raises(InvalidInvolution, match="matrix squared is not the identity"):
