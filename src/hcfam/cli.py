@@ -329,7 +329,7 @@ def _parse_pq(text: str):
         raise RequestError("--pq expects two comma-separated integers, e.g. 1,1")
     if p < 1 or q < 1:
         raise RequestError("--pq block sizes must be at least 1")
-    # every action forms the n^2 basis pairs as dense vectors of 2 n^2 entries
+    # a listing writes the n^2 basis pairs out densely, 2 n^2 entries each
     if 2 * (p + q) ** 4 > MAX_LISTED:
         raise RequestError(f"--pq p+q={p + q} builds more than {MAX_LISTED} pencil entries; p+q must be at most 26")
     return p, q

@@ -23,14 +23,13 @@ Killing form of a real form is the complex one restricted to it, read off
 the first matrices X of its basis as 2N tr(XY) - 2 tr X tr Y, N = p + q;
 the derived algebra, the center and solvability do not change under
 complexification, so they are read from the fiber's one structure-constant
-table.  Everything is over Q(i); rational numbers appear only for the
-Sylvester step, which reads the real parts of the Killing matrix.
+table.  Everything is over Q(i); rational numbers appear only for
+``linalg.signature``, which reads the real parts of the Killing matrix.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 from .scalars import (
@@ -45,8 +44,8 @@ from .scalars import (
     RF_ONE,
     RF_Z,
 )
-from .linalg import DependentBasis, Span, matrix_constants, span_rank
-from .linalg import _apply, _bracket, _cleaned, _flat, _flat_vectors, _product
+from .linalg import DependentBasis, Span, matrix_constants, signature, span_rank
+from .linalg import _apply, _bracket, _cleaned, _flat, _flat_n, _product
 from .liefam import (
     FamilyMorphism,
     LieAlgebra,
@@ -155,7 +154,7 @@ def _rank_drop(boundary: Point, expected: int) -> RankDropAtLimit:
 def limit_subspace(pencil: GrassmannPencil, boundary: Point) -> List[SparsePair]:
     """The limit of p_t in the Grassmannian as t approaches the boundary."""
     limited = _limits(pencil, boundary)
-    if span_rank(_flat_vectors(limited)[0]) != len(limited):
+    if span_rank([_flat(v, pencil.n) for v in limited]) != len(limited):
         raise _rank_drop(boundary, len(limited))
     return limited
 
@@ -169,14 +168,13 @@ def verify_subalgebra(basis: Sequence[SparsePair]):
     """None when every pairwise bracket lies in the span; else (i, j, residual)
     for the first bracket outside it, the residual being the pair of its
     entries off the span's pivot columns once reduced by the span."""
-    vectors, n = _flat_vectors(basis)
-    span = Span(vectors)
+    n = _flat_n(basis)
+    span = Span([_flat(v, n) for v in basis])
     for i in range(len(basis)):
         for j in range(i + 1, len(basis)):
-            bracket = _flat(pair_bracket(basis[i], basis[j]), n)
-            if not span.sparse_contains(bracket):
-                residual = {(k // (n * n), k // n % n, k % n): x for k, x in span.sparse_residual(bracket)}
-                return i, j, residual
+            residual = span.sparse_residual(_flat(pair_bracket(basis[i], basis[j]), n))
+            if residual:
+                return i, j, {(k // (n * n), k // n % n, k % n): x for k, x in residual}
     return None
 
 
@@ -194,11 +192,9 @@ def fiber_group_closure_check(
     limit = p_pairs is None
     if limit:
         p_pairs = _limits(pencil, boundary)
-    # n covers the k vectors too, so that their products with p_pairs index
-    # into the same flat vectors whatever rows and columns p_pairs use
-    k_pairs = k_basis(pencil)
-    vectors, n = _flat_vectors(p_pairs + k_pairs)
-    span = Span(vectors[: len(p_pairs)])
+    # pencil.n bounds every row and column of the pairs and of their products
+    k_pairs, n = k_basis(pencil), pencil.n
+    span = Span([_flat(x, n) for x in p_pairs])
     if limit and span.rank != len(p_pairs):
         raise _rank_drop(boundary, len(p_pairs))
     for i, x in enumerate(p_pairs):
@@ -305,19 +301,19 @@ def real_form_at(pencil: GrassmannPencil, x) -> RealFormReport:
     # off-diagonal blocks of gl(N), so B on k is that of gl(N).  A limit
     # vector's first matrix is zero or off the diagonal blocks, and a k
     # vector's is its own, so the formula gives B there too.
-    restricted = [[c.re for c in row] for row in _trace_form(basis, pencil.n)]
+    restricted = [[(b, c.re) for b, c in row.items()] for row in _trace_form(basis, pencil.n)]
     # The table is read from matrix commutators, so Jacobi holds by
     # construction; derived algebra, center and solvability are those of the
     # real form, as complexification leaves them unchanged.
     algebra = LieAlgebra(tuple(f"b{j}" for j in range(len(fiber))), constants)
-    return RealFormReport(basis, sylvester_signature(restricted), fiber_invariants(algebra))
+    return RealFormReport(basis, signature(restricted), fiber_invariants(algebra))
 
 
-def _trace_form(pairs: Sequence[SparsePair], n: int) -> List[List[GaussianRational]]:
-    """The matrix 2n tr(X_a X_b) - 2 tr X_a tr X_b over the first matrices X
-    of the pairs.  2n tr(X_a X_b) sums 2n X_a[r, c] X_b[c, r], so row a
-    applies X_a to the entries 2n X_b indexed by their transposed position;
-    only nonzero traces correct it."""
+def _trace_form(pairs: Sequence[SparsePair], n: int) -> List[dict]:
+    """The rows {b: entry} of the matrix 2n tr(X_a X_b) - 2 tr X_a tr X_b
+    over the first matrices X of the pairs.  2n tr(X_a X_b) sums
+    2n X_a[r, c] X_b[c, r], so row a applies X_a to the entries 2n X_b
+    indexed by their transposed position; only nonzero traces correct it."""
     firsts = [{(r, c): v for (s, r, c), v in pair.items() if s == 0} for pair in pairs]
     transposed, traces = {}, {}
     for b, first in enumerate(firsts):
@@ -332,7 +328,7 @@ def _trace_form(pairs: Sequence[SparsePair], n: int) -> List[List[GaussianRation
         if a in traces:
             for b, tb in traces.items():
                 row[b] = row.get(b, QI_ZERO) - 2 * traces[a] * tb
-        out.append([row.get(b, QI_ZERO) for b in range(len(pairs))])
+        out.append(row)
     return out
 
 
@@ -367,42 +363,3 @@ def _real_coordinates(orbits: Sequence[tuple]) -> List[dict]:
             coordinates += [{j: e, k: QI_ONE}, {j: -QI_I * e, k: QI_I}]
     return coordinates
 
-
-def sylvester_signature(sym: Sequence[Sequence[Fraction]]) -> Tuple[int, int, int]:
-    """(n_plus, n_zero, n_minus) of a symmetric rational matrix, by exact
-    symmetric Gaussian reduction."""
-    n = len(sym)
-    m = [list(row) for row in sym]
-    plus = minus = zero = 0
-    for i in range(n):
-        if m[i][i] == 0:
-            swap = next((j for j in range(i + 1, n) if m[j][j] != 0), None)
-            if swap is not None:
-                m[i], m[swap] = m[swap], m[i]
-                for row in m:
-                    row[i], row[swap] = row[swap], row[i]
-            else:
-                off = next((j for j in range(i + 1, n) if m[i][j] != 0), None)
-                if off is None:
-                    zero += 1
-                    continue
-                for c in range(n):
-                    m[i][c] += m[off][c]
-                for r in range(n):
-                    m[r][i] += m[r][off]
-        d = m[i][i]
-        if d > 0:
-            plus += 1
-        else:
-            minus += 1
-        for r in range(i + 1, n):
-            if m[r][i] != 0:
-                f = m[r][i] / d
-                for c in range(n):
-                    m[r][c] -= f * m[i][c]
-        for c in range(i + 1, n):
-            if m[i][c] != 0:
-                f = m[i][c] / d
-                for r in range(n):
-                    m[r][c] -= f * m[r][i]
-    return (plus, zero, minus)

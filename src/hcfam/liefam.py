@@ -12,8 +12,10 @@ increasing k.  Every loop over a table runs over these nonzero entries only.
 An element of an algebra or family is sparse too: the dict {k: c} of its
 nonzero coordinates.  ``bracket_with`` is the one bracket, ``linalg._apply``
 the one linear map and ``homomorphism_witness`` the one bracket check on it.
-Dense coordinate lists appear only as rows for ``linalg``'s elimination, as
-the echelon bases it returns and in a failed check's residual.
+Rows for ``linalg``'s elimination, and the eigenspace bases of an
+involution, are the (k, c) pairs of the nonzero coordinates.  Dense
+coordinate lists appear only as an involution's matrix and in a failed
+check's residual.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .linalg import Span, echelon_basis, matrix_constants, span_rank, structure_constants
-from .linalg import _apply, _nonzero
+from .linalg import _apply
 from .scalars import (
     INFINITY,
     DomainError,
@@ -200,8 +202,8 @@ class Involution:
 
     algebra: LieAlgebra
     columns: tuple  # theta(e_j) as sparse vectors {k: c}
-    k_vectors: tuple  # coordinate vectors spanning the +1 eigenspace
-    p_vectors: tuple  # coordinate vectors spanning the -1 eigenspace
+    k_vectors: tuple  # the nonzero coordinates (k, c) of a basis of the +1 eigenspace
+    p_vectors: tuple  # the same for the -1 eigenspace
 
     @staticmethod
     def from_matrix(algebra: LieAlgebra, matrix) -> "Involution":
@@ -217,9 +219,9 @@ class Involution:
         if homomorphism_witness(columns, algebra.constants, algebra.constants, QI_ZERO) is not None:
             raise InvalidInvolution("matrix is not a Lie automorphism")
         # theta^2 = 1, so k = im(1 + theta) and p = im(1 - theta): each is
-        # read off the columns e_j +- theta(e_j), and together they span.
+        # read off the columns e_j + s theta(e_j), s = +-1, which together span.
         k_vecs, p_vecs = (
-            echelon_basis([[s * row[j] + int(i == j) for i, row in enumerate(rows)] for j in range(d)])
+            echelon_basis([_apply(({j: QI_ONE}, col), [(0, QI_ONE), (1, s)]).items() for j, col in enumerate(columns)])
             for s in (QI_ONE, -QI_ONE)
         )
         return Involution(algebra, columns, tuple(map(tuple, k_vecs)), tuple(map(tuple, p_vecs)))
@@ -269,7 +271,7 @@ def _adapted_constants(theta: Involution):
     """Structure constants in the eigenbasis k then p, over Q(i)."""
     alg = theta.algebra
     basis = list(theta.k_vectors) + list(theta.p_vectors)
-    vectors = [dict(_nonzero(v)) for v in basis]
+    vectors = [dict(v) for v in basis]
     tbl = structure_constants(
         Span(basis),
         lambda i, j: bracket_with(alg.constants, vectors[i], vectors[j]).items(),
@@ -373,20 +375,7 @@ def fiber(family: LieFamily, p: Point) -> LieAlgebra:
 
 def fiber_invariants(algebra: LieAlgebra) -> dict:
     """Dimension of the derived algebra and center, and solvability."""
-    d = algebra.rank
-    tbl = algebra.constants
-
-    def dense_rows(vectors):
-        """Rows for elimination from the (k, c) pairs of each vector; equal
-        vectors give one row, which leaves every echelon form unchanged."""
-        out = []
-        for v in dict.fromkeys(tuple(v) for v in vectors):
-            row = [QI_ZERO] * d
-            for k, c in v:
-                row[k] = c
-            out.append(row)
-        return out
-
+    d, tbl = algebra.rank, algebra.constants
     # center: the kernel of v -> ([v, e_j])_j, whose matrix has the row
     # (c_ij^k)_i for each (j, k); only its nonzero rows are formed.
     ad_rows = {}
@@ -394,19 +383,17 @@ def fiber_invariants(algebra: LieAlgebra) -> dict:
         for j, cell in enumerate(row):
             for k, c in cell:
                 ad_rows.setdefault((j, k), []).append((i, c))
-    dim_center = d - span_rank(dense_rows(ad_rows.values()))
+    dim_center = d - span_rank(list(ad_rows.values()))
     # Derived series: [g, g] is spanned by the nonzero cells c_ij, i < j.  By
     # bilinearity the brackets of any basis of a term span the next term, so
     # only an echelon basis of each later term is bracketed.  The series
     # either reaches 0 (solvable) or stops shrinking (not solvable).
-    current = echelon_basis(dense_rows(cell for i, row in enumerate(tbl) for cell in row[i + 1 :] if cell))
+    current = echelon_basis([cell for i, row in enumerate(tbl) for cell in row[i + 1 :] if cell])
     dim_derived, size = len(current), d
     while current and len(current) < size:
         size = len(current)
-        vectors = [dict(_nonzero(v)) for v in current]
-        current = echelon_basis(
-            dense_rows(bracket_with(tbl, u, v).items() for a, u in enumerate(vectors) for v in vectors[a + 1 :])
-        )
+        vs = [dict(v) for v in current]
+        current = echelon_basis([bracket_with(tbl, u, v).items() for a, u in enumerate(vs) for v in vs[a + 1 :]])
     return {"dim_derived": dim_derived, "dim_center": dim_center, "solvable": not current}
 
 

@@ -1,9 +1,12 @@
 """Small exact linear algebra over Q(i) or the field of rational functions.
 
-Matrices are lists of rows whose entries all live in one field (any type with
-exact ``+ - * /`` that is falsy exactly at zero works).  Elimination is plain
-Gauss-Jordan in ``_rref``, the only elimination loop; with exact arithmetic
-there are no pivoting concerns beyond avoiding zero pivots.
+Entries all live in one field (any type with exact ``+ - * /`` that is falsy
+exactly at zero works).  A row or vector is sparse: the list of the
+(index, entry) pairs of its nonzero entries, and no dense vector is formed.
+``_rref`` is the one elimination loop: it inserts the rows one by one into
+the reduced echelon form, touching only nonzero entries.  ``signature``
+splits a symmetric matrix into the connected blocks of its nonzero pattern
+and reads its inertia block by block.
 
 ``Span`` is the one path to coordinates and membership: it puts a list of
 vectors in echelon form once and then reduces any number of vectors, given by
@@ -19,18 +22,13 @@ for the pairs of the Grassmannian pencil.  ``_product`` multiplies such
 matrices blockwise from products of nonzero entries only, through a row index
 of its right factor; it serves ``pair_product``.  ``_bracket`` forms the
 commutator in one pass over the pairs of nonzero entries of its operands,
-with no product and no index.  ``_flat`` and ``_flat_vectors`` give their
-coordinates, block-major and then row-major.
+with no product and no index.  ``_flat`` gives their nonzero coordinates,
+block-major and then row-major, at the indices ``_flat_n`` fixes for a list.
 """
 
 from __future__ import annotations
 
 from typing import Callable, List, Optional, Sequence, Tuple
-
-
-def _nonzero(seq) -> list:
-    """(index, entry) for the nonzero entries of seq."""
-    return [(j, x) for j, x in enumerate(seq) if x]
 
 
 def _apply(images, w) -> dict:
@@ -96,60 +94,56 @@ def _flat(x: SparseMatrix, n: int) -> list:
     return [(s * n * n + r * n + c, v) for (s, r, c), v in x.items()]
 
 
-def _flat_vectors(mats: Sequence[SparseMatrix]) -> Tuple[List[list], int]:
-    """The dense coordinate vectors of the matrices, and the n of their
-    indices: the least one above every row and column they use.  A product
-    of two of them uses no other rows and columns, so ``_flat(x, n)`` of any
-    product or bracket indexes into the same vectors."""
-    keys = [key for m in mats for key in m]
-    n = 1 + max((max(r, c) for _, r, c in keys), default=-1)
-    blocks = 1 + max((s for s, _, _ in keys), default=-1)
-    zero = next((x - x for m in mats for x in m.values()), None)
-    vectors = []
-    for m in mats:
-        v = [zero] * (blocks * n * n)
-        for j, x in _flat(m, n):
-            v[j] = x
-        vectors.append(v)
-    return vectors, n
+def _flat_n(mats: Sequence[SparseMatrix]) -> int:
+    """The n of the flat indices of the matrices: the least one above every
+    row and column they use, which no product or bracket of them exceeds."""
+    return 1 + max((max(r, c) for m in mats for _, r, c in m), default=-1)
 
 
-def _unit_vectors(d: int, one, zero) -> List[list]:
-    """The standard basis of the d-dimensional space; also the identity matrix."""
-    return [[one if t == s else zero for t in range(d)] for s in range(d)]
+def _subtract(row: dict, f, other) -> None:
+    """row -= f * other in place, for the (index, entry) pairs of other;
+    entries that cancel leave the row."""
+    for j, x in other:
+        t = row[j] - f * x if j in row else -(f * x)
+        if t:
+            row[j] = t
+        else:
+            del row[j]
 
 
-def _rref(rows: List[list], ncols: int):
-    """In-place reduced row echelon form; returns list of pivot columns.
-    Row operations touch only the nonzero entries of the pivot row."""
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, len(rows)) if rows[i][c]), None)
-        if pivot is None:
+def _rref(rows: List[list], ncols: int) -> List[list]:
+    """The reduced row echelon form of sparse rows: its nonzero rows in
+    increasing pivot, each sorted by index and led by a one at its pivot.
+
+    Each row is inserted in turn.  It is reduced by the pivot rows so far,
+    its pivot is its smallest nonzero column below ``ncols`` and that column
+    is then cleared from the earlier rows; a row with no such column is
+    dropped.  A pivot row only ever gains entries right of its pivot, so it
+    keeps its leading one and the result is the reduced echelon form of the
+    columns below ``ncols``.  Columns from ``ncols`` on ride along."""
+    pivots = {}  # pivot column -> its row {index: entry}
+    for row in rows:
+        new = {j: x for j, x in row if x}
+        for p in [p for p in new if p in pivots]:
+            _subtract(new, new[p], pivots[p].items())
+        c = min((j for j in new if j < ncols), default=None)
+        if c is None:
             continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        prow = rows[r]
-        inv = prow[c]
-        entries = [(j, x / inv) for j, x in enumerate(prow) if x]
-        for j, x in entries:
-            prow[j] = x
-        for i, row in enumerate(rows):
-            f = row[c]
-            if f and i != r:
-                for j, x in entries:
-                    row[j] = row[j] - f * x
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    return pivots
+        inv = new[c]
+        new = {j: x / inv for j, x in new.items()}
+        for prow in pivots.values():
+            if c in prow:
+                _subtract(prow, prow[c], new.items())
+        pivots[c] = new
+    return [sorted(pivots[c].items()) for c in sorted(pivots)]
 
 
 class Span:
-    """The span of a list of vectors v_0 .. v_{m-1}, in echelon form once.
+    """The span of a list of sparse vectors v_0 .. v_{m-1}, each a list of
+    (index, entry) pairs, in echelon form once.
 
-    ``_rref`` runs once on the rows [v_k | e_k].  Pivot row r then reads
+    ``_rref`` runs once on the rows [v_k | e_k], e_k at column ncols + k past
+    every index of the vectors.  Pivot row r then reads
     row_r = sum_k T[r][k] v_k, with a one in its pivot column p_r and zeros in
     the other pivot columns.  A vector w is reduced from its nonzero entries:
     subtracting w[p_r] * row_r for every pivot where w is nonzero leaves a
@@ -161,52 +155,48 @@ class Span:
 
     def __init__(self, vectors: Sequence[Sequence]):
         vectors = [list(v) for v in vectors]
-        nonzero = next((x for v in vectors for x in v if x), None)
         self.count = len(vectors)
         self.pivots, self.rows, self.transforms = {}, [], []
+        nonzero = next((x for v in vectors for _, x in v if x), None)
         if nonzero is None:
             return
-        ncols = len(vectors[0])
-        eye = _unit_vectors(self.count, nonzero / nonzero, nonzero - nonzero)
-        rows = [v + e for v, e in zip(vectors, eye)]
-        pivots = _rref(rows, ncols)
-        self.pivots = {p: r for r, p in enumerate(pivots)}
-        for row in rows[: len(pivots)]:
-            self.rows.append([(j, x) for j, x in _nonzero(row[:ncols]) if j not in self.pivots])
-            self.transforms.append(_nonzero(row[ncols:]))
+        one = nonzero / nonzero
+        ncols = 1 + max(j for v in vectors for j, _ in v)
+        reduced = _rref([v + [(ncols + k, one)] for k, v in enumerate(vectors)], ncols)
+        self.pivots = {row[0][0]: r for r, row in enumerate(reduced)}
+        self.rows = [[(j, x) for j, x in row[1:] if j < ncols] for row in reduced]
+        self.transforms = [[(j - ncols, x) for j, x in row if j >= ncols] for row in reduced]
 
     @property
     def rank(self) -> int:
         return len(self.pivots)
 
     def _reduce(self, w) -> Tuple[list, dict]:
-        """(r, w[p_r]) for the pivots where w is nonzero, and the residual
-        {j: entry} of w off the pivot columns, zero iff w is in the span.
-        ``w`` holds the (index, entry) pairs of the nonzero entries: a list,
-        or the items of a sparse vector {k: c}."""
+        """(r, w[p_r]) for the pivots where w is nonzero, and the nonzero
+        entries {j: entry} of the residual, off the pivot columns and empty
+        iff w is in the span.  ``w`` holds the (index, entry) pairs of the
+        nonzero entries: a list, or the items of a sparse vector {k: c}."""
         pivots = self.pivots
         weights = [(pivots[j], x) for j, x in w if j in pivots]
-        residual = {j: x for j, x in w if j not in pivots}
+        residual = {j: x for j, x in w if j not in pivots and x}
         for r, c in weights:
-            for j, x in self.rows[r]:
-                t = c * x
-                residual[j] = residual[j] - t if j in residual else -t
+            _subtract(residual, c, self.rows[r])
         return weights, residual
 
     def sparse_residual(self, w) -> list:
         """The nonzero entries (j, x) of w less its combination of the pivot
         rows: none in a pivot column, and none iff w lies in the span."""
-        return [(j, x) for j, x in self._reduce(w)[1].items() if x]
+        return list(self._reduce(w)[1].items())
 
     def sparse_contains(self, w) -> bool:
         """Whether the vector with nonzero entries w lies in the span."""
-        return not any(self._reduce(w)[1].values())
+        return not self._reduce(w)[1]
 
     def sparse_coordinates(self, w) -> Optional[list]:
         """The nonzero coordinates (k, c_k), in increasing k, of the vector
         with nonzero entries w, or None when it is outside the span."""
         weights, residual = self._reduce(w)
-        if any(residual.values()):
+        if residual:
             return None
         acc = {}
         for r, c in weights:
@@ -217,9 +207,10 @@ class Span:
 
 
 def echelon_basis(vectors: Sequence[Sequence]) -> List[list]:
-    """A basis of the span: the nonzero rows of the reduced row echelon form."""
-    rows = [list(v) for v in vectors]
-    return rows[: len(_rref(rows, len(rows[0])))] if rows else []
+    """A basis of the span of sparse vectors: the rows ``_rref`` gives.  Empty
+    and repeated vectors add nothing and are left out."""
+    rows = [list(v) for v in dict.fromkeys(tuple(v) for v in vectors if v)]
+    return _rref(rows, 1 + max(j for row in rows for j, _ in row)) if rows else []
 
 
 def span_rank(vectors: Sequence[Sequence]) -> int:
@@ -259,8 +250,73 @@ def matrix_constants(mats: Sequence[SparseMatrix], escape: Callable[[int, int], 
     """:func:`structure_constants` of a linearly independent list of sparse
     matrices under the commutator; ``escape(i, j)`` as there.  A dependent
     list raises :class:`DependentBasis`."""
-    vectors, n = _flat_vectors(mats)
-    span = Span(vectors)
+    n = _flat_n(mats)
+    span = Span([_flat(m, n) for m in mats])
     if span.rank != len(mats):
         raise DependentBasis("matrix basis is linearly dependent")
     return structure_constants(span, lambda i, j: _flat(_bracket(mats[i], mats[j]), n), escape)
+
+
+def signature(rows: Sequence[Sequence]) -> Tuple[int, int, int]:
+    """(n_plus, n_zero, n_minus) of a symmetric matrix over an ordered field,
+    given by its sparse rows.  Union-find joins the row and column of each
+    nonzero entry into connected components; a permutation congruence makes
+    the matrix block diagonal over them, so by Sylvester's law of inertia the
+    signature is the sum of theirs.  A one-index component is read off the
+    sign of its entry, a larger one by symmetric Gaussian reduction."""
+    parent = list(range(len(rows)))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = i = parent[parent[i]]
+        return i
+
+    for i, row in enumerate(rows):
+        for j, x in row:
+            if x:
+                parent[find(i)] = find(j)
+    components = {}
+    for i in range(len(rows)):
+        components.setdefault(find(i), []).append(i)
+    counts = [0, 0, 0]  # n_plus, n_zero, n_minus
+    for block in components.values():
+        if len(block) > 1:
+            counts = [a + b for a, b in zip(counts, _block_signature(block, rows))]
+        else:
+            x = next((x for _, x in rows[block[0]] if x), None)
+            counts[1 if x is None else 0 if x > 0 else 2] += 1
+    return tuple(counts)
+
+
+def _block_signature(block: Sequence[int], rows: Sequence[Sequence]) -> Tuple[int, int, int]:
+    """The signature of the principal submatrix on ``block``, reduced densely:
+    a zero pivot is swapped with a later nonzero diagonal entry, or else made
+    nonzero by adding a row and column that meet it off the diagonal.  Each
+    pivot leaves the symmetric Schur complement below and right of it, the
+    only part read again."""
+    n, nil = len(block), next(x - x for i in block for _, x in rows[i] if x)
+    m = [[row.get(j, nil) for j in block] for row in (dict(rows[i]) for i in block)]
+    plus = minus = zero = 0
+    for i in range(n):
+        if not m[i][i]:
+            swap = next((j for j in range(i + 1, n) if m[j][j]), None)
+            if swap is not None:
+                m[i], m[swap] = m[swap], m[i]
+                for row in m:
+                    row[i], row[swap] = row[swap], row[i]
+            else:
+                off = next((j for j in range(i + 1, n) if m[i][j]), None)
+                if off is None:
+                    zero += 1
+                    continue
+                m[i] = [a + b for a, b in zip(m[i], m[off])]
+                for row in m:
+                    row[i] += row[off]
+        d = m[i][i]
+        plus, minus = (plus + 1, minus) if d > 0 else (plus, minus + 1)
+        for r in range(i + 1, n):
+            if m[r][i]:
+                f = m[r][i] / d
+                for c in range(i, n):
+                    m[r][c] -= f * m[i][c]
+    return plus, zero, minus

@@ -1044,7 +1044,34 @@ sys.exit(cli.run(sys.argv[1:]))
 """
 
 
+_LOADED_BY_ONE_REQUEST = """
+import contextlib, io, json, sys
+from hcfam import cli
+
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.run(sys.argv[1:])
+print(json.dumps([code, sorted(name for name in sys.modules if name.partition(".")[0] == "hcfam")]))
+"""
+
+
 class TestLayerLoading:
+    def test_module_validate_imports_exactly_its_layers(self, tmp_path):
+        """One ``module validate`` request in a fresh process imports
+        ``cli``, ``hcmod`` and ``scalars`` of ``hcfam`` and nothing else: no
+        ``linalg``, ``liefam``, ``grassfam``, ``sl2fam``, ``classify`` or
+        ``acceptance``, whose import its start-up would otherwise pay."""
+        from hcfam.hcmod import DegreeProfile, HCModuleFamily, TailRule, TransitionData, WeightSet, casimir_triple
+
+        rules = TransitionData(0, TailRule("A"), TailRule("A"))
+        module = HCModuleFamily(WeightSet("even"), DegreeProfile(0, 0, 0, 0), rules, casimir_triple(0, 0, 1))
+        doc = tmp_path / "module.json"
+        doc.write_text(json.dumps(module.to_json()))
+        code, out, err = _fresh_process(_LOADED_BY_ONE_REQUEST, "module", "validate", "--module", str(doc))
+        assert (code, err) == (0, "")
+        answer, loaded = json.loads(out)
+        assert answer == 0
+        assert loaded == ["hcfam", "hcfam.cli", "hcfam.hcmod", "hcfam.scalars"]
+
     def test_module_requests_load_only_scalars_and_hcmod(self, tmp_path):
         """Every ``module`` action in a fresh process loads ``scalars`` and
         ``hcmod`` only, answers as in this process, closes what it opens

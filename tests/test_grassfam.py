@@ -24,22 +24,23 @@ from hcfam.grassfam import (
     pair_bracket,
     pencil_basis,
     real_form_at,
-    sylvester_signature,
     verify_subalgebra,
     _real_coordinates,
     _sigma_orbits,
     _trace_form,
 )
 from hcfam import cli
-from hcfam.linalg import Span, _flat, _flat_vectors, _rref, matrix_constants, span_rank, structure_constants
+from hcfam.linalg import Span, _flat, _flat_n, matrix_constants, signature, span_rank, structure_constants
+from test_liefam import dense_fiber_invariants
+from test_linalg import dense_rref, sparse_rows
 
 QI = GaussianRational
 
 
 def span_of(basis):
     """The Span of the pairs as flat vectors, and the n of their flat index."""
-    vectors, n = _flat_vectors(basis)
-    return Span(vectors), n
+    n = _flat_n(basis)
+    return Span([_flat(v, n) for v in basis]), n
 
 
 def table_of(basis):
@@ -52,7 +53,7 @@ def kernel(rows, one, zero):
     vector per free column of the reduced echelon form."""
     rows = [list(row) for row in rows]
     ncols = len(rows[0])
-    pivots = _rref(rows, ncols)
+    pivots = dense_rref(rows, ncols)
     basis = []
     for free in (c for c in range(ncols) if c not in pivots):
         v = [zero] * ncols
@@ -84,7 +85,7 @@ class TestKernel:
 
     @given(rational_matrices)
     def test_rank_nullity(self, m):
-        assert span_rank(m) + len(kernel(m, Fraction(1), Fraction(0))) == 4
+        assert span_rank(sparse_rows(m)) + len(kernel(m, Fraction(1), Fraction(0))) == 4
 
     @given(rational_matrices)
     def test_kernel_vectors_annihilate(self, m):
@@ -325,17 +326,137 @@ class TestRealForms:
         else:
             assert report.signature == (0, 0, n * n - 1)
 
+    @pytest.mark.parametrize("det_one", [False, True], ids=["gl", "sl"])
+    def test_fiber_invariants_against_the_dense_path(self, det_one):
+        """On every fiber the tests above read a real form from."""
+        fibers = [((1, 1), x) for x in (1, -1, Fraction(1, 4), -9, 0)] + [((2, 1), 1), ((2, 1), -1)]
+        fibers += [((p, q), x) for p in range(1, 4) for q in range(1, 4) if p + q <= 4 for x in (Fraction(3, 2), -2)]
+        for (p, q), x in fibers:
+            pencil = GrassmannPencil(p, q, det_one=det_one)
+            fiber = k_basis(pencil) + (limit_subspace(pencil, QI_ZERO) if x == 0 else p_basis(pencil, x))
+            algebra = LieAlgebra.from_constants(tuple(f"b{j}" for j in range(len(fiber))), table_of(fiber))
+            expected = dense_fiber_invariants(algebra)
+            assert fiber_invariants(algebra) == expected == real_form_at(pencil, x).invariants, (p, q, x)
+
     def test_complex_point_rejected(self):
         with pytest.raises(ValueError):
             real_form_at(GrassmannPencil(1, 1, det_one=True), QI_I)
 
 
+def sylvester_signature(sym):
+    """(n_plus, n_zero, n_minus) of a dense symmetric rational matrix, by
+    exact symmetric Gaussian reduction of the whole matrix: the oracle of
+    ``linalg.signature``, which reduces each connected block apart."""
+    n = len(sym)
+    m = [list(row) for row in sym]
+    plus = minus = zero = 0
+    for i in range(n):
+        if m[i][i] == 0:
+            swap = next((j for j in range(i + 1, n) if m[j][j] != 0), None)
+            if swap is not None:
+                m[i], m[swap] = m[swap], m[i]
+                for row in m:
+                    row[i], row[swap] = row[swap], row[i]
+            else:
+                off = next((j for j in range(i + 1, n) if m[i][j] != 0), None)
+                if off is None:
+                    zero += 1
+                    continue
+                for c in range(n):
+                    m[i][c] += m[off][c]
+                for r in range(n):
+                    m[r][i] += m[r][off]
+        d = m[i][i]
+        if d > 0:
+            plus += 1
+        else:
+            minus += 1
+        for r in range(i + 1, n):
+            if m[r][i] != 0:
+                f = m[r][i] / d
+                for c in range(n):
+                    m[r][c] -= f * m[i][c]
+        for c in range(i + 1, n):
+            if m[i][c] != 0:
+                f = m[i][c] / d
+                for r in range(n):
+                    m[r][c] -= f * m[r][i]
+    return (plus, zero, minus)
+
+
+def dense_matrix(rows, zero=Fraction(0)):
+    out = [[zero] * len(rows) for _ in rows]
+    for i, row in enumerate(rows):
+        for j, x in (row.items() if isinstance(row, dict) else row):
+            out[i][j] = x
+    return out
+
+
+def congruent(m, s):
+    """S^T M S."""
+    n = len(m)
+    ms = [[sum((m[a][b] * s[b][j] for b in range(n)), Fraction(0)) for j in range(n)] for a in range(n)]
+    return [[sum((s[a][i] * ms[a][j] for a in range(n)), Fraction(0)) for j in range(n)] for i in range(n)]
+
+
+def component_count(m):
+    """The connected components of the nonzero pattern, by search."""
+    seen, count = set(), 0
+    for start in range(len(m)):
+        if start in seen:
+            continue
+        count, todo = count + 1, [start]
+        seen.add(start)
+        while todo:
+            i = todo.pop()
+            for j, x in enumerate(m[i]):
+                if x and j not in seen:
+                    seen.add(j)
+                    todo.append(j)
+    return count
+
+
+#: Block sizes of the planted patterns.
+_PLANTED = [
+    [1, 1, 1],
+    [3, 1, 2, 1],
+    [1, 4, 1, 1, 3],
+    [2, 2, 2],
+    [5, 1],
+    [1, 1, 2, 1, 1, 3, 1],
+    [6, 1, 4],
+]
+
+
+def planted(rng, sizes):
+    """A block diagonal symmetric rational matrix over consecutive blocks of
+    the given sizes: a singleton is positive, negative or zero; a larger
+    block is a seeded tree (each index joined to a random earlier one, so
+    stars and chains both occur) with a random diagonal, zeros included, so
+    that it is sometimes indefinite or singular."""
+    n = sum(sizes)
+    m = [[Fraction(0)] * n for _ in range(n)]
+    start = 0
+    for size in sizes:
+        for a in range(start, start + size):
+            m[a][a] = Fraction(rng.choice([-3, -1, 0, 0, 1, 2, 5]), rng.randint(1, 3))
+            if a > start:
+                b = rng.randrange(start, a)
+                m[a][b] = m[b][a] = Fraction(rng.choice([-2, -1, 1, 3]), rng.randint(1, 2))
+        start += size
+    return m
+
+
 class TestSignature:
     def test_examples(self):
         F = Fraction
-        assert sylvester_signature([[F(2), F(0)], [F(0), F(-3)]]) == (1, 0, 1)
-        assert sylvester_signature([[F(0), F(1)], [F(1), F(0)]]) == (1, 0, 1)
-        assert sylvester_signature([[F(0)] * 3] * 3) == (0, 3, 0)
+        for m, expected in [
+            ([[F(2), F(0)], [F(0), F(-3)]], (1, 0, 1)),
+            ([[F(0), F(1)], [F(1), F(0)]], (1, 0, 1)),
+            ([[F(0)] * 3] * 3, (0, 3, 0)),
+            ([[F(1), F(0), F(1)], [F(0), F(-2), F(0)], [F(1), F(0), F(1)]], (1, 1, 1)),
+        ]:
+            assert sylvester_signature(m) == signature(sparse_rows(m)) == expected
 
     def test_congruence_invariance(self):
         F = Fraction
@@ -346,6 +467,7 @@ class TestSignature:
             [F(0), F(3), F(0)],
         ]
         sig = sylvester_signature(base)
+        assert signature(sparse_rows(base)) == sig
         for _ in range(5):
             # Random invertible change of basis S: compute S^T K S.
             s = [[F(rng.randint(-3, 3)) for _ in range(3)] for _ in range(3)]
@@ -357,14 +479,46 @@ class TestSignature:
             )
             if det == 0:
                 continue
-            conj = [
-                [
-                    sum(s[a][i] * base[a][b] * s[b][j] for a in range(3) for b in range(3))
-                    for j in range(3)
-                ]
-                for i in range(3)
-            ]
-            assert sylvester_signature(conj) == sig
+            conj = congruent(base, s)
+            assert sylvester_signature(conj) == signature(sparse_rows(conj)) == sig
+
+    @pytest.mark.parametrize("sizes", _PLANTED, ids=lambda sizes: "-".join(map(str, sizes)))
+    @pytest.mark.parametrize("seed", range(8))
+    def test_planted_blocks(self, sizes, seed):
+        """On a planted block pattern the signature is the dense oracle's, and
+        it stays so under a seeded permutation congruence, which scatters the
+        blocks, and under a seeded unimodular congruence, which merges them
+        into one block."""
+        rng = random.Random(f"planted:{sizes}:{seed}")
+        m = planted(rng, sizes)
+        expected = sylvester_signature(m)
+        assert component_count(m) == len(sizes)
+        assert signature(sparse_rows(m)) == expected
+        n = len(m)
+        perm = list(range(n))
+        rng.shuffle(perm)
+        scattered = [[m[perm[i]][perm[j]] for j in range(n)] for i in range(n)]
+        assert signature(sparse_rows(scattered)) == expected
+        # S = L^T U L with L and U unitriangular of seeded entries: det S = 1.
+        lower, upper = ([[Fraction(1 if i == j else rng.randint(1, 2) if (i > j) == low else 0) for j in range(n)]
+                         for i in range(n)] for low in (True, False))
+        merged = congruent(scattered, congruent(upper, lower))
+        assert component_count(merged) == 1
+        assert signature(sparse_rows(merged)) == sylvester_signature(merged) == expected
+
+    @pytest.mark.parametrize("det_one", [False, True], ids=["gl", "sl"])
+    @pytest.mark.parametrize("p, q", [(p, q) for p in range(1, 6) for q in range(1, 6) if p + q <= 6])
+    def test_real_forms_against_the_dense_oracle(self, p, q, det_one, monkeypatch):
+        """real_form_at's signature is the dense oracle's on the symmetric
+        matrix it reads it from."""
+        seen = []
+        monkeypatch.setattr(grassfam, "signature", lambda rows: seen.append(rows) or signature(rows))
+        pencil = GrassmannPencil(p, q, det_one=det_one)
+        for x in (1, -1, 3, Fraction(-2, 5), 0, INFINITY):
+            report = real_form_at(pencil, x)
+            m = dense_matrix(seen.pop())
+            assert m == [list(col) for col in zip(*m)], x
+            assert report.signature == sylvester_signature(m), x
 
 
 def killing_signature(p, q, det_one, x):
@@ -423,14 +577,8 @@ def rational_real_form(pencil, x):
     def real_flat(v):
         return [(2 * j + part, c) for j, e in _flat(v, n) for part, c in enumerate((e.re, e.im)) if c]
 
-    def real_coords(v):
-        out = [Fraction(0)] * (4 * n * n)
-        for j, c in real_flat(v):
-            out[j] = c
-        return out
-
     rb = [v for b in fiber_basis for v in (b, {k: QI_I * e for k, e in b.items()})]
-    span = Span([real_coords(v) for v in rb])
+    span = Span([real_flat(v) for v in rb])
     columns = [dict(span.sparse_coordinates(real_flat(sigma.apply(v)))) for v in rb]
     m = len(rb)
     fixed = [[columns[j].get(i, 0) - (1 if i == j else 0) for j in range(m)] for i in range(m)]
@@ -442,7 +590,7 @@ def rational_real_form(pencil, x):
                 acc[key] = acc.get(key, QI_ZERO) + GaussianRational(c) * e
         real_basis.append({key: e for key, e in acc.items() if e})
     constants = structure_constants(
-        Span([real_coords(v) for v in real_basis]),
+        Span([real_flat(v) for v in real_basis]),
         lambda i, j: real_flat(pair_bracket(real_basis[i], real_basis[j])),
         lambda i, j: ValueError("real form is not bracket-closed"),
     )
@@ -546,8 +694,8 @@ class TestTraceFormAgainstOracle:
         coordinates, and its real part is the matrix the signature is read
         from.  A signature alone cannot tell 2N from N; this can."""
         pencil, sigma = GrassmannPencil(p, q, det_one=det_one), RealStructureSpec(p, q)
-        seen, signature = [], grassfam.sylvester_signature
-        monkeypatch.setattr(grassfam, "sylvester_signature", lambda m: seen.append(m) or signature(m))
+        seen = []
+        monkeypatch.setattr(grassfam, "signature", lambda rows: seen.append(rows) or signature(rows))
         for x in (QI(1), QI(-1), QI(3), QI(Fraction(-2, 5)), QI_ZERO, INFINITY):
             boundary = x is INFINITY or x == 0
             fiber = k_basis(pencil) + (limit_subspace(pencil, x) if boundary else p_basis(pencil, x))
@@ -558,8 +706,8 @@ class TestTraceFormAgainstOracle:
                 for a in coordinates
             ]
             report = real_form_at(pencil, x)
-            assert _trace_form(report.basis, pencil.n) == congruence, x
-            assert seen.pop() == [[c.re for c in row] for row in congruence], x
+            assert dense_matrix(_trace_form(report.basis, pencil.n), QI_ZERO) == congruence, x
+            assert dense_matrix(seen.pop()) == [[c.re for c in row] for row in congruence], x
 
 
 def signed_permutation(fiber, sigma):

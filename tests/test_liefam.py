@@ -41,7 +41,9 @@ from hcfam.liefam import (
     sl2_algebra,
 )
 from hcfam.sl2fam import gl2_involution, sl2_involution
+from hcfam.cli import build_family
 from hcfam.linalg import span_rank
+from test_linalg import dense_rank, dense_rref
 
 QI = GaussianRational
 
@@ -123,10 +125,10 @@ class TestInvolution:
         d = theta.algebra.rank
         for vectors, sign in ((theta.k_vectors, 1), (theta.p_vectors, -1)):
             for v in vectors:
-                image = [sum((theta.columns[j].get(i, QI(0)) * x for j, x in enumerate(v)), QI(0)) for i in range(d)]
-                assert image == [sign * x for x in v]
+                image = [sum((theta.columns[j].get(i, QI(0)) * x for j, x in v), QI(0)) for i in range(d)]
+                assert image == [dict(v).get(i, QI(0)) * sign for i in range(d)]
         assert len(theta.k_vectors) + len(theta.p_vectors) == d
-        assert span_rank([list(v) for v in theta.k_vectors + theta.p_vectors]) == d
+        assert span_rank(list(theta.k_vectors + theta.p_vectors)) == d
 
     @pytest.mark.parametrize("build, k, p", [
         (sl2_involution, [[1, 0, 0]], [[0, 1, 0], [0, 0, 1]]),
@@ -137,8 +139,8 @@ class TestInvolution:
     def test_eigenspace_bases(self, build, k, p):
         """The echelon bases of the images of 1 + theta and 1 - theta."""
         theta = build()
-        assert theta.k_vectors == tuple(tuple(QI(x) for x in v) for v in k)
-        assert theta.p_vectors == tuple(tuple(QI(x) for x in v) for v in p)
+        assert theta.k_vectors == tuple(tuple((j, QI(x)) for j, x in enumerate(v) if x) for v in k)
+        assert theta.p_vectors == tuple(tuple((j, QI(x)) for j, x in enumerate(v) if x) for v in p)
 
     def test_non_involution_rejected(self):
         with pytest.raises(InvalidInvolution, match="matrix squared is not the identity"):
@@ -335,10 +337,10 @@ def brute_force_derived_series(algebra):
     spanned by all pairwise brackets of the previous term's spanning list."""
     d = algebra.rank
     current = [[GaussianRational(int(i == j)) for j in range(d)] for i in range(d)]
-    dims = [span_rank(current) if current else 0]
+    dims = [dense_rank(current)]
     while dims[-1]:
         current = [dense_bracket(algebra.constants, u, v, GaussianRational(0)) for u in current for v in current]
-        dims.append(span_rank(current))
+        dims.append(dense_rank(current))
         if dims[-1] == dims[-2]:
             return dims[1], False
     return (dims[1] if len(dims) > 1 else 0), True
@@ -371,6 +373,52 @@ class TestFiberInvariants:
         inv = fiber_invariants(algebra)
         assert (inv["dim_derived"], inv["solvable"]) == (dim_derived, solvable)
         assert (inv["dim_derived"], inv["dim_center"], inv["solvable"]) == expected
+
+
+def dense_fiber_invariants(algebra):
+    """``fiber_invariants`` by the dense path it had before sparse rows: every
+    row of the center matrix and every spanning vector of the derived series
+    as a dense list of d coordinates, eliminated by the reference
+    Gauss-Jordan."""
+    d, tbl, zero = algebra.rank, algebra.constants, QI(0)
+
+    def basis(vectors):
+        rows = []
+        for v in vectors:
+            row = [zero] * d
+            for k, c in v:
+                row[k] = c
+            rows.append(row)
+        return rows[: len(dense_rref(rows, d))] if rows else []
+
+    ad_rows = {}
+    for i, row in enumerate(tbl):
+        for j, cell in enumerate(row):
+            for k, c in cell:
+                ad_rows.setdefault((j, k), []).append((i, c))
+    dim_center = d - len(basis(ad_rows.values()))
+    current = basis(cell for i, row in enumerate(tbl) for cell in row[i + 1 :] if cell)
+    dim_derived, size = len(current), d
+    while current and len(current) < size:
+        size = len(current)
+        vectors = [{k: c for k, c in enumerate(v) if c} for v in current]
+        current = basis(bracket_with(tbl, u, v).items() for a, u in enumerate(vectors) for v in vectors[a + 1 :])
+    return {"dim_derived": dim_derived, "dim_center": dim_center, "solvable": not current}
+
+
+#: Every family the CLI builds: ``family fiber --algebra A --kind K --power P``.
+_CLI_FAMILIES = [(a, k, 1) for a in ("sl2", "gl2") for k in ("constant", "contraction", "deformation")]
+_CLI_FAMILIES += [(a, "scaled", p) for a in ("sl2", "gl2") for p in (1, 2, 3)]
+
+
+class TestFiberInvariantsAgainstDensePath:
+    @pytest.mark.parametrize("algebra, kind, power", _CLI_FAMILIES, ids=lambda v: str(v))
+    def test_family_fibers(self, algebra, kind, power):
+        """At 0, infinity and generic points of every family the CLI builds."""
+        fam = build_family(algebra, kind, power)
+        for at in (QI(0), INFINITY, QI(1), QI(-1), QI(2, 1), QI(0, 1), QI(1) / QI(3)):
+            alg = fiber(fam, at)
+            assert fiber_invariants(alg) == dense_fiber_invariants(alg), at
 
 
 # -- the sparse Jacobi check against the dense triple loop it replaced ---------

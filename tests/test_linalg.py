@@ -41,38 +41,48 @@ def dense(coords, count, zero):
     return out
 
 
+def sparse_rows(vectors):
+    return [nonzero(v) for v in vectors]
+
+
+def dense_rank(vectors):
+    """The rank of dense vectors by the reference Gauss-Jordan."""
+    return len(dense_rref([list(v) for v in vectors], len(vectors[0]))) if vectors else 0
+
+
 class TestRankSolve:
     def test_rank_examples(self):
-        assert span_rank([[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]]) == 1
-        assert span_rank([[Fraction(0)] * 3] * 2) == 0
+        assert span_rank(sparse_rows([[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]])) == 1
+        assert span_rank(sparse_rows([[Fraction(0)] * 3] * 2)) == 0
+        assert span_rank([]) == 0
 
     @given(matrices(4, 3), st.lists(fr, min_size=3, max_size=3))
     def test_solve_recovers_image_vectors(self, m, x):
         """m x = b is solved by the coordinates of b in the span of the columns."""
         b = matvec(m, x)
-        sol = Span([column(m, j) for j in range(3)]).sparse_coordinates(nonzero(b))
+        sol = Span([nonzero(column(m, j)) for j in range(3)]).sparse_coordinates(nonzero(b))
         assert sol is not None
         assert matvec(m, dense(sol, 3, Fraction(0))) == b
 
     def test_solve_inconsistent(self):
         m = [[Fraction(1), Fraction(1)], [Fraction(1), Fraction(1)]]
-        assert Span([column(m, j) for j in range(2)]).sparse_coordinates([(1, Fraction(1))]) is None
+        assert Span([nonzero(column(m, j)) for j in range(2)]).sparse_coordinates([(1, Fraction(1))]) is None
 
 
 class TestSpan:
     def test_in_span(self):
-        vs = [[Fraction(1), Fraction(0)], [Fraction(1), Fraction(1)]]
+        vs = sparse_rows([[Fraction(1), Fraction(0)], [Fraction(1), Fraction(1)]])
         assert Span(vs).sparse_contains([(0, Fraction(3)), (1, Fraction(2))])
         assert not Span([vs[0]]).sparse_contains([(1, Fraction(1))])
         assert Span([]).sparse_contains([])
 
     @given(st.lists(st.lists(fr, min_size=3, max_size=3), min_size=1, max_size=4))
     def test_span_rank_bounded(self, vs):
-        r = span_rank(vs)
-        assert 0 <= r <= min(len(vs), 3)
+        r = span_rank(sparse_rows(vs))
+        assert r == dense_rank(vs) and 0 <= r <= min(len(vs), 3)
         # Adding a combination of existing vectors never raises the rank.
         combo = [sum(v[i] for v in vs) for i in range(3)]
-        assert span_rank(vs + [combo]) == r
+        assert span_rank(sparse_rows(vs + [combo])) == r
 
 
 def combination(coeffs, vectors, zero):
@@ -107,10 +117,10 @@ def spans_with_target(draw, scalar, zero, dim=4):
 def check_span(vectors, target, zero):
     """Membership and coordinates of target, given by its nonzero entries,
     against the rank and the combination of the vectors."""
-    span = Span(vectors)
+    span = Span(sparse_rows(vectors))
     coords = span.sparse_coordinates(nonzero(target))
-    inside = span_rank(vectors + [target]) == span_rank(vectors)
-    assert span.rank == span_rank(vectors)
+    inside = dense_rank(vectors + [target]) == dense_rank(vectors)
+    assert span.rank == dense_rank(vectors)
     assert span.sparse_contains(nonzero(target)) == inside == (coords is not None)
     if coords is not None:
         indices = [k for k, _ in coords]
@@ -143,10 +153,10 @@ class TestSpanPrimitive:
         for coeffs in ([inv, z, zero, one], [one, zero, i, zero], [zero] * 4):
             check_span(vectors, combination(coeffs, vectors, zero), zero)
         check_span(vectors, [zero, zero, one], zero)
-        assert not Span(vectors).sparse_contains([(2, one)])
+        assert not Span(sparse_rows(vectors)).sparse_contains([(2, one)])
 
     def test_independent_coordinates_are_unique(self):
-        vs = [[Fraction(1), Fraction(2), Fraction(0)], [Fraction(0), Fraction(1), Fraction(1)]]
+        vs = sparse_rows([[Fraction(1), Fraction(2), Fraction(0)], [Fraction(0), Fraction(1), Fraction(1)]])
         assert Span(vs).sparse_coordinates([(0, Fraction(2)), (1, Fraction(1)), (2, Fraction(-3))]) == [(0, 2), (1, -3)]
         assert Span(vs).sparse_coordinates([(2, Fraction(1))]) is None
 
@@ -296,12 +306,108 @@ def dense_rref(rows, ncols):
     return pivots
 
 
+def reference_rref(rows, ncols):
+    """The reduced nonzero rows of ``dense_rref`` as (index, entry) pairs."""
+    rows = [list(r) for r in rows]
+    return [nonzero(r) for r in rows[: len(dense_rref(rows, ncols))]]
+
+
+# Each pattern has zero rows, dependent rows or a later row whose pivot lies
+# left of an earlier row's pivot; the zeros of a pattern stay zero.
+_PATTERNS = [
+    [[0, 0, 1, 2, 0], [0, 1, 3, 0, 0], [1, 0, 0, 0, 5]],
+    [[0, 0, 0, 0, 0], [0, 2, 0, 1, 0], [0, 0, 0, 0, 0], [3, 0, 1, 0, 0]],
+    [[1, 2, 0, 0, 1], [2, 4, 0, 0, 2], [0, 0, 1, 1, 0], [1, 2, 1, 1, 1]],
+    [[0, 1, 1, 0, 0], [1, 1, 0, 0, 0], [1, 2, 1, 0, 0], [0, 0, 0, 0, 0], [1, 0, 0, 0, 0]],
+    [[0, 0, 0, 1, 1], [0, 0, 1, 1, 0], [0, 1, 1, 0, 0], [1, 1, 0, 0, 0], [1, 0, 0, 0, 1]],
+    [[0, 1], [0, 2], [1, 0]],
+]
+
+
+def _elimination_cases():
+    """(rows, zero) over Q, Q(i) and Q(i)(z): each pattern with its nonzero
+    entries drawn from the field, then seeded random rows with a zero row and
+    a combination of earlier rows mixed in."""
+    rng = random.Random(31)
+    fields = [
+        (Fraction(0), [Fraction(1), Fraction(-2), Fraction(1, 3), Fraction(5, 2)]),
+        (QI(0), [QI(1), I, QI(2, -1), QI(Fraction(1, 2), 3)]),
+        (RF_ZERO, [RF_ONE, Z, Z + RF_ONE * I, RF_ONE / (Z - RF_ONE), Z * Z]),
+    ]
+    cases = []
+    for zero, entries in fields:
+        for pattern in _PATTERNS:
+            rows = [[rng.choice(entries) if x else zero for x in row] for row in pattern]
+            if pattern[1] == [2 * x for x in pattern[0]]:
+                rows[1] = [rows[0][0] * x for x in rows[0]]  # keep row 1 dependent on row 0
+            cases.append((rows, zero))
+        for _ in range(8):
+            width = rng.randint(2, 6)
+            rows = [[rng.choice(entries) if rng.random() < 0.4 else zero for _ in range(width)]
+                    for _ in range(rng.randint(1, 4))]
+            coeffs = [rng.choice(entries + [zero]) for _ in rows]
+            rows.append(combination(coeffs, rows, zero))
+            rows.insert(rng.randint(0, len(rows)), [zero] * width)
+            cases.append((rows, zero))
+    return cases
+
+
+def reference_span(vectors, zero):
+    """(pivots, reduced rows) of ``dense_rref`` on the rows [v_k | e_k]."""
+    one = next((x / x for v in vectors for x in v if x != 0), zero)
+    m = len(vectors)
+    rows = [list(v) + [one if j == k else zero for j in range(m)] for k, v in enumerate(vectors)]
+    pivots = dense_rref(rows, len(vectors[0]))
+    return pivots, rows[: len(pivots)]
+
+
 class TestSparseReduction:
     @given(st.lists(st.lists(sparse_fr, min_size=5, max_size=5), max_size=6))
     def test_rref_matches_dense_rows(self, rows):
-        sparse_rows, dense_rows = [list(r) for r in rows], [list(r) for r in rows]
-        assert _rref(sparse_rows, 5) == dense_rref(dense_rows, 5)
-        assert sparse_rows == dense_rows
+        assert _rref(sparse_rows(rows), 5) == reference_rref(rows, 5)
+
+    @pytest.mark.parametrize("rows, zero", _elimination_cases())
+    def test_rref_matches_dense_rref(self, rows, zero):
+        """Same pivots and same rows, over every prefix of the columns."""
+        width = len(rows[0])
+        got = _rref(sparse_rows(rows), width)
+        assert got == reference_rref(rows, width)
+        assert [row[0] for row in got] == [(p, zero + 1) for p in dense_rref([list(r) for r in rows], width)]
+        for ncols in range(width):
+            prefix = [row[:ncols] for row in rows]
+            got = _rref(sparse_rows(rows), ncols)
+            assert [[(j, x) for j, x in row if j < ncols] for row in got] == reference_rref(prefix, ncols)
+
+    @pytest.mark.parametrize("rows, zero", _elimination_cases())
+    def test_span_matches_dense_reduction(self, rows, zero):
+        """The Span's pivots, rows and residuals are the dense reduction's;
+        its coordinates are too where they are unique (independent rows), and
+        always recombine to the vector."""
+        width, m = len(rows[0]), len(rows)
+        span = Span(sparse_rows(rows))
+        pivots, reduced = reference_span(rows, zero)
+        assert span.pivots == {p: r for r, p in enumerate(pivots)}
+        assert span.rows == [[(j, x) for j, x in nonzero(row[:width]) if j not in span.pivots] for row in reduced]
+        independent = len(pivots) == m
+        if independent:
+            assert span.transforms == [nonzero(row[width:]) for row in reduced]
+        units = [[zero + int(j == k) for j in range(width)] for k in range(width)]
+        for w in rows + units + [combination([zero + 1] * m, rows, zero)]:
+            residual = list(w)
+            for p, row in zip(pivots, reduced):
+                residual = [a - w[p] * b for a, b in zip(residual, row[:width])]
+            got = span.sparse_residual(nonzero(w))
+            assert sorted(got, key=lambda e: e[0]) == nonzero(residual)
+            coords = span.sparse_coordinates(nonzero(w))
+            if got:
+                assert coords is None
+                continue
+            assert combination(dense(coords, m, zero), rows, zero) == list(w)
+            if independent:
+                expected = [zero] * m
+                for p, row in zip(pivots, reduced):
+                    expected = [a + w[p] * b for a, b in zip(expected, row[width:])]
+                assert coords == nonzero(expected)
 
 
 def cross(i, j):
@@ -320,13 +426,13 @@ class TestStructureConstants:
             calls.append((i, j))
             return cross(i, j)
 
-        units = [[Fraction(int(i == j)) for j in range(3)] for i in range(3)]
+        units = [[(i, Fraction(1))] for i in range(3)]
         table = structure_constants(Span(units), bracket, lambda i, j: AssertionError((i, j)))
         assert calls == [(0, 1), (0, 2), (1, 2)]
         assert table == tuple(tuple(tuple(cross(i, j)) for j in range(3)) for i in range(3))
 
     def test_first_escape_in_row_major_order(self):
         # e_0 x e_1 = e_2 leaves the span of e_0, e_1.
-        units = [[Fraction(int(i == j)) for j in range(3)] for i in range(2)]
+        units = [[(i, Fraction(1))] for i in range(2)]
         with pytest.raises(ValueError, match=r"\(0, 1\)"):
             structure_constants(Span(units), cross, lambda i, j: ValueError((i, j)))
